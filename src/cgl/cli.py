@@ -27,7 +27,7 @@ from .extraction import (
 from .parser import ParseError, parse_script
 from .printer import print_formula, print_proof
 from .proofterms import Context
-from .rational import parse_rational
+from .rational import DivisionByZero, parse_rational
 from .realizer import realizer_to_json
 from .syntax import State
 
@@ -286,6 +286,10 @@ def main(argv=None) -> int:
         return args.fn(args)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 2
+    except DivisionByZero as e:
+        # a term the checker accepted is undefined at this concrete state
+        print(f"cgl {args.cmd}: undefined at this state: {e}", file=sys.stderr)
+        return 1
     except BrokenPipeError:
         return 1
 

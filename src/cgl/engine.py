@@ -20,6 +20,7 @@ from typing import Iterator, Optional
 
 from . import realizer as R
 from . import syntax as S
+from .printer import print_formula, print_game
 from .rational import Rational, format_rational, parse_rational
 from .syntax import Formula, Game, State
 
@@ -372,8 +373,6 @@ class InteractiveDemon(DemonOracle):
                 self.write(f"  ? {e}\n")
 
     def choose_branch(self, game, state):
-        from .printer import print_game
-
         return self._ask(
             f"demon branch at {print_game(game)} [L/R]: ",
             lambda s: {"L": "L", "R": "R", "l": "L", "r": "R"}[s],
@@ -383,8 +382,6 @@ class InteractiveDemon(DemonOracle):
         return self._ask(f"demon value for {var} := * : ", parse_rational)
 
     def assert_test(self, phi, state):
-        from .printer import print_formula
-
         return self._ask(
             f"demon test ?{print_formula(phi)} [assert/concede]: ",
             lambda s: {"assert": "assert", "a": "assert", "concede": "concede", "c": "concede"}[s],
@@ -420,11 +417,11 @@ def play(
     fuel: int = 100_000,
     tracer: Optional[Tracer] = None,
 ):
-    """Play one run; returns Finished/AngelViolation/DemonViolation/FuelOut."""
+    """Play one run; returns Finished/AngelViolation/DemonViolation/FuelOut.
+    Events are formatted only when a tracer is given."""
     budget = Budget(fuel)
-    tr = tracer or Tracer()
     try:
-        return _play(game, role, cl, state, demon, budget, tr)
+        return _play(game, role, cl, state, demon, budget, tracer)
     except BudgetExhausted:
         return FuelOut(state)
 
@@ -438,8 +435,6 @@ def _play(game, role, cl, state, demon, budget, tr):
 
 
 def _play_core(game, role, cl, state, demon, budget, tr):
-    from .printer import print_formula
-
     budget.tick()
     match game:
         case S.Test(cond=phi):
@@ -451,14 +446,17 @@ def _play_core(game, role, cl, state, demon, budget, tr):
                         f"test {print_formula(phi)} is not ground first-order"
                     )
                 if not ok:
-                    tr.emit("angel-test", f"({print_formula(phi)})", "fail")
+                    if tr is not None:
+                        tr.emit("angel-test", f"({print_formula(phi)})", "fail")
                     return AngelViolation(state)
-                tr.emit("angel-test", f"({print_formula(phi)})", "pass")
+                if tr is not None:
+                    tr.emit("angel-test", f"({print_formula(phi)})", "pass")
                 _ev, cont = pair_view(force(cl, state, budget), state, budget)
                 return Finished(state, cont)
             ans = demon.assert_test(phi, state)
             if ans == "concede":
-                tr.emit("demon-test", f"({print_formula(phi)})", "concede")
+                if tr is not None:
+                    tr.emit("demon-test", f"({print_formula(phi)})", "concede")
                 return DemonViolation(state)
             try:
                 ok = S.eval_fo(phi, state)
@@ -467,25 +465,30 @@ def _play_core(game, role, cl, state, demon, budget, tr):
                     f"test {print_formula(phi)} is not ground first-order"
                 )
             if not ok:
-                tr.emit("demon-test", f"({print_formula(phi)})", "false-assert")
+                if tr is not None:
+                    tr.emit("demon-test", f"({print_formula(phi)})", "false-assert")
                 return DemonViolation(state)
-            tr.emit("demon-test", f"({print_formula(phi)})", "assert")
+            if tr is not None:
+                tr.emit("demon-test", f"({print_formula(phi)})", "assert")
             token = close(R.Unit())
             return Finished(state, app_rz(cl, token, state, budget))
 
         case S.Assign(var=x, term=t):
             v = S.eval_term(t, state)
-            tr.emit("assign", x, format_rational(v))
+            if tr is not None:
+                tr.emit("assign", x, format_rational(v))
             return Finished(state.set(x, v), cl)
 
         case S.AssignAny(var=x):
             if role == ACTIVE:
                 val_cl, cont = pair_view(force(cl, state, budget), state, budget)
                 v = num_of(val_cl, state, budget)
-                tr.emit("angel-value", x, format_rational(v))
+                if tr is not None:
+                    tr.emit("angel-value", x, format_rational(v))
                 return Finished(state.set(x, v), cont)
             v = demon.choose_value(x, state)
-            tr.emit("demon-value", x, format_rational(v))
+            if tr is not None:
+                tr.emit("demon-value", x, format_rational(v))
             return Finished(state.set(x, v), app_num(cl, v, state, budget))
 
         case S.Choice(left=a, right=b):
@@ -493,15 +496,18 @@ def _play_core(game, role, cl, state, demon, budget, tr):
                 sel_cl, cont = pair_view(force(cl, state, budget), state, budget)
                 sel = num_of(sel_cl, state, budget)
                 if sel == 0:
-                    tr.emit("angel-branch", "L")
+                    if tr is not None:
+                        tr.emit("angel-branch", "L")
                     return _play(a, role, cont, state, demon, budget, tr)
                 if sel == 1:
-                    tr.emit("angel-branch", "R")
+                    if tr is not None:
+                        tr.emit("angel-branch", "R")
                     return _play(b, role, cont, state, demon, budget, tr)
                 raise IllStructuredRealizer(f"branch selector {sel} not in {{0,1}}")
             fst, snd = pair_view(force(cl, state, budget), state, budget)
             which = demon.choose_branch(game, state)
-            tr.emit("demon-branch", which)
+            if tr is not None:
+                tr.emit("demon-branch", which)
             return _play(
                 a if which == "L" else b,
                 role,
@@ -524,7 +530,8 @@ def _play_core(game, role, cl, state, demon, budget, tr):
             return _dormant_loop(a, cl, state, demon, budget, tr)
 
         case S.Dual(body=a):
-            tr.emit("swap-roles")
+            if tr is not None:
+                tr.emit("swap-roles")
             return _play(a, flip(role), cl, state, demon, budget, tr)
 
     raise TypeError(f"not a game: {game!r}")
@@ -536,11 +543,13 @@ def _active_loop(body, cl, state, demon, budget, tr):
         sel_cl, cont = pair_view(force(cl, state, budget), state, budget)
         sel = num_of(sel_cl, state, budget)
         if sel == 0:
-            tr.emit("angel-loop", "stop")
+            if tr is not None:
+                tr.emit("angel-loop", "stop")
             return Finished(state, cont)
         if sel != 1:
             raise IllStructuredRealizer(f"loop selector {sel} not in {{0,1}}")
-        tr.emit("angel-loop", "continue")
+        if tr is not None:
+            tr.emit("angel-loop", "continue")
         out = _play(body, ACTIVE, cont, state, demon, budget, tr)
         if not isinstance(out, Finished):
             return out
@@ -552,10 +561,12 @@ def _dormant_loop(body, cl, state, demon, budget, tr):
     while True:
         budget.tick()
         if not demon.continue_repeat(state, iteration):
-            tr.emit("demon-loop", "stop")
+            if tr is not None:
+                tr.emit("demon-loop", "stop")
             post, _stream = pair_view(force(cl, state, budget), state, budget)
             return Finished(state, post)
-        tr.emit("demon-loop", "continue")
+        if tr is not None:
+            tr.emit("demon-loop", "continue")
         _post, stream = pair_view(force(cl, state, budget), state, budget)
         out = _play(body, DORMANT, stream, state, demon, budget, tr)
         if not isinstance(out, Finished):
@@ -624,11 +635,6 @@ class CounterExample:
     trace: tuple
 
 
-class _Abort(Exception):
-    def __init__(self, counterexample):
-        self.counterexample = counterexample
-
-
 def verify_exhaustive(
     game: Game,
     role: str,
@@ -640,12 +646,17 @@ def verify_exhaustive(
     require_finished: bool = False,
 ):
     """AllWin check: every Demon line ends in DemonViolation or a Finished
-    state satisfying post.  Returns None, or a CounterExample."""
+    state satisfying post.  Returns None, or a CounterExample.
+
+    Each distinct loop-head position is explored once per call and
+    replayed from a transposition table after that; a replay spends no
+    fuel, so fuel bounds the work of the unmemoized search from above."""
+    memo = _Transpositions()
     for st in init_states:
         budget = Budget(fuel)
         trail = []
         try:
-            for out in _explore(game, role, cl, st, menu, budget, trail, 0):
+            for out in _explore(game, role, cl, st, menu, budget, trail, memo):
                 bad = None
                 if isinstance(out, Finished):
                     if not S.eval_fo(post, out.state):
@@ -662,19 +673,127 @@ def verify_exhaustive(
     return None
 
 
-def _explore(game, role, cl, state, menu, budget, trail, depth) -> Iterator:
+def _state_key(state: State):
+    # exact bindings, explicit zeros included, so a replayed outcome's
+    # state prints as the explored one would
+    return frozenset(state._vals.items())
+
+
+class _Transpositions:
+    """The explorer's transposition table, alive for one verify call.
+
+    What a loop head's subtree yields depends only on the loop body, the
+    role, the state, the iteration, and what the closure can observe: its
+    realizer and the environment entries named in it (realizer variables,
+    and term variables that `_overlay` would shadow; closure values count
+    by their own fingerprint).  The first visit of such a key explores the
+    subtree; later visits replay its distinct outcomes, each with the
+    trail suffix of its first line.  Outcomes are distinct when type,
+    state and residual fingerprint differ; a repeat continues exactly
+    like its first occurrence, so it can never be the first losing line.
+
+    Realizers, syntax and closures are hash-consed to small integers
+    (Filliâtre & Conchon, "Type-Safe Modular Hash-Consing", 2006), so a
+    key hashes in constant time.  The id()-keyed table keeps every object
+    it numbers alive, so no id is reused while the table lives.
+    """
+
+    __slots__ = ("entries", "_ids", "_canon")
+
+    def __init__(self):
+        self.entries = {}  # head key -> ([(outcome, trail suffix)], error)
+        self._ids = {}  # id(x) -> (x, number, names x can read)
+        self._canon = {}  # structural key -> number
+
+    def node(self, x):
+        """(number, names) of a realizer, term, formula or game."""
+        hit = self._ids.get(id(x))
+        if hit is not None:
+            return hit[1], hit[2]
+        if isinstance(x, R.Realizer):
+            parts, names = [type(x)], set()
+            for field in x.__slots__:
+                v = getattr(x, field)
+                if type(v) is str:  # a variable or a binder
+                    names.add(v)
+                elif type(v) is tuple:  # the games of a Compose
+                    v = tuple(self.node(g)[0] for g in v)
+                elif v is not None:
+                    v, ns = self.node(v)
+                    names.update(ns)
+                parts.append(v)
+            key, names = tuple(parts), tuple(sorted(names))
+        else:
+            # games are never evaluated under an environment
+            key = x
+            names = () if isinstance(x, Game) else tuple(sorted(S.free_vars(x)))
+        num = self._canon.setdefault(key, len(self._canon))
+        self._ids[id(x)] = (x, num, names)
+        return num, names
+
+    def closure(self, cl: Closure) -> int:
+        hit = self._ids.get(id(cl))
+        if hit is not None:
+            return hit[1]
+        num, names = self.node(cl.rz)
+        seen = []
+        for n in names:
+            v = cl.env.get(n)
+            if v is not None:
+                seen.append((n, (self.closure(v),) if type(v) is Closure else v))
+        fp = self._canon.setdefault((num, tuple(seen)), len(self._canon))
+        self._ids[id(cl)] = (cl, fp, ())
+        return fp
+
+    def explore(self, key, trail, lines):
+        """The distinct outcomes of one loop head's subtree.  The generator
+        `lines` explores it on the first visit; later visits replay the
+        record and leave `lines` unstarted.  An exception the subtree
+        raised is re-raised after the outcomes that preceded it; a
+        fuel-out or an abandoned visit records nothing."""
+        base = len(trail)
+        entry = self.entries.get(key)
+        if entry is not None:
+            outs, err = entry
+            for out, suffix in outs:
+                trail.extend(suffix)
+                yield out
+                del trail[base:]
+            if err is not None:
+                raise err
+            return
+        outs, seen = [], set()
+        try:
+            for out in lines:
+                if type(out) is Finished:
+                    k = (Finished, _state_key(out.state), self.closure(out.residual))
+                else:
+                    k = (type(out), _state_key(out.state))
+                if k not in seen:
+                    seen.add(k)
+                    outs.append((out, tuple(trail[base:])))
+                    yield out
+        except BudgetExhausted:
+            raise
+        except Exception as err:
+            self.entries.setdefault(key, (outs, err))
+            raise
+        self.entries.setdefault(key, (outs, None))
+
+
+def _explore(game, role, cl, state, menu, budget, trail, memo) -> Iterator:
     ks, core = peel_for(cl, game)
     if not ks:
-        yield from _explore_core(game, role, core, state, menu, budget, trail, depth)
+        yield from _explore_core(game, role, core, state, menu, budget, trail, memo)
         return
-    for out in _explore_core(game, role, core, state, menu, budget, trail, depth):
+    for out in _explore_core(game, role, core, state, menu, budget, trail, memo):
         if isinstance(out, Finished):
             yield Finished(out.state, apply_ks(ks, out.residual))
         else:
             yield out
 
 
-def _explore_core(game, role, cl, state, menu, budget, trail, depth) -> Iterator:
+def _explore_core(game, role, cl, state, menu, budget, trail, memo) -> Iterator:
     match game:
         case S.Test(cond=phi):
             try:
@@ -715,9 +834,7 @@ def _explore_core(game, role, cl, state, menu, budget, trail, depth) -> Iterator
                 return
             for v in menu.values_for(x):
                 trail.append(f"demon-value {x} {format_rational(v)}")
-                yield from _finish(
-                    Finished(state.set(x, v), app_num(cl, v, state, budget))
-                )
+                yield Finished(state.set(x, v), app_num(cl, v, state, budget))
                 trail.pop()
             return
 
@@ -728,50 +845,51 @@ def _explore_core(game, role, cl, state, menu, budget, trail, depth) -> Iterator
                 if sel not in (0, 1):
                     raise IllStructuredRealizer(f"branch selector {sel}")
                 sub = a if sel == 0 else b
-                yield from _explore(sub, role, cont, state, menu, budget, trail, depth)
+                yield from _explore(sub, role, cont, state, menu, budget, trail, memo)
                 return
             fst, snd = pair_view(force(cl, state, budget), state, budget)
             trail.append("demon-branch L")
-            yield from _explore(a, role, fst, state, menu, budget, trail, depth)
+            yield from _explore(a, role, fst, state, menu, budget, trail, memo)
             trail.pop()
             trail.append("demon-branch R")
-            yield from _explore(b, role, snd, state, menu, budget, trail, depth)
+            yield from _explore(b, role, snd, state, menu, budget, trail, memo)
             trail.pop()
             return
 
         case S.Seq(left=a, right=b):
-            for out in _explore(a, role, cl, state, menu, budget, trail, depth):
+            for out in _explore(a, role, cl, state, menu, budget, trail, memo):
                 if isinstance(out, Finished):
                     yield from _explore(
-                        b, role, out.residual, out.state, menu, budget, trail, depth
+                        b, role, out.residual, out.state, menu, budget, trail, memo
                     )
                 else:
                     yield out
             return
 
         case S.Repeat(body=a):
-            if role == ACTIVE:
-                yield from _explore_active_loop(
-                    a, cl, state, menu, budget, trail
-                )
-            else:
-                yield from _explore_dormant_loop(
-                    a, cl, state, menu, budget, trail, 0
-                )
+            yield from _explore_loop(a, role, cl, state, menu, budget, trail, memo, 0)
             return
 
         case S.Dual(body=a):
-            yield from _explore(a, flip(role), cl, state, menu, budget, trail, depth)
+            yield from _explore(a, flip(role), cl, state, menu, budget, trail, memo)
             return
 
     raise TypeError(f"not a game: {game!r}")
 
 
-def _finish(out):
-    yield out
+def _explore_loop(body, role, cl, state, menu, budget, trail, memo, iteration):
+    """A loop head, looked up in the transposition table.  Only Demon's
+    repetitions are capped, so only they count iterations; Angel's loop
+    stays at iteration 0."""
+    key = (memo.node(body)[0], role, iteration, _state_key(state), memo.closure(cl))
+    if role == ACTIVE:
+        lines = _explore_active_loop(body, cl, state, menu, budget, trail, memo)
+    else:
+        lines = _explore_dormant_loop(body, cl, state, menu, budget, trail, memo, iteration)
+    return memo.explore(key, trail, lines)
 
 
-def _explore_active_loop(body, cl, state, menu, budget, trail):
+def _explore_active_loop(body, cl, state, menu, budget, trail, memo):
     budget.tick()
     sel_cl, cont = pair_view(force(cl, state, budget), state, budget)
     sel = num_of(sel_cl, state, budget)
@@ -780,16 +898,16 @@ def _explore_active_loop(body, cl, state, menu, budget, trail):
         return
     if sel != 1:
         raise IllStructuredRealizer(f"loop selector {sel}")
-    for out in _explore(body, ACTIVE, cont, state, menu, budget, trail, 0):
+    for out in _explore(body, ACTIVE, cont, state, menu, budget, trail, memo):
         if isinstance(out, Finished):
-            yield from _explore_active_loop(
-                body, out.residual, out.state, menu, budget, trail
+            yield from _explore_loop(
+                body, ACTIVE, out.residual, out.state, menu, budget, trail, memo, 0
             )
         else:
             yield out
 
 
-def _explore_dormant_loop(body, cl, state, menu, budget, trail, iteration):
+def _explore_dormant_loop(body, cl, state, menu, budget, trail, memo, iteration):
     budget.tick()
     post, stream = pair_view(force(cl, state, budget), state, budget)
     trail.append(f"demon-loop stop@{iteration}")
@@ -798,10 +916,11 @@ def _explore_dormant_loop(body, cl, state, menu, budget, trail, iteration):
     if iteration >= menu.repeat_depth:
         return
     trail.append(f"demon-loop continue@{iteration}")
-    for out in _explore(body, DORMANT, stream, state, menu, budget, trail, 0):
+    for out in _explore(body, DORMANT, stream, state, menu, budget, trail, memo):
         if isinstance(out, Finished):
-            yield from _explore_dormant_loop(
-                body, out.residual, out.state, menu, budget, trail, iteration + 1
+            yield from _explore_loop(
+                body, DORMANT, out.residual, out.state, menu, budget, trail, memo,
+                iteration + 1,
             )
         else:
             yield out

@@ -398,8 +398,11 @@ def extract(
 
     The proof is checked first unless the caller vouches for it; a
     rejected proof raises UncheckedInput with the checker's diagnosis.
+    Check and extraction share one oracle, so extraction's queries hit
+    the answers the check already paid for.
     """
     ctx = ctx or Context()
+    oracle = oracle or ArithOracle()
     if not checked:
         err = Checker(oracle).check_result(ctx, m, phi)
         if err is not None:

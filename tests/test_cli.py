@@ -185,3 +185,20 @@ def test_interactive_play_subprocess():
     )
     assert proc.returncode == 0, proc.stderr
     assert "goal c mod 4 = 1 holds" in proc.stdout
+
+
+def test_undefined_division_is_a_diagnostic(tmp_path, capsys):
+    # the checker accepts the quotient; at y = 0 it has no value
+    f = tmp_path / "divy.cgl"
+    f.write_text("theorem divy : <x := 1 div y> tt = asgnd x (x0, h. FO[tt]())\n")
+    menu = tmp_path / "menu.json"
+    menu.write_text(json.dumps({"values": {}, "repeat_depth": 2}))
+    assert run(capsys, "check", str(f))[0] == 0
+    for argv in (
+        ("play", str(f), "--state", "y=0"),
+        ("verify", str(f), "--menu", str(menu), "--state", "y=0"),
+    ):
+        code, _out, err = run(capsys, *argv)
+        assert code == 1
+        assert len(err.strip().splitlines()) == 1
+        assert "evaluates to 0" in err and "Traceback" not in err

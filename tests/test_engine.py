@@ -1,13 +1,21 @@
 """Gameplay interpreter: single plays, oracles, exhaustive verification,
 and the trace-level semantic properties."""
 
+import time
+from fractions import Fraction
+
+import pytest
+
 from cgl import engine as E
 from cgl import realizer as R
 from cgl import syntax as S
 from cgl.engine import (
     ACTIVE, DORMANT, DemonMenu, Finished, AngelViolation, DemonViolation,
-    RandomDemon, ScriptedDemon, Tracer, close, play, verify_exhaustive,
+    RandomDemon, ScriptedDemon, Tracer, close, modal_core, play,
+    strip_assumptions, verify_exhaustive,
 )
+from cgl.extraction import extract
+from cgl.rational import parse_rational
 from cgl.syntax import State
 from conftest import rand_game, rand_rational, rand_state
 
@@ -297,3 +305,202 @@ def test_corrupted_nim_strategy_yields_counterexample(all_theorems):
     cex = verify_exhaustive(game, role, stripped[1], [st], post, menu)
     assert cex is not None
     assert len(cex.trace) <= 40
+
+
+# -- exhaustive verification with the transposition table ----------------------
+
+MOD4_IS_1 = S.Cmp(S.Mod(c, L(4)), "=", L(1))
+POST_A = S.Or(S.Cmp(c, "=", L(2)), S.Or(S.Cmp(c, "=", L(3)), S.Cmp(c, "=", L(4))))
+
+
+def _nim(all_theorems, name, c0):
+    phi, proof = all_theorems[name]
+    st = State({"c": c0})
+    game, role, _ = modal_core(phi)
+    return game, role, strip_assumptions(phi, close(extract(proof, phi, checked=True)), st)[1], st
+
+
+@pytest.mark.parametrize("name,c0,post,depth,req", [
+    ("dNim", 401, MOD4_IS_1, 100, False),  # about 3^100 lines unmemoized
+    ("aNim", 402, POST_A, 12, True),
+])
+def test_verify_nim_scales_to_hundreds(all_theorems, name, c0, post, depth, req):
+    game, role, cl, st = _nim(all_theorems, name, c0)
+    t0 = time.monotonic()
+    cex = verify_exhaustive(game, role, cl, [st], post, DemonMenu({}, depth),
+                            require_finished=req)
+    dt = time.monotonic() - t0
+    assert cex is None
+    assert dt < 1.0, f"{name} from c={c0} took {dt:.2f}s"
+
+
+def _line(*moves):
+    """The trail of a dNim line whose adversary always takes 1."""
+    trail = []
+    for i, move in enumerate(moves):
+        trail.append(f"demon-loop {move}@{i}")
+        if move == "continue":
+            trail.append("demon-branch L")
+    return tuple(trail)
+
+
+# Counterexamples recorded with the explorer that replayed every line in
+# full; the transposition table must report them unchanged.
+def test_pinned_counterexamples(all_theorems):
+    game, role, cl, st = _nim(all_theorems, "dNim", 29)
+    menu = DemonMenu({}, 12)
+
+    cex = verify_exhaustive(game, role, cl, [st], S.And(MOD4_IS_1, S.Cmp(c, ">", L(9))), menu)
+    assert (cex.state, type(cex.outcome), cex.outcome.state) == (st, Finished, State({"c": 9}))
+    assert cex.trace == _line(*["continue"] * 5, "stop")
+
+    cex = verify_exhaustive(game, role, cl, [st], S.TRUE, menu, require_finished=True)
+    assert (type(cex.outcome), cex.outcome.state) == (DemonViolation, State({"c": 0}))
+    assert cex.trace == _line(*["continue"] * 8)[:-1] + ("demon-branch L", "demon-test concede")
+
+    # both branches play the same loop: the right one replays the left one's
+    # loop heads, and its continuation loses
+    both = E.Closure(R.Pair(R.RVar("k"), R.RVar("k")), {"k": cl})
+    fork = S.Choice(S.Seq(game, S.Assign("x", L(1))), S.Seq(game, S.Assign("x", L(2))))
+    for bound, moves in ((9, 5), (20, 3)):
+        post = S.Or(S.Cmp(x, "=", L(1)), S.Cmp(c, ">", L(bound)))
+        cex = verify_exhaustive(fork, DORMANT, both, [st], post, menu)
+        assert (type(cex.outcome), repr(cex.outcome.state)) == (
+            Finished, f"State(c={29 - 4 * moves}, x=2)")
+        assert cex.trace == ("demon-branch R",) + _line(*["continue"] * moves, "stop")
+
+    game, role, cl, st = _nim(all_theorems, "aNim", 31)
+    post = S.Or(S.Cmp(c, "=", L(3)), S.Cmp(c, "=", L(4)))
+    cex = verify_exhaustive(game, role, cl, [st], post, menu, require_finished=True)
+    assert (type(cex.outcome), cex.outcome.state) == (Finished, State({"c": 2}))
+    assert cex.trace == ("demon-branch L",) * 6 + ("demon-branch R",) * 2
+
+
+def test_table_keys_see_environment_residual_and_iteration():
+    # Each case differs from a position explored earlier only in what one
+    # part of the key covers; results recorded without the table.
+    n = S.Var("n")
+    count_past_n = R.NumLamR("n", R.Ind("w", R.IfTerm(
+        S.Cmp(x, ">", n), R.Pair(R.TermVal(L(0)), R.Unit()),
+        R.Pair(R.TermVal(L(1)), R.RVar("w")))))
+    # the loop head differs only in the demon value held in the environment
+    game = S.Seq(S.Dual(S.AssignAny("y")),
+                 S.Seq(S.Assign("y", L(0)), S.Repeat(S.Assign("x", S.Plus(x, L(1))))))
+    cex = verify_exhaustive(game, ACTIVE, close(count_past_n), [State()],
+                            S.Cmp(x, "<", L(3)), DemonMenu({"y": ["0", "5"]}, 2))
+    assert (cex.outcome.state, cex.trace) == (State({"x": 6, "y": 0}), ("demon-value y 5",))
+
+    # outcomes differ only in the residual, which a later choice reads
+    def ev(k):
+        return R.Pair(R.TermVal(L(k)), R.Unit())
+
+    body = S.Choice(S.Test(S.TRUE), S.Test(S.TRUE))
+    step = R.Pair(R.ProofLam("t", S.TRUE, ev(0)), R.ProofLam("t", S.TRUE, ev(1)))
+    game = S.Seq(S.Repeat(body), S.Dual(S.Choice(S.Assign("x", L(1)), S.Assign("x", L(2)))))
+    cex = verify_exhaustive(game, DORMANT, close(R.Gen(ev(0), "v", step, R.RVar("v"), body)),
+                            [State()], S.Cmp(x, "=", L(1)), DemonMenu({}, 2))
+    assert cex.outcome.state == State({"x": 2})
+    assert cex.trace == ("demon-loop continue@0", "demon-branch L", "demon-loop continue@1",
+                         "demon-branch R", "demon-loop stop@2")
+
+    # a state recurs at a later iteration, where fewer repetitions remain
+    body = S.Choice(S.Assign("x", x), S.Assign("x", S.Plus(x, L(1))))
+    gen = R.Gen(R.Unit(), "v", R.Pair(R.Unit(), R.Unit()), R.Unit(), body)
+    cex = verify_exhaustive(S.Repeat(body), DORMANT, close(gen), [State()],
+                            S.Cmp(x, "<", L(2)), DemonMenu({}, 3))
+    assert cex.outcome.state == State({"x": 2})
+    assert cex.trace == ("demon-loop continue@0", "demon-branch L", "demon-loop continue@1",
+                         "demon-branch R", "demon-loop continue@2", "demon-branch R",
+                         "demon-loop stop@3")
+
+
+class TrailDemon(E.DemonOracle):
+    """Replays a verify counterexample's trail; asserts a test iff it
+    holds, as the explorer's adversary does."""
+
+    def __init__(self, trail):
+        self.trail = [t.split(" ") for t in trail]
+
+    def _next(self, kind):
+        words = self.trail.pop(0)
+        assert words[0] == kind, (words, kind)
+        return words[1:]
+
+    def choose_branch(self, game, state):
+        return self._next("demon-branch")[0]
+
+    def choose_value(self, var, state):
+        return parse_rational(self._next("demon-value")[1])
+
+    def assert_test(self, phi, state):
+        if S.eval_fo(phi, state):
+            return "assert"
+        self._next("demon-test")
+        return "concede"
+
+    def continue_repeat(self, state, iteration):
+        move, at = self._next("demon-loop")[0].split("@")
+        assert at == str(iteration)
+        return move == "continue"
+
+
+def test_counterexample_trails_replay_as_plays(rng):
+    # random games with loops: the trail of every counterexample, replayed
+    # or explored, plays back to the reported outcome
+    menu = DemonMenu({v: ["1", "-1/2"] for v in ("x", "y", "z", "c")}, 3)
+    replayed = 0
+    for _ in range(400):
+        game = S.Repeat(rand_game(rng, 2)) if rng.random() < 0.5 else rand_game(rng, 3)
+        role = rng.choice([ACTIVE, DORMANT])
+        rz = suitable(rng, game, role)
+        st = rand_state(rng)
+        post = S.Cmp(rng.choice((x, y, c)), rng.choice(S.REL_OPS), S.Lit(rand_rational(rng)))
+        try:
+            cex = verify_exhaustive(game, role, close(rz), [st], post, menu,
+                                    fuel=20_000, require_finished=rng.random() < 0.3)
+        except E.IllStructuredRealizer:
+            continue
+        if cex is None or isinstance(cex.outcome, E.FuelOut):
+            continue
+        demon = TrailDemon(cex.trace)
+        out = play(game, role, close(rz), st, demon, fuel=20_000)
+        assert (type(out), out.state) == (type(cex.outcome), cex.outcome.state), game
+        assert demon.trail == ([["angel-test", "fail"]] if type(out) is AngelViolation else [])
+        replayed += 1
+    assert replayed >= 100
+
+
+def test_table_replays_outcomes_and_errors_without_fuel():
+    memo = E._Transpositions()
+    budget = E.Budget(3)
+    a, b = Finished(State({"x": 1}), close(R.Unit())), AngelViolation(State())
+    boom = E.IllStructuredRealizer("boom")
+
+    def lines(trail):
+        for out, move in ((a, "L"), (b, "R"), (a, "L")):  # a repeats
+            budget.tick()
+            trail.append(move)
+            yield out
+            trail.pop()
+        raise boom
+
+    for _ in range(2):
+        trail, seen = ["head"], []
+        with pytest.raises(E.IllStructuredRealizer) as err:
+            for out in memo.explore("key", trail, lines(trail)):
+                seen.append((out, tuple(trail)))
+        assert err.value is boom
+        assert seen == [(a, ("head", "L")), (b, ("head", "R"))]
+    assert budget.left == 0  # three ticks on the first visit, none on the replay
+
+
+def test_untraced_play_formats_nothing(monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("formatted an event without a tracer")
+
+    monkeypatch.setattr(E, "print_formula", refuse)
+    monkeypatch.setattr(E, "format_rational", refuse)
+    game = S.Seq(S.Dual(S.AssignAny("x")), S.Seq(S.Assign("y", x), S.Test(S.Cmp(y, "=", x))))
+    rz = R.NumLamR("n", R.Pair(R.Unit(), R.Unit()))
+    out = play(game, ACTIVE, close(rz), State(), ScriptedDemon(["3/2"]))
+    assert isinstance(out, Finished) and out.state.get("y") == Fraction(3, 2)

@@ -146,3 +146,21 @@ def test_extract_total_on_corpus(all_theorems):
     for name, (phi, proof) in all_theorems.items():
         rz = extract(proof, phi)
         assert isinstance(rz, R.Realizer), name
+
+
+def test_check_and_extract_share_one_oracle(all_theorems, monkeypatch):
+    import cgl.checker
+    import cgl.extraction
+
+    made = []
+
+    class Counting(cgl.extraction.ArithOracle):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cgl.checker, "ArithOracle", Counting)
+    monkeypatch.setattr(cgl.extraction, "ArithOracle", Counting)
+    phi, proof = all_theorems["dNim"]
+    extract(proof, phi)
+    assert len(made) == 1
