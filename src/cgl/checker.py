@@ -30,10 +30,11 @@ METRIC_ILL_FORMED = "MetricIllFormed"
 
 
 class CheckError(Exception):
-    def __init__(self, kind: str, path, message: str):
+    def __init__(self, kind: str, path, message: str, reason: str = ""):
         self.kind = kind
         self.path = tuple(path)
         self.message = message
+        self.reason = reason  # why the oracle could not certify, if it is the cause
         super().__init__(str(self))
 
     def __str__(self):
@@ -41,7 +42,10 @@ class CheckError(Exception):
         return f"{loc}: {self.kind}: {self.message}"
 
     def to_json(self):
-        return {"kind": self.kind, "path": list(self.path), "message": self.message}
+        out = {"kind": self.kind, "path": list(self.path), "message": self.message}
+        if self.reason:
+            out["reason"] = self.reason
+        return out
 
 
 def _fmt(x) -> str:
@@ -129,7 +133,9 @@ class Checker:
             ORACLE_INCOMPLETE,
             path,
             f"{who}: cannot certify {_fmt(goal)}"
-            + (f" under {_fmt(rho)}" if rho is not None else ""),
+            + (f" under {_fmt(rho)}" if rho is not None else "")
+            + f" ({res.reason})",
+            reason=res.reason,
         )
 
     # -- checking ------------------------------------------------------------
@@ -459,6 +465,7 @@ class Checker:
                 METRIC_ILL_FORMED,
                 path,
                 f"invariant does not pin the metric to {{0}} or >=1: {_fmt(S.Implies(inv, zero_or_ge1))}",
+                reason=res.reason,
             )
         self._check(ctx, m.init, inv, path + ("init",))
         m0v = S.Var(m0)

@@ -32,6 +32,10 @@ from .realizer import realizer_to_json
 from .syntax import State
 
 
+class _Usage(Exception):
+    """Bad input: reported as one `cgl <cmd>: ...` line with exit code 2."""
+
+
 def _load_script(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -44,6 +48,16 @@ def _load_script(path: str):
     except ParseError as e:
         print(f"{path}:{e}", file=sys.stderr)
         raise SystemExit(2)
+    except RecursionError:
+        raise _Usage(f"{path}: input nested too deeply to parse") from None
+
+
+def _load_json(path: str, what: str):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as e:
+        raise _Usage(f"cannot read {what} {path}: {e}") from None
 
 
 def _pick_theorem(script, name, path):
@@ -81,9 +95,7 @@ def _make_demon(spec: str):
     if spec.startswith("random:"):
         return RandomDemon(int(spec.split(":", 1)[1]))
     if spec.startswith("script:"):
-        path = spec.split(":", 1)[1]
-        with open(path, "r", encoding="utf-8") as fh:
-            return ScriptedDemon(json.load(fh))
+        return ScriptedDemon(_load_json(spec.split(":", 1)[1], "demon script"))
     print(f"bad --demon {spec!r}", file=sys.stderr)
     raise SystemExit(2)
 
@@ -173,26 +185,30 @@ def cmd_play(args) -> int:
     out = play(game, role, cl, state, demon, fuel=args.fuel, tracer=tracer)
     for line in tracer.events:
         print(line)
+    line, won = _outcome(out, post)
+    print(line)
+    return 0 if won else 1
+
+
+def _outcome(out, post):
+    """(one line naming how a play ended, whether the strategy won)."""
     if isinstance(out, engine.Finished):
         holds = S.eval_fo(post, out.state)
-        print(f"finished {out.state!r}; goal {print_formula(post)} "
-              f"{'holds' if holds else 'FAILS'}")
-        return 0 if holds else 1
+        return (f"finished {out.state!r}; goal {print_formula(post)} "
+                f"{'holds' if holds else 'FAILS'}"), holds
     if isinstance(out, engine.DemonViolation):
-        print("demon violated a test: win by default")
-        return 0
+        return "demon violated a test: win by default", True
     if isinstance(out, engine.AngelViolation):
-        print("strategy violated a test: loss")
-        return 1
-    print("fuel exhausted")
-    return 1
+        return "strategy violated a test: loss", False
+    return "fuel exhausted", False
 
 
 def cmd_verify(args) -> int:
     script = _load_script(args.file)
     name, (phi, proof) = _pick_theorem(script, args.theorem, args.file)
-    with open(args.menu, "r", encoding="utf-8") as fh:
-        menu_data = json.load(fh)
+    menu_data = _load_json(args.menu, "menu")
+    if not isinstance(menu_data, dict):
+        raise _Usage(f"menu {args.menu} is not a JSON object")
     menu = DemonMenu(
         values=menu_data.get("values", {}),
         repeat_depth=int(menu_data.get("repeat_depth", 8)),
@@ -217,7 +233,7 @@ def cmd_verify(args) -> int:
             print(f"counterexample from {st!r}:")
             for line in cex.trace[:40]:
                 print(f"  {line}")
-            print(f"  outcome: {cex.outcome!r}")
+            print(f"  outcome: {_outcome(cex.outcome, post)[0]}")
             return 1
         print(f"state {st!r}: all demon lines win")
     return 0
@@ -286,6 +302,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 2
+    except _Usage as e:
+        print(f"cgl {args.cmd}: {e}", file=sys.stderr)
+        return 2
     except DivisionByZero as e:
         # a term the checker accepted is undefined at this concrete state
         print(f"cgl {args.cmd}: undefined at this state: {e}", file=sys.stderr)

@@ -6,16 +6,19 @@ reject-with-incompleteness for everything else (nonlinear products,
 non-literal divisors).
 
 Quotient/remainder terms with literal divisors are compiled away with
-auxiliary integer quotient variables; elimination runs Fourier-Motzkin
-with gcd/floor tightening on all-integer constraints, which certifies the
-modular-arithmetic facts the proof corpus needs.  `Valid` answers are
-never produced for falsifiable formulas; `Refuted` answers always carry a
-witness state.
+auxiliary integer quotient variables.  Each literal of a query is
+linearized once and kept as integer rows `sum + k op 0`, scaled to
+integers and divided by their gcd (as in Pugh's Omega test); elimination
+is integer-row Fourier-Motzkin, with floor tightening on all-integer rows,
+which certifies the modular-arithmetic facts the proof corpus needs.
+`Valid` answers are never produced for falsifiable formulas; `Refuted`
+answers always carry a witness state; `Unknown` answers name a reason.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from typing import Optional
@@ -108,10 +111,7 @@ def _nnf(view, neg: bool, fresh, incomplete: list):
         l = _nnf(view[1], not neg, fresh, incomplete)
         r = _nnf(view[2], neg, fresh, incomplete)
         return ("and" if neg else "or", l, r)
-    if tag == "forall":
-        flipped = "exists" if neg else "forall"
-        return _nnf((flipped, view[1], view[2]), False, fresh, incomplete) if neg else _quant(view, neg, fresh, incomplete)
-    if tag == "exists":
+    if tag in ("forall", "exists"):
         return _quant(view, neg, fresh, incomplete)
     raise ValueError(view)
 
@@ -301,127 +301,138 @@ class _Linearizer:
         return out
 
 
-def _tighten(op: str, ls: LinSum, int_vars: set):
-    """Strengthen a constraint whose variables are all integer-valued."""
-    if ls.is_const():
-        return op, ls
-    if not all(v in int_vars for v in ls.coeffs):
-        return op, ls
-    denom = 1
-    for c in ls.coeffs.values():
-        denom = denom * c.denominator // _gcd(denom, c.denominator)
-    scaled = ls.scale(Fraction(denom))
-    g = 0
-    for c in scaled.coeffs.values():
-        g = _gcd(g, abs(c.numerator))
-    if g == 0:
-        return op, ls
-    scaled = scaled.scale(Fraction(1, g))
-    # now integer combination + rational const `k`: sum + k (op) 0
-    k = scaled.const
-    if op == "=":
-        if k.denominator != 1:
-            return "unsat", scaled
-        return "=", scaled
-    bound = -k  # sum <= bound  /  sum < bound
-    if op == "<":
-        nb = bound - 1 if bound.denominator == 1 else Fraction(bound.numerator // bound.denominator)
-        return "<=", LinSum(scaled.coeffs, -nb)
-    nb = Fraction(bound.numerator // bound.denominator)
-    return "<=", LinSum(scaled.coeffs, -nb)
+def _row(op: str, ls: LinSum):
+    """The constraint `ls op 0` as (op, {var: int}, int): scaled by the lcm
+    of its denominators and divided by the gcd of its integers."""
+    den = math.lcm(ls.const.denominator, *(c.denominator for c in ls.coeffs.values()))
+    coeffs = {v: c.numerator * (den // c.denominator) for v, c in ls.coeffs.items()}
+    k = ls.const.numerator * (den // ls.const.denominator)
+    g = math.gcd(k, *coeffs.values())
+    if g > 1:
+        coeffs = {v: c // g for v, c in coeffs.items()}
+        k //= g
+    return op, coeffs, k
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+def _comb(a, ka, ca, b, kb, cb, v):
+    """ca * a + cb * b without v, gcd-normalised; keys keep a's order, then
+    b's new ones."""
+    out = {u: w * ca for u, w in a.items() if u != v}
+    for u, w in b.items():
+        if u != v:
+            out[u] = out.get(u, 0) + w * cb
+    out = {u: w for u, w in out.items() if w}
+    k = ka * ca + kb * cb
+    g = math.gcd(k, *out.values())
+    if g > 1:
+        out = {u: w // g for u, w in out.items()}
+        k //= g
+    return out, k
 
 
-def _unsat(constraints, int_vars) -> bool:
-    """Certified unsatisfiability over rationals with integer-flagged vars."""
-    work = list(constraints)
+def _is_int(v) -> bool:
+    return v[0] == "q"  # quotient variables; state and remainder ones are rational
+
+
+def _unsat(rows) -> bool:
+    """Certified unsatisfiability of integer rows `sum + k op 0` over the
+    rationals, with the quotient variables integer-valued."""
+    work = rows
     for _round in range(200):
         # constant and tightening pass
         nxt = []
-        for op, ls in work:
-            op, ls = _tighten(op, ls, int_vars)
-            if op == "unsat":
-                return True
-            if ls.is_const():
-                k = ls.const
-                if op == "=" and k != 0:
-                    return True
-                if op == "<=" and k > 0:
-                    return True
-                if op == "<" and k >= 0:
+        for op, co, k in work:
+            if not co:
+                if k > 0 if op == "<=" else k >= 0 if op == "<" else k != 0:
                     return True
                 continue
-            nxt.append((op, ls))
+            if all(_is_int(v) for v in co):
+                # divide by the coefficients' gcd g: sum <= -k/g rounds down
+                g = math.gcd(*co.values())
+                if op == "=":
+                    if k % g:
+                        return True
+                    k //= g
+                else:
+                    k = -(-k // g) if op == "<=" else k // g + 1
+                    op = "<="
+                if g > 1:
+                    co = {v: c // g for v, c in co.items()}
+            nxt.append((op, co, k))
         work = nxt
         if not work:
             return False
 
-        all_vars = set()
-        for _, ls in work:
-            all_vars |= set(ls.coeffs)
-        if not all_vars:
-            return False
-
         # substitute a rational variable defined by an equality
-        subst_done = False
-        for i, (op, ls) in enumerate(work):
-            if op != "=":
+        for i, (op, co, k) in enumerate(work):
+            v = next((u for u in co if not _is_int(u)), None) if op == "=" else None
+            if v is None:
                 continue
-            rat_vars = [v for v in ls.coeffs if v not in int_vars]
-            if not rat_vars:
-                continue
-            v = rat_vars[0]
-            c = ls.coeffs[v]
-            rest = LinSum({k: w for k, w in ls.coeffs.items() if k != v}, ls.const)
-            expr = rest.scale(Fraction(-1, 1) / c)  # v = expr
+            c = co[v]
             new_work = []
-            for j, (op2, ls2) in enumerate(work):
+            for j, (op2, co2, k2) in enumerate(work):
                 if j == i:
                     continue
-                if v in ls2.coeffs:
-                    cv = ls2.coeffs[v]
-                    ls2 = LinSum({k: w for k, w in ls2.coeffs.items() if k != v}, ls2.const) + expr.scale(cv)
-                new_work.append((op2, ls2))
+                cv = co2.get(v)
+                if cv is not None:  # |c| * row2 - sign(c) * cv * row
+                    co2, k2 = _comb(co2, k2, abs(c), co, k, -cv if c > 0 else cv, v)
+                new_work.append((op2, co2, k2))
             work = new_work
-            subst_done = True
             break
-        if subst_done:
-            continue
-
-        # eliminate one variable by Fourier-Motzkin (rationals first)
-        rat_first = sorted(all_vars, key=lambda v: (v in int_vars, str(v)))
-        v = rat_first[0]
-        uppers, lowers, others, eqs = [], [], [], []
-        for op, ls in work:
-            c = ls.coeffs.get(v)
-            if c is None:
-                others.append((op, ls))
-            elif op == "=":
-                eqs.append((op, ls))
-            elif c > 0:
-                uppers.append((op, ls))
-            else:
-                lowers.append((op, ls))
-        for op, ls in eqs:  # split equalities over v into two inequalities
-            (uppers if ls.coeffs[v] > 0 else lowers).append(("<=", ls))
-            neg = ls.scale(Fraction(-1))
-            (uppers if neg.coeffs[v] > 0 else lowers).append(("<=", neg))
-        new_work = list(others)
-        for opu, lsu in uppers:
-            cu = lsu.coeffs[v]
-            for opl, lsl in lowers:
-                cl = -lsl.coeffs[v]
-                comb = lsl.scale(cu) + lsu.scale(cl)
-                comb = LinSum({k: w for k, w in comb.coeffs.items() if k != v}, comb.const)
-                op = "<" if (opu == "<" or opl == "<") else "<="
-                new_work.append((op, comb))
-        work = new_work
+        else:
+            # eliminate one variable by Fourier-Motzkin (rationals first)
+            v = min({u for _, co, _ in work for u in co}, key=lambda u: (_is_int(u), str(u)))
+            uppers, lowers, new_work, eqs = [], [], [], []
+            for row in work:
+                c = row[1].get(v)
+                if c is None:
+                    new_work.append(row)
+                elif row[0] == "=":
+                    eqs.append(row)
+                else:
+                    (uppers if c > 0 else lowers).append(row)
+            for _, co, k in eqs:  # split equalities over v into two inequalities
+                pos, neg = ("<=", co, k), ("<=", {u: -w for u, w in co.items()}, -k)
+                uppers.append(pos if co[v] > 0 else neg)
+                lowers.append(neg if co[v] > 0 else pos)
+            for opu, cou, ku in uppers:
+                cu = cou[v]
+                for opl, col, kl in lowers:
+                    cl = -col[v]
+                    g = math.gcd(cu, cl)
+                    co, k = _comb(col, kl, cu // g, cou, ku, cl // g, v)
+                    new_work.append(("<" if "<" in (opu, opl) else "<=", co, k))
+            work = new_work
     return False
+
+
+_FLIP = {">": "<", ">=": "<="}
+
+
+def _expand(lin: _Linearizer, rel, a, b):
+    """The integer-row systems of the literal `a rel b`, one per case branch."""
+    out = []
+    for conds_a, la in lin.term(a):
+        for conds_b, lb in lin.term(b):
+            diff = la - lb
+            cons = (_FLIP[rel], diff.scale(Fraction(-1))) if rel in _FLIP else (rel, diff)
+            out.append([_row(op, ls) for op, ls in conds_a + conds_b + [cons]])
+    return out
+
+
+def _branch_unsat(literals, lin: _Linearizer, expanded: dict) -> bool:
+    """Every system of one DNF branch is unsatisfiable; `expanded` holds the
+    systems of the literals already seen in this query, by identity: the
+    branches of one DNF share their literal tuples."""
+    systems = [[]]
+    for lit in literals:
+        sys_lit = expanded.get(id(lit))
+        if sys_lit is None:
+            sys_lit = expanded[id(lit)] = _expand(lin, *lit)
+        systems = [s + e for s in systems for e in sys_lit]
+        if len(systems) > _BRANCH_CAP:
+            raise _TooBig()
+    return all(_unsat(s) for s in systems)
 
 
 # ---------------------------------------------------------------------------
@@ -472,46 +483,26 @@ class ArithOracle:
         except (_TooBig, ValueError):
             return OracleResult(UNKNOWN, reason="formula too large")
 
-        all_unsat = True
+        lin, expanded = _Linearizer(), {}
+        reason = "no certificate and no witness found"
         for branch in branches:
             try:
-                if not self._branch_unsat(branch):
-                    all_unsat = False
+                if not _branch_unsat(branch, lin, expanded):
                     break
             except _NonLinear:
-                all_unsat = False
+                reason = "nonlinear term"
                 break
-        if all_unsat:
+            except _TooBig:
+                reason = "formula too large"
+                break
+        else:
             return OracleResult(VALID)
 
         if refutable:
             w = self._search_witness(rho, phi)
             if w is not None:
                 return OracleResult(REFUTED, witness=w)
-        return OracleResult(UNKNOWN, reason="no certificate and no witness found")
-
-    def _branch_unsat(self, literals) -> bool:
-        lin = _Linearizer()
-        systems = [[]]
-        for rel, a, b in literals:
-            expanded = []
-            for conds_a, la in lin.term(a):
-                for conds_b, lb in lin.term(b):
-                    diff = la - lb
-                    if rel in ("<=", "<", "="):
-                        cons = [(rel, diff)]
-                    elif rel == ">":
-                        cons = [("<", diff.scale(Fraction(-1)))]
-                    elif rel == ">=":
-                        cons = [("<=", diff.scale(Fraction(-1)))]
-                    else:
-                        raise ValueError(rel)
-                    expanded.append(list(conds_a) + list(conds_b) + cons)
-            systems = [s + e for s in systems for e in expanded]
-            if len(systems) > _BRANCH_CAP:
-                raise _NonLinear()
-        int_vars = {("q", n) for n in range(lin.counter)}
-        return all(_unsat(sys_, int_vars) for sys_ in systems)
+        return OracleResult(UNKNOWN, reason=reason)
 
     def _search_witness(self, rho, phi) -> Optional[State]:
         fv = set()
@@ -519,30 +510,32 @@ class ArithOracle:
             fv |= S.free_vars(rho)
         fv |= S.free_vars(phi)
         fv = sorted(fv)
+        hyp = S.compile_fo(rho) if rho is not None else None
+        goal = S.compile_fo(phi)
+        probe = State()
 
-        def falsifies(state):
+        def falsifies(vals):
+            # candidate values are Fractions already: no State built per point
+            probe._vals = vals
             try:
-                if rho is not None and not S.eval_fo(rho, state):
-                    return False
-                return not S.eval_fo(phi, state)
+                return (hyp is None or hyp(probe)) and not goal(probe)
             except (TypeError, ArithmeticError):
                 return False
 
         if not fv:
-            return State() if falsifies(State()) else None
+            return State() if falsifies({}) else None
 
         if len(fv) <= 3:
-            for combo in itertools.product(range(-8, 9), repeat=len(fv)):
-                st = State(dict(zip(fv, map(Fraction, combo))))
-                if falsifies(st):
-                    return st
+            grid = [Fraction(i) for i in range(-8, 9)]
+            for combo in itertools.product(grid, repeat=len(fv)):
+                vals = dict(zip(fv, combo))
+                if falsifies(vals):
+                    return State(vals)
         rng = random.Random(self.seed)
         for _ in range(self.witness_tries):
-            st = State(
-                {x: Fraction(rng.randint(-16, 16), rng.randint(1, 4)) for x in fv}
-            )
-            if falsifies(st):
-                return st
+            vals = {x: Fraction(rng.randint(-16, 16), rng.randint(1, 4)) for x in fv}
+            if falsifies(vals):
+                return State(vals)
         return None
 
 

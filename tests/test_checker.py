@@ -59,6 +59,24 @@ def test_oracle_refuted_vs_incomplete():
         S.Cmp(S.Times(x, x), ">=", L(0)),
     )
     assert unknown.kind == C.ORACLE_INCOMPLETE
+    # the oracle's reason reaches the message and the JSON diagnostic
+    assert unknown.message.endswith("(nonlinear term)")
+    assert unknown.to_json()["reason"] == "nonlinear term"
+    assert "reason" not in refuted.to_json()
+
+
+HOLE_A = r"""
+theorem bad : ((forall x x < x) -> y > 0) -> y > 0 =
+  \h : (forall x x < x) -> y > 0. FO[y > 0](h)
+"""
+
+
+def test_negated_forall_hypothesis_rejected():
+    # y = 0 falsifies the theorem: its premise holds vacuously
+    phi, m = parse_script(HOLE_A).theorems["bad"]
+    err = ck().check_result(Context(), m, phi)
+    assert err is not None and err.kind == C.ORACLE_INCOMPLETE
+    assert err.reason == "no certificate and no witness found"
 
 
 # -- the loop rule -------------------------------------------------------------

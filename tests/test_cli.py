@@ -202,3 +202,68 @@ def test_undefined_division_is_a_diagnostic(tmp_path, capsys):
         assert code == 1
         assert len(err.strip().splitlines()) == 1
         assert "evaluates to 0" in err and "Traceback" not in err
+
+
+def test_check_rejects_negated_forall_hypothesis(tmp_path, capsys):
+    f = tmp_path / "bad.cgl"
+    f.write_text(
+        "theorem bad : ((forall x x < x) -> y > 0) -> y > 0 =\n"
+        "  \\h : (forall x x < x) -> y > 0. FO[y > 0](h)\n"
+    )
+    code, out, _ = run(capsys, "check", str(f))
+    assert code == 1
+    assert "bad: body: OracleIncomplete" in out
+
+
+STALE = """
+formula Goal = (y = 0 & x <= 0) | (y = 1 & x > 0)
+theorem stale : [x := * ; {x := x + 1 ; {y := 0 ++ y := 1}^d}] Goal =
+  seqb (\\x : Q as xg. seqb asgnb x (x0, h.
+    yieldb (case split(x, 0) of
+      l. inl asgnd y (y0, k. FO[Goal](l, k))
+    | r. inr asgnd y (y1, k. FO[Goal](r, k)))))
+"""
+
+
+def test_verify_counterexample_outcome_is_readable(tmp_path, capsys):
+    f = tmp_path / "stale.cgl"
+    f.write_text(STALE)
+    menu = tmp_path / "menu.json"
+    menu.write_text(json.dumps({"values": {"x": ["-1/2"]}, "repeat_depth": 4}))
+    code, out, _ = run(capsys, "verify", str(f), "--menu", str(menu))
+    assert code == 1
+    outcome = [l for l in out.splitlines() if "outcome:" in l]
+    assert len(outcome) == 1 and len(outcome[0]) < 200
+    assert "finished State(x=1/2, y=0)" in outcome[0] and "FAILS" in outcome[0]
+    assert "Finished(" not in out
+
+
+def _one_line_usage_error(err, cmd):
+    assert len(err.strip().splitlines()) == 1, err
+    assert err.startswith(f"cgl {cmd}: ") and "Traceback" not in err
+
+
+def test_bad_json_inputs_are_usage_errors(tmp_path, capsys):
+    bad, listed = tmp_path / "bad.json", tmp_path / "list.json"
+    bad.write_text('{"values": ')
+    listed.write_text("[]")
+    for menu in (bad, listed, tmp_path / "missing.json"):
+        code, _out, err = run(
+            capsys, "verify", corpus_path("nim.cgl"), "--theorem", "dNim", "--menu", str(menu),
+        )
+        assert code == 2
+        _one_line_usage_error(err, "verify")
+    code, _out, err = run(
+        capsys, "play", corpus_path("nim.cgl"), "--theorem", "dNim", "--state", "c=9",
+        "--demon", f"script:{bad}",
+    )
+    assert code == 2
+    _one_line_usage_error(err, "play")
+
+
+def test_deep_nesting_is_usage_error(tmp_path, capsys):
+    f = tmp_path / "deep.cgl"
+    f.write_text("theorem t : " + "(" * 200 + "x > 0" + ")" * 200 + " = FO[x > 0]()\n")
+    code, _out, err = run(capsys, "check", str(f))
+    assert code == 2
+    _one_line_usage_error(err, "check")

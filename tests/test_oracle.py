@@ -3,6 +3,11 @@ modular/integer reasoning the proof corpus leans on."""
 
 import random
 
+import itertools
+from fractions import Fraction
+
+import pytest
+
 from cgl import syntax as S
 from cgl.oracle import REFUTED, UNKNOWN, VALID, ArithOracle
 from conftest import rand_state
@@ -108,14 +113,19 @@ def test_soundness_never_valid_for_falsifiable(rng):
         res = o.decide(rho, goal)
         if res.status != VALID:
             continue
-        checked += 1
+        evaluated = 0
         for _ in range(200):
             st = rand_state(tries)
             try:
-                if S.eval_fo(rho, st) and not S.eval_fo(goal, st):
-                    raise AssertionError(f"oracle unsound: {rho!r} -> {goal!r} at {st!r}")
-            except (TypeError, ArithmeticError):
-                break
+                falsified = S.eval_fo(rho, st) and not S.eval_fo(goal, st)
+            except ArithmeticError:
+                continue
+            except TypeError:
+                break  # a quantifier or modality has no play-time value
+            evaluated += 1
+            assert not falsified, f"oracle unsound: {rho!r} -> {goal!r} at {st!r}"
+        # only pairs that were actually evaluated count
+        checked += evaluated > 0
 
 
 def test_refuted_always_carries_true_witness(rng):
@@ -132,3 +142,113 @@ def test_refuted_always_carries_true_witness(rng):
             continue
         seen += 1
         assert S.eval_fo(rho, res.witness) and not S.eval_fo(goal, res.witness)
+
+
+# -- integer rows: tightening and substitution --------------------------------
+
+q3, q2 = S.Div(y, L(3)), S.Div(y, L(2))  # quotients are integer-valued
+
+
+def test_tightening_rounds_integer_bounds_down():
+    # 2q <= 1 gives q <= 1/2 over the rationals, q <= 0 over the integers
+    assert oracle().decide(S.Cmp(S.Times(L(2), q3), "<=", L(1)), S.Cmp(q3, "<=", L(0))).status == VALID
+    # the same step is unsound for a rational variable
+    res = oracle().decide(S.Cmp(S.Times(L(2), y), "<=", L(1)), S.Cmp(y, "<=", L(0)))
+    assert res.status == REFUTED and res.witness.get("y") == Fraction(1, 4)
+
+
+def test_integer_equality_with_odd_constant_is_unsat():
+    # 2q = 1 has no integer solution: the hypothesis proves ff
+    assert oracle().decide(S.Cmp(S.Times(L(2), q3), "=", L(1)), S.Cmp(L(0), "=", L(1))).status == VALID
+
+
+def test_strict_integer_bound_becomes_nonstrict():
+    assert oracle().decide(S.Cmp(q2, "<", L(1)), S.Cmp(q2, "<=", L(0))).status == VALID
+
+
+def test_rational_equality_substitution():
+    rho = S.And(S.Cmp(S.Plus(x, y), "=", L(3)), S.Cmp(S.Minus(x, y), "=", L(1)))
+    assert oracle().decide(rho, S.Cmp(x, "=", L(2))).status == VALID
+    # x is substituted away, then the remainder's bounds pin it to 1
+    odd = S.Cmp(x, "=", S.Plus(S.Times(L(2), q2), L(1)))
+    assert oracle().decide(odd, S.Cmp(S.Mod(x, L(2)), "=", L(1))).status == VALID
+
+
+# -- soundness hole A: a negated universal is an existential of the negation --
+
+
+def test_negated_forall_in_hypothesis_is_not_valid():
+    # the premise is vacuously true, and y = 0 falsifies the conclusion
+    rho = S.Implies(S.Forall("x", S.Cmp(x, "<", x)), S.Cmp(y, ">", L(0)))
+    assert oracle().decide(rho, S.Cmp(y, ">", L(0))).status != VALID
+    assert oracle().decide(None, S.Forall("x", S.Cmp(x, "<", x))).status != VALID
+
+
+# -- the reason an answer is UNKNOWN -----------------------------------------
+
+
+def _too_many_branches():
+    rho = S.Cmp(x, "!=", L(0))
+    for i in range(1, 13):
+        rho = S.And(rho, S.Cmp(x, "!=", L(i)))
+    return rho, S.Cmp(x, ">", L(100))
+
+
+def _too_many_systems():
+    # one DNF branch whose 14 abs literals fork 2^14 linear systems
+    rho = S.Cmp(S.Abs(x), ">=", L(0))
+    for i in range(1, 13):
+        rho = S.And(rho, S.Cmp(S.Abs(x), ">=", L(-i)))
+    return rho, S.Cmp(S.Abs(x), ">=", L(0))
+
+
+@pytest.mark.parametrize("rho, goal, reason", [
+    (None, S.Cmp(S.Times(x, x), ">=", L(0)), "nonlinear term"),
+    (*_too_many_branches(), "formula too large"),
+    (*_too_many_systems(), "formula too large"),
+    (None, S.Box(S.Assign("x", L(1)), S.Cmp(x, "=", L(1))), "goal is not first-order"),
+    (S.Box(S.Assign("x", L(1)), S.Cmp(x, "=", L(1))), S.Cmp(y, "=", y), "hypothesis is not first-order"),
+    (S.Forall("x", S.Cmp(x, "<", y)), S.Cmp(y, ">", L(0)), "no certificate and no witness found"),
+])
+def test_unknown_reasons(rho, goal, reason):
+    res = oracle().decide(rho, goal)
+    assert res.status == UNKNOWN and res.reason == reason
+
+
+# -- VALID never has a falsifying grid point ---------------------------------
+
+
+def _rand_linear(rng, names):
+    t = S.lit(rng.randint(-4, 4))
+    for v in names:
+        c = rng.randint(-2, 2)
+        if c:
+            t = S.Plus(S.Times(L(c), S.Var(v)), t)
+    return S.Mod(t, L(4)) if rng.random() < 0.3 else t
+
+
+def _rand_atom(rng, names):
+    return S.Cmp(_rand_linear(rng, names), rng.choice(S.REL_OPS), L(rng.randint(-2, 2)))
+
+
+def test_valid_has_no_falsifying_grid_point():
+    rng = random.Random(4)
+    o = oracle()
+    grid = [Fraction(i) for i in range(-4, 5)]
+    valid = 0
+    for _ in range(150):
+        names = ["x", "y", "z"][: rng.randint(1, 3)]
+        rho = _rand_atom(rng, names)
+        for _ in range(rng.randint(0, 2)):
+            rho = S.And(rho, _rand_atom(rng, names))
+        goal = _rand_atom(rng, names)
+        if rng.random() < 0.4:
+            goal = S.Or(goal, _rand_atom(rng, names))
+        if o.decide(rho, goal).status != VALID:
+            continue
+        valid += 1
+        for point in itertools.product(grid, repeat=len(names)):
+            st = S.State(dict(zip(names, point)))
+            assert not S.eval_fo(rho, st) or S.eval_fo(goal, st), (
+                f"oracle unsound: {rho!r} -> {goal!r} at {st!r}")
+    assert valid >= 30
