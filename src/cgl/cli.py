@@ -16,9 +16,9 @@ from . import realizer as R
 from . import syntax as S
 from .checker import Checker
 from .engine import (
-    ACTIVE, DORMANT, Budget, DemonMenu, InteractiveDemon, RandomDemon,
-    ScriptedDemon, Tracer, close, modal_core, play, strip_assumptions,
-    verify_exhaustive,
+    ACTIVE, DORMANT, Budget, DemonMenu, InteractiveDemon, NoMenuValues,
+    RandomDemon, ScriptedDemon, Tracer, close, modal_core, play,
+    strip_assumptions, verify_exhaustive,
 )
 from .extraction import (
     Extractor, UncheckedInput, extract, extract_disjunct,
@@ -100,6 +100,22 @@ def _make_demon(spec: str):
     raise SystemExit(2)
 
 
+def _playable(phi):
+    """modal_core(phi): a game to play and a first-order postcondition,
+    which the play judges at its final state."""
+    try:
+        game, role, post = modal_core(phi)
+    except ValueError:
+        raise _Usage(f"{print_formula(phi)} has no game to play") from None
+    try:
+        S.compile_fo(post)
+    except TypeError:
+        raise _Usage(
+            f"postcondition {print_formula(post)} is not first-order; a play cannot judge it"
+        ) from None
+    return game, role, post
+
+
 def cmd_check(args) -> int:
     script = _load_script(args.file)
     ck = Checker()
@@ -179,7 +195,7 @@ def cmd_play(args) -> int:
         print(f"{name}: a hypothesis fails at {state!r}; nothing to play")
         return 1
     core_phi, cl = stripped
-    game, role, post = modal_core(core_phi)
+    game, role, post = _playable(core_phi)
     demon = _make_demon(args.demon)
     tracer = Tracer()
     out = play(game, role, cl, state, demon, fuel=args.fuel, tracer=tracer)
@@ -219,7 +235,7 @@ def cmd_verify(args) -> int:
     except UncheckedInput as e:
         print(f"{name}: {e}", file=sys.stderr)
         return 1
-    game, role, post = modal_core(phi)
+    game, role, post = _playable(phi)
     usable = []
     for st in states:
         stripped = strip_assumptions(phi, close(rz), st)
@@ -228,7 +244,10 @@ def cmd_verify(args) -> int:
             continue
         usable.append((st, stripped[1]))
     for st, cl in usable:
-        cex = verify_exhaustive(game, role, cl, [st], post, menu, fuel=args.fuel)
+        try:
+            cex = verify_exhaustive(game, role, cl, [st], post, menu, fuel=args.fuel)
+        except NoMenuValues as e:
+            raise _Usage(str(e)) from None
         if cex is not None:
             print(f"counterexample from {st!r}:")
             for line in cex.trace[:40]:

@@ -36,6 +36,10 @@ class IllStructuredRealizer(Exception):
     """The realizer shape does not match the game position."""
 
 
+class NoMenuValues(IllStructuredRealizer):
+    """A demon menu lists no values for a nondeterministic assignment."""
+
+
 class BudgetExhausted(Exception):
     pass
 
@@ -624,7 +628,7 @@ class DemonMenu:
     def values_for(self, var: str):
         vals = self.values.get(var)
         if vals is None:
-            raise IllStructuredRealizer(f"no demon menu for {var} := *")
+            raise NoMenuValues(f"no menu values for {var} := *")
         return [parse_rational(str(v)) for v in vals]
 
 

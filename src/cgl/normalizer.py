@@ -7,19 +7,31 @@ eligible subterm not under a binder, commuting-conversion (C) rules lift
 irreducible case expressions, and monotonicity-conversion rules push a
 weakening through introduction forms.  `normalize` iterates under fuel.
 
+Both run one resumable reduction machine, after Danvy and Nielsen,
+"Refocusing in Reduction Semantics" (2004).  `_SEARCH` lists, per
+proof-term type, the children searched for a redex, in order, each with
+the S-rule that names a step inside it and the C-rule that fires when it
+is a stuck case; `_HEAD` holds the rule that may fire at a node once its
+searched children are stuck.  The machine keeps the path from the root to
+its focus on an explicit stack, so no search recurses.  When a rule fires
+at the focus, the machine plugs the reduct into the ancestors once, which
+gives the step's term and its root-level rule name, and the next search
+starts at the reduct: every child left of the path is unchanged, stuck and
+not a case.
+
 Rule names follow the calculus; `APPENDIX_RULES` is the registry the
 coverage report checks off.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Optional
 
 from . import proofterms as P
 from . import syntax as S
 from .oracle import ArithOracle
-from .proofterms import ProofTerm, subst_pt, subst_term_pt
+from .proofterms import ProofTerm, subst_term_pt
 
 # beta rules
 LAM_PHI_BETA = "lam-phi-beta"
@@ -138,18 +150,6 @@ SIMPLE = "simple"
 TOP_LEVEL_CASE = "top-level-case"
 
 
-@dataclass(frozen=True)
-class Stepped:
-    term: ProofTerm
-    rule: str
-    path: tuple
-
-
-@dataclass(frozen=True)
-class Normal:
-    kind: str
-
-
 class FuelExhausted(Exception):
     def __init__(self, last: ProofTerm, steps: int):
         self.last = last
@@ -157,76 +157,75 @@ class FuelExhausted(Exception):
         super().__init__(f"fuel exhausted after {steps} steps")
 
 
-_witness_oracle = ArithOracle()
+def _plugger(cls, field: str):
+    """child -> a copy of node with `field` set to child, by position."""
+    names = P.field_names(cls)
+    if len(names) == 1:
+        return lambda node, child: cls(child)
+    pos, get = names.index(field), attrgetter(*names)
 
-_ELIMS = (P.App, P.NumApp, P.Proj1, P.Proj2, P.Case, P.RCase, P.Unpack, P.Unroll, P.FP, P.Mon)
+    def plug(node, child):
+        vals = list(get(node))
+        vals[pos] = child
+        return cls(*vals)
 
-# child fields shielded from reduction (binding positions, payloads)
-_SHIELDED = {
-    P.Lam: ("body",),
-    P.NumLam: ("body",),
-    P.Asgn: ("body",),
-    P.TCons: ("body",),
-    P.Roll: ("body",),
-    P.Case: ("bleft", "bright"),
-    P.RCase: ("sbody", "gbody"),
-    P.FP: ("sbody", "gbody"),
-    P.Mon: ("body",),
-    P.Rep: ("body", "done"),
-    P.For: ("body", "done"),
-    P.Unpack: ("body",),
-    P.Ghost: ("body",),
-    P.QE: ("payload",),
-    P.Dec: ("payload",),
+    return plug
+
+
+def _search(cls, *children) -> tuple:
+    """(plug, field, S-rule, C-rule) of each child of cls searched."""
+    return tuple((_plugger(cls, f), f, s, c) for f, s, c in children)
+
+
+# the children searched for a redex, in order; every other child is
+# shielded (a binder's scope or an oracle payload)
+_SEARCH = {
+    P.App: _search(P.App, ("fn", APP_SL, APP_CL), ("arg", APP_SR, APP_CR)),
+    P.NumApp: _search(P.NumApp, ("fn", NUMAPP_S, NUMAPP_C)),
+    P.DPair: _search(P.DPair, ("fst", DCONS_SL, DCONS_CL), ("snd", DCONS_SR, DCONS_CR)),
+    P.BPair: _search(P.BPair, ("fst", BCONS_SL, BCONS_CL), ("snd", BCONS_SR, BCONS_CR)),
+    P.Proj1: _search(P.Proj1, ("arg", PROJ1_S, PROJ1_C)),
+    P.Proj2: _search(P.Proj2, ("arg", PROJ2_S, PROJ2_C)),
+    P.InjL: _search(P.InjL, ("arg", INJL_S, INJL_C)),
+    P.InjR: _search(P.InjR, ("arg", INJR_S, INJR_C)),
+    P.Stop: _search(P.Stop, ("body", STOP_S, STOP_C)),
+    P.Go: _search(P.Go, ("body", GO_S, GO_C)),
+    P.Unroll: _search(P.Unroll, ("body", UNROLL_S, UNROLL_C)),
+    P.Case: _search(P.Case, ("scrut", CASE_S, CASE_C)),
+    P.RCase: _search(P.RCase, ("scrut", CASE_S, RCASE_C)),
+    P.Unpack: _search(P.Unpack, ("scrut", UNPACK_S, UNPACK_C)),
+    P.Rep: _search(P.Rep, ("init", REP_S, REP_C)),
+    P.For: _search(P.For, ("init", FOR_S, FOR_C)),
+    P.FP: _search(P.FP, ("scrut", FP_S, FP_C)),
+    P.Mon: _search(P.Mon, ("scrut", MON_S, MON_C)),
+    # keyed by (type, flavor is DIA): the rule names follow the flavor
+    (P.SeqI, True): _search(P.SeqI, ("body", DSEQ_S, DSEQ_C)),
+    (P.SeqI, False): _search(P.SeqI, ("body", BSEQ_S, BSEQ_C)),
+    (P.Swap, True): _search(P.Swap, ("body", DSWAP_S, DSWAP_C)),
+    (P.Swap, False): _search(P.Swap, ("body", BSWAP_S, BSWAP_C)),
 }
 
 
-def _qe_decomposable(m: P.QE) -> Optional[str]:
-    """Which FO beta rule applies to this oracle leaf, if any."""
-    g = m.goal
-    if isinstance(g, S.Box) and isinstance(g.game, S.AssignAny):
-        return FO_ALL_BETA
-    if S.split_or(g) is not None:
-        return FO_OR_BETA
-    if S.split_and(g) is not None:
-        return FO_AND_BETA
-    if isinstance(g, S.Diamond) and isinstance(g.game, S.AssignAny):
-        if _exists_witness(g) is not None:
-            return FO_EX_BETA
-        return None
-    return None
+def _children(m) -> tuple:
+    cls = type(m)
+    if cls is P.SeqI or cls is P.Swap:
+        return _SEARCH[cls, m.flavor == P.DIA]
+    return _SEARCH.get(cls, ())
 
 
-_WITNESS_POOL = [S.lit(0), S.lit(1), S.lit(-1), S.lit(2), S.lit(-2), S.lit(3),
-                 S.lit("1/2"), S.lit("-1/2"), S.lit(4), S.lit(5)]
-
-
-def _exists_witness(g: S.Diamond) -> Optional[S.Term]:
-    """Bounded enumeration over closed terms for a satisfying instance."""
-    x = g.game.var
-    for cand in _WITNESS_POOL:
-        try:
-            inst = S.subst_term(g.post, x, cand)
-        except S.InadmissibleSubstitution:
-            return None
-        if _witness_oracle.holds_valid(None, inst):
-            return cand
-    return None
+_ELIMS = (P.App, P.NumApp, P.Proj1, P.Proj2, P.Case, P.RCase, P.Unpack, P.Unroll, P.FP, P.Mon)
 
 
 def is_simple(m: ProofTerm) -> bool:
     """Eliminators (and decomposable oracle leaves) occur only under binders."""
-    if isinstance(m, _ELIMS):
-        return False
-    if isinstance(m, P.QE) and _qe_decomposable(m) is not None:
-        return False
-    shielded = _SHIELDED.get(type(m), ())
-    for name, kind in P._child_spec(type(m)):
-        if kind not in ("pt", "pt?") or name in shielded:
-            continue
-        v = getattr(m, name)
-        if v is not None and not is_simple(v):
+    stack = [m]
+    while stack:
+        n = stack.pop()
+        if isinstance(n, _ELIMS):
             return False
+        if isinstance(n, P.QE) and _fo_beta(n, _FreeVars()) is not None:
+            return False
+        stack.extend(getattr(n, f) for _, f, _, _ in _children(n))
     return True
 
 
@@ -246,351 +245,169 @@ def normal_kind(m: ProofTerm) -> str:
     return SIMPLE if is_simple(m) else TOP_LEVEL_CASE
 
 
-def _is_case(m) -> bool:
-    return isinstance(m, P.Case)
+class _FreeVars(dict):
+    """Free proof variables of the terms one normalization meets and of
+    their subterms, each computed once: keyed by identity, the term kept
+    alive beside its set."""
+
+    def __call__(self, m: ProofTerm) -> frozenset:
+        return P.free_pvars(m, self)
+
+    def subst(self, body: ProofTerm, p: str, arg: ProofTerm) -> ProofTerm:
+        return P.subst_pt(body, p, arg, self(arg))
 
 
-def _fresh_pvar(base, *terms):
+def _fresh_pvar(base, fv, *terms):
     avoid = set()
     for t in terms:
-        avoid |= P.free_pvars(t)
+        avoid |= fv(t)
     return P.fresh_pvar(base, avoid)
 
 
-def step(m: ProofTerm) -> Optional[tuple]:
-    """One reduction step: (reduct, rule-name) or None when no rule applies.
-
-    Total on arbitrary terms; on checker-accepted terms `None` coincides
-    with `is_normal`.
-    """
-    return _step(m)
-
-
-def step_result(m: ProofTerm):
-    """Spec-shaped variant: Stepped(term, rule) or Normal(kind)."""
-    s = _step(m)
-    if s is None:
-        return Normal(normal_kind(m))
-    return Stepped(s[0], s[1], ())
+def _fresh_ghost(x: str, m: ProofTerm) -> str:
+    used = P.prog_vars(m)
+    ghost, i = f"{x}0", 0
+    while ghost in used:
+        i += 1
+        ghost = f"{x}{i}"
+    return ghost
 
 
-def _lift_case(build, case: P.Case, rule):
-    return (
-        P.Case(
-            case.scrut,
-            case.left,
-            build(case.bleft),
-            case.right,
-            build(case.bright),
-        ),
-        rule,
+def _lift_case(node: ProofTerm, plug, case: P.Case) -> P.Case:
+    """node with its case child, the one `plug` replaces, lifted above it."""
+    return P.Case(
+        case.scrut, case.left, plug(node, case.bleft), case.right, plug(node, case.bright)
     )
 
 
-def _step(m: ProofTerm) -> Optional[tuple]:
-    match m:
-        case P.QE():
-            rule = _qe_decomposable(m)
-            if rule is None:
-                return None
-            return _fo_beta(m, rule)
+# ---------------------------------------------------------------------------
+# Head rules: (m, free variables) -> (reduct, rule) or None
 
-        case P.InjL(arg=a):
-            s = _step(a)
-            if s:
-                return P.InjL(s[0]), INJL_S
-            if _is_case(a):
-                return _lift_case(P.InjL, a, INJL_C)
+
+_witness_oracle = ArithOracle()
+
+_WITNESS_POOL = [S.lit(0), S.lit(1), S.lit(-1), S.lit(2), S.lit(-2), S.lit(3),
+                 S.lit("1/2"), S.lit("-1/2"), S.lit(4), S.lit(5)]
+
+
+def _exists_witness(g: S.Diamond) -> Optional[S.Term]:
+    """Bounded enumeration over closed terms for a satisfying instance."""
+    x = g.game.var
+    for cand in _WITNESS_POOL:
+        try:
+            inst = S.subst_term(g.post, x, cand)
+        except S.InadmissibleSubstitution:
             return None
-
-        case P.InjR(arg=a):
-            s = _step(a)
-            if s:
-                return P.InjR(s[0]), INJR_S
-            if _is_case(a):
-                return _lift_case(P.InjR, a, INJR_C)
-            return None
-
-        case P.Stop(body=a):
-            s = _step(a)
-            if s:
-                return P.Stop(s[0]), STOP_S
-            if _is_case(a):
-                return _lift_case(P.Stop, a, STOP_C)
-            return None
-
-        case P.Go(body=a):
-            s = _step(a)
-            if s:
-                return P.Go(s[0]), GO_S
-            if _is_case(a):
-                return _lift_case(P.Go, a, GO_C)
-            return None
-
-        case P.SeqI(body=a, flavor=fl):
-            s = _step(a)
-            if s:
-                return P.SeqI(s[0], fl), DSEQ_S if fl == P.DIA else BSEQ_S
-            if _is_case(a):
-                return _lift_case(lambda x: P.SeqI(x, fl), a, DSEQ_C if fl == P.DIA else BSEQ_C)
-            return None
-
-        case P.Swap(body=a, flavor=fl):
-            s = _step(a)
-            if s:
-                return P.Swap(s[0], fl), DSWAP_S if fl == P.DIA else BSWAP_S
-            if _is_case(a):
-                return _lift_case(lambda x: P.Swap(x, fl), a, DSWAP_C if fl == P.DIA else BSWAP_C)
-            return None
-
-        case P.DPair(fst=a, snd=b):
-            s = _step(a)
-            if s:
-                return P.DPair(s[0], b), DCONS_SL
-            if _is_case(a):
-                return _lift_case(lambda x: P.DPair(x, b), a, DCONS_CL)
-            s = _step(b)
-            if s:
-                return P.DPair(a, s[0]), DCONS_SR
-            if _is_case(b):
-                return _lift_case(lambda x: P.DPair(a, x), b, DCONS_CR)
-            return None
-
-        case P.BPair(fst=a, snd=b):
-            s = _step(a)
-            if s:
-                return P.BPair(s[0], b), BCONS_SL
-            if _is_case(a):
-                return _lift_case(lambda x: P.BPair(x, b), a, BCONS_CL)
-            s = _step(b)
-            if s:
-                return P.BPair(a, s[0]), BCONS_SR
-            if _is_case(b):
-                return _lift_case(lambda x: P.BPair(a, x), b, BCONS_CR)
-            return None
-
-        case P.TCons(var=x, ghost=y, hyp=p, witness=f, body=a):
-            if _is_case(a) and p not in P.free_pvars(a.scrut) and y not in P.prog_vars(a.scrut):
-                return _lift_case(
-                    lambda z: P.TCons(x, y, p, f, z), a, TCONS_C
-                )
-            return None
-
-        case P.App(fn=f, arg=a):
-            s = _step(f)
-            if s:
-                return P.App(s[0], a), APP_SL
-            if _is_case(f):
-                return _lift_case(lambda x: P.App(x, a), f, APP_CL)
-            s = _step(a)
-            if s:
-                return P.App(f, s[0]), APP_SR
-            if _is_case(a):
-                return _lift_case(lambda x: P.App(f, x), a, APP_CR)
-            if isinstance(f, P.Lam):
-                return subst_pt(f.body, f.hyp, a), LAM_PHI_BETA
-            return None
-
-        case P.NumApp(fn=f, term=t):
-            s = _step(f)
-            if s:
-                return P.NumApp(s[0], t), NUMAPP_S
-            if _is_case(f):
-                return _lift_case(lambda x: P.NumApp(x, t), f, NUMAPP_C)
-            if isinstance(f, P.NumLam):
-                try:
-                    return subst_term_pt(f.body, f.var, t), LAM_Q_BETA
-                except S.InadmissibleSubstitution:
-                    return None
-            return None
-
-        case P.Proj1(arg=a):
-            s = _step(a)
-            if s:
-                return P.Proj1(s[0]), PROJ1_S
-            if _is_case(a):
-                return _lift_case(P.Proj1, a, PROJ1_C)
-            if isinstance(a, (P.DPair, P.BPair)):
-                return a.fst, PROJ1_BETA
-            return None
-
-        case P.Proj2(arg=a):
-            s = _step(a)
-            if s:
-                return P.Proj2(s[0]), PROJ2_S
-            if _is_case(a):
-                return _lift_case(P.Proj2, a, PROJ2_C)
-            if isinstance(a, (P.DPair, P.BPair)):
-                return a.snd, PROJ2_BETA
-            return None
-
-        case P.Unroll(body=a):
-            s = _step(a)
-            if s:
-                return P.Unroll(s[0]), UNROLL_S
-            if _is_case(a):
-                return _lift_case(P.Unroll, a, UNROLL_C)
-            if isinstance(a, P.Roll):
-                return a.body, UNROLL_BETA
-            return None
-
-        case P.Case(scrut=a, left=l, bleft=bl, right=r, bright=br):
-            s = _step(a)
-            if s:
-                return P.Case(s[0], l, bl, r, br), CASE_S
-            if _is_case(a):
-                return _lift_case(
-                    lambda x: P.Case(x, l, bl, r, br), a, CASE_C
-                )
-            if isinstance(a, P.InjL):
-                return subst_pt(bl, l, a.arg), CASE_BETA_L
-            if isinstance(a, P.InjR):
-                return subst_pt(br, r, a.arg), CASE_BETA_R
-            return None
-
-        case P.RCase(scrut=a, svar=s_, sbody=bs, gvar=g, gbody=bg):
-            st = _step(a)
-            if st:
-                return P.RCase(st[0], s_, bs, g, bg), CASE_S
-            if _is_case(a):
-                return _lift_case(
-                    lambda x: P.RCase(x, s_, bs, g, bg), a, RCASE_C
-                )
-            if isinstance(a, P.Stop):
-                return subst_pt(bs, s_, a.body), CASE_BETA_L
-            if isinstance(a, P.Go):
-                return subst_pt(bg, g, a.body), CASE_BETA_R
-            return None
-
-        case P.Unpack(var=x, ghost=yu, hyp=p, scrut=a, body=n):
-            s = _step(a)
-            if s:
-                return P.Unpack(x, yu, p, s[0], n), UNPACK_S
-            if _is_case(a):
-                return _lift_case(
-                    lambda z: P.Unpack(x, yu, p, z, n), a, UNPACK_C
-                )
-            if isinstance(a, P.TCons):
-                yt = a.ghost
-                n1 = P.rename_pt(n, yu, yt) if yu != yt else n
-                body = P.rename_pt(subst_pt(n1, p, a.body), x, yt)
-                return P.Ghost(yt, a.witness, a.hyp, body), UNPACK_BETA
-            return None
-
-        case P.Rep(hyp=p, init=a, body=n, done=o, inv=j):
-            s = _step(a)
-            if s:
-                return P.Rep(p, s[0], n, o, j), REP_S
-            if _is_case(a):
-                return _lift_case(lambda x: P.Rep(p, x, n, o, j), a, REP_C)
-            q = _fresh_pvar("q", n, o)
-            reduct = P.Roll(
-                P.DPair(
-                    subst_pt(o, p, a),
-                    P.Mon(
-                        subst_pt(n, p, a),
-                        q,
-                        P.Rep(p, P.PVar(q), n, o, j),
-                    ),
-                )
-            )
-            return reduct, REP_BETA
-
-        case P.For(hyp=p, mhyp=q, m0=m0, init=a, body=b, done=c, metric=mt, inv=inv):
-            s = _step(a)
-            if s:
-                return P.For(p, q, m0, s[0], b, c, mt, inv), FOR_S
-            if _is_case(a):
-                return _lift_case(
-                    lambda x: P.For(p, q, m0, x, b, c, mt, inv), a, FOR_C
-                )
-            return _for_beta(m), FOR_BETA
-
-        case P.FP(scrut=a, svar=s_, sbody=b, gvar=g, gbody=c):
-            st = _step(a)
-            if st:
-                return P.FP(st[0], s_, b, g, c), FP_S
-            if _is_case(a):
-                return _lift_case(lambda x: P.FP(x, s_, b, g, c), a, FP_C)
-            # every use of the hypothesis g becomes a recursive application;
-            # the Mon scrutinee stays free so the rcase binder recaptures it
-            w = _fresh_pvar("w", b, c)
-            unrolled = subst_pt(
-                c, g, P.Mon(P.PVar(g), w, P.FP(P.PVar(w), s_, b, g, c))
-            )
-            return P.RCase(a, s_, b, g, unrolled), FP_BETA
-
-        case P.Mon(scrut=a, hyp=p, body=n):
-            st = _step(a)
-            if st:
-                return P.Mon(st[0], p, n), MON_S
-            if _is_case(a):
-                return (
-                    P.Case(
-                        a.scrut,
-                        a.left,
-                        P.Mon(a.bleft, p, n),
-                        a.right,
-                        P.Mon(a.bright, p, n),
-                    ),
-                    MON_C,
-                )
-            return _mon_conv(m)
-
+        if _witness_oracle.holds_valid(None, inst):
+            return cand
     return None
 
 
-def _fo_beta(m: P.QE, rule: str):
+def _fo_beta(m: P.QE, fv):
+    """Decompose an oracle leaf by the shape of its goal."""
     g = m.goal
-    if rule == FO_ALL_BETA:
+    if isinstance(g, S.Box) and isinstance(g.game, S.AssignAny):
         x = g.game.var
-        ghost = f"{x}0"
-        i = 0
-        used = P.prog_vars(m)
-        while ghost in used:
-            i += 1
-            ghost = f"{x}{i}"
-        return P.NumLam(x, ghost, P.QE(g.post, m.payload)), FO_ALL_BETA
-    if rule == FO_OR_BETA:
+        return P.NumLam(x, _fresh_ghost(x, m), P.QE(g.post, m.payload)), FO_ALL_BETA
+    if S.split_or(g) is not None:
         return P.Dec(g, m.payload), FO_OR_BETA
-    if rule == FO_AND_BETA:
-        l, r = S.split_and(g)
+    halves = S.split_and(g)
+    if halves is not None:
+        l, r = halves
         return P.DPair(P.QE(l, m.payload), P.QE(r, m.payload)), FO_AND_BETA
-    if rule == FO_EX_BETA:
-        x = g.game.var
+    if isinstance(g, S.Diamond) and isinstance(g.game, S.AssignAny):
         f = _exists_witness(g)
-        inst = S.subst_term(g.post, x, f)
-        used = P.prog_vars(m)
-        ghost = f"{x}0"
-        i = 0
-        while ghost in used:
-            i += 1
-            ghost = f"{x}{i}"
-        hyp = _fresh_pvar(x, m.payload or P.PVar("_"))
-        return (
-            P.TCons(x, ghost, hyp, f, P.QE(inst, m.payload)),
-            FO_EX_BETA,
+        if f is not None:
+            x = g.game.var
+            inst = S.subst_term(g.post, x, f)
+            hyp = _fresh_pvar(x, fv, m.payload or P.PVar("_"))
+            return P.TCons(x, _fresh_ghost(x, m), hyp, f, P.QE(inst, m.payload)), FO_EX_BETA
+    return None
+
+
+def _app_beta(m: P.App, fv):
+    if isinstance(m.fn, P.Lam):
+        return fv.subst(m.fn.body, m.fn.hyp, m.arg), LAM_PHI_BETA
+    return None
+
+
+def _numapp_beta(m: P.NumApp, fv):
+    f = m.fn
+    if isinstance(f, P.NumLam):
+        try:
+            return subst_term_pt(f.body, f.var, m.term), LAM_Q_BETA
+        except S.InadmissibleSubstitution:
+            return None
+    return None
+
+
+def _case_beta(m: P.Case, fv):
+    a = m.scrut
+    if isinstance(a, P.InjL):
+        return fv.subst(m.bleft, m.left, a.arg), CASE_BETA_L
+    if isinstance(a, P.InjR):
+        return fv.subst(m.bright, m.right, a.arg), CASE_BETA_R
+    return None
+
+
+def _rcase_beta(m: P.RCase, fv):
+    a = m.scrut
+    if isinstance(a, P.Stop):
+        return fv.subst(m.sbody, m.svar, a.body), CASE_BETA_L
+    if isinstance(a, P.Go):
+        return fv.subst(m.gbody, m.gvar, a.body), CASE_BETA_R
+    return None
+
+
+def _unpack_beta(m: P.Unpack, fv):
+    a = m.scrut
+    if isinstance(a, P.TCons):
+        yt = a.ghost
+        n1 = P.rename_pt(m.body, m.ghost, yt) if m.ghost != yt else m.body
+        body = P.rename_pt(fv.subst(n1, m.hyp, a.body), m.var, yt)
+        return P.Ghost(yt, a.witness, a.hyp, body), UNPACK_BETA
+    return None
+
+
+_TCONS_BODY = _plugger(P.TCons, "body")
+
+
+def _tcons_lift(m: P.TCons, fv):
+    """wit-C: the body is shielded, so it lifts a case only when the case
+    scrutinee mentions neither the binder's hypothesis nor its ghost."""
+    a = m.body
+    if isinstance(a, P.Case) and m.hyp not in fv(a.scrut) and m.ghost not in P.prog_vars(a.scrut):
+        return _lift_case(m, _TCONS_BODY, a), TCONS_C
+    return None
+
+
+def _rep_beta(m: P.Rep, fv):
+    p, a, n, o = m.hyp, m.init, m.body, m.done
+    q = _fresh_pvar("q", fv, n, o)
+    reduct = P.Roll(
+        P.DPair(
+            fv.subst(o, p, a),
+            P.Mon(fv.subst(n, p, a), q, P.Rep(p, P.PVar(q), n, o, m.inv)),
         )
-    raise AssertionError(rule)
+    )
+    return reduct, REP_BETA
 
 
-def _for_beta(m: P.For) -> ProofTerm:
+def _for_beta(m: P.For, fv):
     mt, inv = m.metric, m.inv
     zero = S.lit(0)
     decision = S.Or(S.Cmp(mt, "=", zero), S.Cmp(mt, ">=", S.lit(1)))
     scrut = P.Dec(decision, m.init)
-    l = _fresh_pvar("l", m.body, m.done, m.init)
-    r = _fresh_pvar("r", m.body, m.done, m.init, P.PVar(l))
-    rr = _fresh_pvar("rr", m.body, m.done, m.init, P.PVar(l), P.PVar(r))
-    t = _fresh_pvar("t", m.body, m.done, m.init)
+    l = _fresh_pvar("l", fv, m.body, m.done, m.init)
+    r = _fresh_pvar("r", fv, m.body, m.done, m.init, P.PVar(l))
+    rr = _fresh_pvar("rr", fv, m.body, m.done, m.init, P.PVar(l), P.PVar(r))
+    t = _fresh_pvar("t", fv, m.body, m.done, m.init)
 
     stop_branch = P.Stop(
-        subst_pt(
-            subst_pt(m.done, m.hyp, m.init), m.mhyp, P.Proj1(P.PVar(l))
-        )
+        fv.subst(fv.subst(m.done, m.hyp, m.init), m.mhyp, P.Proj1(P.PVar(l)))
     )
-    step_inst = subst_pt(
-        subst_pt(m.body, m.hyp, m.init),
+    step_inst = fv.subst(
+        fv.subst(m.body, m.hyp, m.init),
         m.mhyp,
         P.DPair(P.PVar(rr), P.Proj1(P.PVar(r))),
     )
@@ -606,23 +423,29 @@ def _for_beta(m: P.For) -> ProofTerm:
             )
         ),
     )
-    return P.Case(scrut, l, stop_branch, r, go_branch)
+    return P.Case(scrut, l, stop_branch, r, go_branch), FOR_BETA
 
 
-def _mon_conv(m: P.Mon) -> Optional[tuple]:
+def _fp_beta(m: P.FP, fv):
+    a, s_, b, g, c = m.scrut, m.svar, m.sbody, m.gvar, m.gbody
+    # every use of the hypothesis g becomes a recursive application;
+    # the Mon scrutinee stays free so the rcase binder recaptures it
+    w = _fresh_pvar("w", fv, b, c)
+    unrolled = fv.subst(c, g, P.Mon(P.PVar(g), w, P.FP(P.PVar(w), s_, b, g, c)))
+    return P.RCase(a, s_, b, g, unrolled), FP_BETA
+
+
+def _mon_conv(m: P.Mon, fv):
     a, p, n = m.scrut, m.hyp, m.body
     match a:
         case P.Lam(hyp=h, ann=ann, body=b):
-            return P.Lam(h, ann, subst_pt(n, p, b)), LAM_MON
+            return P.Lam(h, ann, fv.subst(n, p, b)), LAM_MON
         case P.NumLam(var=x, ghost=y, body=b):
-            return P.NumLam(x, y, subst_pt(n, p, b)), RLAM_MON
+            return P.NumLam(x, y, fv.subst(n, p, b)), RLAM_MON
         case P.BPair(fst=f, snd=s):
-            return (
-                P.BPair(P.Mon(f, p, n), P.Mon(s, p, n)),
-                BCONS_MON,
-            )
+            return P.BPair(P.Mon(f, p, n), P.Mon(s, p, n)), BCONS_MON
         case P.DPair(fst=f, snd=s):
-            return P.DPair(f, subst_pt(n, p, s)), DCONS_MON
+            return P.DPair(f, fv.subst(n, p, s)), DCONS_MON
         case P.InjL(arg=b):
             return P.InjL(P.Mon(b, p, n)), INJL_MON
         case P.InjR(arg=b):
@@ -631,27 +454,21 @@ def _mon_conv(m: P.Mon) -> Optional[tuple]:
             rule = DSWAP_MON if fl == P.DIA else BSWAP_MON
             return P.Swap(P.Mon(b, p, n), fl), rule
         case P.SeqI(body=b, flavor=fl):
-            q = _fresh_pvar("q", n)
+            q = _fresh_pvar("q", fv, n)
             rule = DSEQ_MON if fl == P.DIA else BSEQ_MON
-            return (
-                P.SeqI(P.Mon(b, q, P.Mon(P.PVar(q), p, n)), fl),
-                rule,
-            )
+            return P.SeqI(P.Mon(b, q, P.Mon(P.PVar(q), p, n)), fl), rule
         case P.Asgn(var=x, ghost=y, hyp=h, body=b, flavor=fl):
             rule = DASGN_MON if fl == P.DIA else BASGN_MON
-            return P.Asgn(x, y, h, subst_pt(n, p, b), fl), rule
+            return P.Asgn(x, y, h, fv.subst(n, p, b), fl), rule
         case P.TCons(var=x, ghost=y, hyp=h, witness=f, body=b):
-            return P.TCons(x, y, h, f, subst_pt(n, p, b)), TCONS_MON
+            return P.TCons(x, y, h, f, fv.subst(n, p, b)), TCONS_MON
         case P.Stop(body=b):
-            return P.Stop(subst_pt(n, p, b)), STOP_MON
+            return P.Stop(fv.subst(n, p, b)), STOP_MON
         case P.Go(body=b):
-            q = _fresh_pvar("q", n)
-            return (
-                P.Go(P.Mon(b, q, P.Mon(P.PVar(q), p, n))),
-                GO_MON,
-            )
+            q = _fresh_pvar("q", fv, n)
+            return P.Go(P.Mon(b, q, P.Mon(P.PVar(q), p, n))), GO_MON
         case P.Roll(body=b):
-            t = _fresh_pvar("t", n)
+            t = _fresh_pvar("t", fv, n)
             return (
                 P.Roll(
                     P.DPair(
@@ -666,36 +483,118 @@ def _mon_conv(m: P.Mon) -> Optional[tuple]:
     return None
 
 
+_PAIRS = (P.DPair, P.BPair)
+
+_HEAD = {
+    P.QE: _fo_beta,
+    P.App: _app_beta,
+    P.NumApp: _numapp_beta,
+    P.Proj1: lambda m, fv: (m.arg.fst, PROJ1_BETA) if isinstance(m.arg, _PAIRS) else None,
+    P.Proj2: lambda m, fv: (m.arg.snd, PROJ2_BETA) if isinstance(m.arg, _PAIRS) else None,
+    P.Unroll: lambda m, fv: (m.body.body, UNROLL_BETA) if isinstance(m.body, P.Roll) else None,
+    P.Case: _case_beta,
+    P.RCase: _rcase_beta,
+    P.Unpack: _unpack_beta,
+    P.TCons: _tcons_lift,
+    P.Rep: _rep_beta,
+    P.For: _for_beta,
+    P.FP: _fp_beta,
+    P.Mon: _mon_conv,
+}
+
+
+def _head(m: ProofTerm, fv):
+    rule = _HEAD.get(type(m))
+    return rule(m, fv) if rule is not None else None
+
+
+# ---------------------------------------------------------------------------
+# The machine
+
+
+class _Machine:
+    """Leftmost-innermost search on an explicit stack.
+
+    `path` holds one frame (node, children, k) per ancestor of the focus,
+    root first: the focus is the child `children[k]` of `node`.  `focus` is
+    None once `term` is normal.
+    """
+
+    def __init__(self, m: ProofTerm):
+        self.term = m
+        self.focus = m
+        self.path = []
+        self.fv = _FreeVars()
+
+    def step(self) -> Optional[tuple]:
+        """Fire the next rule: (root reduct, root rule), or None if normal."""
+        path, fv = self.path, self.fv
+        m = self.focus
+        if m is None:
+            return None
+        while True:
+            kids = _children(m)
+            if kids:  # search the first child
+                path.append((m, kids, 0))
+                m = getattr(m, kids[0][1])
+                continue
+            fired = _head(m, fv)
+            if fired is not None:
+                return self._fire(*fired)
+            while True:  # m is stuck: go on at its parent
+                if not path:
+                    self.focus = None
+                    return None
+                node, kids, k = path.pop()
+                if type(m) is P.Case:
+                    return self._fire(_lift_case(node, kids[k][0], m), kids[k][3])
+                k += 1
+                if k < len(kids):  # search the next child
+                    path.append((node, kids, k))
+                    m = getattr(node, kids[k][1])
+                    break
+                fired = _head(node, fv)
+                if fired is not None:
+                    return self._fire(*fired)
+                m = node
+
+    def _fire(self, reduct: ProofTerm, rule: str) -> tuple:
+        """Plug the reduct of the focus into its ancestors; the search
+        resumes at the reduct."""
+        path = self.path
+        self.focus = t = reduct
+        for i in range(len(path) - 1, -1, -1):
+            node, kids, k = path[i]
+            t = kids[k][0](node, t)
+            path[i] = (t, kids, k)
+        if path:
+            node, kids, k = path[0]
+            rule = kids[k][2]
+        self.term = t
+        return t, rule
+
+
+def step(m: ProofTerm) -> Optional[tuple]:
+    """One reduction step: (reduct, rule-name) or None when no rule applies.
+
+    Total on arbitrary terms; on checker-accepted terms `None` coincides
+    with `is_normal`.
+    """
+    return _Machine(m).step()
+
+
 def redex_path(old: ProofTerm, new: ProofTerm) -> str:
     """Dot-path to the outermost changed position between a term and its
     reduct; stable across runs, used by the step trace."""
     parts = []
-    while True:
-        if type(old) is not type(new):
+    while type(old) is type(new):
+        changed = [f for f in P.field_names(type(old)) if getattr(old, f) != getattr(new, f)]
+        if len(changed) != 1:
             break
-        diff = []
-        for name, kind in P._child_spec(type(old)):
-            if kind not in ("pt", "pt?"):
-                continue
-            a, b = getattr(old, name), getattr(new, name)
-            if a != b:
-                diff.append((name, a, b))
-        fixed = [
-            f.name
-            for f in type(old).__dataclass_fields__.values()
-            if f.name not in {d[0] for d in diff}
-        ]
-        non_pt_changed = any(
-            getattr(old, n) != getattr(new, n)
-            for n in type(old).__dataclass_fields__
-            if n in fixed
-        )
-        if len(diff) != 1 or non_pt_changed:
+        a, b = getattr(old, changed[0]), getattr(new, changed[0])
+        if not (isinstance(a, ProofTerm) and isinstance(b, ProofTerm)):
             break
-        name, a, b = diff[0]
-        if a is None or b is None:
-            break
-        parts.append(name)
+        parts.append(changed[0])
         old, new = a, b
     return ".".join(parts) or "root"
 
@@ -708,12 +607,11 @@ def normalize(m: ProofTerm, fuel: int = 10**6):
     """
     if fuel <= 0:
         raise ValueError("fuel must be positive")
+    machine = _Machine(m)
     trace = []
-    cur = m
     for i in range(fuel):
-        s = _step(cur)
+        s = machine.step()
         if s is None:
-            return cur, i, trace
-        cur, rule = s[0], s[1]
-        trace.append((rule, cur))
-    raise FuelExhausted(cur, fuel)
+            return machine.term, i, trace
+        trace.append((s[1], s[0]))
+    raise FuelExhausted(machine.term, fuel)

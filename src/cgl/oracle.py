@@ -484,7 +484,10 @@ class ArithOracle:
             return OracleResult(UNKNOWN, reason="formula too large")
 
         lin, expanded = _Linearizer(), {}
-        reason = "no certificate and no witness found"
+        if refutable:
+            reason = "no certificate and no witness found"
+        else:
+            reason = "quantified sequent: no certificate; witness search skipped"
         for branch in branches:
             try:
                 if not _branch_unsat(branch, lin, expanded):

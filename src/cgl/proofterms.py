@@ -317,10 +317,20 @@ def _child_spec(cls):
     return spec
 
 
+_FIELD_NAMES = {}  # class -> its field names, in constructor order
+
+
+def field_names(cls) -> tuple:
+    names = _FIELD_NAMES.get(cls)
+    if names is None:
+        names = _FIELD_NAMES[cls] = tuple(f.name for f in fields(cls))
+    return names
+
+
 def _rebuild(m: ProofTerm, **updates) -> ProofTerm:
-    vals = {f.name: getattr(m, f.name) for f in fields(type(m))}
-    vals.update(updates)
-    return type(m)(**vals)
+    return type(m)(
+        *[updates[f] if f in updates else getattr(m, f) for f in field_names(type(m))]
+    )
 
 
 def map_children(m: ProofTerm, on_pt, on_term, on_formula) -> ProofTerm:
@@ -386,29 +396,25 @@ def rename_pt(m: ProofTerm, x: str, y: str) -> ProofTerm:
     return _rebuild(out, **updates) if updates else out
 
 
-def free_pvars(m: ProofTerm) -> frozenset[str]:
-    match m:
-        case PVar(name=p):
-            return frozenset((p,))
-        case QE(payload=pl) | Dec(payload=pl):
-            return free_pvars(pl) if pl is not None else frozenset()
-        case Split():
-            return frozenset()
+def free_pvars(m: ProofTerm, memo=None) -> frozenset[str]:
+    """Free proof variables of m.  `memo`, when given, maps id(term) to
+    (its set, the term) for every subterm visited, and is filled."""
+    if isinstance(m, PVar):
+        return frozenset((m.name,))
+    if memo is not None:
+        hit = memo.get(id(m))
+        if hit is not None:
+            return hit[0]
     out = frozenset()
-    bound = {h for h, _ in _PVAR_BINDERS.get(type(m), ())}
-    scoped = {}
-    for h, targets in _PVAR_BINDERS.get(type(m), ()):
-        for t in targets:
-            scoped.setdefault(t, set()).add(h)
-    for name, kind in _child_spec(type(m)):
-        if kind not in ("pt", "pt?"):
-            continue
+    for name, scope in _pt_scopes(type(m)):
         v = getattr(m, name)
-        if v is None:
-            continue
-        sub = free_pvars(v)
-        sub -= frozenset(scoped.get(name, ()))
-        out |= sub
+        if v is not None:
+            # `scope` holds binder *field* names ("hyp", ...), not the names
+            # they bind: bound names stay in the set, and a free name spelled
+            # like such a field drops out of it (ROADMAP item 1)
+            out |= free_pvars(v, memo) - frozenset(scope)
+    if memo is not None:
+        memo[id(m)] = (out, m)
     return out
 
 
@@ -479,70 +485,77 @@ def all_pvar_names(m: ProofTerm) -> frozenset[str]:
     return frozenset(out)
 
 
-def subst_pt(m: ProofTerm, p: str, n: ProofTerm) -> ProofTerm:
+def subst_pt(m: ProofTerm, p: str, n: ProofTerm, fv_n=None) -> ProofTerm:
     """Capture-avoiding substitution of proof term n for proof variable p.
 
     Crossing a binder that re-binds a program variable x with recorded ghost
     y renames x and y inside the substituted copy, so hypotheses formed
-    before the binding keep referring to the old value.
+    before the binding keep referring to the old value.  `fv_n`, when
+    given, is `free_pvars(n)`.  Subterms the substitution leaves unchanged
+    are shared with m, not copied.
     """
-    fv_n = free_pvars(n)
+    if fv_n is None:
+        fv_n = free_pvars(n)
     return _subst_pt(m, p, n, fv_n)
 
 
+_PT_SCOPES = {}  # class -> ((proof-term field, binder fields scoping it), ...)
+
+
+def _pt_scopes(cls):
+    spec = _PT_SCOPES.get(cls)
+    if spec is None:
+        groups = _PVAR_BINDERS.get(cls, ())
+        spec = _PT_SCOPES[cls] = tuple(
+            (name, tuple(h for h, targets in groups if name in targets))
+            for name, kind in _child_spec(cls)
+            if kind in ("pt", "pt?")
+        )
+    return spec
+
+
 def _subst_pt(m: ProofTerm, p: str, n: ProofTerm, fv_n) -> ProofTerm:
-    match m:
-        case PVar(name=q):
-            return n if q == p else m
-        case Split():
-            return m
+    cls = type(m)
+    if cls is PVar:
+        return n if m.name == p else m
+    if cls is Split:
+        return m
 
     # adjust the substituted copy when crossing program-variable binders
-    n_here = n
-    if type(m) in (Asgn, TCons, Unpack, NumLam):
-        n_here = rename_pt(n, m.var, m.ghost)
-        fv_here = fv_n
-    else:
-        fv_here = fv_n
+    if cls in (Asgn, TCons, Unpack, NumLam):
+        n = rename_pt(n, m.var, m.ghost)
 
-    binder_groups = _PVAR_BINDERS.get(type(m), ())
-    updates = {}
     renames = {}
     # alpha-vary binders that would capture free proof variables of n
-    for h, targets in binder_groups:
+    for h, targets in _PVAR_BINDERS.get(cls, ()):
         b = getattr(m, h)
-        if b in fv_here and any(
+        if b in fv_n and any(
             p in free_pvars(getattr(m, t)) - {b} for t in targets
         ):
-            avoid = set(fv_here) | {b}
+            avoid = set(fv_n) | {b}
             for t in targets:
                 avoid |= all_pvar_names(getattr(m, t))
             renames[h] = (b, fresh_pvar(b, avoid))
 
-    scoped = {}
-    for h, targets in binder_groups:
-        for t in targets:
-            scoped.setdefault(t, []).append(h)
-
-    for name, kind in _child_spec(type(m)):
-        if kind not in ("pt", "pt?"):
-            continue
-        v = getattr(m, name)
+    updates = {}
+    for name, scope in _pt_scopes(cls):
+        old = v = getattr(m, name)
         if v is None:
             continue
         shadowed = False
-        for h in scoped.get(name, []):
+        for h in scope:
             if h in renames:
-                old, new = renames[h]
-                v = _subst_pt(v, old, PVar(new), frozenset((new,)))
+                b, new = renames[h]
+                v = _subst_pt(v, b, PVar(new), frozenset((new,)))
             elif getattr(m, h) == p:
                 shadowed = True
         if not shadowed:
-            v = _subst_pt(v, p, n_here, fv_here)
-        updates[name] = v
-    for h, (old, new) in renames.items():
+            v = _subst_pt(v, p, n, fv_n)
+        if v is not old:
+            updates[name] = v
+    for h, (_, new) in renames.items():
         updates[h] = new
-    return _rebuild(m, **updates)
+    return _rebuild(m, **updates) if updates else m
 
 
 def subst_term_pt(m: ProofTerm, x: str, f: Term) -> ProofTerm:

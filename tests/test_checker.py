@@ -76,7 +76,7 @@ def test_negated_forall_hypothesis_rejected():
     phi, m = parse_script(HOLE_A).theorems["bad"]
     err = ck().check_result(Context(), m, phi)
     assert err is not None and err.kind == C.ORACLE_INCOMPLETE
-    assert err.reason == "no certificate and no witness found"
+    assert err.reason == "quantified sequent: no certificate; witness search skipped"
 
 
 # -- the loop rule -------------------------------------------------------------

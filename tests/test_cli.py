@@ -212,7 +212,10 @@ def test_check_rejects_negated_forall_hypothesis(tmp_path, capsys):
     )
     code, out, _ = run(capsys, "check", str(f))
     assert code == 1
-    assert "bad: body: OracleIncomplete" in out
+    assert out.splitlines() == [
+        f"{f}: bad: body: OracleIncomplete: FO: cannot certify y > 0 under "
+        "forall x x < x -> y > 0 (quantified sequent: no certificate; witness search skipped)"
+    ]
 
 
 STALE = """
@@ -267,3 +270,41 @@ def test_deep_nesting_is_usage_error(tmp_path, capsys):
     code, _out, err = run(capsys, "check", str(f))
     assert code == 2
     _one_line_usage_error(err, "check")
+
+
+def test_verify_menu_without_values_is_usage_error(tmp_path, capsys):
+    f = tmp_path / "stale.cgl"
+    f.write_text(STALE)
+    menu = tmp_path / "menu.json"
+    menu.write_text(json.dumps({"values": {"y": ["1"]}}))
+    code, out, err = run(capsys, "verify", str(f), "--menu", str(menu))
+    assert code == 2 and out == ""
+    assert err == "cgl verify: no menu values for x := *\n"
+
+
+MODAL = "theorem modal : [x := 1] <y := 2> y = 2 = asgnb x (x0, h. asgnd y (y0, k. FO[y = 2](k)))\n"
+
+
+def test_modal_postcondition_is_usage_error(tmp_path, capsys):
+    f = tmp_path / "modal.cgl"
+    f.write_text(MODAL)
+    menu = tmp_path / "menu.json"
+    menu.write_text(json.dumps({"values": {}}))
+    assert run(capsys, "check", str(f))[0] == 0
+    for argv in (("play", str(f)), ("verify", str(f), "--menu", str(menu))):
+        code, _out, err = run(capsys, *argv)
+        assert code == 2
+        _one_line_usage_error(err, argv[0])
+        assert "postcondition <y := 2>y = 2 is not first-order" in err
+
+
+def test_theorem_without_game_is_usage_error(tmp_path, capsys):
+    f = tmp_path / "fo.cgl"
+    f.write_text("theorem t : x > 0 -> x > 0 = \\h : x > 0. FO[x > 0](h)\n")
+    menu = tmp_path / "menu.json"
+    menu.write_text(json.dumps({"values": {}}))
+    for argv in (("play", str(f), "--state", "x=1"), ("verify", str(f), "--menu", str(menu))):
+        code, _out, err = run(capsys, *argv)
+        assert code == 2
+        _one_line_usage_error(err, argv[0])
+        assert "has no game to play" in err

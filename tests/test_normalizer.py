@@ -1,6 +1,9 @@
 """Operational semantics: normal forms, single steps, and full coverage of
 the named conversion rules."""
 
+import hashlib
+import random
+
 import pytest
 
 from cgl import normalizer as N
@@ -259,3 +262,168 @@ def test_coverage_report_lists_zero_unfired():
         fired.update(rules_of(seed))
     report = sorted(N.APPENDIX_RULES - fired)
     assert report == []
+
+
+# -- golden traces: corpus proofs inside seeded identity redexes -----------------
+#
+# Recorded with the recursive single-step normalizer that the resumable
+# machine replaced: every step's rule, redex path and reduct must stay the
+# same.
+
+
+def _tt():
+    return P.QE(S.TRUE, None)
+
+
+def wrap(kind, phi, m, tag):
+    """A proof of phi, (\\q : phi. K) m, whose body K reduces to q through
+    a redex of the given kind."""
+    q = P.PVar(f"q{tag}")
+    if kind == "beta":
+        body = q
+    elif kind == "proj":
+        body = P.Proj1(P.DPair(q, _tt()))
+    elif kind == "case":
+        # case ((\\s. s) inl <tt, q> : <?tt ++ ?ff> phi) of l. pi2 l | r. pi2 r
+        ann = S.Diamond(S.Choice(S.Test(S.TRUE), S.Test(S.FALSE)), phi)
+        s, l, r = f"s{tag}", f"l{tag}", f"r{tag}"
+        scrut = P.App(P.Lam(s, ann, P.PVar(s)), P.InjL(P.DPair(_tt(), q)))
+        body = P.Case(scrut, l, P.Proj2(P.PVar(l)), r, P.Proj2(P.PVar(r)))
+    elif kind == "unroll":
+        # pi1 unroll ((\\s. s) roll <q, \\f : ff. rep(q; p. \\g : ff. p; p)>)
+        p = f"p{tag}"
+        rep = P.Rep(p, q, P.Lam(f"g{tag}", S.FALSE, P.PVar(p)), P.PVar(p), phi)
+        rolled = P.Roll(P.DPair(q, P.Lam(f"f{tag}", S.FALSE, rep)))
+        loop = S.Box(S.Repeat(S.Test(S.FALSE)), phi)
+        body = P.Proj1(P.Unroll(P.App(P.Lam(f"s{tag}", loop, P.PVar(f"s{tag}")), rolled)))
+    else:  # mon: pi1 mon(<q, tt>; p. p)
+        p = f"p{tag}"
+        body = P.Proj1(P.Mon(P.DPair(q, _tt()), p, P.PVar(p)))
+    return P.App(P.Lam(q.name, phi, body), m)
+
+
+KINDS = ("beta", "proj", "case", "unroll", "mon")
+
+
+def wrapped(name, phi, m):
+    """m inside two wrappers of every kind, in an order seeded by name."""
+    kinds = list(KINDS) * 2
+    random.Random(f"golden-{name}").shuffle(kinds)
+    for i, k in enumerate(kinds):
+        m = wrap(k, phi, m, str(i))
+    return m
+
+
+def trace_digest(m, trace):
+    h = hashlib.sha256()
+    for rule, reduct in trace:
+        h.update(f"{rule} {N.redex_path(m, reduct)} {reduct!r}\n".encode())
+        m = reduct
+    return h.hexdigest()[:16]
+
+
+GOLDEN = {
+    "dNim": (28, "36ae2447f29ce35a"),
+    "aNim": (28, "6c8f7f32cfc5fc0e"),
+    "aCake": (30, "b13e6cebd5560bd6"),
+    "dCake": (28, "6011b2521a5f0b50"),
+    "witPlus": (28, "2e5864cb6e5ccc7b"),
+    "witAbs": (28, "2e3c9e95571d95ef"),
+    "witMax": (28, "bd68359253fa79dd"),
+    "pairProj": (29, "db306b744f3e7feb"),
+    "applyId": (29, "7522ac7ea2244039"),
+    "instForall": (29, "2fb4a15c20e3a2ba"),
+    "monAssign": (29, "c20dd6a7797f67eb"),
+    "unrollRep": (31, "b8717116c3be2384"),
+    "projChain": (30, "1406664daa7ceaa0"),
+    "forCounter": (28, "02dad8250d7acd9a"),
+    "splitDemo": (28, "4323925858bac678"),
+    "decDemo": (28, "78eff136f4036143"),
+    "absFold": (28, "ed62c4d4f1329d9b"),
+    "fpTrivial": (28, "a29cc10e7367960e"),
+    "rcaseTrivial": (28, "046d99dc5a6ae045"),
+    "ghostRemember": (28, "ff42211e3e1f0e56"),
+    "signFlip": (28, "201e65891e9025a6"),
+    "raceLoop": (28, "5aa318e32a9550f0"),
+}
+
+# the root-level rules: every wrapper step happens under the outermost App
+UNROLL_REP_RULES = [N.APP_SR] * 30 + [N.LAM_PHI_BETA]
+
+# one wrapper around a normal leaf: (rule, redex path) per step
+WRAPPER_STEPS = {
+    "beta": [("lam-phi-beta", "root")],
+    "proj": [("lam-phi-beta", "root"), ("proj1-beta", "root")],
+    "case": [("lam-phi-beta", "root"), ("case-S", "scrut"), ("case-beta-L", "root"),
+             ("proj2-beta", "root")],
+    "unroll": [("lam-phi-beta", "root"), ("proj1-S", "arg.body"), ("proj1-S", "arg"),
+               ("proj1-beta", "root")],
+    "mon": [("lam-phi-beta", "root"), ("proj1-S", "arg"), ("proj1-beta", "root")],
+}
+
+
+def test_golden_wrapped_corpus_traces(all_theorems):
+    assert set(all_theorems) == set(GOLDEN)
+    for name, (phi, m) in all_theorems.items():
+        w = wrapped(name, phi, m)
+        _nf, steps, trace = N.normalize(w)
+        assert (steps, trace_digest(w, trace)) == GOLDEN[name], name
+        if name == "unrollRep":
+            assert [r for r, _ in trace] == UNROLL_REP_RULES
+
+
+def test_wrapper_steps():
+    for kind, expected in WRAPPER_STEPS.items():
+        cur = wrap(kind, S.TRUE, SP, "")
+        _nf, _steps, trace = N.normalize(cur)
+        got = []
+        for rule, reduct in trace:
+            got.append((rule, N.redex_path(cur, reduct)))
+            cur = reduct
+        assert got == expected and cur == SP, kind
+
+
+def test_golden_coverage_traces():
+    h, steps = hashlib.sha256(), 0
+    for seed in coverage_seeds():
+        _nf, n, trace = N.normalize(seed, 400)
+        h.update(trace_digest(seed, trace).encode())
+        steps += n
+    assert (steps, h.hexdigest()[:16]) == (88, "bae787da59ca9cf7")
+
+
+def test_iterated_step_matches_normalize(all_theorems):
+    for name, (phi, m) in all_theorems.items():
+        w = wrapped(name, phi, m)
+        nf, steps, trace = N.normalize(w)
+        cur, stepped = w, []
+        while (s := N.step(cur)) is not None:
+            cur = s[0]
+            stepped.append((s[1], cur))
+        assert stepped == trace and cur == nf, name
+
+
+def test_fuel_exhausted_keeps_last_term(all_theorems):
+    phi, m = all_theorems["unrollRep"]
+    w = wrapped("unrollRep", phi, m)
+    _nf, _steps, trace = N.normalize(w)
+    with pytest.raises(N.FuelExhausted) as e:
+        N.normalize(w, 7)
+    assert e.value.steps == 7 and e.value.last == trace[6][1]
+    assert hashlib.sha256(repr(e.value.last).encode()).hexdigest()[:16] == "762dc14301c13191"
+    # a term that is normal after exactly `fuel` steps still runs out
+    with pytest.raises(N.FuelExhausted) as e:
+        N.normalize(w, len(trace))
+    assert e.value.steps == len(trace) and e.value.last == trace[-1][1]
+
+
+def test_deep_term_normalizes_without_recursion():
+    m = REDEX
+    for _ in range(2000):
+        m = P.InjL(m)
+    nf, steps, trace = N.normalize(m)
+    assert steps == 1 and [r for r, _ in trace] == [N.INJL_S]
+    for _ in range(2000):
+        assert type(nf) is P.InjL
+        nf = nf.arg
+    assert nf == SP

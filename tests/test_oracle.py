@@ -208,7 +208,13 @@ def _too_many_systems():
     (*_too_many_systems(), "formula too large"),
     (None, S.Box(S.Assign("x", L(1)), S.Cmp(x, "=", L(1))), "goal is not first-order"),
     (S.Box(S.Assign("x", L(1)), S.Cmp(x, "=", L(1))), S.Cmp(y, "=", y), "hypothesis is not first-order"),
-    (S.Forall("x", S.Cmp(x, "<", y)), S.Cmp(y, ">", L(0)), "no certificate and no witness found"),
+    # falsified only from x = 21 on, outside the witness grid
+    (S.Cmp(y, ">", L(0)), S.Cmp(x, "<=", L(20)), "no certificate and no witness found"),
+    # a quantifier on either side: no witness search at all
+    (S.Forall("x", S.Cmp(x, "<", y)), S.Cmp(y, ">", L(0)),
+     "quantified sequent: no certificate; witness search skipped"),
+    (None, S.Exists("x", S.Cmp(x, ">", y)),
+     "quantified sequent: no certificate; witness search skipped"),
 ])
 def test_unknown_reasons(rho, goal, reason):
     res = oracle().decide(rho, goal)
