@@ -1,10 +1,11 @@
-"""Gameplay interpreter: one concrete run of a game from a state.
+"""Gameplay: one game machine runs a strategy against an adversary.
 
-Angel's moves come from a realizer closure; Demon's classical decisions
-come from an oracle (scripted, seeded random, or interactive).  The
-exhaustive driver replaces the oracle with full enumeration of Demon's
-choices from finite menus, which is how strategy soundness is verified at
-desk scale.
+Angel's moves come from a realizer closure; Demon's come from a demon
+that offers its options at each decision.  An oracle (scripted, seeded
+random, or interactive) offers one, so the machine plays one run; a
+finite menu offers every option it does not dominate, so the machine
+explores every line, which is how strategy soundness is verified at desk
+scale.
 
 Realizers are paired with environments; `Compose` wrappers ride along on
 continuations and are distributed lazily at every consuming position, so
@@ -16,7 +17,7 @@ from __future__ import annotations
 import random as _random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Optional
 
 from . import realizer as R
 from . import syntax as S
@@ -72,9 +73,6 @@ class Closure:
         self.rz = rz
         self.env = env or {}
 
-    def bind(self, name, value) -> "Closure":
-        return Closure(self.rz, {**self.env, name: value})
-
     def __repr__(self):
         return f"Closure({self.rz!r})"
 
@@ -100,82 +98,65 @@ class Budget:
 
 
 def _overlay(state: State, env) -> State:
-    """Number bindings from the environment shadow the game state."""
-    st = state
+    """Number bindings from the environment shadow the game state, in one
+    copy of its bindings."""
+    vals = None
     for k, v in env.items():
         if type(v) is Fraction:
-            st = st.set(k, v)
-    return st
-
-
-def eval_term_env(t: S.Term, state: State, env) -> Rational:
-    if not env:
-        return S.eval_term(t, state)
-    return S.eval_term(t, _overlay(state, env))
-
-
-def eval_fo_env(phi: Formula, state: State, env) -> bool:
-    if not env:
-        return S.eval_fo(phi, state)
-    return S.eval_fo(phi, _overlay(state, env))
+            if vals is None:
+                vals = state._vals.copy()
+            vals[k] = v
+    return state if vals is None else State.of(vals)
 
 
 def force(cl: Closure, state: State, budget: Budget) -> Closure:
-    """Weak head normal form: Unit, Pair, TermVal, NumLamR, ProofLam,
-    Ind-unfolded values, Gen, or Compose."""
-    budget.tick()
-    rz = cl.rz
-    match rz:
-        case R.RVar(name=n):
-            v = cl.env.get(n)
+    """Weak head normal form: Unit, Pair, TermVal, NumLamR, ProofLam, Gen,
+    or Compose.  Each step spends one unit of fuel."""
+    while True:
+        budget.left -= 1
+        if budget.left < 0:
+            raise BudgetExhausted()
+        rz = cl.rz
+        t = type(rz)
+        if t is R.RVar:
+            v = cl.env.get(rz.name)
             if v is None:
-                raise IllStructuredRealizer(f"unbound realizer variable {n}")
+                raise IllStructuredRealizer(f"unbound realizer variable {rz.name}")
             if type(v) is Fraction:
                 return Closure(R.TermVal(S.Lit(v)))
-            return force(v, state, budget)
-        case R.StateLam(body=b):
-            return force(Closure(b, cl.env), state, budget)
-        case R.AppState(fn=f):
-            return force(Closure(f, cl.env), state, budget)
-        case R.Fst(arg=a):
-            f, _s = pair_view(force(Closure(a, cl.env), state, budget), state, budget)
-            return force(f, state, budget)
-        case R.Snd(arg=a):
-            _f, s = pair_view(force(Closure(a, cl.env), state, budget), state, budget)
-            return force(s, state, budget)
-        case R.AppNum(fn=f, term=t):
-            v = eval_term_env(t, state, cl.env)
-            return force(app_num(Closure(f, cl.env), v, state, budget), state, budget)
-        case R.AppRz(fn=f, arg=a):
-            return force(
-                app_rz(Closure(f, cl.env), Closure(a, cl.env), state, budget),
-                state,
-                budget,
-            )
-        case R.IfTerm(cond=c, then=th, els=el):
+            cl = v
+        elif t is R.IfTerm:
             try:
-                b = eval_fo_env(c, state, cl.env)
+                b = S.eval_fo(rz.cond, _overlay(state, cl.env) if cl.env else state)
             except (TypeError, ArithmeticError) as e:
-                raise IllStructuredRealizer(f"unevaluable decision {c!r}: {e}")
-            return force(Closure(th if b else el, cl.env), state, budget)
-        case R.Ind(var=v, body=b):
-            return force(Closure(b, {**cl.env, v: cl}), state, budget)
-        case R.Decide(scrut=sc, lvar=lv, left=le, rvar=rv, right=ri):
-            sel, payload = pair_view(
-                force(Closure(sc, cl.env), state, budget), state, budget
-            )
-            which = num_of(sel, state, budget)
-            if which == 0:
-                return force(Closure(le, {**cl.env, lv: payload}), state, budget)
-            return force(Closure(ri, {**cl.env, rv: payload}), state, budget)
-    return cl
+                raise IllStructuredRealizer(f"unevaluable decision {rz.cond!r}: {e}")
+            cl = Closure(rz.then if b else rz.els, cl.env)
+        elif t is R.Decide:
+            scrut = force(Closure(rz.scrut, cl.env), state, budget)
+            sel, payload = pair_view(scrut, state, budget)
+            if num_of(sel, state, budget) == 0:
+                cl = Closure(rz.left, {**cl.env, rz.lvar: payload})
+            else:
+                cl = Closure(rz.right, {**cl.env, rz.rvar: payload})
+        elif t is R.Fst or t is R.Snd:
+            pair = pair_view(force(Closure(rz.arg, cl.env), state, budget), state, budget)
+            cl = pair[0] if t is R.Fst else pair[1]
+        elif t is R.AppNum:
+            v = S.eval_term(rz.term, _overlay(state, cl.env) if cl.env else state)
+            cl = app_num(Closure(rz.fn, cl.env), v, state, budget)
+        elif t is R.AppRz:
+            cl = app_rz(Closure(rz.fn, cl.env), Closure(rz.arg, cl.env), state, budget)
+        elif t is R.Ind:
+            cl = Closure(rz.body, {**cl.env, rz.var: cl})
+        else:
+            return cl
 
 
 def app_num(cl: Closure, v: Rational, state: State, budget: Budget) -> Closure:
     f = force(cl, state, budget)
-    if isinstance(f.rz, R.NumLamR):
+    if type(f.rz) is R.NumLamR:
         return Closure(f.rz.body, {**f.env, f.rz.var: v})
-    if isinstance(f.rz, R.Compose) and not f.rz.games:
+    if type(f.rz) is R.Compose and not f.rz.games:
         inner = app_num(Closure(f.rz.first, f.env), v, state, budget)
         return _attach_one(f.rz.var, f.rz.cont, f.env, inner)
     raise IllStructuredRealizer(f"number application to {type(f.rz).__name__}")
@@ -183,9 +164,9 @@ def app_num(cl: Closure, v: Rational, state: State, budget: Budget) -> Closure:
 
 def app_rz(cl: Closure, arg: Closure, state: State, budget: Budget) -> Closure:
     f = force(cl, state, budget)
-    if isinstance(f.rz, R.ProofLam):
+    if type(f.rz) is R.ProofLam:
         return Closure(f.rz.body, {**f.env, f.rz.hyp: arg})
-    if isinstance(f.rz, R.Compose) and not f.rz.games:
+    if type(f.rz) is R.Compose and not f.rz.games:
         inner = app_rz(Closure(f.rz.first, f.env), arg, state, budget)
         return _attach_one(f.rz.var, f.rz.cont, f.env, inner)
     raise IllStructuredRealizer(f"realizer application to {type(f.rz).__name__}")
@@ -195,42 +176,25 @@ def _attach_one(var, cont, env, inner: Closure) -> Closure:
     return Closure(R.Compose(R.RVar("*r*"), var, cont), {**env, "*r*": inner})
 
 
-def resolve(cl: Closure) -> Closure:
-    """Chase variable/state indirections without evaluating decisions."""
-    while True:
-        rz = cl.rz
-        if type(rz) is R.RVar:
-            v = cl.env.get(rz.name)
-            if type(v) is Closure:
-                cl = v
-                continue
-            if type(v) is Fraction:
-                return Closure(R.TermVal(S.Lit(v)))
-            raise IllStructuredRealizer(f"unbound realizer variable {rz.name}")
-        tr = type(rz)
-        if tr is not R.StateLam and tr is not R.AppState:
-            return cl
-        if tr is R.StateLam:
-            cl = Closure(rz.body, cl.env)
-            continue
-        cl = Closure(rz.fn, cl.env)
-
-
 def peel_for(cl: Closure, game):
     """Collect composition wrappers whose recorded prefix starts with the
-    game about to be played.  Purely structural, so safe at any position;
-    the continuations apply when this game's play returns.
-    """
+    game about to be played.  Purely structural (realizer variables are
+    chased, nothing is evaluated), so safe at any position; the
+    continuations apply when this game's play returns."""
     ks = []
-    cur = resolve(cl)
-    while (
-        isinstance(cur.rz, R.Compose)
-        and cur.rz.games
-        and cur.rz.games[0] == game
-    ):
-        ks.append((cur.rz.var, cur.rz.cont, cur.env, cur.rz.games[1:]))
-        cur = resolve(Closure(cur.rz.first, cur.env))
-    return ks, cur
+    while True:
+        while type(cl.rz) is R.RVar:
+            v = cl.env.get(cl.rz.name)
+            if type(v) is Fraction:
+                return ks, Closure(R.TermVal(S.Lit(v)))
+            if type(v) is not Closure:
+                raise IllStructuredRealizer(f"unbound realizer variable {cl.rz.name}")
+            cl = v
+        rz = cl.rz
+        if type(rz) is not R.Compose or not rz.games or rz.games[0] != game:
+            return ks, cl
+        ks.append((rz.var, rz.cont, cl.env, rz.games[1:]))
+        cl = Closure(rz.first, cl.env)
 
 
 def apply_ks(ks, cl: Closure) -> Closure:
@@ -248,30 +212,27 @@ def pair_view(f: Closure, state: State, budget: Budget):
     """View a forced closure as (first, second); formula-level composition
     distributes onto the continuation half, loop streams unroll on demand."""
     rz = f.rz
-    if isinstance(rz, R.Pair):
+    t = type(rz)
+    if t is R.Pair:
         return Closure(rz.fst, f.env), Closure(rz.snd, f.env)
-    if isinstance(rz, R.Gen):
-        cur = Closure(rz.init, f.env)
-        post = Closure(rz.post, {**f.env, rz.var: cur})
-        step = Closure(rz.step, {**f.env, rz.var: cur})
+    if t is R.Gen:
+        env = {**f.env, rz.var: Closure(rz.init, f.env)}
         rebuilt = R.Gen(R.RVar(rz.var), rz.var, rz.step, rz.post, rz.game)
         games = (rz.game,) if rz.game is not None else ()
-        stream_cont = Closure(
-            R.Compose(R.RVar("*s*"), rz.var, rebuilt, games),
-            {**f.env, "*s*": step},
-        )
-        return post, stream_cont
-    if isinstance(rz, R.Compose) and not rz.games:
+        stream = R.Compose(R.RVar("*s*"), rz.var, rebuilt, games)
+        step = Closure(rz.step, env)
+        return Closure(rz.post, env), Closure(stream, {**f.env, "*s*": step})
+    if t is R.Compose and not rz.games:
         inner = force(Closure(rz.first, f.env), state, budget)
         a, b = pair_view(inner, state, budget)
         return a, _attach_one(rz.var, rz.cont, f.env, b)
-    raise IllStructuredRealizer(f"expected a pair, got {type(rz).__name__}")
+    raise IllStructuredRealizer(f"expected a pair, got {t.__name__}")
 
 
 def num_of(cl: Closure, state: State, budget: Budget) -> Rational:
     f = force(cl, state, budget)
-    if isinstance(f.rz, R.TermVal):
-        return eval_term_env(f.rz.term, state, f.env)
+    if type(f.rz) is R.TermVal:
+        return S.eval_term(f.rz.term, _overlay(state, f.env) if f.env else state)
     raise IllStructuredRealizer(f"expected a number, got {type(f.rz).__name__}")
 
 
@@ -280,6 +241,21 @@ def num_of(cl: Closure, state: State, budget: Budget) -> Rational:
 
 
 class DemonOracle:
+    """One adversary decision at a time.  The game machine asks for a
+    decision's options; an oracle offers one, the decision it makes."""
+
+    def branch_options(self, game: Game, state: State):
+        return (self.choose_branch(game, state),)
+
+    def value_options(self, var: str, state: State):
+        return (self.choose_value(var, state),)
+
+    def test_options(self, phi: Formula, state: State):
+        return (self.assert_test(phi, state),)
+
+    def repeat_options(self, state: State, iteration: int):
+        return (self.continue_repeat(state, iteration),)
+
     def choose_branch(self, game: Game, state: State) -> str:
         raise NotImplementedError
 
@@ -399,184 +375,274 @@ class InteractiveDemon(DemonOracle):
 
 
 # ---------------------------------------------------------------------------
-# Single play
+# The game machine, derived from the two recursive interpreters (play and
+# explore) it replaced, after Ager, Biernacki, Danvy & Midtgaard, "A
+# Functional Correspondence between Evaluators and Abstract Machines"
+# (PPDP 2003).  Registers: game, role, closure, state.  The continuation
+# `k` is a linked list of frames (tag, a, b, next) that lines share, so
+# loop depth never reaches Python's stack.  A Demon decision pushes the
+# options the demon offers onto `todo`, last first; the machine takes them
+# depth first.
+
+_SEQ, _KS, _LOOP, _MEMO = range(4)  # frames; _LOOP and _MEMO ones add a field
+_EVAL, _RET, _HEAD, _BACK = range(4)  # what the machine does next
+_TEST, _VALUE, _BRANCH, _REPEAT, _REPLAY, _DONE = range(6)  # kinds of option
+
+_UNIT = close(R.Unit())  # evidence for an asserted test
 
 
 class Tracer:
+    """Collects a play's events, one line each, in `events`."""
+
     __slots__ = ("events",)
 
     def __init__(self):
         self.events = []
 
-    def emit(self, *parts):
-        self.events.append(" ".join(str(p) for p in parts))
+
+def _holds(phi: Formula, state: State) -> bool:
+    try:
+        return S.eval_fo(phi, state)
+    except TypeError:
+        raise IllStructuredRealizer(f"test {print_formula(phi)} is not ground first-order")
 
 
-def play(
-    game: Game,
-    role: str,
-    cl: Closure,
-    state: State,
-    demon: DemonOracle,
-    fuel: int = 100_000,
-    tracer: Optional[Tracer] = None,
-):
+def _lines(game, role, cl, state, demon, budget, tracer=None, memo=None):
+    """(outcome, path) for every line the demon's options allow, depth
+    first.  `tracer` receives play events.  `memo`, a `_Transpositions`,
+    wraps every loop head; with it, `path` holds the line's Demon moves
+    (read them with `_trail`), and a fuel-out carries the path it reached."""
+    ev = tracer.events.append if tracer is not None else None
+    texts = {}  # id(test condition) -> its printed form, for this run
+    todo = []  # options not yet taken: (kind, option, context, k, path)
+    k, g, st, bad, it, path, mode = None, game, state, None, 0, None, _EVAL
+    out = okey = None  # the outcome in hand and its table key, once made
+    try:
+        while True:
+            if mode == _EVAL:  # play game g; each game node spends fuel
+                budget.tick()
+                t = type(cl.rz)
+                if t is R.RVar or t is R.Compose:
+                    ks, cl = peel_for(cl, g)
+                    if ks:
+                        k = (_KS, ks, None, k)
+                t = type(g)
+                if t is S.Seq:
+                    k, g = (_SEQ, g.right, role, k), g.left
+                    continue
+                if t is S.Assign:
+                    v = S.eval_term(g.term, st)
+                    if ev is not None:
+                        ev(f"assign {g.var} {format_rational(v)}")
+                    st, mode = st.set(g.var, v), _RET
+                    continue
+                if t is S.Dual:
+                    if ev is not None:
+                        ev("swap-roles")
+                    role, g = flip(role), g.body
+                    continue
+                if t is S.Repeat:
+                    g, it, mode = g.body, 0, _HEAD
+                    continue
+                if t is S.Test:
+                    phi = g.cond
+                    if role == DORMANT:
+                        kind, opts, ctx = _TEST, demon.test_options(phi, st), (phi, cl, st)
+                    else:
+                        ok = _holds(phi, st)
+                        if ev is not None:
+                            ev(f"angel-test ({_printed(texts, phi)}) {'pass' if ok else 'fail'}")
+                        if ok:
+                            cl = pair_view(force(cl, st, budget), st, budget)[1]
+                        else:
+                            if memo is not None:
+                                path = (path, "angel-test fail")
+                            bad = AngelViolation(st)
+                        mode = _RET
+                        continue
+                elif t is S.AssignAny:
+                    if role == DORMANT:
+                        kind, opts, ctx = _VALUE, demon.value_options(g.var, st), (g.var, cl, st)
+                    else:
+                        val_cl, cl = pair_view(force(cl, st, budget), st, budget)
+                        v = num_of(val_cl, st, budget)
+                        if ev is not None:
+                            ev(f"angel-value {g.var} {format_rational(v)}")
+                        st, mode = st.set(g.var, v), _RET
+                        continue
+                elif t is S.Choice:
+                    if role == DORMANT:
+                        fst, snd = pair_view(force(cl, st, budget), st, budget)
+                        kind, opts = _BRANCH, demon.branch_options(g, st)
+                        ctx = (g, role, fst, snd, st)
+                    else:
+                        sel, cl = _select(cl, st, budget, "branch")
+                        if ev is not None:
+                            ev(f"angel-branch {'L' if sel == 0 else 'R'}")
+                        g = g.left if sel == 0 else g.right
+                        continue
+                else:
+                    raise TypeError(f"not a game: {g!r}")
+            elif mode == _HEAD:  # the head of loop body g at iteration it
+                outs = None
+                if memo is not None:
+                    key = (memo.node(g)[0], role, it, _state_key(st), memo.closure(cl))
+                    outs = memo.entries.get(key)
+                    if outs is None:
+                        rec = []
+                        todo.append((_DONE, key, rec, None, None))
+                        k = (_MEMO, rec, set(), k, path)
+                if outs is not None:  # replay what the first visit recorded
+                    if k is not None and k[0] == _MEMO:  # less what k has seen
+                        outs = [r for r in outs if r[1] not in k[2]]
+                    kind, opts, ctx = _REPLAY, outs, None
+                else:
+                    budget.tick()
+                    if role == DORMANT:
+                        kind, opts, ctx = _REPEAT, demon.repeat_options(st, it), (g, cl, st, it)
+                    else:
+                        sel, cl = _select(cl, st, budget, "loop")
+                        if ev is not None:
+                            ev(f"angel-loop {'stop' if sel == 0 else 'continue'}")
+                        if sel == 1:
+                            k = (_LOOP, g, 0, k, ACTIVE)
+                        mode = _EVAL if sel == 1 else _RET
+                        continue
+            elif mode == _RET:  # hand the outcome, (st, cl) or bad, to k
+                while k is not None:
+                    tag = k[0]
+                    if tag == _MEMO:
+                        if okey is None:
+                            out = Finished(st, cl) if bad is None else bad
+                            fp = memo.closure(cl) if bad is None else None
+                            okey = (type(out), _state_key(out.state), fp)
+                        if okey in k[2]:  # continues exactly like its first occurrence
+                            break
+                        k[2].add(okey)
+                        k[1].append((out, okey, (path, k[4])))
+                    elif bad is None:
+                        if tag == _SEQ:
+                            g, role, k, mode = k[1], k[2], k[3], _EVAL
+                            break
+                        if tag == _KS:
+                            cl, out, okey = apply_ks(k[1], cl), None, None
+                        else:
+                            g, it, k, role, mode = k[1], k[2], k[3], k[4], _HEAD
+                            break
+                    k = k[3]
+                else:
+                    yield (out or (Finished(st, cl) if bad is None else bad)), path
+                out = okey = None
+                if mode == _RET:
+                    mode = _BACK
+                continue
+            else:  # _BACK: take the latest option not yet taken
+                if not todo:
+                    return
+                kind, opt, ctx, k, path = todo.pop()
+                bad = None
+                if kind == _DONE:  # a loop head's subtree is exhausted
+                    memo.entries.setdefault(opt, ctx)
+                elif kind == _REPLAY:
+                    out, okey, segment = opt
+                    if segment[0] is not segment[1]:
+                        path = (path, segment)
+                    if type(out) is Finished:
+                        st, cl, mode = out.state, out.residual, _RET
+                    else:
+                        bad, mode = out, _RET
+                    continue
+                elif kind == _BRANCH:
+                    path = _move(ev, memo, path, f"demon-branch {opt}")
+                    g, role, fst, snd, st = ctx
+                    g, cl = (g.left, fst) if opt == "L" else (g.right, snd)
+                    mode = _EVAL
+                elif kind == _VALUE:
+                    x, cl, st0 = ctx
+                    if ev is not None or memo is not None:
+                        path = _move(ev, memo, path, f"demon-value {x} {format_rational(opt)}")
+                    st, cl, mode = st0.set(x, opt), app_num(cl, opt, st0, budget), _RET
+                elif kind == _TEST:
+                    phi, cl, st = ctx
+                    if opt != "concede" and not _holds(phi, st):
+                        opt = "false-assert"
+                    if ev is not None:
+                        ev(f"demon-test ({_printed(texts, phi)}) {opt}")
+                    if opt == "assert":
+                        cl = app_rz(cl, _UNIT, st, budget)
+                    else:
+                        if memo is not None:
+                            path = (path, f"demon-test {opt}")
+                        bad = DemonViolation(st)
+                    mode = _RET
+                else:  # _REPEAT
+                    g, cl, st, it = ctx
+                    if ev is not None:
+                        ev(f"demon-loop {'continue' if opt else 'stop'}")
+                    if memo is not None:
+                        path = (path, f"demon-loop {'continue' if opt else 'stop'}@{it}")
+                    post, stream = pair_view(force(cl, st, budget), st, budget)
+                    if opt:
+                        k = (_LOOP, g, it + 1, k, DORMANT)
+                    role, cl, mode = DORMANT, stream if opt else post, _EVAL if opt else _RET
+                continue
+            # a Demon decision: push its options, last first, and take the first
+            for opt in reversed(opts):
+                todo.append((kind, opt, ctx, k, path))
+            mode = _BACK
+    except BudgetExhausted as e:
+        e.path = path
+        raise
+
+
+def _select(cl: Closure, state: State, budget: Budget, what: str):
+    """Angel's 0/1 selector and the continuation paired with it."""
+    sel_cl, cont = pair_view(force(cl, state, budget), state, budget)
+    sel = num_of(sel_cl, state, budget)
+    if sel != 0 and sel != 1:
+        raise IllStructuredRealizer(f"{what} selector {sel} not in {{0,1}}")
+    return sel, cont
+
+
+def _move(ev, memo, path, move: str):
+    if ev is not None:
+        ev(move)
+    return path if memo is None else (path, move)
+
+
+def _trail(path) -> tuple:
+    """The Demon moves on a path, oldest first.  A path is a linked list of
+    (earlier path, move); a replayed segment, (end, start), stands for the
+    moves from path start to path end."""
+    out, todo = [], [(path, None)]
+    while todo:
+        cur, stop = todo.pop()
+        while cur is not stop:
+            cur, move = cur
+            if type(move) is str:
+                out.append(move)
+            else:
+                todo.append((cur, stop))
+                cur, stop = move
+    return tuple(reversed(out))
+
+
+def _printed(texts, phi) -> str:
+    text = texts.get(id(phi))
+    if text is None:
+        text = texts[id(phi)] = print_formula(phi)
+    return text
+
+
+def play(game: Game, role: str, cl: Closure, state: State, demon: DemonOracle,
+         fuel: int = 100_000, tracer: Optional[Tracer] = None):
     """Play one run; returns Finished/AngelViolation/DemonViolation/FuelOut.
     Events are formatted only when a tracer is given."""
     budget = Budget(fuel)
     try:
-        return _play(game, role, cl, state, demon, budget, tracer)
+        return next(_lines(game, role, cl, state, demon, budget, tracer))[0]
     except BudgetExhausted:
         return FuelOut(state)
-
-
-def _play(game, role, cl, state, demon, budget, tr):
-    ks, core = peel_for(cl, game)
-    out = _play_core(game, role, core, state, demon, budget, tr)
-    if ks and isinstance(out, Finished):
-        return Finished(out.state, apply_ks(ks, out.residual))
-    return out
-
-
-def _play_core(game, role, cl, state, demon, budget, tr):
-    budget.tick()
-    match game:
-        case S.Test(cond=phi):
-            if role == ACTIVE:
-                try:
-                    ok = S.eval_fo(phi, state)
-                except TypeError:
-                    raise IllStructuredRealizer(
-                        f"test {print_formula(phi)} is not ground first-order"
-                    )
-                if not ok:
-                    if tr is not None:
-                        tr.emit("angel-test", f"({print_formula(phi)})", "fail")
-                    return AngelViolation(state)
-                if tr is not None:
-                    tr.emit("angel-test", f"({print_formula(phi)})", "pass")
-                _ev, cont = pair_view(force(cl, state, budget), state, budget)
-                return Finished(state, cont)
-            ans = demon.assert_test(phi, state)
-            if ans == "concede":
-                if tr is not None:
-                    tr.emit("demon-test", f"({print_formula(phi)})", "concede")
-                return DemonViolation(state)
-            try:
-                ok = S.eval_fo(phi, state)
-            except TypeError:
-                raise IllStructuredRealizer(
-                    f"test {print_formula(phi)} is not ground first-order"
-                )
-            if not ok:
-                if tr is not None:
-                    tr.emit("demon-test", f"({print_formula(phi)})", "false-assert")
-                return DemonViolation(state)
-            if tr is not None:
-                tr.emit("demon-test", f"({print_formula(phi)})", "assert")
-            token = close(R.Unit())
-            return Finished(state, app_rz(cl, token, state, budget))
-
-        case S.Assign(var=x, term=t):
-            v = S.eval_term(t, state)
-            if tr is not None:
-                tr.emit("assign", x, format_rational(v))
-            return Finished(state.set(x, v), cl)
-
-        case S.AssignAny(var=x):
-            if role == ACTIVE:
-                val_cl, cont = pair_view(force(cl, state, budget), state, budget)
-                v = num_of(val_cl, state, budget)
-                if tr is not None:
-                    tr.emit("angel-value", x, format_rational(v))
-                return Finished(state.set(x, v), cont)
-            v = demon.choose_value(x, state)
-            if tr is not None:
-                tr.emit("demon-value", x, format_rational(v))
-            return Finished(state.set(x, v), app_num(cl, v, state, budget))
-
-        case S.Choice(left=a, right=b):
-            if role == ACTIVE:
-                sel_cl, cont = pair_view(force(cl, state, budget), state, budget)
-                sel = num_of(sel_cl, state, budget)
-                if sel == 0:
-                    if tr is not None:
-                        tr.emit("angel-branch", "L")
-                    return _play(a, role, cont, state, demon, budget, tr)
-                if sel == 1:
-                    if tr is not None:
-                        tr.emit("angel-branch", "R")
-                    return _play(b, role, cont, state, demon, budget, tr)
-                raise IllStructuredRealizer(f"branch selector {sel} not in {{0,1}}")
-            fst, snd = pair_view(force(cl, state, budget), state, budget)
-            which = demon.choose_branch(game, state)
-            if tr is not None:
-                tr.emit("demon-branch", which)
-            return _play(
-                a if which == "L" else b,
-                role,
-                fst if which == "L" else snd,
-                state,
-                demon,
-                budget,
-                tr,
-            )
-
-        case S.Seq(left=a, right=b):
-            out = _play(a, role, cl, state, demon, budget, tr)
-            if not isinstance(out, Finished):
-                return out
-            return _play(b, role, out.residual, out.state, demon, budget, tr)
-
-        case S.Repeat(body=a):
-            if role == ACTIVE:
-                return _active_loop(a, cl, state, demon, budget, tr)
-            return _dormant_loop(a, cl, state, demon, budget, tr)
-
-        case S.Dual(body=a):
-            if tr is not None:
-                tr.emit("swap-roles")
-            return _play(a, flip(role), cl, state, demon, budget, tr)
-
-    raise TypeError(f"not a game: {game!r}")
-
-
-def _active_loop(body, cl, state, demon, budget, tr):
-    while True:
-        budget.tick()
-        sel_cl, cont = pair_view(force(cl, state, budget), state, budget)
-        sel = num_of(sel_cl, state, budget)
-        if sel == 0:
-            if tr is not None:
-                tr.emit("angel-loop", "stop")
-            return Finished(state, cont)
-        if sel != 1:
-            raise IllStructuredRealizer(f"loop selector {sel} not in {{0,1}}")
-        if tr is not None:
-            tr.emit("angel-loop", "continue")
-        out = _play(body, ACTIVE, cont, state, demon, budget, tr)
-        if not isinstance(out, Finished):
-            return out
-        cl, state = out.residual, out.state
-
-
-def _dormant_loop(body, cl, state, demon, budget, tr):
-    iteration = 0
-    while True:
-        budget.tick()
-        if not demon.continue_repeat(state, iteration):
-            if tr is not None:
-                tr.emit("demon-loop", "stop")
-            post, _stream = pair_view(force(cl, state, budget), state, budget)
-            return Finished(state, post)
-        if tr is not None:
-            tr.emit("demon-loop", "continue")
-        _post, stream = pair_view(force(cl, state, budget), state, budget)
-        out = _play(body, DORMANT, stream, state, demon, budget, tr)
-        if not isinstance(out, Finished):
-            return out
-        cl, state = out.residual, out.state
-        iteration += 1
 
 
 # ---------------------------------------------------------------------------
@@ -588,39 +654,35 @@ def strip_assumptions(phi: Formula, cl: Closure, state: State):
     each hypothesis that holds at the state; returns (core, closure) or
     None when a hypothesis fails (the theorem says nothing there)."""
     budget = Budget(10_000)
-    while True:
-        imp = S.split_implies(phi)
-        if imp is None:
-            return phi, cl
-        pre, post = imp
+    while (imp := S.split_implies(phi)) is not None:
+        pre, phi = imp
         try:
             if not S.eval_fo(pre, state):
                 return None
         except TypeError:
             return None
-        cl = app_rz(cl, close(R.Unit()), state, budget)
-        phi = post
+        cl = app_rz(cl, _UNIT, state, budget)
+    return phi, cl
 
 
 def modal_core(phi: Formula):
     """The game modality a theorem ultimately asserts, after peeling
     derived implications: (game, role, post)."""
-    while True:
-        imp = S.split_implies(phi)
-        if imp is not None:
-            phi = imp[1]
-            continue
-        if isinstance(phi, S.Diamond) and not isinstance(phi.game, S.Test):
-            return phi.game, ACTIVE, phi.post
-        if isinstance(phi, S.Box) and not isinstance(phi.game, S.Test):
-            return phi.game, DORMANT, phi.post
-        raise ValueError(f"theorem has no game modality: {phi!r}")
+    while (imp := S.split_implies(phi)) is not None:
+        phi = imp[1]
+    if isinstance(phi, S.Diamond) and not isinstance(phi.game, S.Test):
+        return phi.game, ACTIVE, phi.post
+    if isinstance(phi, S.Box):  # not a test: that would be an implication
+        return phi.game, DORMANT, phi.post
+    raise ValueError(f"theorem has no game modality: {phi!r}")
 
 
 @dataclass(frozen=True)
 class DemonMenu:
     """Finite adversary menus: values per nondeterministic assignment and a
-    cap on Demon-controlled repetition depth."""
+    cap on Demon-controlled repetition depth.  As a demon it offers every
+    option not dominated: at a test only the honest answer, since a false
+    assertion and a conceded true test both lose for Demon on the spot."""
 
     values: dict
     repeat_depth: int = 8
@@ -631,6 +693,18 @@ class DemonMenu:
             raise NoMenuValues(f"no menu values for {var} := *")
         return [parse_rational(str(v)) for v in vals]
 
+    def value_options(self, var: str, state: State):
+        return self.values_for(var)
+
+    def branch_options(self, game: Game, state: State):
+        return ("L", "R")
+
+    def test_options(self, phi: Formula, state: State):
+        return ("assert",) if _holds(phi, state) else ("concede",)
+
+    def repeat_options(self, state: State, iteration: int):
+        return (False, True) if iteration < self.repeat_depth else (False,)
+
 
 @dataclass(frozen=True)
 class CounterExample:
@@ -639,16 +713,8 @@ class CounterExample:
     trace: tuple
 
 
-def verify_exhaustive(
-    game: Game,
-    role: str,
-    cl: Closure,
-    init_states,
-    post: Formula,
-    menu: DemonMenu,
-    fuel: int = 2_000_000,
-    require_finished: bool = False,
-):
+def verify_exhaustive(game: Game, role: str, cl: Closure, init_states, post: Formula,
+                      menu: DemonMenu, fuel: int = 2_000_000, require_finished: bool = False):
     """AllWin check: every Demon line ends in DemonViolation or a Finished
     state satisfying post.  Returns None, or a CounterExample.
 
@@ -657,23 +723,13 @@ def verify_exhaustive(
     fuel, so fuel bounds the work of the unmemoized search from above."""
     memo = _Transpositions()
     for st in init_states:
-        budget = Budget(fuel)
-        trail = []
         try:
-            for out in _explore(game, role, cl, st, menu, budget, trail, memo):
-                bad = None
-                if isinstance(out, Finished):
-                    if not S.eval_fo(post, out.state):
-                        bad = out
-                elif isinstance(out, DemonViolation):
-                    if require_finished:
-                        bad = out
-                else:
-                    bad = out
-                if bad is not None:
-                    return CounterExample(st, bad, tuple(trail))
-        except BudgetExhausted:
-            return CounterExample(st, FuelOut(st), tuple(trail))
+            for out, path in _lines(game, role, cl, st, menu, Budget(fuel), None, memo):
+                if (not S.eval_fo(post, out.state) if type(out) is Finished
+                        else require_finished or type(out) is not DemonViolation):
+                    return CounterExample(st, out, _trail(path))
+        except BudgetExhausted as e:
+            return CounterExample(st, FuelOut(st), _trail(e.path))
     return None
 
 
@@ -684,16 +740,16 @@ def _state_key(state: State):
 
 
 class _Transpositions:
-    """The explorer's transposition table, alive for one verify call.
+    """The machine's transposition table, alive for one verify call.
 
     What a loop head's subtree yields depends only on the loop body, the
     role, the state, the iteration, and what the closure can observe: its
     realizer and the environment entries named in it (realizer variables,
     and term variables that `_overlay` would shadow; closure values count
-    by their own fingerprint).  The first visit of such a key explores the
-    subtree; later visits replay its distinct outcomes, each with the
-    trail suffix of its first line.  Outcomes are distinct when type,
-    state and residual fingerprint differ; a repeat continues exactly
+    by their own fingerprint).  The first visit of such a key records the
+    subtree's distinct outcomes, each with the path of its first line;
+    later visits replay them and spend no fuel.  Outcomes are distinct when
+    type, state and residual fingerprint differ; a repeat continues exactly
     like its first occurrence, so it can never be the first losing line.
 
     Realizers, syntax and closures are hash-consed to small integers
@@ -705,7 +761,7 @@ class _Transpositions:
     __slots__ = ("entries", "_ids", "_canon")
 
     def __init__(self):
-        self.entries = {}  # head key -> ([(outcome, trail suffix)], error)
+        self.entries = {}  # head key -> [(outcome, outcome key, (path, head path))]
         self._ids = {}  # id(x) -> (x, number, names x can read)
         self._canon = {}  # structural key -> number
 
@@ -748,184 +804,3 @@ class _Transpositions:
         fp = self._canon.setdefault((num, tuple(seen)), len(self._canon))
         self._ids[id(cl)] = (cl, fp, ())
         return fp
-
-    def explore(self, key, trail, lines):
-        """The distinct outcomes of one loop head's subtree.  The generator
-        `lines` explores it on the first visit; later visits replay the
-        record and leave `lines` unstarted.  An exception the subtree
-        raised is re-raised after the outcomes that preceded it; a
-        fuel-out or an abandoned visit records nothing."""
-        base = len(trail)
-        entry = self.entries.get(key)
-        if entry is not None:
-            outs, err = entry
-            for out, suffix in outs:
-                trail.extend(suffix)
-                yield out
-                del trail[base:]
-            if err is not None:
-                raise err
-            return
-        outs, seen = [], set()
-        try:
-            for out in lines:
-                if type(out) is Finished:
-                    k = (Finished, _state_key(out.state), self.closure(out.residual))
-                else:
-                    k = (type(out), _state_key(out.state))
-                if k not in seen:
-                    seen.add(k)
-                    outs.append((out, tuple(trail[base:])))
-                    yield out
-        except BudgetExhausted:
-            raise
-        except Exception as err:
-            self.entries.setdefault(key, (outs, err))
-            raise
-        self.entries.setdefault(key, (outs, None))
-
-
-def _explore(game, role, cl, state, menu, budget, trail, memo) -> Iterator:
-    ks, core = peel_for(cl, game)
-    if not ks:
-        yield from _explore_core(game, role, core, state, menu, budget, trail, memo)
-        return
-    for out in _explore_core(game, role, core, state, menu, budget, trail, memo):
-        if isinstance(out, Finished):
-            yield Finished(out.state, apply_ks(ks, out.residual))
-        else:
-            yield out
-
-
-def _explore_core(game, role, cl, state, menu, budget, trail, memo) -> Iterator:
-    match game:
-        case S.Test(cond=phi):
-            try:
-                holds = S.eval_fo(phi, state)
-            except TypeError:
-                raise IllStructuredRealizer(
-                    f"test condition is not ground first-order: {phi!r}"
-                )
-            if role == ACTIVE:
-                if not holds:
-                    trail.append("angel-test fail")
-                    yield AngelViolation(state)
-                    trail.pop()
-                    return
-                _ev, cont = pair_view(force(cl, state, budget), state, budget)
-                yield Finished(state, cont)
-                return
-            # Demon asserts iff the test holds; a false assertion or a
-            # concession are both early Angel wins
-            if not holds:
-                trail.append("demon-test concede")
-                yield DemonViolation(state)
-                trail.pop()
-                return
-            token = close(R.Unit())
-            yield Finished(state, app_rz(cl, token, state, budget))
-            return
-
-        case S.Assign(var=x, term=t):
-            yield Finished(state.set(x, S.eval_term(t, state)), cl)
-            return
-
-        case S.AssignAny(var=x):
-            if role == ACTIVE:
-                val_cl, cont = pair_view(force(cl, state, budget), state, budget)
-                v = num_of(val_cl, state, budget)
-                yield Finished(state.set(x, v), cont)
-                return
-            for v in menu.values_for(x):
-                trail.append(f"demon-value {x} {format_rational(v)}")
-                yield Finished(state.set(x, v), app_num(cl, v, state, budget))
-                trail.pop()
-            return
-
-        case S.Choice(left=a, right=b):
-            if role == ACTIVE:
-                sel_cl, cont = pair_view(force(cl, state, budget), state, budget)
-                sel = num_of(sel_cl, state, budget)
-                if sel not in (0, 1):
-                    raise IllStructuredRealizer(f"branch selector {sel}")
-                sub = a if sel == 0 else b
-                yield from _explore(sub, role, cont, state, menu, budget, trail, memo)
-                return
-            fst, snd = pair_view(force(cl, state, budget), state, budget)
-            trail.append("demon-branch L")
-            yield from _explore(a, role, fst, state, menu, budget, trail, memo)
-            trail.pop()
-            trail.append("demon-branch R")
-            yield from _explore(b, role, snd, state, menu, budget, trail, memo)
-            trail.pop()
-            return
-
-        case S.Seq(left=a, right=b):
-            for out in _explore(a, role, cl, state, menu, budget, trail, memo):
-                if isinstance(out, Finished):
-                    yield from _explore(
-                        b, role, out.residual, out.state, menu, budget, trail, memo
-                    )
-                else:
-                    yield out
-            return
-
-        case S.Repeat(body=a):
-            yield from _explore_loop(a, role, cl, state, menu, budget, trail, memo, 0)
-            return
-
-        case S.Dual(body=a):
-            yield from _explore(a, flip(role), cl, state, menu, budget, trail, memo)
-            return
-
-    raise TypeError(f"not a game: {game!r}")
-
-
-def _explore_loop(body, role, cl, state, menu, budget, trail, memo, iteration):
-    """A loop head, looked up in the transposition table.  Only Demon's
-    repetitions are capped, so only they count iterations; Angel's loop
-    stays at iteration 0."""
-    key = (memo.node(body)[0], role, iteration, _state_key(state), memo.closure(cl))
-    if role == ACTIVE:
-        lines = _explore_active_loop(body, cl, state, menu, budget, trail, memo)
-    else:
-        lines = _explore_dormant_loop(body, cl, state, menu, budget, trail, memo, iteration)
-    return memo.explore(key, trail, lines)
-
-
-def _explore_active_loop(body, cl, state, menu, budget, trail, memo):
-    budget.tick()
-    sel_cl, cont = pair_view(force(cl, state, budget), state, budget)
-    sel = num_of(sel_cl, state, budget)
-    if sel == 0:
-        yield Finished(state, cont)
-        return
-    if sel != 1:
-        raise IllStructuredRealizer(f"loop selector {sel}")
-    for out in _explore(body, ACTIVE, cont, state, menu, budget, trail, memo):
-        if isinstance(out, Finished):
-            yield from _explore_loop(
-                body, ACTIVE, out.residual, out.state, menu, budget, trail, memo, 0
-            )
-        else:
-            yield out
-
-
-def _explore_dormant_loop(body, cl, state, menu, budget, trail, memo, iteration):
-    budget.tick()
-    post, stream = pair_view(force(cl, state, budget), state, budget)
-    trail.append(f"demon-loop stop@{iteration}")
-    yield Finished(state, post)
-    trail.pop()
-    if iteration >= menu.repeat_depth:
-        return
-    trail.append(f"demon-loop continue@{iteration}")
-    for out in _explore(body, DORMANT, stream, state, menu, budget, trail, memo):
-        if isinstance(out, Finished):
-            yield from _explore_loop(
-                body, DORMANT, out.residual, out.state, menu, budget, trail, memo,
-                iteration + 1,
-            )
-        else:
-            yield out
-    trail.pop()

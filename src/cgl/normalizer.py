@@ -254,7 +254,7 @@ class _FreeVars(dict):
         return P.free_pvars(m, self)
 
     def subst(self, body: ProofTerm, p: str, arg: ProofTerm) -> ProofTerm:
-        return P.subst_pt(body, p, arg, self(arg))
+        return P.subst_pt(body, p, arg, self(arg), self)
 
 
 def _fresh_pvar(base, fv, *terms):

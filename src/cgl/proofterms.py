@@ -409,10 +409,10 @@ def free_pvars(m: ProofTerm, memo=None) -> frozenset[str]:
     for name, scope in _pt_scopes(type(m)):
         v = getattr(m, name)
         if v is not None:
-            # `scope` holds binder *field* names ("hyp", ...), not the names
-            # they bind: bound names stay in the set, and a free name spelled
-            # like such a field drops out of it (ROADMAP item 1)
-            out |= free_pvars(v, memo) - frozenset(scope)
+            inner = free_pvars(v, memo)
+            if scope:
+                inner = inner - {getattr(m, h) for h in scope}
+            out |= inner
     if memo is not None:
         memo[id(m)] = (out, m)
     return out
@@ -485,18 +485,20 @@ def all_pvar_names(m: ProofTerm) -> frozenset[str]:
     return frozenset(out)
 
 
-def subst_pt(m: ProofTerm, p: str, n: ProofTerm, fv_n=None) -> ProofTerm:
+def subst_pt(m: ProofTerm, p: str, n: ProofTerm, fv_n=None, memo=None) -> ProofTerm:
     """Capture-avoiding substitution of proof term n for proof variable p.
 
     Crossing a binder that re-binds a program variable x with recorded ghost
     y renames x and y inside the substituted copy, so hypotheses formed
-    before the binding keep referring to the old value.  `fv_n`, when
-    given, is `free_pvars(n)`.  Subterms the substitution leaves unchanged
-    are shared with m, not copied.
+    before the binding keep referring to the old value.  The copy is
+    renamed only where p occurs, once per chain of binders crossed.
+    `fv_n`, when given, is `free_pvars(n)`; `memo` is a `free_pvars` memo.
+    Subterms the substitution leaves unchanged are shared with m, not
+    copied.
     """
     if fv_n is None:
         fv_n = free_pvars(n)
-    return _subst_pt(m, p, n, fv_n)
+    return _subst_pt(m, p, n, fv_n, {} if memo is None else memo, None, {})
 
 
 _PT_SCOPES = {}  # class -> ((proof-term field, binder fields scoping it), ...)
@@ -514,29 +516,40 @@ def _pt_scopes(cls):
     return spec
 
 
-def _subst_pt(m: ProofTerm, p: str, n: ProofTerm, fv_n) -> ProofTerm:
+def _renamed(n: ProofTerm, moved, copies) -> ProofTerm:
+    """n renamed through the binders `moved`, a linked list (x, ghost,
+    outer binders); `copies` holds each chain's copy for one substitution."""
+    if moved is None:
+        return n
+    hit = copies.get(id(moved))
+    if hit is None:
+        x, y, outer = moved
+        hit = copies[id(moved)] = (rename_pt(_renamed(n, outer, copies), x, y), moved)
+    return hit[0]
+
+
+def _subst_pt(m: ProofTerm, p: str, n: ProofTerm, fv_n, memo, moved, copies) -> ProofTerm:
     cls = type(m)
     if cls is PVar:
-        return n if m.name == p else m
+        return _renamed(n, moved, copies) if m.name == p else m
     if cls is Split:
         return m
-
-    # adjust the substituted copy when crossing program-variable binders
-    if cls in (Asgn, TCons, Unpack, NumLam):
-        n = rename_pt(n, m.var, m.ghost)
 
     renames = {}
     # alpha-vary binders that would capture free proof variables of n
     for h, targets in _PVAR_BINDERS.get(cls, ()):
         b = getattr(m, h)
         if b in fv_n and any(
-            p in free_pvars(getattr(m, t)) - {b} for t in targets
+            p in free_pvars(getattr(m, t), memo) - {b} for t in targets
         ):
             avoid = set(fv_n) | {b}
             for t in targets:
                 avoid |= all_pvar_names(getattr(m, t))
             renames[h] = (b, fresh_pvar(b, avoid))
 
+    # crossing a program-variable binder adjusts the substituted copy
+    if cls in (Asgn, TCons, Unpack, NumLam):
+        moved = (m.var, m.ghost, moved)
     updates = {}
     for name, scope in _pt_scopes(cls):
         old = v = getattr(m, name)
@@ -546,11 +559,11 @@ def _subst_pt(m: ProofTerm, p: str, n: ProofTerm, fv_n) -> ProofTerm:
         for h in scope:
             if h in renames:
                 b, new = renames[h]
-                v = _subst_pt(v, b, PVar(new), frozenset((new,)))
+                v = _subst_pt(v, b, PVar(new), frozenset((new,)), memo, None, {})
             elif getattr(m, h) == p:
                 shadowed = True
         if not shadowed:
-            v = _subst_pt(v, p, n, fv_n)
+            v = _subst_pt(v, p, n, fv_n, memo, moved, copies)
         if v is not old:
             updates[name] = v
     for h, (_, new) in renames.items():

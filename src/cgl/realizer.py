@@ -45,18 +45,6 @@ class Snd(Realizer):
 
 
 @dataclass(frozen=True, slots=True)
-class StateLam(Realizer):
-    """Defers the body to the play-time state (forcing is state-aware)."""
-
-    body: Realizer
-
-
-@dataclass(frozen=True, slots=True)
-class AppState(Realizer):
-    fn: Realizer
-
-
-@dataclass(frozen=True, slots=True)
 class NumLamR(Realizer):
     var: str
     body: Realizer
@@ -144,8 +132,8 @@ class Decide(Realizer):
 _CLASSES = {
     cls.__name__: cls
     for cls in (
-        Unit, Pair, Fst, Snd, StateLam, AppState, NumLamR, AppNum, ProofLam,
-        AppRz, TermVal, IfTerm, Ind, Gen, RVar, Compose, Decide,
+        Unit, Pair, Fst, Snd, NumLamR, AppNum, ProofLam, AppRz, TermVal, IfTerm,
+        Ind, Gen, RVar, Compose, Decide,
     )
 }
 

@@ -242,6 +242,9 @@ def split_implies(phi: Formula):
 # State and term evaluation
 
 
+_ZERO = Fraction(0)
+
+
 class State:
     """Total valuation of program variables, default 0, functional update."""
 
@@ -252,18 +255,26 @@ class State:
         for k, v in list(self._vals.items()):
             self._vals[k] = Fraction(v)
 
+    @staticmethod
+    def of(vals: dict) -> "State":
+        """The state over `vals`, taken as is: each value already a
+        Fraction, and the dict not changed afterwards."""
+        st = object.__new__(State)
+        st._vals = vals
+        return st
+
     def get(self, x: str) -> Rational:
-        return self._vals.get(x, Fraction(0))
+        return self._vals.get(x, _ZERO)
 
     def set(self, x: str, v) -> "State":
-        new = dict(self._vals)
-        new[x] = Fraction(v)
-        return State(new)
+        new = self._vals.copy()
+        new[x] = v if type(v) is Fraction else Fraction(v)
+        return State.of(new)
 
     def swap(self, x: str, y: str) -> "State":
-        new = dict(self._vals)
+        new = self._vals.copy()
         new[x], new[y] = self.get(y), self.get(x)
-        return State(new)
+        return State.of(new)
 
     def vars(self):
         return set(self._vals)
@@ -545,7 +556,6 @@ def eval_fo(phi: Formula, state: State) -> bool:
 # ---------------------------------------------------------------------------
 # Compiled evaluators (plays re-evaluate the same small terms constantly)
 
-_ZERO = Fraction(0)
 _term_fns: dict = {}
 _fo_fns: dict = {}
 

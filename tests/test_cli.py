@@ -1,5 +1,6 @@
 """Command-line contract: exit codes, diagnostics, goldens."""
 
+import hashlib
 import json
 
 from cgl.cli import corpus_path, main
@@ -75,6 +76,8 @@ def test_play_golden_trace(capsys):
     assert code1 == 0 and out1 == out2
     assert out1.splitlines()[-1].endswith("holds")
     assert "demon-loop" in out1
+    # recorded before play and verify shared one machine
+    assert hashlib.sha256(out1.encode()).hexdigest()[:16] == "67238fd4061012e8"
 
 
 def test_play_reports_goal(capsys):

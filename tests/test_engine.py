@@ -1,6 +1,7 @@
 """Gameplay interpreter: single plays, oracles, exhaustive verification,
 and the trace-level semantic properties."""
 
+import hashlib
 import time
 from fractions import Fraction
 
@@ -305,6 +306,9 @@ def test_corrupted_nim_strategy_yields_counterexample(all_theorems):
     cex = verify_exhaustive(game, role, stripped[1], [st], post, menu)
     assert cex is not None
     assert len(cex.trace) <= 40
+    # recorded before play and verify shared one machine
+    assert _cex_record(cex) == ("State(c=9)", "Finished", "State(c=7)", (
+        "demon-loop continue@0", "demon-branch L", "demon-loop stop@1"))
 
 
 # -- exhaustive verification with the transposition table ----------------------
@@ -470,28 +474,35 @@ def test_counterexample_trails_replay_as_plays(rng):
     assert replayed >= 100
 
 
-def test_table_replays_outcomes_and_errors_without_fuel():
+def test_table_replays_outcomes_and_errors_without_fuel(all_theorems):
+    # a second visit of explored loop heads replays their outcomes and
+    # trails and spends no fuel on them
+    game, role, cl, st = _nim(all_theorems, "dNim", 29)
+    memo, menu = E._Transpositions(), DemonMenu({}, 12)
+
+    def lines():
+        budget = E.Budget(10**6)
+        outs = [(type(o), o.state, E._trail(path))
+                for o, path in E._lines(game, role, cl, st, menu, budget, None, memo)]
+        return outs, 10**6 - budget.left
+
+    first, spent = lines()
+    again, respent = lines()
+    assert again == first and len(first) == 11 and spent > 500
+    assert respent == 1  # the Repeat node itself; its loop head is replayed
+
+    # an error inside a loop head's subtree ends the call after the
+    # outcomes before it, and the unfinished head records nothing
+    body = S.AssignAny("y")
+    gen = R.Gen(R.Unit(), "v", R.NumLamR("n", R.Unit()), R.Unit(), body)
     memo = E._Transpositions()
-    budget = E.Budget(3)
-    a, b = Finished(State({"x": 1}), close(R.Unit())), AngelViolation(State())
-    boom = E.IllStructuredRealizer("boom")
-
-    def lines(trail):
-        for out, move in ((a, "L"), (b, "R"), (a, "L")):  # a repeats
-            budget.tick()
-            trail.append(move)
-            yield out
-            trail.pop()
-        raise boom
-
-    for _ in range(2):
-        trail, seen = ["head"], []
-        with pytest.raises(E.IllStructuredRealizer) as err:
-            for out in memo.explore("key", trail, lines(trail)):
-                seen.append((out, tuple(trail)))
-        assert err.value is boom
-        assert seen == [(a, ("head", "L")), (b, ("head", "R"))]
-    assert budget.left == 0  # three ticks on the first visit, none on the replay
+    outs = E._lines(S.Repeat(body), DORMANT, close(gen), State(), DemonMenu({}, 2),
+                    E.Budget(100), None, memo)
+    out, path = next(outs)
+    assert type(out) is Finished and E._trail(path) == ("demon-loop stop@0",)
+    with pytest.raises(E.NoMenuValues):
+        next(outs)
+    assert memo.entries == {}
 
 
 def test_untraced_play_formats_nothing(monkeypatch):
@@ -504,3 +515,96 @@ def test_untraced_play_formats_nothing(monkeypatch):
     rz = R.NumLamR("n", R.Pair(R.Unit(), R.Unit()))
     out = play(game, ACTIVE, close(rz), State(), ScriptedDemon(["3/2"]))
     assert isinstance(out, Finished) and out.state.get("y") == Fraction(3, 2)
+
+
+# -- traces and counterexamples pinned on the two-interpreter engine -----------
+#
+# Recorded before play and verify shared one machine; each must stay equal.
+
+
+def _events_digest(events):
+    return hashlib.sha256("\n".join(events).encode()).hexdigest()[:16]
+
+
+_NIM_MOVES = {1: ["L"], 2: ["R", "L"], 3: ["R", "R"]}  # c-1 ++ (c-2 ++ c-3)
+
+
+def _nim_moves(n, last=None):
+    ks = [(7 * i) % 3 + 1 for i in range(n)]
+    if last is not None:
+        ks[-1] = last
+    return ks
+
+
+PINNED_PLAYS = {
+    # name: (start state, demon script, (outcome, end state, events, digest))
+    "dNim": (State({"c": 201}),
+             [d for k in _nim_moves(50) for d in ("continue", *_NIM_MOVES[k], "assert")]
+             + ["stop"],
+             ("Finished", "State(c=1)", 468, "f0f1bc7fe442d5ff")),
+    "aNim": (State({"c": 200}),
+             [d for k in _nim_moves(50, last=1) for d in (*_NIM_MOVES[k], "assert")],
+             ("Finished", "State(c=4)", 458, "41d1588cc09ba593")),
+    "dCake": (State(), ["1/3", "assert"], ("Finished", "State(a=1/3, d=2/3, x=1/3, y=2/3)", 8,
+                                         "c5312625cbc4af19")),
+    "aCake": (State(), ["R"], ("Finished", "State(a=1/2, d=1/2, x=1/2, y=1/2)", 8,
+                                  "d1b9c13d17b8b1aa")),
+    "signFlip": (State(), ["-7/2"], ("Finished", "State(x=7/2)", 4, "5348d60a81da886d")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_PLAYS))
+def test_pinned_play_traces(all_theorems, name):
+    st, script, want = PINNED_PLAYS[name]
+    phi, proof = all_theorems[name]
+    core, cl = strip_assumptions(phi, close(extract(proof, phi, checked=True)), st)
+    game, role, _ = modal_core(core)
+    tr = Tracer()
+    out = play(game, role, cl, st, ScriptedDemon(script), tracer=tr)
+    got = (type(out).__name__, repr(out.state), len(tr.events), _events_digest(tr.events))
+    assert got == want, tr.events[:12]
+
+
+def _cex_record(cex):
+    if cex is None:
+        return None
+    return (repr(cex.state), type(cex.outcome).__name__, repr(cex.outcome.state), cex.trace)
+
+
+def test_pinned_counterexample_records(all_theorems, rng):
+    # the counterexamples the tests above only inspect in part, in full
+    game = S.Seq(S.Dual(S.AssignAny("x")), S.Test(S.Cmp(x, ">", L(0))))
+    rz = R.NumLamR("n", R.Pair(R.Unit(), R.Unit()))
+    cex = verify_exhaustive(game, ACTIVE, close(rz), [State()], S.TRUE,
+                            DemonMenu(values={"x": ["1", "-1"]}, repeat_depth=4))
+    assert _cex_record(cex) == ("State()", "AngelViolation", "State(x=-1)",
+                                ("demon-value x -1", "angel-test fail"))
+
+    # every verdict of the random loop games the trail-replay test explores
+    menu = DemonMenu({v: ["1", "-1/2"] for v in ("x", "y", "z", "c")}, 3)
+    h, kinds = hashlib.sha256(), {}
+    for _ in range(400):
+        game = S.Repeat(rand_game(rng, 2)) if rng.random() < 0.5 else rand_game(rng, 3)
+        role = rng.choice([ACTIVE, DORMANT])
+        rz = suitable(rng, game, role)
+        st = rand_state(rng)
+        post = S.Cmp(rng.choice((x, y, c)), rng.choice(S.REL_OPS), S.Lit(rand_rational(rng)))
+        try:
+            cex = verify_exhaustive(game, role, close(rz), [st], post, menu,
+                                    fuel=20_000, require_finished=rng.random() < 0.3)
+            rec = _cex_record(cex)
+        except E.IllStructuredRealizer as e:
+            rec = ("error", str(e))
+        kind = "none" if rec is None else rec[0] if rec[0] == "error" else rec[1]
+        kinds[kind] = kinds.get(kind, 0) + 1
+        h.update(f"{rec!r}\n".encode())
+    assert (kinds, h.hexdigest()[:16]) == (
+        {"none": 179, "Finished": 163, "AngelViolation": 47, "DemonViolation": 11},
+        "0ece1c0f1d3517c2")
+
+
+def test_verify_at_repeat_depth_1000(all_theorems):
+    # about 3^1000 lines; loop depth must not reach Python's recursion limit
+    game, role, cl, st = _nim(all_theorems, "dNim", 4001)
+    cex = verify_exhaustive(game, role, cl, [st], MOD4_IS_1, DemonMenu({}, 1000))
+    assert cex is None

@@ -125,3 +125,33 @@ def test_alpha_eq_ghosts():
     assert P.alpha_eq(a, b)
     c = P.Asgn("y", "g1", "h", P.QE(S.Cmp(x, "=", S.Var("g1")), None), P.DIA)
     assert not P.alpha_eq(a, c)  # the assigned variable is rigid
+
+
+def test_subst_does_not_capture_binder_named_like_a_field():
+    # the bound name "hyp" is also the Lam field's name; the argument's
+    # free hyp must stay free after substitution
+    arg = P.Lam("z", S.TRUE, P.PVar("hyp"))
+    out = P.subst_pt(P.Lam("hyp", S.TRUE, P.PVar("a")), "a", arg)
+    assert out.hyp != "hyp" and out.body == arg
+    assert P.free_pvars(out) == {"hyp"}
+    assert P.free_pvars(P.Lam("hyp", S.TRUE, P.PVar("hyp"))) == frozenset()
+
+
+def test_subst_copies_argument_only_where_variable_occurs(monkeypatch):
+    # 50 assignments that never mention p: nothing to rename, m returned as is
+    def tree(d):
+        return P.PVar("leaf") if d == 0 else P.DPair(tree(d - 1), tree(d - 1))
+
+    arg = tree(7)  # 255 nodes
+    m = P.PVar("q")
+    for i in range(50):
+        m = P.Asgn("x", f"x{i}", f"h{i}", m, P.DIA)
+    visits = []
+    rename = P.rename_pt
+    monkeypatch.setattr(P, "rename_pt", lambda t, a, b: visits.append(t) or rename(t, a, b))
+    assert P.subst_pt(m, "p", arg) is m
+    assert visits == []
+    # where p does occur, the argument is renamed once per binder crossed
+    inner = P.Asgn("x", "x0", "h", P.PVar("p"), P.DIA)
+    out = P.subst_pt(P.Asgn("x", "x1", "k", inner, P.DIA), "p", P.QE(S.Cmp(x, ">", L(0)), None))
+    assert out.body.body.goal == S.Cmp(S.Var("x1"), ">", L(0))
