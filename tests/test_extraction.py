@@ -1,7 +1,10 @@
 """Strategy extraction: shapes, witnesses, decided disjuncts, and
 observational agreement with normalization."""
 
+import hashlib
+import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -164,3 +167,53 @@ def test_check_and_extract_share_one_oracle(all_theorems, monkeypatch):
     phi, proof = all_theorems["dNim"]
     extract(proof, phi)
     assert len(made) == 1
+
+
+# -- parity pin: the realizer of every corpus theorem -----------------------
+
+_FRESH = re.compile(r"\b(loop|t|fp|z)#\d+")
+
+
+def realizer_digest(rz) -> str:
+    """sha256 of the realizer's JSON, with extraction's fresh names
+    (`loop#n`, `t#n`, `fp#n`, `z#n`) renumbered in order of first
+    occurrence, so only their allocation order may move."""
+    text = json.dumps(realizer_to_json(rz), sort_keys=True)
+    seen = {}
+
+    def canon(mo):
+        return f"{mo.group(1)}#{seen.setdefault(mo.group(0), len(seen) + 1)}"
+
+    return hashlib.sha256(_FRESH.sub(canon, text).encode()).hexdigest()[:16]
+
+
+REALIZER_DIGESTS = {
+    "dNim": "f2528bc9e375fa02",
+    "aNim": "73a2da853e98a84f",
+    "aCake": "64b89d2e10003c7f",
+    "dCake": "e2d4c74cd0b3d17f",
+    "witPlus": "28a6d13cd4c89942",
+    "witAbs": "2a77abf667547f89",
+    "witMax": "30450bfc84dcab54",
+    "pairProj": "24bd695173f4c16c",
+    "applyId": "86a583174484d66e",
+    "instForall": "d1a96eb0c0e204a9",
+    "monAssign": "d49d5efc94ad38c8",
+    "unrollRep": "9013be059b84b295",
+    "projChain": "3552a0713603cb27",
+    "forCounter": "8177f39e457214f7",
+    "splitDemo": "a9734d7641e9c8fc",
+    "decDemo": "582acb96ed50bbe4",
+    "absFold": "6242c3a04ab75ee5",
+    "fpTrivial": "c139a7159eff2dea",
+    "rcaseTrivial": "25c7d150c50654fc",
+    "ghostRemember": "fde8b0c1cbeb567a",
+    "signFlip": "17bf5da25b92074b",
+    "raceLoop": "0a9f6ec6dcdb40c0",
+}
+
+
+def test_corpus_realizers_pinned(all_theorems):
+    got = {name: realizer_digest(extract(proof, phi))
+           for name, (phi, proof) in all_theorems.items()}
+    assert got == REALIZER_DIGESTS
