@@ -1,4 +1,5 @@
-"""Syntax-directed proof checking for game formulas.
+"""Syntax-directed proof checking for game formulas, elaborating each
+checked proof into its strategy realizer.
 
 `check` decides the judgment  ctx |- M : phi  by recursion over the proof
 term; elimination forms synthesize their principal formula, introduction
@@ -6,17 +7,35 @@ forms consume the expected one.  Monotonicity needs the postcondition of
 its scrutinee under a known game prefix, which `_synth_post` infers by
 peeling a stack of games.
 
+The same pass builds the realizer, one per calculus rule as in the
+paper's soundness proof (bidirectional elaboration): `_check` returns the
+realizer of its proof, `_synth` a (formula, realizer) pair, and
+`_synth_post` the postcondition with a builder `(var, k) -> realizer`
+that pushes a weakening continuation `k` into the residual positions of
+the scrutinee's strategy, the way the conversion rules push it through
+proofs.  Only a scrutinee whose strategy is not known statically (headed
+by a variable or an application) and fixed-point recursion keep a
+run-time composition node, tagged with the games it plays.  For a `mon`
+in synthesis position, whose scrutinee's game is known only once the
+scrutinee is synthesized, `_synth` also returns that builder.
+Hypothesis evidence consumed only by oracle payloads is erased to units;
+oracle leaves become unit evidence or decision trees over comparisons.
+
 First-order leaves (FO / Dec / split) are discharged by the arithmetic
-oracle; every failure names the offending subterm by path.
+oracle; every failure names the offending subterm by path.  All mutable
+state (ghost and fresh-name counters) lives in one `_Elaboration` per
+call, so a `Checker` holds only its oracle.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Optional
 
 from . import proofterms as P
+from . import realizer as R
 from . import syntax as S
-from .oracle import REFUTED, VALID, ArithOracle
+from .oracle import REFUTED, VALID, ArithOracle, exists_witness
 from .proofterms import Context, ProofTerm
 from .syntax import Formula, Game
 
@@ -48,6 +67,11 @@ class CheckError(Exception):
         return out
 
 
+class UncheckedInput(Exception):
+    """No realizer: the checker rejects the proof, or an oracle leaf it
+    accepts has no closed witness."""
+
+
 def _fmt(x) -> str:
     from .printer import print_formula, print_game
 
@@ -70,34 +94,108 @@ def succ_formula(bigger: S.Term, smaller: S.Term) -> Formula:
     return conj(ge1, ge0)
 
 
+def realizer_of_formula(phi: Formula, oracle: ArithOracle) -> R.Realizer:
+    """Evidence for an oracle-certified first-order fact: units for
+    comparisons, pairs for conjunctions, decision trees for disjunctions."""
+    if isinstance(phi, S.Cmp):
+        return R.Unit()
+    disj = S.split_or(phi)
+    if disj is not None:
+        l, r = disj
+        return R.IfTerm(
+            l,
+            _tagged(0, R.Pair(realizer_of_formula(l, oracle), R.Unit())),
+            _tagged(1, R.Pair(realizer_of_formula(r, oracle), R.Unit())),
+        )
+    both = S.split_and(phi)
+    if both is not None:
+        l, r = both
+        return R.Pair(realizer_of_formula(l, oracle), realizer_of_formula(r, oracle))
+    imp = S.split_implies(phi)
+    if imp is not None:
+        pre, post = imp
+        return R.ProofLam("_", pre, realizer_of_formula(post, oracle))
+    if isinstance(phi, S.Box) and isinstance(phi.game, S.AssignAny):
+        return R.NumLamR(phi.game.var, realizer_of_formula(phi.post, oracle))
+    if isinstance(phi, S.Diamond) and isinstance(phi.game, S.AssignAny):
+        cand = exists_witness(oracle, phi)
+        if cand is None:
+            raise UncheckedInput(f"no closed witness for oracle-certified {phi!r}")
+        inst = S.subst_term(phi.post, phi.game.var, cand)
+        return R.Pair(R.TermVal(cand), realizer_of_formula(inst, oracle))
+    raise UncheckedInput(f"cannot realize non-first-order {phi!r}")
+
+
+def _tagged(i: int, rz: R.Realizer) -> R.Realizer:
+    """A choice of branch i (0 left / stop, 1 right / go) with its evidence."""
+    return R.Pair(R.TermVal(S.lit(i)), rz)
+
+
+def _pushed(push, rz: R.Realizer, phi: Formula):
+    """`push`, or, for a strategy not known statically, a run-time
+    composition with the continuation after phi's first game."""
+    return push or (lambda var, k: R.Compose(rz, var, k, (phi.game,)))
+
+
+def _split_rz(f: S.Term, g: S.Term) -> R.Realizer:
+    ev = R.Pair(R.Unit(), R.Unit())
+    return R.IfTerm(S.Cmp(f, "<=", g), _tagged(0, ev), _tagged(1, ev))
+
+
 class Checker:
+    """Checks proofs with one oracle; each call elaborates afresh, so a
+    Checker may be shared (its oracle's memo is the only state)."""
+
     def __init__(self, oracle: Optional[ArithOracle] = None):
         self.oracle = oracle or ArithOracle()
-        self._ghost_counter = 0
 
-    # -- public entry points ------------------------------------------------
-
-    def check(self, ctx: Context, m: ProofTerm, phi: Formula) -> None:
-        """Raises CheckError unless ctx |- m : phi."""
-        self._ghost_counter = 0
-        self._check(ctx, m, phi, ())
+    def check(self, ctx: Context, m: ProofTerm, phi: Formula) -> R.Realizer:
+        """The realizer of m; raises CheckError unless ctx |- m : phi, and
+        UncheckedInput if an accepted oracle leaf has no closed witness."""
+        return elaborate(ctx, m, phi, self.oracle)
 
     def check_result(self, ctx: Context, m: ProofTerm, phi: Formula):
+        """The CheckError, or None when ctx |- m : phi."""
         try:
-            self.check(ctx, m, phi)
-            return None
+            _Elaboration(self.oracle, True)._check(ctx, m, phi, ())
         except CheckError as e:
             return e
+        return None
 
     def synth(self, ctx: Context, m: ProofTerm) -> Formula:
-        self._ghost_counter = 0
-        return self._synth(ctx, m, ())
+        return _Elaboration(self.oracle, True)._synth(ctx, m, ())[0]
+
+
+def elaborate(ctx: Context, m: ProofTerm, phi: Formula, oracle: ArithOracle,
+              gated: bool = True) -> R.Realizer:
+    """Check m against phi and return its realizer.  With gated=False the
+    caller vouches for the proof: the structural checks still run, but
+    no oracle query decides a leaf or a loop metric."""
+    el = _Elaboration(oracle, gated)
+    rz = el._check(ctx, m, phi, ())
+    if el.unrealized is not None:
+        raise UncheckedInput(el.unrealized)
+    return rz
+
+
+class _Elaboration:
+    """One checking pass: the oracle, whether its gates run, and the
+    counters for ghost and fresh realizer names."""
+
+    def __init__(self, oracle: ArithOracle, gated: bool):
+        self.oracle = oracle
+        self.gated = gated
+        self._ghosts = itertools.count(1)
+        self._names = itertools.count(1)
+        self.unrealized: Optional[str] = None  # why some accepted leaf has no realizer
 
     # -- helpers -------------------------------------------------------------
 
     def _fresh_ghost(self, base: str) -> str:
-        self._ghost_counter += 1
-        return f"{base}~{self._ghost_counter}"
+        return f"{base}~{next(self._ghosts)}"
+
+    def _fresh(self, base: str) -> str:
+        return f"{base}#{next(self._names)}"
 
     def _expect(self, cond, kind, path, msg):
         if not cond:
@@ -119,6 +217,8 @@ class Checker:
         return out
 
     def _oracle_gate(self, rho: Optional[Formula], goal: Formula, path, who: str):
+        if not self.gated:
+            return
         res = self.oracle.decide(rho, goal)
         if res.status == VALID:
             return
@@ -138,16 +238,26 @@ class Checker:
             reason=res.reason,
         )
 
+    def _leaf(self, ctx: Context, goal: Formula, payload, path, who: str) -> R.Realizer:
+        """Discharge an oracle leaf and realize its goal."""
+        rho = self._payload_formula(ctx, payload, path)
+        self._oracle_gate(rho, goal, path, who)
+        try:
+            return realizer_of_formula(goal, self.oracle)
+        except UncheckedInput as e:
+            self.unrealized = self.unrealized or str(e)
+            return R.Unit()
+
     # -- checking ------------------------------------------------------------
 
-    def _check(self, ctx: Context, m: ProofTerm, phi: Formula, path) -> None:
+    def _check(self, ctx: Context, m: ProofTerm, phi: Formula, path) -> R.Realizer:
         match m:
             case P.PVar(name=p):
                 got = ctx.lookup(p)
                 if got is None:
                     raise CheckError(UNBOUND, path, f"unbound hypothesis {p}")
                 self._same(got, phi, path, f"hypothesis {p}")
-                return
+                return R.RVar(p)
 
             case P.Lam(hyp=p, ann=ann, body=body):
                 imp = S.split_implies(phi)
@@ -157,8 +267,9 @@ class Checker:
                     )
                 pre, post = imp
                 self._same(ann, pre, path, "lambda annotation")
-                self._check(ctx.extend(p, pre), body, post, path + ("body",))
-                return
+                return R.ProofLam(
+                    p, ann, self._check(ctx.extend(p, pre), body, post, path + ("body",))
+                )
 
             case P.NumLam(var=x, ghost=y, body=body):
                 if not (isinstance(phi, S.Box) and isinstance(phi.game, S.AssignAny)):
@@ -170,8 +281,9 @@ class Checker:
                     f"binds {x} but goal binds {phi.game.var}",
                 )
                 self._ghost_ok(y, ctx, (phi.post,), (), path)
-                self._check(ctx.rename_vars(x, y), body, phi.post, path + ("body",))
-                return
+                return R.NumLamR(
+                    x, self._check(ctx.rename_vars(x, y), body, phi.post, path + ("body",))
+                )
 
             case P.DPair(fst=a, snd=b):
                 both = S.split_and(phi)
@@ -180,9 +292,10 @@ class Checker:
                         RULE_MISMATCH, path, f"pair needs a diamond-test goal, got {_fmt(phi)}"
                     )
                 l, r = both
-                self._check(ctx, a, l, path + ("fst",))
-                self._check(ctx, b, r, path + ("snd",))
-                return
+                return R.Pair(
+                    self._check(ctx, a, l, path + ("fst",)),
+                    self._check(ctx, b, r, path + ("snd",)),
+                )
 
             case P.BPair(fst=a, snd=b):
                 if not (isinstance(phi, S.Box) and isinstance(phi.game, S.Choice)):
@@ -190,28 +303,31 @@ class Checker:
                         RULE_MISMATCH, path, f"box-pair needs [a++b], got {_fmt(phi)}"
                     )
                 g = phi.game
-                self._check(ctx, a, S.Box(g.left, phi.post), path + ("fst",))
-                self._check(ctx, b, S.Box(g.right, phi.post), path + ("snd",))
-                return
+                return R.Pair(
+                    self._check(ctx, a, S.Box(g.left, phi.post), path + ("fst",)),
+                    self._check(ctx, b, S.Box(g.right, phi.post), path + ("snd",)),
+                )
 
             case P.InjL(arg=a):
                 if not (isinstance(phi, S.Diamond) and isinstance(phi.game, S.Choice)):
                     raise CheckError(
                         RULE_MISMATCH, path, f"inl needs <a++b>, got {_fmt(phi)}"
                     )
-                self._check(ctx, a, S.Diamond(phi.game.left, phi.post), path + ("arg",))
-                return
+                return _tagged(0, self._check(
+                    ctx, a, S.Diamond(phi.game.left, phi.post), path + ("arg",)
+                ))
 
             case P.InjR(arg=a):
                 if not (isinstance(phi, S.Diamond) and isinstance(phi.game, S.Choice)):
                     raise CheckError(
                         RULE_MISMATCH, path, f"inr needs <a++b>, got {_fmt(phi)}"
                     )
-                self._check(ctx, a, S.Diamond(phi.game.right, phi.post), path + ("arg",))
-                return
+                return _tagged(1, self._check(
+                    ctx, a, S.Diamond(phi.game.right, phi.post), path + ("arg",)
+                ))
 
             case P.Case(scrut=a, left=l, bleft=bl, right=r, bright=br):
-                sphi = self._synth(ctx, a, path + ("scrut",))
+                sphi, a_rz, _ = self._synth(ctx, a, path + ("scrut",))
                 if not (isinstance(sphi, S.Diamond) and isinstance(sphi.game, S.Choice)):
                     raise CheckError(
                         RULE_MISMATCH, path + ("scrut",),
@@ -219,22 +335,22 @@ class Checker:
                     )
                 lphi = S.Diamond(sphi.game.left, sphi.post)
                 rphi = S.Diamond(sphi.game.right, sphi.post)
-                self._check(ctx.extend(l, lphi), bl, phi, path + ("left",))
-                self._check(ctx.extend(r, rphi), br, phi, path + ("right",))
-                return
+                l_rz = self._check(ctx.extend(l, lphi), bl, phi, path + ("left",))
+                r_rz = self._check(ctx.extend(r, rphi), br, phi, path + ("right",))
+                return R.Decide(a_rz, l, l_rz, r, r_rz)
 
             case P.RCase(scrut=a, svar=s, sbody=bs, gvar=g, gbody=bg):
-                sphi = self._synth(ctx, a, path + ("scrut",))
+                sphi, a_rz, _ = self._synth(ctx, a, path + ("scrut",))
                 if not (isinstance(sphi, S.Diamond) and isinstance(sphi.game, S.Repeat)):
                     raise CheckError(
                         RULE_MISMATCH, path + ("scrut",),
                         f"rcase scrutinee must prove <a*>, got {_fmt(sphi)}",
                     )
                 body = sphi.game.body
-                self._check(ctx.extend(s, sphi.post), bs, phi, path + ("stop",))
+                s_rz = self._check(ctx.extend(s, sphi.post), bs, phi, path + ("stop",))
                 gphi = S.Diamond(body, sphi)
-                self._check(ctx.extend(g, gphi), bg, phi, path + ("go",))
-                return
+                g_rz = self._check(ctx.extend(g, gphi), bg, phi, path + ("go",))
+                return R.Decide(a_rz, s, s_rz, g, g_rz)
 
             case P.TCons(var=x, ghost=y, hyp=p, witness=f, body=body):
                 if not (isinstance(phi, S.Diamond) and isinstance(phi.game, S.AssignAny)):
@@ -247,13 +363,13 @@ class Checker:
                 )
                 self._ghost_ok(y, ctx, (phi.post,), (f,), path)
                 hyp = S.Cmp(S.Var(x), "=", S.rename(f, x, y))
-                self._check(
+                inner = self._check(
                     ctx.rename_vars(x, y).extend(p, hyp), body, phi.post, path + ("body",)
                 )
-                return
+                return R.Pair(R.TermVal(f), R.subst_rvar(inner, p, R.Unit()))
 
             case P.Unpack(var=x, ghost=y, hyp=p, scrut=a, body=body):
-                sphi = self._synth(ctx, a, path + ("scrut",))
+                sphi, a_rz, _ = self._synth(ctx, a, path + ("scrut",))
                 if not (
                     isinstance(sphi, S.Diamond) and isinstance(sphi.game, S.AssignAny)
                 ):
@@ -270,10 +386,10 @@ class Checker:
                     f"{x} must not be free in the conclusion {_fmt(phi)}",
                 )
                 self._ghost_ok(y, ctx, (phi,), (), path)
-                self._check(
+                inner = self._check(
                     ctx.rename_vars(x, y).extend(p, sphi.post), body, phi, path + ("body",)
                 )
-                return
+                return R.subst_rvar(inner, p, R.Snd(a_rz))
 
             case P.Asgn(var=x, ghost=y, hyp=p, body=body, flavor=fl):
                 game, post = self._modality(phi, fl, path, "assignment")
@@ -284,10 +400,10 @@ class Checker:
                     )
                 self._ghost_ok(y, ctx, (post, phi), (game.term,), path)
                 hyp = S.Cmp(S.Var(x), "=", S.rename(game.term, x, y))
-                self._check(
+                inner = self._check(
                     ctx.rename_vars(x, y).extend(p, hyp), body, post, path + ("body",)
                 )
-                return
+                return R.subst_rvar(inner, p, R.Unit())
 
             case P.SeqI(body=body, flavor=fl):
                 game, post = self._modality(phi, fl, path, "sequencing")
@@ -297,8 +413,7 @@ class Checker:
                     )
                 inner = (S.Diamond if fl == P.DIA else S.Box)(game.right, post)
                 outer = (S.Diamond if fl == P.DIA else S.Box)(game.left, inner)
-                self._check(ctx, body, outer, path + ("body",))
-                return
+                return self._check(ctx, body, outer, path + ("body",))
 
             case P.Swap(body=body, flavor=fl):
                 game, post = self._modality(phi, fl, path, "dualizing")
@@ -307,53 +422,57 @@ class Checker:
                         RULE_MISMATCH, path, f"dual proof against {_fmt(game)}"
                     )
                 inner = (S.Box if fl == P.DIA else S.Diamond)(game.body, post)
-                self._check(ctx, body, inner, path + ("body",))
-                return
+                return self._check(ctx, body, inner, path + ("body",))
 
             case P.Stop(body=body):
                 if not (isinstance(phi, S.Diamond) and isinstance(phi.game, S.Repeat)):
                     raise CheckError(
                         RULE_MISMATCH, path, f"stop needs <a*>, got {_fmt(phi)}"
                     )
-                self._check(ctx, body, phi.post, path + ("body",))
-                return
+                return _tagged(0, self._check(ctx, body, phi.post, path + ("body",)))
 
             case P.Go(body=body):
                 if not (isinstance(phi, S.Diamond) and isinstance(phi.game, S.Repeat)):
                     raise CheckError(
                         RULE_MISMATCH, path, f"go needs <a*>, got {_fmt(phi)}"
                     )
-                self._check(
+                return _tagged(1, self._check(
                     ctx, body, S.Diamond(phi.game.body, phi), path + ("body",)
-                )
-                return
+                ))
 
             case P.For():
-                self._check_for(ctx, m, phi, path)
-                return
+                return self._check_for(ctx, m, phi, path)
 
             case P.FP(scrut=a, svar=s, sbody=bs, gvar=g, gbody=bg):
-                sphi = self._synth(ctx, a, path + ("scrut",))
+                sphi, a_rz, _ = self._synth(ctx, a, path + ("scrut",))
                 if not (isinstance(sphi, S.Diamond) and isinstance(sphi.game, S.Repeat)):
                     raise CheckError(
                         RULE_MISMATCH, path + ("scrut",),
                         f"fp scrutinee must prove <a*>, got {_fmt(sphi)}",
                     )
-                self._check(Context({s: sphi.post}), bs, phi, path + ("stop",))
-                gphi = S.Diamond(sphi.game.body, phi)
-                self._check(Context({g: gphi}), bg, phi, path + ("go",))
-                return
+                body_game = sphi.game.body
+                s_rz = self._check(Context({s: sphi.post}), bs, phi, path + ("stop",))
+                gphi = S.Diamond(body_game, phi)
+                g_rz = self._check(Context({g: gphi}), bg, phi, path + ("go",))
+                # the go branch's evidence for <a>phi runs a step, then recurses
+                w, z = self._fresh("fp"), self._fresh("z")
+                again = R.Compose(R.RVar(g), z, R.AppRz(R.RVar(w), R.RVar(z)), (body_game,))
+                loop = R.Ind(w, R.ProofLam(
+                    "*fp-arg*", S.TRUE,
+                    R.Decide(R.RVar("*fp-arg*"), s, s_rz, g, R.subst_rvar(g_rz, g, again)),
+                ))
+                return R.AppRz(loop, a_rz)
 
             case P.Rep(hyp=p, init=init, body=body, done=done, inv=inv):
                 if not (isinstance(phi, S.Box) and isinstance(phi.game, S.Repeat)):
                     raise CheckError(
                         RULE_MISMATCH, path, f"rep needs [a*], got {_fmt(phi)}"
                     )
-                self._check(ctx, init, inv, path + ("init",))
+                init_rz = self._check(ctx, init, inv, path + ("init",))
                 step_goal = S.Box(phi.game.body, inv)
-                self._check(Context({p: inv}), body, step_goal, path + ("step",))
-                self._check(Context({p: inv}), done, phi.post, path + ("post",))
-                return
+                step_rz = self._check(Context({p: inv}), body, step_goal, path + ("step",))
+                post_rz = self._check(Context({p: inv}), done, phi.post, path + ("post",))
+                return R.Gen(init_rz, p, step_rz, post_rz, phi.game.body)
 
             case P.Roll(body=body):
                 if not (isinstance(phi, S.Box) and isinstance(phi.game, S.Repeat)):
@@ -361,8 +480,7 @@ class Checker:
                         RULE_MISMATCH, path, f"roll needs [a*], got {_fmt(phi)}"
                     )
                 unrolled = conj(phi.post, S.Box(phi.game.body, phi))
-                self._check(ctx, body, unrolled, path + ("body",))
-                return
+                return self._check(ctx, body, unrolled, path + ("body",))
 
             case P.Mon(scrut=a, hyp=p, body=body):
                 if not isinstance(phi, (S.Diamond, S.Box)):
@@ -370,21 +488,19 @@ class Checker:
                         RULE_MISMATCH, path, f"mon needs a modal goal, got {_fmt(phi)}"
                     )
                 fl = P.DIA if isinstance(phi, S.Diamond) else P.BOX
-                mid = self._synth_post(
+                mid, build = self._synth_post(
                     ctx, a, [phi.game], fl, path + ("scrut",),
                     _modal_spine(phi.post),
                 )
                 renamed = self._rename_ctx(ctx, phi.game)
-                self._check(
+                n_rz = self._check(
                     renamed.extend(p, mid), body, phi.post, path + ("body",)
                 )
-                return
+                return build(p, n_rz)
 
             case P.QE(goal=goal, payload=payload):
                 self._same(goal, phi, path, "FO conclusion")
-                rho = self._payload_formula(ctx, payload, path)
-                self._oracle_gate(rho, goal, path, "FO")
-                return
+                return self._leaf(ctx, goal, payload, path, "FO")
 
             case P.Dec(goal=goal, payload=payload):
                 if S.split_or(phi) is None:
@@ -392,14 +508,12 @@ class Checker:
                         RULE_MISMATCH, path, f"Dec needs a disjunction, got {_fmt(phi)}"
                     )
                 self._same(goal, phi, path, "Dec conclusion")
-                rho = self._payload_formula(ctx, payload, path)
-                self._oracle_gate(rho, goal, path, "Dec")
-                return
+                return self._leaf(ctx, goal, payload, path, "Dec")
 
             case P.Split(left=f, right=g):
                 want = S.Or(S.Cmp(f, "<=", g), S.Cmp(f, ">", g))
                 self._same(phi, want, path, "split conclusion")
-                return
+                return _split_rz(f, g)
 
             case P.Ghost(var=x, term=f, hyp=p, body=body):
                 bad = {x} & (set(ctx.free_vars()) | set(S.free_vars(phi)) | set(S.free_vars(f)))
@@ -407,10 +521,10 @@ class Checker:
                     not bad, FRESHNESS, path,
                     f"ghost {x} must be fresh for the context, goal, and term",
                 )
-                self._check(
+                inner = self._check(
                     ctx.extend(p, S.Cmp(S.Var(x), "=", f)), body, phi, path + ("body",)
                 )
-                return
+                return R.AppNum(R.NumLamR(x, R.subst_rvar(inner, p, R.Unit())), f)
 
             case P.Unroll(body=body):
                 # accept the unfolding shape top-down so the loop's game is
@@ -425,20 +539,19 @@ class Checker:
                         and later.post.game.body == later.game
                         and later.post.post == now
                     ):
-                        self._check(ctx, body, later.post, path + ("body",))
-                        return
-                got = self._synth(ctx, m, path)
+                        return self._check(ctx, body, later.post, path + ("body",))
+                got, rz, _ = self._synth(ctx, m, path)
                 self._same(got, phi, path)
-                return
+                return rz
 
             case P.App() | P.NumApp() | P.Proj1() | P.Proj2():
-                got = self._synth(ctx, m, path)
+                got, rz, _ = self._synth(ctx, m, path)
                 self._same(got, phi, path)
-                return
+                return rz
 
         raise CheckError(RULE_MISMATCH, path, f"cannot check {type(m).__name__}")
 
-    def _check_for(self, ctx: Context, m: P.For, phi: Formula, path) -> None:
+    def _check_for(self, ctx: Context, m: P.For, phi: Formula, path) -> R.Realizer:
         if not (isinstance(phi, S.Diamond) and isinstance(phi.game, S.Repeat)):
             raise CheckError(RULE_MISMATCH, path, f"for needs <a*>, got {_fmt(phi)}")
         game = phi.game.body
@@ -459,38 +572,58 @@ class Checker:
         zero_or_ge1 = S.Or(
             S.Cmp(metric, "=", S.lit(0)), S.Cmp(metric, ">=", S.lit(1))
         )
-        res = self.oracle.decide(inv, zero_or_ge1)
-        if res.status != VALID:
-            raise CheckError(
-                METRIC_ILL_FORMED,
-                path,
-                f"invariant does not pin the metric to {{0}} or >=1: {_fmt(S.Implies(inv, zero_or_ge1))}",
-                reason=res.reason,
-            )
-        self._check(ctx, m.init, inv, path + ("init",))
+        if self.gated:
+            res = self.oracle.decide(inv, zero_or_ge1)
+            if res.status != VALID:
+                raise CheckError(
+                    METRIC_ILL_FORMED,
+                    path,
+                    f"invariant does not pin the metric to {{0}} or >=1: {_fmt(S.Implies(inv, zero_or_ge1))}",
+                    reason=res.reason,
+                )
+        init_rz = self._check(ctx, m.init, inv, path + ("init",))
         m0v = S.Var(m0)
         step_hyp = conj(S.Cmp(m0v, "=", metric), S.Cmp(metric, ">=", S.lit(1)))
-        step_goal = S.Diamond(game, conj(inv, succ_formula(m0v, metric)))
-        self._check(
-            Context({m.hyp: inv, m.mhyp: step_hyp}), m.body, step_goal, path + ("step",)
+        step_post = conj(inv, succ_formula(m0v, metric))
+        # the step plays one round of the loop body, then its residual
+        # evidence for the invariant feeds the next round
+        got, step = self._synth_post(
+            Context({m.hyp: inv, m.mhyp: step_hyp}), m.body, [game], P.DIA,
+            path + ("step",), _modal_spine(step_post),
         )
+        self._same(got, step_post, path + ("step",), "loop step postcondition")
         done_hyp = S.Cmp(metric, "=", S.lit(0))
-        self._check(
+        done_rz = self._check(
             Context({m.hyp: inv, m.mhyp: done_hyp}), m.done, phi.post, path + ("post",)
         )
+        w, t = self._fresh("loop"), self._fresh("t")
+        body_rz = step(t, R.AppRz(R.RVar(w), R.Fst(R.RVar(t))))
+        loop = R.Ind(w, R.ProofLam(m.hyp, inv, R.IfTerm(
+            S.Cmp(metric, "=", S.lit(0)),
+            _tagged(0, R.subst_rvar(done_rz, m.mhyp, R.Unit())),
+            R.AppNum(R.NumLamR(m0, _tagged(1, R.subst_rvar(
+                body_rz, m.mhyp, R.Pair(R.Unit(), R.Unit())
+            ))), metric),
+        )))
+        return R.AppRz(loop, init_rz)
 
     # -- synthesis -----------------------------------------------------------
 
-    def _synth(self, ctx: Context, m: ProofTerm, path) -> Formula:
+    def _synth(self, ctx: Context, m: ProofTerm, path):
+        """(the formula m proves, its realizer, push).  `push` is a builder
+        `(var, k) -> realizer` as `_synth_post` makes for the formula's
+        first game, or None where it would compose at run time: a `mon` in
+        synthesis position learns its scrutinee's game only here, and
+        pushes its body through this builder."""
         match m:
             case P.PVar(name=p):
                 got = ctx.lookup(p)
                 if got is None:
                     raise CheckError(UNBOUND, path, f"unbound hypothesis {p}")
-                return got
+                return got, R.RVar(p), None
 
             case P.App(fn=fn, arg=arg):
-                fphi = self._synth(ctx, fn, path + ("fn",))
+                fphi, f_rz, _ = self._synth(ctx, fn, path + ("fn",))
                 imp = S.split_implies(fphi)
                 if imp is None:
                     raise CheckError(
@@ -498,11 +631,10 @@ class Checker:
                         f"application head must prove a test-box, got {_fmt(fphi)}",
                     )
                 pre, post = imp
-                self._check(ctx, arg, pre, path + ("arg",))
-                return post
+                return post, R.AppRz(f_rz, self._check(ctx, arg, pre, path + ("arg",))), None
 
             case P.NumApp(fn=fn, term=f):
-                fphi = self._synth(ctx, fn, path + ("fn",))
+                fphi, f_rz, _ = self._synth(ctx, fn, path + ("fn",))
                 if not (isinstance(fphi, S.Box) and isinstance(fphi.game, S.AssignAny)):
                     raise CheckError(
                         RULE_MISMATCH, path + ("fn",),
@@ -510,121 +642,130 @@ class Checker:
                     )
                 x = fphi.game.var
                 try:
-                    return S.subst_term(fphi.post, x, f)
+                    return S.subst_term(fphi.post, x, f), R.AppNum(f_rz, f), None
                 except S.InadmissibleSubstitution as e:
                     raise CheckError(INADMISSIBLE, path, str(e)) from None
 
             case P.Proj1(arg=a):
-                sphi = self._synth(ctx, a, path + ("arg",))
+                sphi, a_rz, _ = self._synth(ctx, a, path + ("arg",))
                 both = S.split_and(sphi)
                 if both is not None:
-                    return both[0]
+                    return both[0], R.Fst(a_rz), None
                 if isinstance(sphi, S.Box) and isinstance(sphi.game, S.Choice):
-                    return S.Box(sphi.game.left, sphi.post)
+                    return S.Box(sphi.game.left, sphi.post), R.Fst(a_rz), None
                 raise CheckError(
                     RULE_MISMATCH, path, f"projection from non-pair {_fmt(sphi)}"
                 )
 
             case P.Proj2(arg=a):
-                sphi = self._synth(ctx, a, path + ("arg",))
+                sphi, a_rz, _ = self._synth(ctx, a, path + ("arg",))
                 both = S.split_and(sphi)
                 if both is not None:
-                    return both[1]
+                    return both[1], R.Snd(a_rz), None
                 if isinstance(sphi, S.Box) and isinstance(sphi.game, S.Choice):
-                    return S.Box(sphi.game.right, sphi.post)
+                    return S.Box(sphi.game.right, sphi.post), R.Snd(a_rz), None
                 raise CheckError(
                     RULE_MISMATCH, path, f"projection from non-pair {_fmt(sphi)}"
                 )
 
             case P.Unroll(body=body):
-                sphi = self._synth(ctx, body, path + ("body",))
+                sphi, rz, _ = self._synth(ctx, body, path + ("body",))
                 if not (isinstance(sphi, S.Box) and isinstance(sphi.game, S.Repeat)):
                     raise CheckError(
                         RULE_MISMATCH, path, f"unroll from non-loop {_fmt(sphi)}"
                     )
-                return conj(sphi.post, S.Box(sphi.game.body, sphi))
+                return conj(sphi.post, S.Box(sphi.game.body, sphi)), rz, None
 
             case P.Lam(hyp=p, ann=ann, body=body):
-                post = self._synth(ctx.extend(p, ann), body, path + ("body",))
-                return S.Implies(ann, post)
+                post, rz, _ = self._synth(ctx.extend(p, ann), body, path + ("body",))
+                return S.Implies(ann, post), R.ProofLam(p, ann, rz), (
+                    lambda var, k: R.ProofLam(p, ann, R.subst_rvar(k, var, rz))
+                )
 
             case P.NumLam(var=x, ghost=y, body=body):
                 self._ghost_ok(y, ctx, (), (), path)
-                post = self._synth(
+                post, rz, _ = self._synth(
                     ctx.rename_vars(x, y), body, path + ("body",)
                 )
                 self._expect(
                     y not in S.free_vars(post), FRESHNESS, path,
                     f"ghost {y} escapes into {_fmt(post)}",
                 )
-                return S.Box(S.AssignAny(x), post)
+                return S.Box(S.AssignAny(x), post), R.NumLamR(x, rz), (
+                    lambda var, k: R.NumLamR(x, R.subst_rvar(k, var, rz))
+                )
 
             case P.DPair(fst=a, snd=b):
-                return conj(
-                    self._synth(ctx, a, path + ("fst",)),
-                    self._synth(ctx, b, path + ("snd",)),
+                aphi, a_rz, _ = self._synth(ctx, a, path + ("fst",))
+                bphi, b_rz, _ = self._synth(ctx, b, path + ("snd",))
+                return conj(aphi, bphi), R.Pair(a_rz, b_rz), (
+                    lambda var, k: R.Pair(a_rz, R.subst_rvar(k, var, b_rz))
                 )
 
             case P.QE(goal=goal, payload=payload):
-                rho = self._payload_formula(ctx, payload, path)
-                self._oracle_gate(rho, goal, path, "FO")
-                return goal
+                return goal, self._leaf(ctx, goal, payload, path, "FO"), None
 
             case P.Dec(goal=goal, payload=payload):
-                rho = self._payload_formula(ctx, payload, path)
-                self._oracle_gate(rho, goal, path, "Dec")
-                return goal
+                return goal, self._leaf(ctx, goal, payload, path, "Dec"), None
 
             case P.Split(left=f, right=g):
-                return S.Or(S.Cmp(f, "<=", g), S.Cmp(f, ">", g))
+                return S.Or(S.Cmp(f, "<=", g), S.Cmp(f, ">", g)), _split_rz(f, g), None
 
             case P.Ghost(var=x, term=f, hyp=p, body=body):
                 bad = {x} & (set(ctx.free_vars()) | set(S.free_vars(f)))
                 self._expect(
                     not bad, FRESHNESS, path, f"ghost {x} must be fresh"
                 )
-                post = self._synth(
+                post, inner, _ = self._synth(
                     ctx.extend(p, S.Cmp(S.Var(x), "=", f)), body, path + ("body",)
                 )
                 self._expect(
                     x not in S.free_vars(post), FRESHNESS, path,
                     f"ghost {x} escapes into {_fmt(post)}",
                 )
-                return post
+                return post, R.AppNum(R.NumLamR(x, R.subst_rvar(inner, p, R.Unit())), f), None
 
             case P.Mon(scrut=a, hyp=p, body=body):
-                sphi = self._synth(ctx, a, path + ("scrut",))
+                sphi, a_rz, a_push = self._synth(ctx, a, path + ("scrut",))
                 if not isinstance(sphi, (S.Diamond, S.Box)):
                     raise CheckError(
                         RULE_MISMATCH, path + ("scrut",),
                         f"mon scrutinee must be modal, got {_fmt(sphi)}",
                     )
                 renamed = self._rename_ctx(ctx, sphi.game)
-                post = self._synth(
+                post, n_rz, _ = self._synth(
                     renamed.extend(p, sphi.post), body, path + ("body",)
                 )
-                return type(sphi)(sphi.game, post)
+                first = _pushed(a_push, a_rz, sphi)
+                return type(sphi)(sphi.game, post), first(p, n_rz), (
+                    lambda var, k: first(p, R.subst_rvar(k, var, n_rz))
+                )
 
             case P.Case(scrut=a, left=l, bleft=bl, right=r, bright=br):
-                sphi = self._synth(ctx, a, path + ("scrut",))
+                sphi, a_rz, _ = self._synth(ctx, a, path + ("scrut",))
                 if not (isinstance(sphi, S.Diamond) and isinstance(sphi.game, S.Choice)):
                     raise CheckError(
                         RULE_MISMATCH, path + ("scrut",),
                         f"case scrutinee must prove <a++b>, got {_fmt(sphi)}",
                     )
-                lphi = self._synth(
+                lphi, l_rz, l_push = self._synth(
                     ctx.extend(l, S.Diamond(sphi.game.left, sphi.post)), bl,
                     path + ("left",),
                 )
-                rphi = self._synth(
+                rphi, r_rz, r_push = self._synth(
                     ctx.extend(r, S.Diamond(sphi.game.right, sphi.post)), br,
                     path + ("right",),
                 )
                 self._same(rphi, lphi, path, "case join")
-                return lphi
+                return lphi, R.Decide(a_rz, l, l_rz, r, r_rz), (
+                    lambda var, k: R.Decide(
+                        a_rz, l, _pushed(l_push, l_rz, lphi)(var, k),
+                        r, _pushed(r_push, r_rz, rphi)(var, k),
+                    )
+                )
 
             case P.Unpack(var=x, ghost=y, hyp=p, scrut=a, body=body):
-                sphi = self._synth(ctx, a, path + ("scrut",))
+                sphi, a_rz, _ = self._synth(ctx, a, path + ("scrut",))
                 if not (
                     isinstance(sphi, S.Diamond) and isinstance(sphi.game, S.AssignAny)
                 ):
@@ -632,14 +773,14 @@ class Checker:
                         RULE_MISMATCH, path + ("scrut",),
                         f"unpack scrutinee must prove <x:=*>, got {_fmt(sphi)}",
                     )
-                post = self._synth(
+                post, inner, _ = self._synth(
                     ctx.rename_vars(x, y).extend(p, sphi.post), body, path + ("body",)
                 )
                 self._expect(
                     x not in S.free_vars(post) and y not in S.free_vars(post),
                     FRESHNESS, path, f"unpacked variable escapes into {_fmt(post)}",
                 )
-                return post
+                return post, R.subst_rvar(inner, p, R.Snd(a_rz)), None
 
         raise CheckError(
             RULE_MISMATCH, path, f"cannot infer a formula for {type(m).__name__}"
@@ -648,12 +789,15 @@ class Checker:
     def _payload_formula(self, ctx: Context, payload, path) -> Optional[Formula]:
         if payload is None:
             return None
-        return self._synth(ctx, payload, path + ("payload",))
+        return self._synth(ctx, payload, path + ("payload",))[0]
 
     # -- game-directed postcondition synthesis --------------------------------
 
-    def _synth_post(self, ctx: Context, m: ProofTerm, stack, fl, path, hints=()) -> Formula:
-        """Infer psi with  ctx |- m : Mod(stack[0], Mod(stack[1], ... psi)).
+    def _synth_post(self, ctx: Context, m: ProofTerm, stack, fl, path, hints=()):
+        """Infer psi with  ctx |- m : Mod(stack[0], Mod(stack[1], ... psi)),
+        and a builder `(var, k) -> realizer` of m that plays the games on
+        the stack and then runs k with the residual evidence (for psi)
+        bound to var.
 
         When the stack runs dry on a constructor whose game cannot be read
         off the term (conversion reducts land here), `hints` -- the modal
@@ -662,9 +806,14 @@ class Checker:
         if not stack:
             if hints and type(m) in _NEEDS_GAME:
                 (hfl, hgame), hrest = hints[0], hints[1:]
-                inner = self._synth_post(ctx, m, [hgame], hfl, path, hrest)
-                return (S.Diamond if hfl == P.DIA else S.Box)(hgame, inner)
-            return self._synth(ctx, m, path)
+                inner, build = self._synth_post(ctx, m, [hgame], hfl, path, hrest)
+                mod = S.Diamond if hfl == P.DIA else S.Box
+                # m's own realizer is the builder run with the identity
+                return mod(hgame, inner), (
+                    lambda var, k: R.subst_rvar(k, var, build(var, R.RVar(var)))
+                )
+            got, rz, _ = self._synth(ctx, m, path)
+            return got, lambda var, k: R.subst_rvar(k, var, rz)
         game = stack[0]
         rest = stack[1:]
         mod = S.Diamond if fl == P.DIA else S.Box
@@ -691,34 +840,38 @@ class Checker:
                 )
 
             case P.DPair(fst=a, snd=b) if fl == P.DIA and isinstance(game, S.Test):
-                self._check(ctx, a, game.cond, path + ("fst",))
-                return self._synth_post(ctx, b, rest, fl, path + ("snd",), hints)
+                ev = self._check(ctx, a, game.cond, path + ("fst",))
+                post, build = self._synth_post(ctx, b, rest, fl, path + ("snd",), hints)
+                return post, lambda var, k: R.Pair(ev, build(var, k))
 
             case P.Lam(hyp=p, ann=ann, body=body) if fl == P.BOX and isinstance(game, S.Test):
                 self._same(ann, game.cond, path, "lambda annotation")
-                return self._synth_post(
+                post, build = self._synth_post(
                     ctx.extend(p, ann), body, rest, fl, path + ("body",), hints
                 )
+                return post, lambda var, k: R.ProofLam(p, ann, build(var, k))
 
             case P.BPair(fst=a, snd=b) if fl == P.BOX and isinstance(game, S.Choice):
-                l = self._synth_post(
+                l, bl = self._synth_post(
                     ctx, a, [game.left] + rest, fl, path + ("fst",), hints
                 )
-                r = self._synth_post(
+                r, br = self._synth_post(
                     ctx, b, [game.right] + rest, fl, path + ("snd",), hints
                 )
                 self._same(r, l, path, "box-pair join")
-                return l
+                return l, lambda var, k: R.Pair(bl(var, k), br(var, k))
 
             case P.InjL(arg=a) if fl == P.DIA and isinstance(game, S.Choice):
-                return self._synth_post(
+                post, build = self._synth_post(
                     ctx, a, [game.left] + rest, fl, path + ("arg",), hints
                 )
+                return post, lambda var, k: _tagged(0, build(var, k))
 
             case P.InjR(arg=a) if fl == P.DIA and isinstance(game, S.Choice):
-                return self._synth_post(
+                post, build = self._synth_post(
                     ctx, a, [game.right] + rest, fl, path + ("arg",), hints
                 )
+                return post, lambda var, k: _tagged(1, build(var, k))
 
             case P.Asgn(var=x, ghost=y, hyp=p, body=body, flavor=flv):
                 if flv != fl or not isinstance(game, S.Assign) or game.var != x:
@@ -727,10 +880,11 @@ class Checker:
                     )
                 self._ghost_ok(y, ctx, (), (game.term,), path)
                 hyp = S.Cmp(S.Var(x), "=", S.rename(game.term, x, y))
-                return self._synth_post(
+                post, build = self._synth_post(
                     ctx.rename_vars(x, y).extend(p, hyp), body, rest, fl,
                     path + ("body",), hints,
                 )
+                return post, lambda var, k: R.subst_rvar(build(var, k), p, R.Unit())
 
             case P.TCons(var=x, ghost=y, hyp=p, witness=f, body=body) if (
                 fl == P.DIA and isinstance(game, S.AssignAny)
@@ -738,9 +892,12 @@ class Checker:
                 self._expect(game.var == x, RULE_MISMATCH, path, "witness variable mismatch")
                 self._ghost_ok(y, ctx, (), (f,), path)
                 hyp = S.Cmp(S.Var(x), "=", S.rename(f, x, y))
-                return self._synth_post(
+                post, build = self._synth_post(
                     ctx.rename_vars(x, y).extend(p, hyp), body, rest, fl,
                     path + ("body",), hints,
+                )
+                return post, lambda var, k: R.Pair(
+                    R.TermVal(f), R.subst_rvar(build(var, k), p, R.Unit())
                 )
 
             case P.NumLam(var=x, ghost=y, body=body) if (
@@ -748,48 +905,53 @@ class Checker:
             ):
                 self._expect(game.var == x, RULE_MISMATCH, path, "bound variable mismatch")
                 self._ghost_ok(y, ctx, (), (), path)
-                return self._synth_post(
+                post, build = self._synth_post(
                     ctx.rename_vars(x, y), body, rest, fl, path + ("body",), hints
                 )
+                return post, lambda var, k: R.NumLamR(x, build(var, k))
 
             case P.Stop(body=body) if fl == P.DIA and isinstance(game, S.Repeat):
-                return self._synth_post(ctx, body, rest, fl, path + ("body",), hints)
+                post, build = self._synth_post(ctx, body, rest, fl, path + ("body",), hints)
+                return post, lambda var, k: _tagged(0, build(var, k))
 
             case P.Go(body=body) if fl == P.DIA and isinstance(game, S.Repeat):
-                return self._synth_post(
+                post, build = self._synth_post(
                     ctx, body, [game.body, game] + rest, fl, path + ("body",), hints
                 )
+                return post, lambda var, k: _tagged(1, build(var, k))
 
             case P.Case(scrut=a, left=l, bleft=bl, right=r, bright=br):
-                sphi = self._synth(ctx, a, path + ("scrut",))
+                sphi, a_rz, _ = self._synth(ctx, a, path + ("scrut",))
                 if not (isinstance(sphi, S.Diamond) and isinstance(sphi.game, S.Choice)):
                     raise CheckError(
                         RULE_MISMATCH, path + ("scrut",),
                         f"case scrutinee must prove <a++b>, got {_fmt(sphi)}",
                     )
-                lphi = self._synth_post(
+                lphi, lb = self._synth_post(
                     ctx.extend(l, S.Diamond(sphi.game.left, sphi.post)), bl,
                     [game] + rest, fl, path + ("left",), hints,
                 )
-                rphi = self._synth_post(
+                rphi, rb = self._synth_post(
                     ctx.extend(r, S.Diamond(sphi.game.right, sphi.post)), br,
                     [game] + rest, fl, path + ("right",), hints,
                 )
                 self._same(rphi, lphi, path, "case join")
-                return lphi
+                return lphi, lambda var, k: R.Decide(a_rz, l, lb(var, k), r, rb(var, k))
 
             case P.Mon(scrut=a, hyp=p, body=body):
                 inner_hints = tuple((fl, g) for g in rest) + tuple(hints)
-                mid = self._synth_post(
+                mid, first = self._synth_post(
                     ctx, a, [game], fl, path + ("scrut",), inner_hints
                 )
                 renamed = self._rename_ctx(ctx, game)
-                return self._synth_post(
+                post, then = self._synth_post(
                     renamed.extend(p, mid), body, rest, fl, path + ("body",), hints
                 )
+                return post, lambda var, k: first(p, then(var, k))
 
-        # fall back to full synthesis and peel the expected modalities
-        got = self._synth(ctx, m, path)
+        # fall back to full synthesis and peel the expected modalities; the
+        # realizer composes with the continuation at run time
+        got, rz, _ = self._synth(ctx, m, path)
         for g in stack:
             if not (
                 isinstance(got, S.Diamond if fl == P.DIA else S.Box) and got.game == g
@@ -799,7 +961,7 @@ class Checker:
                     f"expected a proof of {_fmt(mod(g, S.TRUE))}-shaped formula, got {_fmt(got)}",
                 )
             got = got.post
-        return got
+        return got, lambda var, k: R.Compose(rz, var, k, tuple(stack))
 
     # -- small shared checks ---------------------------------------------------
 
@@ -839,8 +1001,8 @@ def _modal_spine(phi: Formula):
     return tuple(out)
 
 
-def check(ctx: Context, m: ProofTerm, phi: Formula, oracle=None) -> None:
-    Checker(oracle).check(ctx, m, phi)
+def check(ctx: Context, m: ProofTerm, phi: Formula, oracle=None) -> R.Realizer:
+    return Checker(oracle).check(ctx, m, phi)
 
 
 def check_result(ctx: Context, m: ProofTerm, phi: Formula, oracle=None):

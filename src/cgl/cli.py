@@ -21,7 +21,7 @@ from .engine import (
     strip_assumptions, verify_exhaustive,
 )
 from .extraction import (
-    Extractor, UncheckedInput, extract, extract_disjunct,
+    UncheckedInput, extract, extract_disjunct,
     extract_existential, validate_existential,
 )
 from .parser import ParseError, parse_script

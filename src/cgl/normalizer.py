@@ -30,7 +30,7 @@ from typing import Optional
 
 from . import proofterms as P
 from . import syntax as S
-from .oracle import ArithOracle
+from .oracle import ArithOracle, exists_witness
 from .proofterms import ProofTerm, subst_term_pt
 
 # beta rules
@@ -286,22 +286,6 @@ def _lift_case(node: ProofTerm, plug, case: P.Case) -> P.Case:
 
 _witness_oracle = ArithOracle()
 
-_WITNESS_POOL = [S.lit(0), S.lit(1), S.lit(-1), S.lit(2), S.lit(-2), S.lit(3),
-                 S.lit("1/2"), S.lit("-1/2"), S.lit(4), S.lit(5)]
-
-
-def _exists_witness(g: S.Diamond) -> Optional[S.Term]:
-    """Bounded enumeration over closed terms for a satisfying instance."""
-    x = g.game.var
-    for cand in _WITNESS_POOL:
-        try:
-            inst = S.subst_term(g.post, x, cand)
-        except S.InadmissibleSubstitution:
-            return None
-        if _witness_oracle.holds_valid(None, inst):
-            return cand
-    return None
-
 
 def _fo_beta(m: P.QE, fv):
     """Decompose an oracle leaf by the shape of its goal."""
@@ -316,7 +300,7 @@ def _fo_beta(m: P.QE, fv):
         l, r = halves
         return P.DPair(P.QE(l, m.payload), P.QE(r, m.payload)), FO_AND_BETA
     if isinstance(g, S.Diamond) and isinstance(g.game, S.AssignAny):
-        f = _exists_witness(g)
+        f = exists_witness(_witness_oracle, g)
         if f is not None:
             x = g.game.var
             inst = S.subst_term(g.post, x, f)

@@ -11,6 +11,10 @@ linearized once and kept as integer rows `sum + k op 0`, scaled to
 integers and divided by their gcd (as in Pugh's Omega test); elimination
 is integer-row Fourier-Motzkin, with floor tightening on all-integer rows,
 which certifies the modular-arithmetic facts the proof corpus needs.
+DNF branches, linear systems per branch and the rows of one elimination
+round are each capped at `_BRANCH_CAP`; past a cap the answer is
+`Unknown` ("formula too large").  `exists_witness` picks closed witnesses
+for existential facts from a small fixed pool.
 `Valid` answers are never produced for falsifiable formulas; `Refuted`
 answers always carry a witness state; `Unknown` answers name a reason.
 """
@@ -76,10 +80,6 @@ def fo_view(phi: Formula):
         body = fo_view(phi.post)
         return ("exists", phi.game.var, body) if body else None
     return None
-
-
-def is_first_order(phi: Formula) -> bool:
-    return fo_view(phi) is not None
 
 
 def has_quantifier(view) -> bool:
@@ -395,6 +395,8 @@ def _unsat(rows) -> bool:
                 pos, neg = ("<=", co, k), ("<=", {u: -w for u, w in co.items()}, -k)
                 uppers.append(pos if co[v] > 0 else neg)
                 lowers.append(neg if co[v] > 0 else pos)
+            if len(new_work) + len(uppers) * len(lowers) > _BRANCH_CAP:
+                raise _TooBig()
             for opu, cou, ku in uppers:
                 cu = cou[v]
                 for opl, col, kl in lowers:
@@ -557,3 +559,24 @@ def _negate(view):
     if tag == "exists":
         return ("forall", view[1], _negate(view[2]))
     raise ValueError(view)
+
+
+# ---------------------------------------------------------------------------
+# Closed witnesses for existential facts
+
+_WITNESS_POOL = [S.lit(0), S.lit(1), S.lit(-1), S.lit(2), S.lit(-2), S.lit(3),
+                 S.lit("1/2"), S.lit("-1/2"), S.lit(4), S.lit(5)]
+
+
+def exists_witness(oracle: ArithOracle, g: Formula) -> Optional[Term]:
+    """A closed term t from a small fixed pool with `phi[x := t]` valid,
+    for g = <x := *> phi; None when no candidate is certified."""
+    x = g.game.var
+    for cand in _WITNESS_POOL:
+        try:
+            inst = S.subst_term(g.post, x, cand)
+        except S.InadmissibleSubstitution:
+            return None
+        if oracle.holds_valid(None, inst):
+            return cand
+    return None

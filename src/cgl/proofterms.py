@@ -27,7 +27,7 @@ Node inventory (constructor -- introducing rule):
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Optional, Union
+from typing import Optional
 
 from . import syntax as S
 from .syntax import Formula, Term, rename
@@ -454,9 +454,6 @@ def _all_vars_expr(e) -> set[str]:
     return out
 
 
-_SUFFIX = 0
-
-
 def fresh_pvar(base: str, avoid) -> str:
     if base not in avoid:
         return base
@@ -670,6 +667,3 @@ def _alpha(a: ProofTerm, b: ProofTerm, pmap: dict, vmap: dict) -> bool:
     if hasattr(a, "flavor") and a.flavor != getattr(b, "flavor"):
         return False
     return True
-
-
-Judgment = Union[Formula]

@@ -17,10 +17,6 @@ class DivisionByZero(ArithmeticError):
     """Raised when a quotient or remainder divisor evaluates to zero."""
 
 
-def rat(num, den=1) -> Rational:
-    return Fraction(num, den)
-
-
 def rat_quot(f: Rational, g: Rational) -> Rational:
     """Integer quotient q of f by g, chosen so that 0 <= f - g*q < |g|."""
     gn = g.numerator

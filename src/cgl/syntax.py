@@ -303,23 +303,6 @@ def eval_term(t: Term, state: State) -> Rational:
     return compile_term(t)(state)
 
 
-def eval_cmp(rel: str, a: Rational, b: Rational) -> bool:
-    match rel:
-        case "<=":
-            return a <= b
-        case "<":
-            return a < b
-        case "=":
-            return a == b
-        case "!=":
-            return a != b
-        case ">":
-            return a > b
-        case ">=":
-            return a >= b
-    raise ValueError(rel)
-
-
 # ---------------------------------------------------------------------------
 # Static semantics: free, bound, and must-bound variables
 

@@ -13,6 +13,8 @@ from cgl import normalizer as N
 from cgl import proofterms as P
 from cgl import realizer as R
 from cgl import syntax as S
+from cgl.checker import Checker
+from cgl.oracle import ArithOracle
 from cgl.engine import (
     ACTIVE, DORMANT, Budget, DemonMenu, Finished, ScriptedDemon, close,
     force, modal_core, num_of, pair_view, play, strip_assumptions,
@@ -22,6 +24,7 @@ from cgl.extraction import (
     UncheckedInput, extract, extract_disjunct, extract_existential,
     validate_existential,
 )
+from cgl.proofterms import Context
 from cgl.realizer import realizer_from_json, realizer_to_json
 from cgl.syntax import State
 
@@ -48,6 +51,41 @@ def test_witness_intro_extracts_to_pair():
 def test_unchecked_input_rejected():
     with pytest.raises(UncheckedInput):
         extract(P.PVar("p"), S.TRUE)
+
+
+def test_leaf_without_closed_witness_checks_but_has_no_realizer():
+    # under a contradictory hypothesis the oracle certifies any existential,
+    # but no closed term witnesses y = x; the check still accepts the proof
+    absurd = S.Cmp(L(1), "=", L(0))
+    goal = S.Exists("y", S.Cmp(S.Var("y"), "=", x))
+    phi = S.Implies(absurd, goal)
+    m = P.Lam("h", absurd, P.QE(goal, P.PVar("h")))
+    assert Checker().check_result(Context(), m, phi) is None
+    with pytest.raises(UncheckedInput, match="no closed witness"):
+        extract(m, phi)
+    with pytest.raises(UncheckedInput, match="no closed witness"):
+        Checker().check(Context(), m, phi)
+
+
+def test_nested_synthesized_mon_is_walked_once():
+    # pi1 mon(<pi1 mon(<... , tt>; p. p), tt>; p. p), 60 deep: each mon is
+    # in synthesis position, so its scrutinee's game is known only after
+    # synthesis, yet its strategy must absorb the body statically (the
+    # engine cannot project a run-time composition)
+    tt = S.TRUE
+    m = P.DPair(P.QE(tt, None), P.QE(tt, None))
+    for _ in range(60):
+        m = P.DPair(P.Proj1(P.Mon(m, "p", P.PVar("p"))), P.QE(tt, None))
+    asked = []
+
+    class Counting(ArithOracle):
+        def decide(self, rho, phi):
+            asked.append(phi)
+            return super().decide(rho, phi)
+
+    rz = extract(m, S.And(tt, tt), oracle=Counting())
+    assert len(asked) == 62  # each oracle leaf once
+    assert "Compose" not in json.dumps(realizer_to_json(rz))
 
 
 def test_existential_witness_plus(corpus):

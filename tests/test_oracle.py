@@ -1,15 +1,16 @@
 """Arithmetic oracle: soundness, the documented capability tiers, and the
 modular/integer reasoning the proof corpus leans on."""
 
-import random
-
 import itertools
+import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from cgl import syntax as S
 from cgl.oracle import REFUTED, UNKNOWN, VALID, ArithOracle
+from cgl.parser import parse_formula_text
 from conftest import rand_state
 
 L = S.lit
@@ -219,6 +220,26 @@ def _too_many_systems():
 def test_unknown_reasons(rho, goal, reason):
     res = oracle().decide(rho, goal)
     assert res.status == UNKNOWN and res.reason == reason
+
+
+def test_elimination_row_cap_ends_unknown():
+    # sequent 43 of random.Random(4) in the search over linear and mod-4
+    # sequents (`_rand_atom` below, 3 to 6 hypotheses, a two-atom goal):
+    # with no cap on the rows a round of elimination builds, deciding it
+    # ran past 3 s
+    rho = parse_formula_text(
+        "((((2 * z + 4 != 2 & (-1 * z + (-1 * y + (1 * x + 2))) mod 4 != -1)"
+        " & -2 * z + (2 * x + 1) <= 2) & -1 * z + (1 * y + (2 * x + 1)) > 1)"
+        " & -1 * z + (2 * y + 4) <= 1) & -2 * z + (-1 * y + (-1 * x + 4)) = 0"
+    )
+    goal = parse_formula_text(
+        "(2 * z + (-2 * y + (1 * x + -4))) mod 4 > 0"
+        " | (-1 * z + (1 * y + (2 * x + 2))) mod 4 <= -1"
+    )
+    t = time.perf_counter()
+    res = oracle().decide(rho, goal)
+    assert res.status == UNKNOWN and res.reason == "formula too large"
+    assert time.perf_counter() - t < 3
 
 
 # -- VALID never has a falsifying grid point ---------------------------------
