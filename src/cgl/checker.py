@@ -13,11 +13,15 @@ realizer of its proof, `_synth` a (formula, realizer) pair, and
 `_synth_post` the postcondition with a builder `(var, k) -> realizer`
 that pushes a weakening continuation `k` into the residual positions of
 the scrutinee's strategy, the way the conversion rules push it through
-proofs.  Only a scrutinee whose strategy is not known statically (headed
-by a variable or an application) and fixed-point recursion keep a
-run-time composition node, tagged with the games it plays.  For a `mon`
-in synthesis position, whose scrutinee's game is known only once the
-scrutinee is synthesized, `_synth` also returns that builder.
+proofs.  Only a strategy whose residual positions are not known
+statically (headed by a variable, an application, or a rule such as
+ghost, unpack or rcase that has no premise for the residual) and
+fixed-point recursion keep a run-time composition node, tagged with the
+games it plays.  For a `mon` in synthesis position, whose scrutinee's game is
+known only once the scrutinee is synthesized, `_synth` also returns that
+builder.  A `for` step, whose goal is known, is checked against it by
+`_check` with the continuation (`_Then`: the next round) passed down to
+the premise that proves the residual.
 Hypothesis evidence consumed only by oracle payloads is erased to units;
 oracle leaves become unit evidence or decision trees over comparisons.
 
@@ -30,7 +34,7 @@ call, so a `Checker` holds only its oracle.
 from __future__ import annotations
 
 import itertools
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import proofterms as P
 from . import realizer as R
@@ -131,6 +135,47 @@ def _tagged(i: int, rz: R.Realizer) -> R.Realizer:
     return R.Pair(R.TermVal(S.lit(i)), rz)
 
 
+class _Then(NamedTuple):
+    """A continuation pushed into a strategy: after the strategy's first
+    `n` games, bind the residual evidence to `var` and run `k`."""
+
+    n: int
+    var: str
+    k: R.Realizer
+
+
+def _after(then: Optional[_Then], games: int) -> Optional[_Then]:
+    """`then` for a premise that has `games` more (or fewer) games to
+    play before the residual."""
+    return then if then is None else then._replace(n=then.n + games)
+
+
+# builders `(var, k) -> realizer` per rule, shared by `_synth_post` and the
+# builders `_synth` returns for a `mon` in synthesis position
+def _at_end(rz: R.Realizer):
+    return lambda var, k: R.subst_rvar(k, var, rz)
+
+
+def _lam_b(p: str, ann: Formula, build):
+    return lambda var, k: R.ProofLam(p, ann, build(var, k))
+
+
+def _numlam_b(x: str, build):
+    return lambda var, k: R.NumLamR(x, build(var, k))
+
+
+def _pair_b(ev: R.Realizer, build):
+    return lambda var, k: R.Pair(ev, build(var, k))
+
+
+def _decide_b(a_rz: R.Realizer, l: str, lb, r: str, rb):
+    return lambda var, k: R.Decide(a_rz, l, lb(var, k), r, rb(var, k))
+
+
+def _mon_b(first, p: str, body_b):
+    return lambda var, k: first(p, body_b(var, k))
+
+
 def _pushed(push, rz: R.Realizer, phi: Formula):
     """`push`, or, for a strategy not known statically, a run-time
     composition with the continuation after phi's first game."""
@@ -157,13 +202,13 @@ class Checker:
     def check_result(self, ctx: Context, m: ProofTerm, phi: Formula):
         """The CheckError, or None when ctx |- m : phi."""
         try:
-            _Elaboration(self.oracle, True)._check(ctx, m, phi, ())
+            _Elaboration(self.oracle, True, realize=False)._check(ctx, m, phi, ())
         except CheckError as e:
             return e
         return None
 
     def synth(self, ctx: Context, m: ProofTerm) -> Formula:
-        return _Elaboration(self.oracle, True)._synth(ctx, m, ())[0]
+        return _Elaboration(self.oracle, True, realize=False)._synth(ctx, m, ())[0]
 
 
 def elaborate(ctx: Context, m: ProofTerm, phi: Formula, oracle: ArithOracle,
@@ -179,12 +224,15 @@ def elaborate(ctx: Context, m: ProofTerm, phi: Formula, oracle: ArithOracle,
 
 
 class _Elaboration:
-    """One checking pass: the oracle, whether its gates run, and the
-    counters for ghost and fresh realizer names."""
+    """One checking pass: the oracle, whether its gates run, whether the
+    realizer is wanted (a check-only pass builds it but skips the witness
+    search of existential oracle leaves), and the counters for ghost and
+    fresh realizer names."""
 
-    def __init__(self, oracle: ArithOracle, gated: bool):
+    def __init__(self, oracle: ArithOracle, gated: bool, realize: bool = True):
         self.oracle = oracle
         self.gated = gated
+        self.realize = realize
         self._ghosts = itertools.count(1)
         self._names = itertools.count(1)
         self.unrealized: Optional[str] = None  # why some accepted leaf has no realizer
@@ -242,6 +290,8 @@ class _Elaboration:
         """Discharge an oracle leaf and realize its goal."""
         rho = self._payload_formula(ctx, payload, path)
         self._oracle_gate(rho, goal, path, who)
+        if not self.realize:
+            return R.Unit()
         try:
             return realizer_of_formula(goal, self.oracle)
         except UncheckedInput as e:
@@ -250,7 +300,19 @@ class _Elaboration:
 
     # -- checking ------------------------------------------------------------
 
-    def _check(self, ctx: Context, m: ProofTerm, phi: Formula, path) -> R.Realizer:
+    def _check(
+        self, ctx: Context, m: ProofTerm, phi: Formula, path, then: Optional[_Then] = None
+    ) -> R.Realizer:
+        """The realizer of m.  With `then`, the realizer plays phi's first
+        then.n games and runs then.k on the residual evidence: pushed into
+        the premise that proves the residual where the rule has one,
+        composed at run time where it has not."""
+        if then is not None and (then.n == 0 or not isinstance(m, _PUSHES)):
+            rz = self._check(ctx, m, phi, path)
+            if then.n == 0:
+                return R.subst_rvar(then.k, then.var, rz)
+            games = tuple(g for _, g in _modal_spine(phi)[: then.n])
+            return R.Compose(rz, then.var, then.k, games)
         match m:
             case P.PVar(name=p):
                 got = ctx.lookup(p)
@@ -267,9 +329,9 @@ class _Elaboration:
                     )
                 pre, post = imp
                 self._same(ann, pre, path, "lambda annotation")
-                return R.ProofLam(
-                    p, ann, self._check(ctx.extend(p, pre), body, post, path + ("body",))
-                )
+                return R.ProofLam(p, ann, self._check(
+                    ctx.extend(p, pre), body, post, path + ("body",), _after(then, -1)
+                ))
 
             case P.NumLam(var=x, ghost=y, body=body):
                 if not (isinstance(phi, S.Box) and isinstance(phi.game, S.AssignAny)):
@@ -281,9 +343,9 @@ class _Elaboration:
                     f"binds {x} but goal binds {phi.game.var}",
                 )
                 self._ghost_ok(y, ctx, (phi.post,), (), path)
-                return R.NumLamR(
-                    x, self._check(ctx.rename_vars(x, y), body, phi.post, path + ("body",))
-                )
+                return R.NumLamR(x, self._check(
+                    ctx.rename_vars(x, y), body, phi.post, path + ("body",), _after(then, -1)
+                ))
 
             case P.DPair(fst=a, snd=b):
                 both = S.split_and(phi)
@@ -294,7 +356,7 @@ class _Elaboration:
                 l, r = both
                 return R.Pair(
                     self._check(ctx, a, l, path + ("fst",)),
-                    self._check(ctx, b, r, path + ("snd",)),
+                    self._check(ctx, b, r, path + ("snd",), _after(then, -1)),
                 )
 
             case P.BPair(fst=a, snd=b):
@@ -304,8 +366,8 @@ class _Elaboration:
                     )
                 g = phi.game
                 return R.Pair(
-                    self._check(ctx, a, S.Box(g.left, phi.post), path + ("fst",)),
-                    self._check(ctx, b, S.Box(g.right, phi.post), path + ("snd",)),
+                    self._check(ctx, a, S.Box(g.left, phi.post), path + ("fst",), then),
+                    self._check(ctx, b, S.Box(g.right, phi.post), path + ("snd",), then),
                 )
 
             case P.InjL(arg=a):
@@ -314,7 +376,7 @@ class _Elaboration:
                         RULE_MISMATCH, path, f"inl needs <a++b>, got {_fmt(phi)}"
                     )
                 return _tagged(0, self._check(
-                    ctx, a, S.Diamond(phi.game.left, phi.post), path + ("arg",)
+                    ctx, a, S.Diamond(phi.game.left, phi.post), path + ("arg",), then
                 ))
 
             case P.InjR(arg=a):
@@ -323,7 +385,7 @@ class _Elaboration:
                         RULE_MISMATCH, path, f"inr needs <a++b>, got {_fmt(phi)}"
                     )
                 return _tagged(1, self._check(
-                    ctx, a, S.Diamond(phi.game.right, phi.post), path + ("arg",)
+                    ctx, a, S.Diamond(phi.game.right, phi.post), path + ("arg",), then
                 ))
 
             case P.Case(scrut=a, left=l, bleft=bl, right=r, bright=br):
@@ -335,8 +397,8 @@ class _Elaboration:
                     )
                 lphi = S.Diamond(sphi.game.left, sphi.post)
                 rphi = S.Diamond(sphi.game.right, sphi.post)
-                l_rz = self._check(ctx.extend(l, lphi), bl, phi, path + ("left",))
-                r_rz = self._check(ctx.extend(r, rphi), br, phi, path + ("right",))
+                l_rz = self._check(ctx.extend(l, lphi), bl, phi, path + ("left",), then)
+                r_rz = self._check(ctx.extend(r, rphi), br, phi, path + ("right",), then)
                 return R.Decide(a_rz, l, l_rz, r, r_rz)
 
             case P.RCase(scrut=a, svar=s, sbody=bs, gvar=g, gbody=bg):
@@ -364,7 +426,8 @@ class _Elaboration:
                 self._ghost_ok(y, ctx, (phi.post,), (f,), path)
                 hyp = S.Cmp(S.Var(x), "=", S.rename(f, x, y))
                 inner = self._check(
-                    ctx.rename_vars(x, y).extend(p, hyp), body, phi.post, path + ("body",)
+                    ctx.rename_vars(x, y).extend(p, hyp), body, phi.post, path + ("body",),
+                    _after(then, -1),
                 )
                 return R.Pair(R.TermVal(f), R.subst_rvar(inner, p, R.Unit()))
 
@@ -401,7 +464,8 @@ class _Elaboration:
                 self._ghost_ok(y, ctx, (post, phi), (game.term,), path)
                 hyp = S.Cmp(S.Var(x), "=", S.rename(game.term, x, y))
                 inner = self._check(
-                    ctx.rename_vars(x, y).extend(p, hyp), body, post, path + ("body",)
+                    ctx.rename_vars(x, y).extend(p, hyp), body, post, path + ("body",),
+                    _after(then, -1),
                 )
                 return R.subst_rvar(inner, p, R.Unit())
 
@@ -413,7 +477,7 @@ class _Elaboration:
                     )
                 inner = (S.Diamond if fl == P.DIA else S.Box)(game.right, post)
                 outer = (S.Diamond if fl == P.DIA else S.Box)(game.left, inner)
-                return self._check(ctx, body, outer, path + ("body",))
+                return self._check(ctx, body, outer, path + ("body",), _after(then, 1))
 
             case P.Swap(body=body, flavor=fl):
                 game, post = self._modality(phi, fl, path, "dualizing")
@@ -422,14 +486,16 @@ class _Elaboration:
                         RULE_MISMATCH, path, f"dual proof against {_fmt(game)}"
                     )
                 inner = (S.Box if fl == P.DIA else S.Diamond)(game.body, post)
-                return self._check(ctx, body, inner, path + ("body",))
+                return self._check(ctx, body, inner, path + ("body",), then)
 
             case P.Stop(body=body):
                 if not (isinstance(phi, S.Diamond) and isinstance(phi.game, S.Repeat)):
                     raise CheckError(
                         RULE_MISMATCH, path, f"stop needs <a*>, got {_fmt(phi)}"
                     )
-                return _tagged(0, self._check(ctx, body, phi.post, path + ("body",)))
+                return _tagged(0, self._check(
+                    ctx, body, phi.post, path + ("body",), _after(then, -1)
+                ))
 
             case P.Go(body=body):
                 if not (isinstance(phi, S.Diamond) and isinstance(phi.game, S.Repeat)):
@@ -437,7 +503,7 @@ class _Elaboration:
                         RULE_MISMATCH, path, f"go needs <a*>, got {_fmt(phi)}"
                     )
                 return _tagged(1, self._check(
-                    ctx, body, S.Diamond(phi.game.body, phi), path + ("body",)
+                    ctx, body, S.Diamond(phi.game.body, phi), path + ("body",), _after(then, 1)
                 ))
 
             case P.For():
@@ -494,7 +560,7 @@ class _Elaboration:
                 )
                 renamed = self._rename_ctx(ctx, phi.game)
                 n_rz = self._check(
-                    renamed.extend(p, mid), body, phi.post, path + ("body",)
+                    renamed.extend(p, mid), body, phi.post, path + ("body",), _after(then, -1)
                 )
                 return build(p, n_rz)
 
@@ -587,17 +653,15 @@ class _Elaboration:
         step_post = conj(inv, succ_formula(m0v, metric))
         # the step plays one round of the loop body, then its residual
         # evidence for the invariant feeds the next round
-        got, step = self._synth_post(
-            Context({m.hyp: inv, m.mhyp: step_hyp}), m.body, [game], P.DIA,
-            path + ("step",), _modal_spine(step_post),
+        w, t = self._fresh("loop"), self._fresh("t")
+        body_rz = self._check(
+            Context({m.hyp: inv, m.mhyp: step_hyp}), m.body, S.Diamond(game, step_post),
+            path + ("step",), _Then(1, t, R.AppRz(R.RVar(w), R.Fst(R.RVar(t)))),
         )
-        self._same(got, step_post, path + ("step",), "loop step postcondition")
         done_hyp = S.Cmp(metric, "=", S.lit(0))
         done_rz = self._check(
             Context({m.hyp: inv, m.mhyp: done_hyp}), m.done, phi.post, path + ("post",)
         )
-        w, t = self._fresh("loop"), self._fresh("t")
-        body_rz = step(t, R.AppRz(R.RVar(w), R.Fst(R.RVar(t))))
         loop = R.Ind(w, R.ProofLam(m.hyp, inv, R.IfTerm(
             S.Cmp(metric, "=", S.lit(0)),
             _tagged(0, R.subst_rvar(done_rz, m.mhyp, R.Unit())),
@@ -678,8 +742,8 @@ class _Elaboration:
 
             case P.Lam(hyp=p, ann=ann, body=body):
                 post, rz, _ = self._synth(ctx.extend(p, ann), body, path + ("body",))
-                return S.Implies(ann, post), R.ProofLam(p, ann, rz), (
-                    lambda var, k: R.ProofLam(p, ann, R.subst_rvar(k, var, rz))
+                return (
+                    S.Implies(ann, post), R.ProofLam(p, ann, rz), _lam_b(p, ann, _at_end(rz))
                 )
 
             case P.NumLam(var=x, ghost=y, body=body):
@@ -691,16 +755,14 @@ class _Elaboration:
                     y not in S.free_vars(post), FRESHNESS, path,
                     f"ghost {y} escapes into {_fmt(post)}",
                 )
-                return S.Box(S.AssignAny(x), post), R.NumLamR(x, rz), (
-                    lambda var, k: R.NumLamR(x, R.subst_rvar(k, var, rz))
+                return (
+                    S.Box(S.AssignAny(x), post), R.NumLamR(x, rz), _numlam_b(x, _at_end(rz))
                 )
 
             case P.DPair(fst=a, snd=b):
                 aphi, a_rz, _ = self._synth(ctx, a, path + ("fst",))
                 bphi, b_rz, _ = self._synth(ctx, b, path + ("snd",))
-                return conj(aphi, bphi), R.Pair(a_rz, b_rz), (
-                    lambda var, k: R.Pair(a_rz, R.subst_rvar(k, var, b_rz))
-                )
+                return conj(aphi, bphi), R.Pair(a_rz, b_rz), _pair_b(a_rz, _at_end(b_rz))
 
             case P.QE(goal=goal, payload=payload):
                 return goal, self._leaf(ctx, goal, payload, path, "FO"), None
@@ -737,8 +799,9 @@ class _Elaboration:
                     renamed.extend(p, sphi.post), body, path + ("body",)
                 )
                 first = _pushed(a_push, a_rz, sphi)
-                return type(sphi)(sphi.game, post), first(p, n_rz), (
-                    lambda var, k: first(p, R.subst_rvar(k, var, n_rz))
+                return (
+                    type(sphi)(sphi.game, post), first(p, n_rz),
+                    _mon_b(first, p, _at_end(n_rz)),
                 )
 
             case P.Case(scrut=a, left=l, bleft=bl, right=r, bright=br):
@@ -757,11 +820,8 @@ class _Elaboration:
                     path + ("right",),
                 )
                 self._same(rphi, lphi, path, "case join")
-                return lphi, R.Decide(a_rz, l, l_rz, r, r_rz), (
-                    lambda var, k: R.Decide(
-                        a_rz, l, _pushed(l_push, l_rz, lphi)(var, k),
-                        r, _pushed(r_push, r_rz, rphi)(var, k),
-                    )
+                return lphi, R.Decide(a_rz, l, l_rz, r, r_rz), _decide_b(
+                    a_rz, l, _pushed(l_push, l_rz, lphi), r, _pushed(r_push, r_rz, rphi)
                 )
 
             case P.Unpack(var=x, ghost=y, hyp=p, scrut=a, body=body):
@@ -813,7 +873,7 @@ class _Elaboration:
                     lambda var, k: R.subst_rvar(k, var, build(var, R.RVar(var)))
                 )
             got, rz, _ = self._synth(ctx, m, path)
-            return got, lambda var, k: R.subst_rvar(k, var, rz)
+            return got, _at_end(rz)
         game = stack[0]
         rest = stack[1:]
         mod = S.Diamond if fl == P.DIA else S.Box
@@ -842,14 +902,14 @@ class _Elaboration:
             case P.DPair(fst=a, snd=b) if fl == P.DIA and isinstance(game, S.Test):
                 ev = self._check(ctx, a, game.cond, path + ("fst",))
                 post, build = self._synth_post(ctx, b, rest, fl, path + ("snd",), hints)
-                return post, lambda var, k: R.Pair(ev, build(var, k))
+                return post, _pair_b(ev, build)
 
             case P.Lam(hyp=p, ann=ann, body=body) if fl == P.BOX and isinstance(game, S.Test):
                 self._same(ann, game.cond, path, "lambda annotation")
                 post, build = self._synth_post(
                     ctx.extend(p, ann), body, rest, fl, path + ("body",), hints
                 )
-                return post, lambda var, k: R.ProofLam(p, ann, build(var, k))
+                return post, _lam_b(p, ann, build)
 
             case P.BPair(fst=a, snd=b) if fl == P.BOX and isinstance(game, S.Choice):
                 l, bl = self._synth_post(
@@ -908,7 +968,7 @@ class _Elaboration:
                 post, build = self._synth_post(
                     ctx.rename_vars(x, y), body, rest, fl, path + ("body",), hints
                 )
-                return post, lambda var, k: R.NumLamR(x, build(var, k))
+                return post, _numlam_b(x, build)
 
             case P.Stop(body=body) if fl == P.DIA and isinstance(game, S.Repeat):
                 post, build = self._synth_post(ctx, body, rest, fl, path + ("body",), hints)
@@ -936,7 +996,7 @@ class _Elaboration:
                     [game] + rest, fl, path + ("right",), hints,
                 )
                 self._same(rphi, lphi, path, "case join")
-                return lphi, lambda var, k: R.Decide(a_rz, l, lb(var, k), r, rb(var, k))
+                return lphi, _decide_b(a_rz, l, lb, r, rb)
 
             case P.Mon(scrut=a, hyp=p, body=body):
                 inner_hints = tuple((fl, g) for g in rest) + tuple(hints)
@@ -944,10 +1004,10 @@ class _Elaboration:
                     ctx, a, [game], fl, path + ("scrut",), inner_hints
                 )
                 renamed = self._rename_ctx(ctx, game)
-                post, then = self._synth_post(
+                post, body_b = self._synth_post(
                     renamed.extend(p, mid), body, rest, fl, path + ("body",), hints
                 )
-                return post, lambda var, k: first(p, then(var, k))
+                return post, _mon_b(first, p, body_b)
 
         # fall back to full synthesis and peel the expected modalities; the
         # realizer composes with the continuation at run time
@@ -985,6 +1045,13 @@ class _Elaboration:
                 FRESHNESS, path, f"ghost {y} is not fresh here"
             )
 
+
+# rules with a premise that proves the residual, into which `_check`
+# pushes a continuation
+_PUSHES = (
+    P.Lam, P.NumLam, P.DPair, P.BPair, P.InjL, P.InjR, P.Case, P.TCons, P.Asgn,
+    P.SeqI, P.Swap, P.Stop, P.Go, P.Mon,
+)
 
 _NEEDS_GAME = (
     P.SeqI, P.Swap, P.Asgn, P.TCons, P.InjL, P.InjR, P.Stop, P.Go, P.BPair,

@@ -1,6 +1,8 @@
 """Judgment checking: rule examples, diagnostics, and the structural
 metatheory the checker must respect."""
 
+import pytest
+
 from cgl import checker as C
 from cgl import proofterms as P
 from cgl import syntax as S
@@ -82,15 +84,51 @@ def test_negated_forall_hypothesis_rejected():
 # -- the loop rule -------------------------------------------------------------
 
 
-def _counter_loop(inv_text):
+def _counter_loop(inv_text, step="STEP"):
+    """The countdown loop; `step` is its step with STEP standing for the
+    plain `asgnd` proof of one round."""
+    step = step.replace(
+        "STEP", f"asgnd c (cc, ch. FO[({inv_text}) & M0 succ c](p, q, ch))"
+    )
     text = f"""
 theorem counter : c = 5 -> <{{c := c - 1}}*> c = 0 =
   \\h : c = 5. for(FO[{inv_text}](h); p : {inv_text}; q; M0 := c;
-     asgnd c (cc, ch. FO[({inv_text}) & M0 succ c](p, q, ch));
+     {step};
      FO[c = 0](p, q))
 """
     script = parse_script(text)
     return script.theorems["counter"]
+
+
+# loop steps whose last rule has no premise for the residual: the loop
+# composes them with the next round at run time
+WRAPPED_STEPS = {
+    "ghost": "ghost(g := c; gh. STEP)",
+    "unpack": (
+        "unpack((\\k : <z := *> z = 1. k) (wit z := 1 (zz, zh. FO[z = 1](zh)));"
+        " z, zz, zh. STEP)"
+    ),
+    "rcase": "rcase (\\k : <{y := y + 1}*> tt. k) (stop FO[tt]()) of s. STEP | g. STEP",
+}
+
+
+@pytest.mark.parametrize("wrapper", sorted(WRAPPED_STEPS))
+def test_wrapped_loop_step_checks(wrapper):
+    phi, proof = _counter_loop("c >= 0 & c mod 1 = 0", WRAPPED_STEPS[wrapper])
+    assert ck().check_result(Context(), proof, phi) is None
+
+
+def test_wrong_loop_step_leaf_named_at_the_leaf():
+    # the step is checked against its goal, so the leaf's own conclusion is
+    # compared before the oracle is asked
+    phi, proof = _counter_loop(
+        "c >= 0 & c mod 1 = 0",
+        "asgnd c (cc, ch. FO[(c >= 0 & c mod 1 = 0) & M0 succ c + 1](p, q, ch))",
+    )
+    err = ck().check_result(Context(), proof, phi)
+    assert err.kind == C.RULE_MISMATCH
+    assert err.path == ("body", "step", "body")
+    assert err.message.startswith("expected FO conclusion")
 
 
 def test_counter_loop_checks_with_integral_invariant():

@@ -27,6 +27,7 @@ from cgl.extraction import (
 from cgl.proofterms import Context
 from cgl.realizer import realizer_from_json, realizer_to_json
 from cgl.syntax import State
+from test_checker import WRAPPED_STEPS, _counter_loop
 
 L = S.lit
 x, c = S.Var("x"), S.Var("c")
@@ -181,6 +182,16 @@ def test_extraction_commutes_with_normalization(all_theorems):
             o2 = _outcome_stream(phi, rz2, STATES[name], list(script))
             assert o1 == o2, (name, script, o1, o2)
             assert o1 is not None
+
+
+@pytest.mark.parametrize("wrapper", sorted(WRAPPED_STEPS))
+def test_wrapped_loop_step_plays_to_zero(wrapper):
+    # the step's strategy runs at run time, then the next round
+    phi, proof = _counter_loop("c >= 0 & c mod 1 = 0", WRAPPED_STEPS[wrapper])
+    rz = extract(proof, phi)
+    assert _outcome_stream(phi, rz, State({"c": 5}), []) == (
+        "finished", State({"c": 0}), True,
+    )
 
 
 def test_extract_total_on_corpus(all_theorems):

@@ -226,7 +226,8 @@ def test_elimination_row_cap_ends_unknown():
     # sequent 43 of random.Random(4) in the search over linear and mod-4
     # sequents (`_rand_atom` below, 3 to 6 hypotheses, a two-atom goal):
     # with no cap on the rows a round of elimination builds, deciding it
-    # ran past 3 s
+    # ran past 40 s; capped, it ends in about 0.4 s on one Xeon core, so
+    # the generous bound below only catches a runaway
     rho = parse_formula_text(
         "((((2 * z + 4 != 2 & (-1 * z + (-1 * y + (1 * x + 2))) mod 4 != -1)"
         " & -2 * z + (2 * x + 1) <= 2) & -1 * z + (1 * y + (2 * x + 1)) > 1)"
@@ -239,7 +240,7 @@ def test_elimination_row_cap_ends_unknown():
     t = time.perf_counter()
     res = oracle().decide(rho, goal)
     assert res.status == UNKNOWN and res.reason == "formula too large"
-    assert time.perf_counter() - t < 3
+    assert time.perf_counter() - t < 30
 
 
 # -- VALID never has a falsifying grid point ---------------------------------
