@@ -159,3 +159,45 @@ def test_proof_json_interchange(all_theorems):
         data = proof_to_json(proof)
         json.dumps(data)  # serializable
         assert proof_from_json(data) == proof, name
+
+
+# sha256 (16 hex digits) of each corpus proof's JSON with sorted keys,
+# taken before the realizer and proof codecs were merged.
+PROOF_JSON_DIGESTS = {
+    "dNim": "2d7a5f4f71e70d8d",
+    "aNim": "969c036ceb18c35f",
+    "aCake": "b9cdbc622feacdc2",
+    "dCake": "e585c95a20ccf96b",
+    "witPlus": "d7354898f54e0199",
+    "witAbs": "962d40851cfd06ed",
+    "witMax": "416904f4f5cea3bf",
+    "pairProj": "c820aa02a8d75576",
+    "applyId": "3eb87670af404129",
+    "instForall": "1ef9ec993432fe52",
+    "monAssign": "107c8acc7a468f5c",
+    "unrollRep": "86fa015c014aa8c0",
+    "projChain": "6787823d7c7ffddd",
+    "forCounter": "f3b50b0bdfcc0363",
+    "splitDemo": "cc52720daebee73e",
+    "decDemo": "52cb99f09c55c5e2",
+    "absFold": "180aba34ec9497a5",
+    "fpTrivial": "03efdd0618157258",
+    "rcaseTrivial": "4fdacfeec608f884",
+    "ghostRemember": "c2a5ed4eb34f13c5",
+    "signFlip": "313ad27fda518bd3",
+    "raceLoop": "085bebd3f0f57abd",
+}
+
+
+def test_corpus_proof_json_pinned(all_theorems):
+    from cgl.interchange import proof_to_json
+    import hashlib
+    import json
+
+    got = {
+        name: hashlib.sha256(
+            json.dumps(proof_to_json(proof), sort_keys=True).encode()
+        ).hexdigest()[:16]
+        for name, (_phi, proof) in all_theorems.items()
+    }
+    assert got == PROOF_JSON_DIGESTS
