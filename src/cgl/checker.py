@@ -475,8 +475,8 @@ class _Elaboration:
                     raise CheckError(
                         RULE_MISMATCH, path, f"sequencing proof against {_fmt(game)}"
                     )
-                inner = (S.Diamond if fl == P.DIA else S.Box)(game.right, post)
-                outer = (S.Diamond if fl == P.DIA else S.Box)(game.left, inner)
+                inner = _MOD[fl](game.right, post)
+                outer = _MOD[fl](game.left, inner)
                 return self._check(ctx, body, outer, path + ("body",), _after(then, 1))
 
             case P.Swap(body=body, flavor=fl):
@@ -555,8 +555,7 @@ class _Elaboration:
                     )
                 fl = P.DIA if isinstance(phi, S.Diamond) else P.BOX
                 mid, build = self._synth_post(
-                    ctx, a, [phi.game], fl, path + ("scrut",),
-                    _modal_spine(phi.post),
+                    ctx, a, [(fl, phi.game)], path + ("scrut",), _modal_spine(phi.post)
                 )
                 renamed = self._rename_ctx(ctx, phi.game)
                 n_rz = self._check(
@@ -853,11 +852,11 @@ class _Elaboration:
 
     # -- game-directed postcondition synthesis --------------------------------
 
-    def _synth_post(self, ctx: Context, m: ProofTerm, stack, fl, path, hints=()):
-        """Infer psi with  ctx |- m : Mod(stack[0], Mod(stack[1], ... psi)),
-        and a builder `(var, k) -> realizer` of m that plays the games on
-        the stack and then runs k with the residual evidence (for psi)
-        bound to var.
+    def _synth_post(self, ctx: Context, m: ProofTerm, stack, path, hints=()):
+        """Infer psi with  ctx |- m : M0(g0, M1(g1, ... psi))  for a stack
+        [(f0, g0), (f1, g1), ...] of (flavor, game) pairs, and a builder
+        `(var, k) -> realizer` of m that plays the games on the stack and
+        then runs k with the residual evidence (for psi) bound to var.
 
         When the stack runs dry on a constructor whose game cannot be read
         off the term (conversion reducts land here), `hints` -- the modal
@@ -865,18 +864,14 @@ class _Elaboration:
         """
         if not stack:
             if hints and type(m) in _NEEDS_GAME:
-                (hfl, hgame), hrest = hints[0], hints[1:]
-                inner, build = self._synth_post(ctx, m, [hgame], hfl, path, hrest)
-                mod = S.Diamond if hfl == P.DIA else S.Box
+                inner, build = self._synth_post(ctx, m, [hints[0]], path, hints[1:])
                 # m's own realizer is the builder run with the identity
-                return mod(hgame, inner), (
+                return _wrap(hints[:1], inner), (
                     lambda var, k: R.subst_rvar(k, var, build(var, R.RVar(var)))
                 )
             got, rz, _ = self._synth(ctx, m, path)
             return got, _at_end(rz)
-        game = stack[0]
-        rest = stack[1:]
-        mod = S.Diamond if fl == P.DIA else S.Box
+        (fl, game), rest = stack[0], stack[1:]
 
         match m:
             case P.SeqI(body=body, flavor=flv):
@@ -885,7 +880,7 @@ class _Elaboration:
                         RULE_MISMATCH, path, f"sequencing proof against {_fmt(game)}"
                     )
                 return self._synth_post(
-                    ctx, body, [game.left, game.right] + rest, fl,
+                    ctx, body, [(fl, game.left), (fl, game.right)] + rest,
                     path + ("body",), hints,
                 )
 
@@ -896,40 +891,40 @@ class _Elaboration:
                     )
                 other = P.BOX if fl == P.DIA else P.DIA
                 return self._synth_post(
-                    ctx, body, [game.body] + rest, other, path + ("body",), hints
+                    ctx, body, [(other, game.body)] + rest, path + ("body",), hints
                 )
 
             case P.DPair(fst=a, snd=b) if fl == P.DIA and isinstance(game, S.Test):
                 ev = self._check(ctx, a, game.cond, path + ("fst",))
-                post, build = self._synth_post(ctx, b, rest, fl, path + ("snd",), hints)
+                post, build = self._synth_post(ctx, b, rest, path + ("snd",), hints)
                 return post, _pair_b(ev, build)
 
             case P.Lam(hyp=p, ann=ann, body=body) if fl == P.BOX and isinstance(game, S.Test):
                 self._same(ann, game.cond, path, "lambda annotation")
                 post, build = self._synth_post(
-                    ctx.extend(p, ann), body, rest, fl, path + ("body",), hints
+                    ctx.extend(p, ann), body, rest, path + ("body",), hints
                 )
                 return post, _lam_b(p, ann, build)
 
             case P.BPair(fst=a, snd=b) if fl == P.BOX and isinstance(game, S.Choice):
                 l, bl = self._synth_post(
-                    ctx, a, [game.left] + rest, fl, path + ("fst",), hints
+                    ctx, a, [(fl, game.left)] + rest, path + ("fst",), hints
                 )
                 r, br = self._synth_post(
-                    ctx, b, [game.right] + rest, fl, path + ("snd",), hints
+                    ctx, b, [(fl, game.right)] + rest, path + ("snd",), hints
                 )
                 self._same(r, l, path, "box-pair join")
                 return l, lambda var, k: R.Pair(bl(var, k), br(var, k))
 
             case P.InjL(arg=a) if fl == P.DIA and isinstance(game, S.Choice):
                 post, build = self._synth_post(
-                    ctx, a, [game.left] + rest, fl, path + ("arg",), hints
+                    ctx, a, [(fl, game.left)] + rest, path + ("arg",), hints
                 )
                 return post, lambda var, k: _tagged(0, build(var, k))
 
             case P.InjR(arg=a) if fl == P.DIA and isinstance(game, S.Choice):
                 post, build = self._synth_post(
-                    ctx, a, [game.right] + rest, fl, path + ("arg",), hints
+                    ctx, a, [(fl, game.right)] + rest, path + ("arg",), hints
                 )
                 return post, lambda var, k: _tagged(1, build(var, k))
 
@@ -941,9 +936,10 @@ class _Elaboration:
                 self._ghost_ok(y, ctx, (), (game.term,), path)
                 hyp = S.Cmp(S.Var(x), "=", S.rename(game.term, x, y))
                 post, build = self._synth_post(
-                    ctx.rename_vars(x, y).extend(p, hyp), body, rest, fl,
+                    ctx.rename_vars(x, y).extend(p, hyp), body, rest,
                     path + ("body",), hints,
                 )
+                self._no_escape(y, rest, post, path)
                 return post, lambda var, k: R.subst_rvar(build(var, k), p, R.Unit())
 
             case P.TCons(var=x, ghost=y, hyp=p, witness=f, body=body) if (
@@ -953,9 +949,10 @@ class _Elaboration:
                 self._ghost_ok(y, ctx, (), (f,), path)
                 hyp = S.Cmp(S.Var(x), "=", S.rename(f, x, y))
                 post, build = self._synth_post(
-                    ctx.rename_vars(x, y).extend(p, hyp), body, rest, fl,
+                    ctx.rename_vars(x, y).extend(p, hyp), body, rest,
                     path + ("body",), hints,
                 )
+                self._no_escape(y, rest, post, path)
                 return post, lambda var, k: R.Pair(
                     R.TermVal(f), R.subst_rvar(build(var, k), p, R.Unit())
                 )
@@ -966,17 +963,19 @@ class _Elaboration:
                 self._expect(game.var == x, RULE_MISMATCH, path, "bound variable mismatch")
                 self._ghost_ok(y, ctx, (), (), path)
                 post, build = self._synth_post(
-                    ctx.rename_vars(x, y), body, rest, fl, path + ("body",), hints
+                    ctx.rename_vars(x, y), body, rest, path + ("body",), hints
                 )
+                self._no_escape(y, rest, post, path)
                 return post, _numlam_b(x, build)
 
             case P.Stop(body=body) if fl == P.DIA and isinstance(game, S.Repeat):
-                post, build = self._synth_post(ctx, body, rest, fl, path + ("body",), hints)
+                post, build = self._synth_post(ctx, body, rest, path + ("body",), hints)
                 return post, lambda var, k: _tagged(0, build(var, k))
 
             case P.Go(body=body) if fl == P.DIA and isinstance(game, S.Repeat):
                 post, build = self._synth_post(
-                    ctx, body, [game.body, game] + rest, fl, path + ("body",), hints
+                    ctx, body, [(fl, game.body), (fl, game)] + rest, path + ("body",),
+                    hints,
                 )
                 return post, lambda var, k: _tagged(1, build(var, k))
 
@@ -989,44 +988,42 @@ class _Elaboration:
                     )
                 lphi, lb = self._synth_post(
                     ctx.extend(l, S.Diamond(sphi.game.left, sphi.post)), bl,
-                    [game] + rest, fl, path + ("left",), hints,
+                    stack, path + ("left",), hints,
                 )
                 rphi, rb = self._synth_post(
                     ctx.extend(r, S.Diamond(sphi.game.right, sphi.post)), br,
-                    [game] + rest, fl, path + ("right",), hints,
+                    stack, path + ("right",), hints,
                 )
                 self._same(rphi, lphi, path, "case join")
                 return lphi, _decide_b(a_rz, l, lb, r, rb)
 
             case P.Mon(scrut=a, hyp=p, body=body):
-                inner_hints = tuple((fl, g) for g in rest) + tuple(hints)
                 mid, first = self._synth_post(
-                    ctx, a, [game], fl, path + ("scrut",), inner_hints
+                    ctx, a, stack[:1], path + ("scrut",), tuple(rest) + tuple(hints)
                 )
                 renamed = self._rename_ctx(ctx, game)
                 post, body_b = self._synth_post(
-                    renamed.extend(p, mid), body, rest, fl, path + ("body",), hints
+                    renamed.extend(p, mid), body, rest, path + ("body",), hints
                 )
                 return post, _mon_b(first, p, body_b)
 
         # fall back to full synthesis and peel the expected modalities; the
         # realizer composes with the continuation at run time
         got, rz, _ = self._synth(ctx, m, path)
-        for g in stack:
-            if not (
-                isinstance(got, S.Diamond if fl == P.DIA else S.Box) and got.game == g
-            ):
+        for fl, g in stack:
+            mod = _MOD[fl]
+            if not (isinstance(got, mod) and got.game == g):
                 raise CheckError(
                     RULE_MISMATCH, path,
                     f"expected a proof of {_fmt(mod(g, S.TRUE))}-shaped formula, got {_fmt(got)}",
                 )
             got = got.post
-        return got, lambda var, k: R.Compose(rz, var, k, tuple(stack))
+        return got, lambda var, k: R.Compose(rz, var, k, tuple(g for _, g in stack))
 
     # -- small shared checks ---------------------------------------------------
 
     def _modality(self, phi: Formula, fl: str, path, who: str):
-        want = S.Diamond if fl == P.DIA else S.Box
+        want = _MOD[fl]
         if not isinstance(phi, want):
             raise CheckError(
                 RULE_MISMATCH, path,
@@ -1045,6 +1042,13 @@ class _Elaboration:
                 FRESHNESS, path, f"ghost {y} is not fresh here"
             )
 
+    def _no_escape(self, y: str, rest, post: Formula, path):
+        """A ghost chosen before the goal was known must not be free in it."""
+        self._expect(
+            y not in S.free_vars(_wrap(rest, post)), FRESHNESS, path,
+            f"ghost {y} escapes into {_fmt(_wrap(rest, post))}",
+        )
+
 
 # rules with a premise that proves the residual, into which `_check`
 # pushes a continuation
@@ -1057,6 +1061,16 @@ _NEEDS_GAME = (
     P.SeqI, P.Swap, P.Asgn, P.TCons, P.InjL, P.InjR, P.Stop, P.Go, P.BPair,
     P.Rep, P.For, P.Roll, P.NumLam,
 )
+
+
+_MOD = {P.DIA: S.Diamond, P.BOX: S.Box}
+
+
+def _wrap(stack, post: Formula) -> Formula:
+    """M0(g0, M1(g1, ... post)) for a stack of (flavor, game) pairs."""
+    for fl, g in reversed(stack):
+        post = _MOD[fl](g, post)
+    return post
 
 
 def _modal_spine(phi: Formula):

@@ -328,6 +328,10 @@ def main(argv=None) -> int:
         # a term the checker accepted is undefined at this concrete state
         print(f"cgl {args.cmd}: undefined at this state: {e}", file=sys.stderr)
         return 1
+    except engine.IllStructuredRealizer as e:
+        # a strategy whose shape does not fit the game it is played on
+        print(f"cgl {args.cmd}: ill-structured strategy: {e}", file=sys.stderr)
+        return 1
     except BrokenPipeError:
         return 1
 

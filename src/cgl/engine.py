@@ -21,6 +21,7 @@ from typing import Optional
 
 from . import realizer as R
 from . import syntax as S
+from .checker import realizer_of_formula
 from .printer import print_formula, print_game
 from .rational import Rational, format_rational, parse_rational
 from .syntax import Formula, Game, State
@@ -650,8 +651,9 @@ def play(game: Game, role: str, cl: Closure, state: State, demon: DemonOracle,
 
 
 def strip_assumptions(phi: Formula, cl: Closure, state: State):
-    """Peel derived implications off a theorem, feeding unit evidence for
-    each hypothesis that holds at the state; returns (core, closure) or
+    """Peel derived implications off a theorem, feeding evidence for each
+    hypothesis that holds at the state (units for comparisons, decisions
+    for disjunctions, as for an oracle leaf); returns (core, closure) or
     None when a hypothesis fails (the theorem says nothing there)."""
     budget = Budget(10_000)
     while (imp := S.split_implies(phi)) is not None:
@@ -661,7 +663,8 @@ def strip_assumptions(phi: Formula, cl: Closure, state: State):
                 return None
         except TypeError:
             return None
-        cl = app_rz(cl, _UNIT, state, budget)
+        # a hypothesis eval_fo can judge has no quantifier, so no oracle
+        cl = app_rz(cl, close(realizer_of_formula(pre, None)), state, budget)
     return phi, cl
 
 

@@ -179,6 +179,32 @@ def test_numapp_inadmissible():
     assert err.kind == C.INADMISSIBLE
 
 
+# `mon` scrutinees: the ghost is chosen before the goal is known, and each
+# game under the scrutinee keeps its own flavor
+MON_SCRUTINEES = r"""
+theorem ghostEscape : <c := c + 1> c = x + 1 =
+  mon(asgnd c (x, ch. FO[c = x + 1](ch)); p. p)
+theorem restEscape : <c := c + 1 ; ?c = x + 1> tt =
+  mon(seqd asgnd c (x, ch. <FO[c = x + 1](ch), FO[tt]()>); p. p)
+theorem dualFlip : <{x := *}^d ; ?x > 0> tt =
+  mon(seqd yieldd (\x : Q as xd. \t : x > 0. FO[tt]()); p. FO[tt]())
+theorem dualOk : <{x := *}^d ; c := 1> c = 1 =
+  mon(seqd yieldd (\x : Q as xd. asgnd c (cz, ch. FO[c = 1](ch))); p. p)
+"""
+
+
+@pytest.mark.parametrize("name, kind", [
+    ("ghostEscape", C.FRESHNESS),  # false: the ghost x is the old c
+    ("restEscape", C.FRESHNESS),  # false from x = 5: the test reads x
+    ("dualFlip", C.RULE_MISMATCH),  # false: the demon picks x <= 0
+    ("dualOk", None),
+])
+def test_mon_scrutinee_verdicts(name, kind):
+    phi, m = parse_script(MON_SCRUTINEES).theorems[name]
+    err = ck().check_result(Context(), m, phi)
+    assert (err and err.kind) == kind, err
+
+
 # -- structural metatheory -------------------------------------------------------
 
 

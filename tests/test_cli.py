@@ -207,6 +207,43 @@ def test_undefined_division_is_a_diagnostic(tmp_path, capsys):
         assert "evaluates to 0" in err and "Traceback" not in err
 
 
+def test_disjunctive_hypothesis_gets_its_evidence(tmp_path, capsys):
+    # the strategy cases on the hypothesis, so it needs a decision, not a unit
+    f = tmp_path / "okName.cgl"
+    f.write_text(
+        "theorem okName : (x > 0 | x <= 0) -> [w := * ; {z := 1 ++ z := 2}^d] z > 0 =\n"
+        "  \\h : (x > 0 | x <= 0). seqb (\\w : Q as w0. yieldb (case h of\n"
+        "    l. inl asgnd z (z0, k. FO[z > 0](k))\n"
+        "  | r. inr asgnd z (z1, k. FO[z > 0](k))))\n"
+    )
+    menu = tmp_path / "menu.json"
+    menu.write_text(json.dumps({"values": {"w": ["5"]}}))
+    assert run(capsys, "check", str(f))[0] == 0
+    for x, z in (("1", "1"), ("-1", "2")):
+        code, out, err = run(capsys, "play", str(f), "--state", f"x={x}")
+        assert (code, err) == (0, "")
+        assert f"assign z {z}" in out
+        code, out, err = run(capsys, "verify", str(f), "--menu", str(menu),
+                             "--state", f"x={x}")
+        assert (code, err) == (0, "")
+        assert "all demon lines win" in out
+
+
+def test_ill_structured_strategy_is_a_diagnostic(tmp_path, capsys, monkeypatch):
+    import cgl.cli
+    from cgl import realizer as R
+
+    f = tmp_path / "t.cgl"
+    f.write_text("theorem t : <x := *> x = 1 = wit x := 1 (x0, h. FO[x = 1](h))\n")
+    menu = tmp_path / "menu.json"
+    menu.write_text(json.dumps({"values": {}}))
+    monkeypatch.setattr(cgl.cli, "extract", lambda proof, phi: R.Unit())
+    for argv in (("play", str(f)), ("verify", str(f), "--menu", str(menu))):
+        code, _out, err = run(capsys, *argv)
+        assert code == 1
+        assert err == f"cgl {argv[0]}: ill-structured strategy: expected a pair, got Unit\n"
+
+
 def test_check_rejects_negated_forall_hypothesis(tmp_path, capsys):
     f = tmp_path / "bad.cgl"
     f.write_text(
