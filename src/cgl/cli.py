@@ -12,7 +12,6 @@ import sys
 from importlib import resources
 
 from . import engine, normalizer
-from . import realizer as R
 from . import syntax as S
 from .checker import Checker
 from .engine import (
@@ -25,10 +24,10 @@ from .extraction import (
     extract_existential, validate_existential,
 )
 from .parser import ParseError, parse_script
+from .interchange import to_json
 from .printer import print_formula, print_proof
 from .proofterms import Context
 from .rational import DivisionByZero, parse_rational
-from .realizer import realizer_to_json
 from .syntax import State
 
 
@@ -171,7 +170,7 @@ def cmd_extract(args) -> int:
     except UncheckedInput as e:
         print(f"{name}: {e}", file=sys.stderr)
         return 1
-    data = json.dumps(realizer_to_json(rz), indent=2)
+    data = json.dumps(to_json(rz), indent=2)
     if args.emit_realizer:
         with open(args.emit_realizer, "w", encoding="utf-8") as fh:
             fh.write(data + "\n")

@@ -1,60 +1,75 @@
-"""Tagged-tree JSON interchange for proof terms.
+"""Tagged-tree JSON interchange for proof terms and strategy realizers.
 
 Every node serializes as {"node": <constructor>, <field>: <value>, ...};
-terms and formulas are carried as canonical surface strings, so files stay
-reviewable and the parser is the single decoder.
+terms, formulas and games are carried as canonical surface strings, so
+files stay reviewable and the parser is the single decoder.  Each field
+is encoded and decoded by its annotation, read once per class.
 """
 
 from __future__ import annotations
 
 from dataclasses import fields
+from functools import cache
 
 from . import proofterms as P
-from . import syntax as S
+from . import realizer as R
+from .parser import parse_formula_text, parse_game_text, parse_term_text
+from .printer import print_formula, print_game, print_term
 
-_CLASSES = {
-    cls.__name__: cls
-    for cls in (
-        P.PVar, P.Lam, P.App, P.NumLam, P.NumApp, P.DPair, P.BPair, P.Proj1,
-        P.Proj2, P.InjL, P.InjR, P.Case, P.TCons, P.Unpack, P.Asgn, P.SeqI,
-        P.Swap, P.Stop, P.Go, P.RCase, P.For, P.FP, P.Rep, P.Roll, P.Unroll,
-        P.Mon, P.QE, P.Dec, P.Split, P.Ghost,
-    )
+# base class name -> its constructors by name, read from the module:
+# `dataclass(slots=True)` replaces each class it decorates, and
+# `__subclasses__()` lists the replaced ones too until they are collected
+_NODES = {
+    base.__name__: {
+        name: cls for name, cls in vars(module).items()
+        if isinstance(cls, type) and issubclass(cls, base) and cls is not base
+    }
+    for module, base in ((P, P.ProofTerm), (R, R.Realizer))
+}
+_LEAVES = {  # annotation -> (encode, decode)
+    "str": (str, str),
+    "Term": (print_term, parse_term_text),
+    "Formula": (print_formula, parse_formula_text),
+    "Game": (print_game, parse_game_text),
 }
 
 
-def proof_to_json(m: P.ProofTerm):
-    from .printer import print_formula, print_term
+def _codec(ann: str):
+    """(encode, decode) for a field annotated `ann`."""
+    if ann.startswith("Optional["):
+        enc, dec = _codec(ann[len("Optional["):-1])
+        return (lambda v: v if v is None else enc(v)), (lambda d: d if d is None else dec(d))
+    if ann == "tuple[Game, ...]":
+        enc, dec = _LEAVES["Game"]
+        return (lambda v: [enc(g) for g in v]), (lambda d: tuple(dec(g) for g in d))
+    if ann in _NODES:
+        nodes = _NODES[ann]
+        return to_json, lambda d: _decode(nodes, d)
+    return _LEAVES[ann]
 
-    out = {"node": type(m).__name__}
-    for f in fields(type(m)):
-        v = getattr(m, f.name)
-        if isinstance(v, P.ProofTerm):
-            out[f.name] = proof_to_json(v)
-        elif isinstance(v, S.Term):
-            out[f.name] = print_term(v)
-        elif isinstance(v, S.Formula):
-            out[f.name] = print_formula(v)
-        else:
-            out[f.name] = v
+
+@cache
+def _fields(cls) -> tuple:
+    """((name, encode, decode), ...) for each field of a node class."""
+    return tuple((f.name, *_codec(f.type)) for f in fields(cls))
+
+
+def to_json(node):
+    """The JSON tree of a proof term or a realizer."""
+    out = {"node": type(node).__name__}
+    for name, enc, _dec in _fields(type(node)):
+        out[name] = enc(getattr(node, name))
     return out
 
 
-def proof_from_json(data) -> P.ProofTerm:
-    from .parser import parse_formula_text, parse_term_text
+def _decode(nodes, data):
+    cls = nodes[data["node"]]
+    return cls(*[dec(data[name]) for name, _enc, dec in _fields(cls)])
 
-    cls = _CLASSES[data["node"]]
-    kwargs = {}
-    for f in fields(cls):
-        v = data[f.name]
-        if isinstance(v, dict):
-            kwargs[f.name] = proof_from_json(v)
-        elif f.name in ("ann", "inv", "goal"):
-            kwargs[f.name] = parse_formula_text(v)
-        elif f.name in ("witness", "term", "metric", "left", "right") and isinstance(v, str) and cls in (P.TCons, P.Ghost, P.NumApp, P.For, P.Split):
-            kwargs[f.name] = parse_term_text(v)
-        elif f.name == "payload":
-            kwargs[f.name] = proof_from_json(v) if v is not None else None
-        else:
-            kwargs[f.name] = v
-    return cls(**kwargs)
+
+def proof_from_json(data) -> P.ProofTerm:
+    return _decode(_NODES["ProofTerm"], data)
+
+
+def realizer_from_json(data) -> R.Realizer:
+    return _decode(_NODES["Realizer"], data)

@@ -440,17 +440,14 @@ def _all_vars_expr(e) -> set[str]:
     stack = [e]
     while stack:
         n = stack.pop()
-        if isinstance(n, S.Var):
+        t = type(n)
+        if t is S.Var:
             out.add(n.name)
-        elif isinstance(n, (S.Assign, S.AssignAny)):
+        elif t is S.Assign or t is S.AssignAny:
             out.add(n.var)
-            if isinstance(n, S.Assign):
-                stack.append(n.term)
-        else:
-            for f in getattr(type(n), "__dataclass_fields__", {}):
-                v = getattr(n, f)
-                if isinstance(v, (S.Term, S.Game, S.Formula)):
-                    stack.append(v)
+        for f, sub in S.field_table(t):
+            if sub:
+                stack.append(getattr(n, f))
     return out
 
 
@@ -603,23 +600,20 @@ def alpha_eq(a: ProofTerm, b: ProofTerm) -> bool:
 
 
 def _expr_eq(e1, e2, vmap: dict) -> bool:
-    if type(e1) is not type(e2):
+    t = type(e1)
+    if t is not type(e2):
         return False
-    if isinstance(e1, S.Var):
+    if t is S.Var:
         return vmap.get(e1.name, e1.name) == e2.name
-    if isinstance(e1, (S.Assign, S.AssignAny)):
+    if t in (S.Assign, S.AssignAny):
         if vmap.get(e1.var, e1.var) != e2.var:
             return False
-    if isinstance(e1, S.Lit):
-        return e1.value == e2.value
-    if isinstance(e1, S.Cmp) and e1.rel != e2.rel:
-        return False
-    for f in getattr(type(e1), "__dataclass_fields__", {}):
-        v1, v2 = getattr(e1, f), getattr(e2, f)
-        if isinstance(v1, (S.Term, S.Game, S.Formula)):
-            if not _expr_eq(v1, v2, vmap):
-                return False
-    return True
+        return t is S.AssignAny or _expr_eq(e1.term, e2.term, vmap)
+    return all(
+        _expr_eq(getattr(e1, f), getattr(e2, f), vmap) if sub
+        else getattr(e1, f) == getattr(e2, f)
+        for f, sub in S.field_table(t)
+    )
 
 
 def _alpha(a: ProofTerm, b: ProofTerm, pmap: dict, vmap: dict) -> bool:

@@ -1,4 +1,4 @@
-"""Executable strategy values (realizers) and their JSON interchange form.
+"""Executable strategy values (realizers).
 
 A realizer makes Angel's decisions move-by-move: pairs feed branch
 selectors and continuations, number/proof lambdas receive Demon's data,
@@ -8,7 +8,8 @@ into a continuation (the run-time face of postcondition weakening) and
 `Decide` branches on a forced selector.
 
 Realizer syntax is immutable; the engine pairs it with environments, so
-values can be exported/imported losslessly as tagged JSON trees.
+values can be exported/imported losslessly as tagged JSON trees
+(`cgl.interchange`).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Optional
 
-from . import syntax as S
+from .syntax import Formula, Game, Term
 
 
 class Realizer:
@@ -53,13 +54,13 @@ class NumLamR(Realizer):
 @dataclass(frozen=True, slots=True)
 class AppNum(Realizer):
     fn: Realizer
-    term: S.Term
+    term: Term
 
 
 @dataclass(frozen=True, slots=True)
 class ProofLam(Realizer):
     hyp: str
-    ann: S.Formula
+    ann: Formula
     body: Realizer
 
 
@@ -71,12 +72,12 @@ class AppRz(Realizer):
 
 @dataclass(frozen=True, slots=True)
 class TermVal(Realizer):
-    term: S.Term
+    term: Term
 
 
 @dataclass(frozen=True, slots=True)
 class IfTerm(Realizer):
-    cond: S.Formula
+    cond: Formula
     then: Realizer
     els: Realizer
 
@@ -97,7 +98,7 @@ class Gen(Realizer):
     var: str
     step: Realizer
     post: Realizer
-    game: Optional[S.Game]
+    game: Optional[Game]
 
 
 @dataclass(frozen=True, slots=True)
@@ -114,7 +115,7 @@ class Compose(Realizer):
     first: Realizer
     var: str
     cont: Realizer
-    games: tuple = ()
+    games: tuple[Game, ...] = ()
 
 
 @dataclass(frozen=True, slots=True)
@@ -124,61 +125,6 @@ class Decide(Realizer):
     left: Realizer
     rvar: str
     right: Realizer
-
-
-# ---------------------------------------------------------------------------
-# JSON interchange
-
-_CLASSES = {
-    cls.__name__: cls
-    for cls in (
-        Unit, Pair, Fst, Snd, NumLamR, AppNum, ProofLam, AppRz, TermVal, IfTerm,
-        Ind, Gen, RVar, Compose, Decide,
-    )
-}
-
-
-def realizer_to_json(r: Realizer):
-    from .printer import print_formula, print_game, print_term
-
-    out = {"node": type(r).__name__}
-    for f in fields(type(r)):
-        v = getattr(r, f.name)
-        if isinstance(v, Realizer):
-            out[f.name] = realizer_to_json(v)
-        elif isinstance(v, S.Term):
-            out[f.name] = print_term(v)
-        elif isinstance(v, S.Formula):
-            out[f.name] = print_formula(v)
-        elif isinstance(v, S.Game):
-            out[f.name] = print_game(v)
-        elif isinstance(v, tuple):
-            out[f.name] = [print_game(g) for g in v]
-        else:
-            out[f.name] = v
-    return out
-
-
-def realizer_from_json(data) -> Realizer:
-    from .parser import parse_formula_text, parse_game_text, parse_term_text
-
-    cls = _CLASSES[data["node"]]
-    kwargs = {}
-    for f in fields(cls):
-        v = data[f.name]
-        if f.type == "Realizer":
-            kwargs[f.name] = realizer_from_json(v)
-        elif f.name == "term":
-            kwargs[f.name] = parse_term_text(v)
-        elif f.name in ("ann", "cond"):
-            kwargs[f.name] = parse_formula_text(v)
-        elif f.name == "game":
-            kwargs[f.name] = parse_game_text(v) if v is not None else None
-        elif f.name == "games":
-            kwargs[f.name] = tuple(parse_game_text(g) for g in v)
-        else:
-            kwargs[f.name] = v
-    return cls(**kwargs)
 
 
 def subst_rvar(r: Realizer, name: str, value: Realizer) -> Realizer:

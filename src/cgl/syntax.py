@@ -10,8 +10,9 @@ All nodes are immutable and hashable; operations build new trees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import cache
 from typing import Union
 
 from .rational import DivisionByZero, Rational, format_rational, rat_quot, rat_rem
@@ -366,27 +367,45 @@ def must_bound_vars(g: Game) -> frozenset[str]:
     raise TypeError(f"not a game: {g!r}")
 
 
-def formula_bound_vars(phi: Formula) -> frozenset[str]:
-    """All variables bound by any game occurring in phi."""
-    match phi:
-        case Cmp():
-            return frozenset()
-        case Diamond(game=g, post=p) | Box(game=g, post=p):
-            return bound_vars(g) | game_formula_bound_vars(g) | formula_bound_vars(p)
-    raise TypeError(f"not a formula: {phi!r}")
+def assigned_vars(e: Expr) -> frozenset[str]:
+    """Every variable an assignment binds anywhere in e, tests included."""
+    out = set()
+    stack = [e]
+    while stack:
+        n = stack.pop()
+        t = type(n)
+        if t is Assign or t is AssignAny:
+            out.add(n.var)
+        elif not isinstance(n, Term):  # terms bind nothing
+            for f, sub in field_table(t):
+                if sub:
+                    stack.append(getattr(n, f))
+    return frozenset(out)
 
 
-def game_formula_bound_vars(g: Game) -> frozenset[str]:
-    match g:
-        case Test(cond=c):
-            return formula_bound_vars(c)
-        case Assign() | AssignAny():
-            return frozenset()
-        case Choice(left=a, right=b) | Seq(left=a, right=b):
-            return game_formula_bound_vars(a) | game_formula_bound_vars(b)
-        case Repeat(body=a) | Dual(body=a):
-            return game_formula_bound_vars(a)
-    raise TypeError(f"not a game: {g!r}")
+# ---------------------------------------------------------------------------
+# Generic traversal: one field table per class
+
+
+@cache
+def field_table(cls) -> tuple:
+    """(name, holds a Term/Game/Formula) for each field of a syntax class,
+    in constructor order, read once from its annotations."""
+    return tuple((f.name, f.type in ("Term", "Game", "Formula")) for f in fields(cls))
+
+
+def map_children(e: Expr, fn) -> Expr:
+    """e with fn applied to each Term/Game/Formula child; e itself when
+    fn changes none of them."""
+    args, changed = [], False
+    for name, sub in field_table(type(e)):
+        v = getattr(e, name)
+        if sub:
+            w = fn(v)
+            changed = changed or w is not v
+            v = w
+        args.append(v)
+    return type(e)(*args) if changed else e
 
 
 # ---------------------------------------------------------------------------
@@ -400,50 +419,17 @@ def rename(e: Expr, x: str, y: str) -> Expr:
     def rn(v: str) -> str:
         return y if v == x else x if v == y else v
 
-    match e:
-        case Lit():
-            return e
-        case Var(name=v):
-            return Var(rn(v))
-        case Plus(left=a, right=b):
-            return Plus(rename(a, x, y), rename(b, x, y))
-        case Times(left=a, right=b):
-            return Times(rename(a, x, y), rename(b, x, y))
-        case Minus(left=a, right=b):
-            return Minus(rename(a, x, y), rename(b, x, y))
-        case Neg(arg=a):
-            return Neg(rename(a, x, y))
-        case Div(left=a, right=b):
-            return Div(rename(a, x, y), rename(b, x, y))
-        case Mod(left=a, right=b):
-            return Mod(rename(a, x, y), rename(b, x, y))
-        case Abs(arg=a):
-            return Abs(rename(a, x, y))
-        case Min(left=a, right=b):
-            return Min(rename(a, x, y), rename(b, x, y))
-        case Max(left=a, right=b):
-            return Max(rename(a, x, y), rename(b, x, y))
-        case Cmp(left=a, rel=r, right=b):
-            return Cmp(rename(a, x, y), r, rename(b, x, y))
-        case Diamond(game=g, post=p):
-            return Diamond(rename(g, x, y), rename(p, x, y))
-        case Box(game=g, post=p):
-            return Box(rename(g, x, y), rename(p, x, y))
-        case Test(cond=c):
-            return Test(rename(c, x, y))
-        case Assign(var=v, term=f):
-            return Assign(rn(v), rename(f, x, y))
-        case AssignAny(var=v):
-            return AssignAny(rn(v))
-        case Choice(left=a, right=b):
-            return Choice(rename(a, x, y), rename(b, x, y))
-        case Seq(left=a, right=b):
-            return Seq(rename(a, x, y), rename(b, x, y))
-        case Repeat(body=a):
-            return Repeat(rename(a, x, y))
-        case Dual(body=a):
-            return Dual(rename(a, x, y))
-    raise TypeError(f"cannot rename {e!r}")
+    def go(n: Expr) -> Expr:
+        t = type(n)
+        if t is Var:
+            return Var(rn(n.name)) if n.name in (x, y) else n
+        if t is Assign:
+            return Assign(rn(n.var), go(n.term))
+        if t is AssignAny:
+            return AssignAny(rn(n.var))
+        return map_children(n, go)
+
+    return go(e)
 
 
 def rename_state(s: State, x: str, y: str) -> State:
@@ -460,14 +446,7 @@ class InadmissibleSubstitution(Exception):
 
 
 def check_admissible(e: Expr, x: str, f: Term) -> None:
-    blocked = {x} | set(free_vars(f))
-    if isinstance(e, Formula):
-        bound = formula_bound_vars(e)
-    elif isinstance(e, Game):
-        bound = bound_vars(e) | game_formula_bound_vars(e)
-    else:
-        bound = frozenset()
-    hit = bound & blocked
+    hit = assigned_vars(e) & ({x} | free_vars(f))
     if hit:
         raise InadmissibleSubstitution(
             f"substitution [{x} -> {f!r}] crosses binder of {sorted(hit)}"
@@ -477,54 +456,13 @@ def check_admissible(e: Expr, x: str, f: Term) -> None:
 def subst_term(e: Expr, x: str, f: Term) -> Expr:
     """Replace free occurrences of x by f; raises when inadmissible."""
     check_admissible(e, x, f)
-    return _subst(e, x, f)
 
+    def go(n: Expr) -> Expr:
+        if type(n) is Var:
+            return f if n.name == x else n
+        return map_children(n, go)
 
-def _subst(e: Expr, x: str, f: Term) -> Expr:
-    match e:
-        case Lit():
-            return e
-        case Var(name=v):
-            return f if v == x else e
-        case Plus(left=a, right=b):
-            return Plus(_subst(a, x, f), _subst(b, x, f))
-        case Times(left=a, right=b):
-            return Times(_subst(a, x, f), _subst(b, x, f))
-        case Minus(left=a, right=b):
-            return Minus(_subst(a, x, f), _subst(b, x, f))
-        case Neg(arg=a):
-            return Neg(_subst(a, x, f))
-        case Div(left=a, right=b):
-            return Div(_subst(a, x, f), _subst(b, x, f))
-        case Mod(left=a, right=b):
-            return Mod(_subst(a, x, f), _subst(b, x, f))
-        case Abs(arg=a):
-            return Abs(_subst(a, x, f))
-        case Min(left=a, right=b):
-            return Min(_subst(a, x, f), _subst(b, x, f))
-        case Max(left=a, right=b):
-            return Max(_subst(a, x, f), _subst(b, x, f))
-        case Cmp(left=a, rel=r, right=b):
-            return Cmp(_subst(a, x, f), r, _subst(b, x, f))
-        case Diamond(game=g, post=p):
-            return Diamond(_subst(g, x, f), _subst(p, x, f))
-        case Box(game=g, post=p):
-            return Box(_subst(g, x, f), _subst(p, x, f))
-        case Test(cond=c):
-            return Test(_subst(c, x, f))
-        case Assign(var=v, term=t):
-            return Assign(v, _subst(t, x, f))
-        case AssignAny():
-            return e
-        case Choice(left=a, right=b):
-            return Choice(_subst(a, x, f), _subst(b, x, f))
-        case Seq(left=a, right=b):
-            return Seq(_subst(a, x, f), _subst(b, x, f))
-        case Repeat(body=a):
-            return Repeat(_subst(a, x, f))
-        case Dual(body=a):
-            return Dual(_subst(a, x, f))
-    raise TypeError(f"cannot substitute into {e!r}")
+    return go(e)
 
 
 def eval_fo(phi: Formula, state: State) -> bool:

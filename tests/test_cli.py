@@ -117,7 +117,7 @@ def test_extract_emit(tmp_path, capsys):
     data = json.loads(out_file.read_text())
     assert data["node"] in ("NumLamR", "ProofLam", "Pair", "Compose", "Decide")
 
-    from cgl.realizer import realizer_from_json
+    from cgl.interchange import realizer_from_json
 
     realizer_from_json(data)  # parses back
 

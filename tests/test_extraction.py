@@ -25,7 +25,7 @@ from cgl.extraction import (
     validate_existential,
 )
 from cgl.proofterms import Context
-from cgl.realizer import realizer_from_json, realizer_to_json
+from cgl.interchange import realizer_from_json, to_json
 from cgl.syntax import State
 from test_checker import WRAPPED_STEPS, _counter_loop
 
@@ -86,7 +86,7 @@ def test_nested_synthesized_mon_is_walked_once():
 
     rz = extract(m, S.And(tt, tt), oracle=Counting())
     assert len(asked) == 62  # each oracle leaf once
-    assert "Compose" not in json.dumps(realizer_to_json(rz))
+    assert "Compose" not in json.dumps(to_json(rz))
 
 
 def test_existential_witness_plus(corpus):
@@ -131,7 +131,7 @@ def test_realizer_json_roundtrip(all_theorems):
     for name in ("dCake", "dNim", "aNim", "forCounter"):
         phi, proof = all_theorems[name]
         rz = extract(proof, phi)
-        data = realizer_to_json(rz)
+        data = to_json(rz)
         back = realizer_from_json(data)
         assert back == rz, name
 
@@ -227,7 +227,7 @@ def realizer_digest(rz) -> str:
     """sha256 of the realizer's JSON, with extraction's fresh names
     (`loop#n`, `t#n`, `fp#n`, `z#n`) renumbered in order of first
     occurrence, so only their allocation order may move."""
-    text = json.dumps(realizer_to_json(rz), sort_keys=True)
+    text = json.dumps(to_json(rz), sort_keys=True)
     seen = {}
 
     def canon(mo):

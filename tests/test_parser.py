@@ -152,13 +152,27 @@ def test_comments_ignored():
 
 
 def test_proof_json_interchange(all_theorems):
-    from cgl.interchange import proof_from_json, proof_to_json
+    from cgl.interchange import proof_from_json, to_json
+    from test_normalizer import coverage_seeds
     import json
 
-    for name, (_phi, proof) in all_theorems.items():
-        data = proof_to_json(proof)
-        json.dumps(data)  # serializable
-        assert proof_from_json(data) == proof, name
+    # the coverage seeds add Go, Roll, Stop and Unpack, which no corpus
+    # proof builds: together they use every constructor
+    proofs = [proof for _phi, proof in all_theorems.values()] + coverage_seeds()
+    used = {type(n).__name__ for m in proofs for n in _subterms(m)}
+    # by name: __subclasses__() also lists the classes slots=True replaced
+    assert used == {cls.__name__ for cls in P.ProofTerm.__subclasses__()}
+    for proof in proofs:
+        data = json.loads(json.dumps(to_json(proof)))  # serializable
+        assert proof_from_json(data) == proof, proof
+
+
+def _subterms(m):
+    yield m
+    for name, kind in P._child_spec(type(m)):
+        v = getattr(m, name)
+        if kind in ("pt", "pt?") and v is not None:
+            yield from _subterms(v)
 
 
 # sha256 (16 hex digits) of each corpus proof's JSON with sorted keys,
@@ -190,13 +204,13 @@ PROOF_JSON_DIGESTS = {
 
 
 def test_corpus_proof_json_pinned(all_theorems):
-    from cgl.interchange import proof_to_json
+    from cgl.interchange import to_json
     import hashlib
     import json
 
     got = {
         name: hashlib.sha256(
-            json.dumps(proof_to_json(proof), sort_keys=True).encode()
+            json.dumps(to_json(proof), sort_keys=True).encode()
         ).hexdigest()[:16]
         for name, (_phi, proof) in all_theorems.items()
     }
