@@ -1044,10 +1044,9 @@ class _Elaboration:
 
     def _no_escape(self, y: str, rest, post: Formula, path):
         """A ghost chosen before the goal was known must not be free in it."""
-        self._expect(
-            y not in S.free_vars(_wrap(rest, post)), FRESHNESS, path,
-            f"ghost {y} escapes into {_fmt(_wrap(rest, post))}",
-        )
+        goal = _wrap(rest, post)
+        if y in S.free_vars(goal):
+            raise CheckError(FRESHNESS, path, f"ghost {y} escapes into {_fmt(goal)}")
 
 
 # rules with a premise that proves the residual, into which `_check`

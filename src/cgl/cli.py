@@ -23,8 +23,8 @@ from .extraction import (
     UncheckedInput, extract, extract_disjunct,
     extract_existential, validate_existential,
 )
-from .parser import ParseError, parse_script
 from .interchange import to_json
+from .parser import ParseError, parse_script
 from .printer import print_formula, print_proof
 from .proofterms import Context
 from .rational import DivisionByZero, parse_rational

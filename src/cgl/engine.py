@@ -651,9 +651,8 @@ def play(game: Game, role: str, cl: Closure, state: State, demon: DemonOracle,
 
 
 def strip_assumptions(phi: Formula, cl: Closure, state: State):
-    """Peel derived implications off a theorem, feeding evidence for each
-    hypothesis that holds at the state (units for comparisons, decisions
-    for disjunctions, as for an oracle leaf); returns (core, closure) or
+    """Peel derived implications off a theorem, feeding oracle-leaf evidence
+    for each hypothesis that holds at the state; returns (core, closure) or
     None when a hypothesis fails (the theorem says nothing there)."""
     budget = Budget(10_000)
     while (imp := S.split_implies(phi)) is not None:

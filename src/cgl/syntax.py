@@ -394,7 +394,7 @@ def field_table(cls) -> tuple:
     return tuple((f.name, f.type in ("Term", "Game", "Formula")) for f in fields(cls))
 
 
-def map_children(e: Expr, fn) -> Expr:
+def _map_children(e: Expr, fn) -> Expr:
     """e with fn applied to each Term/Game/Formula child; e itself when
     fn changes none of them."""
     args, changed = [], False
@@ -427,7 +427,7 @@ def rename(e: Expr, x: str, y: str) -> Expr:
             return Assign(rn(n.var), go(n.term))
         if t is AssignAny:
             return AssignAny(rn(n.var))
-        return map_children(n, go)
+        return _map_children(n, go)
 
     return go(e)
 
@@ -460,7 +460,7 @@ def subst_term(e: Expr, x: str, f: Term) -> Expr:
     def go(n: Expr) -> Expr:
         if type(n) is Var:
             return f if n.name == x else n
-        return map_children(n, go)
+        return _map_children(n, go)
 
     return go(e)
 
