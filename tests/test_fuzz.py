@@ -4,16 +4,22 @@ A losing strategy extracted from an accepted proof would be a soundness
 hole; this guards the checker/oracle/extractor/engine stack jointly."""
 
 import dataclasses
+import hashlib
+import json
 import random
+import re
 
 from cgl import proofterms as P
 from cgl import syntax as S
-from cgl.checker import Checker
+from cgl.checker import CheckError, Checker, elaborate
 from cgl.engine import (
     DemonMenu, IllStructuredRealizer, close, modal_core, strip_assumptions,
     verify_exhaustive,
 )
 from cgl.extraction import UncheckedInput, extract
+from cgl.interchange import to_json
+from cgl.oracle import ArithOracle
+from cgl.parser import parse_script
 from cgl.proofterms import Context
 from cgl.syntax import State
 
@@ -128,3 +134,114 @@ def test_accepted_mutants_still_win(all_theorems):
         assert cex is None, f"checker accepted a losing mutant of {name}"
         benign += 1
     assert rejected >= 20 and benign >= 5  # the fuzz actually bites
+
+
+# -- pinned verdicts of seeded mutants -------------------------------------------
+#
+# Accept/reject and the realizer of every accepted proof, for seeded single
+# and double mutants of every corpus theorem and of the `mon` scrutinee
+# theorems.  The operators reach the `mon` cases on purpose: they wrap
+# subproofs in `mon(M; p. p)` in checking and in synthesis position, flip
+# flavors and make ghosts clash.  No diagnostic text is pinned.
+
+def _tt():
+    return P.QE(S.TRUE, None)
+
+
+def _mutate_once(m, rng):
+    nodes = list(_subterms(m))
+    for _ in range(40):
+        path, node = rng.choice(nodes)
+        k = rng.randrange(8)
+        if k == 0:
+            return _replace_at(m, path, P.Mon(node, "pw", P.PVar("pw")))
+        if k == 1:
+            synth = P.Proj1(P.Mon(P.DPair(node, _tt()), "pw", P.PVar("pw")))
+            return _replace_at(m, path, synth)
+        if k == 2 and isinstance(node, (P.Asgn, P.SeqI, P.Swap)):
+            flipped = P.BOX if node.flavor == P.DIA else P.DIA
+            return _replace_at(m, path, dataclasses.replace(node, flavor=flipped))
+        if k == 3 and isinstance(node, (P.Asgn, P.TCons, P.NumLam)):
+            ghost = rng.choice(["x", "c", "y"])
+            return _replace_at(m, path, dataclasses.replace(node, ghost=ghost))
+        if k == 4 and isinstance(node, P.Mon):
+            return _replace_at(m, path, dataclasses.replace(node, body=P.PVar(node.hyp)))
+        if k == 5:
+            return _replace_at(m, path, rng.choice(nodes)[1])
+        if k == 6 and isinstance(node, (P.Lam, P.NumLam)):
+            return _replace_at(m, path, node.body)
+        if k == 7 and (out := _mutate(m, rng)) is not None:
+            return out
+    return None
+
+
+def _canon_names(text):
+    """Fresh realizer names (`loop#3`) and ghosts (`x~2`) renumbered in
+    order of first occurrence."""
+    seen = {}
+    return re.sub(
+        r"([A-Za-z_]\w*)([#~])(\d+)",
+        lambda mo: f"{mo.group(1)}{mo.group(2)}{seen.setdefault(mo.group(0), len(seen) + 1)}",
+        text,
+    )
+
+
+def _verdict(m, phi, oracle):
+    try:
+        rz = elaborate(Context(), m, phi, oracle)
+    except CheckError:
+        return "rejected"
+    except UncheckedInput:
+        return "accepted, unrealized"
+    return "accepted " + _canon_names(json.dumps(to_json(rz), sort_keys=True))
+
+
+MUTANT_DIGESTS = {
+    "aCake": "a6672a2a6d1d4efc",
+    "aNim": "3ecf1c4aa6c139c7",
+    "absFold": "54ecdeb2a82f5522",
+    "applyId": "8bb75454e5fa666f",
+    "dCake": "7f3d62ac03ead544",
+    "dNim": "7c5d1c20f008f975",
+    "decDemo": "cd03cfef299424c4",
+    "dualFlip": "b2f5590ac0dfd293",
+    "dualOk": "cb4727e5f9a8b0fd",
+    "forCounter": "a9f95766a557ce87",
+    "fpTrivial": "c42afd0ab66acbec",
+    "ghostEscape": "b2f5590ac0dfd293",
+    "ghostRemember": "811813a25b1bf203",
+    "instForall": "04df4455451ba45f",
+    "monAssign": "f681b05864c6cc1e",
+    "pairProj": "3c0bee679fa40a65",
+    "projChain": "2b8fc3da1d55cad8",
+    "raceLoop": "a26eeb2003247e14",
+    "rcaseTrivial": "ae884614532f4d17",
+    "restEscape": "b2f5590ac0dfd293",
+    "signFlip": "9dadc65fc95731ae",
+    "splitDemo": "af7e026af929bf0a",
+    "unrollRep": "a72134c051d134c6",
+    "witAbs": "9b1f05d3c9f60ee9",
+    "witMax": "88cb3a214605ac74",
+    "witPlus": "7efa8bd31b75a7d2",
+}
+
+
+def test_mutant_verdicts_pinned(all_theorems):
+    from test_checker import MON_SCRUTINEES
+
+    theorems = dict(all_theorems)
+    theorems.update(parse_script(MON_SCRUTINEES).theorems)
+    oracle = ArithOracle()
+    got = {}
+    for name in sorted(theorems):
+        phi, proof = theorems[name]
+        rng = random.Random(f"mutants-{name}")
+        h = hashlib.sha256()
+        for i in range(26):
+            mut = _mutate_once(proof, rng)
+            if mut is not None and i % 2:
+                mut = _mutate_once(mut, rng)
+            if mut is not None:
+                h.update(f"{i} {_verdict(mut, phi, oracle)}\n".encode())
+        got[name] = h.hexdigest()[:16]
+    assert got == MUTANT_DIGESTS
