@@ -2,26 +2,26 @@
 checked proof into its strategy realizer.
 
 `check` decides the judgment  ctx |- M : phi  by recursion over the proof
-term; elimination forms synthesize their principal formula, introduction
-forms consume the expected one.  Monotonicity needs the postcondition of
-its scrutinee under a known game prefix, which `_synth_post` infers by
-peeling a stack of games.
+term: `_synth` infers the principal formula of an elimination form, and
+`_check`, the one trusted judgment, checks every other form against the
+expected formula.  Monotonicity needs the postcondition of its scrutinee
+under the goal's first game.  `_infer_post` guesses it by following the
+scrutinee along the known games, and `_check` then checks the scrutinee
+against the guess, so a wrong guess rejects a proof and never accepts one.
 
 The same pass builds the realizer, one per calculus rule as in the
 paper's soundness proof (bidirectional elaboration): `_check` returns the
-realizer of its proof, `_synth` a (formula, realizer) pair, and
-`_synth_post` the postcondition with a builder `(var, k) -> realizer`
-that pushes a weakening continuation `k` into the residual positions of
-the scrutinee's strategy, the way the conversion rules push it through
-proofs.  Only a strategy whose residual positions are not known
-statically (headed by a variable, an application, or a rule such as
-ghost, unpack or rcase that has no premise for the residual) and
-fixed-point recursion keep a run-time composition node, tagged with the
-games it plays.  For a `mon` in synthesis position, whose scrutinee's game is
-known only once the scrutinee is synthesized, `_synth` also returns that
-builder.  A `for` step, whose goal is known, is checked against it by
-`_check` with the continuation (`_Then`: the next round) passed down to
-the premise that proves the residual.
+realizer of its proof, `_synth` a (formula, realizer) pair.  Both take an
+optional continuation (`_Then`: after the first n games, bind the
+residual evidence and run k) and push it into the premise that proves the
+residual, the way the conversion rules push a weakening through proofs.
+A `for` step passes the next round this way; a `mon` passes its scrutinee
+a continuation that leaves a hole at each residual position, and fills
+the holes with its body's realizer (`_plug`).  Only a strategy whose
+residual positions are not known statically (headed by a variable, an
+application, or a rule such as ghost, unpack or rcase that has no premise
+for the residual) and fixed-point recursion keep a run-time composition
+node, tagged with the games it plays (at least one).
 Hypothesis evidence consumed only by oracle payloads is erased to units;
 oracle leaves become unit evidence or decision trees over comparisons.
 
@@ -34,6 +34,7 @@ call, so a `Checker` holds only its oracle.
 from __future__ import annotations
 
 import itertools
+from dataclasses import fields, replace
 from typing import NamedTuple, Optional
 
 from . import proofterms as P
@@ -150,36 +151,36 @@ def _after(then: Optional[_Then], games: int) -> Optional[_Then]:
     return then if then is None else then._replace(n=then.n + games)
 
 
-# builders `(var, k) -> realizer` per rule, shared by `_synth_post` and the
-# builders `_synth` returns for a `mon` in synthesis position
-def _at_end(rz: R.Realizer):
-    return lambda var, k: R.subst_rvar(k, var, rz)
+def _finish(rz: R.Realizer, phi: Formula, then: Optional[_Then]) -> R.Realizer:
+    """rz, a strategy for phi, with `then` applied to it when no game is
+    left, else composed with it at run time after phi's first then.n games."""
+    if then is None:
+        return rz
+    if then.n == 0:
+        return R.subst_rvar(then.k, then.var, rz)
+    games = tuple(g for _, g in _modal_spine(phi)[: then.n])
+    return R.Compose(rz, then.var, then.k, games)
 
 
-def _lam_b(p: str, ann: Formula, build):
-    return lambda var, k: R.ProofLam(p, ann, build(var, k))
+# A `mon` scrutinee's strategy is built before its body's, with a hole
+# `*mon*(e)` at each residual position for the residual evidence e
+_HOLE = R.RVar("*mon*")
 
 
-def _numlam_b(x: str, build):
-    return lambda var, k: R.NumLamR(x, build(var, k))
+def _to_hole(var: str) -> _Then:
+    return _Then(1, var, R.AppRz(_HOLE, R.RVar(var)))
 
 
-def _pair_b(ev: R.Realizer, build):
-    return lambda var, k: R.Pair(ev, build(var, k))
-
-
-def _decide_b(a_rz: R.Realizer, l: str, lb, r: str, rb):
-    return lambda var, k: R.Decide(a_rz, l, lb(var, k), r, rb(var, k))
-
-
-def _mon_b(first, p: str, body_b):
-    return lambda var, k: first(p, body_b(var, k))
-
-
-def _pushed(push, rz: R.Realizer, phi: Formula):
-    """`push`, or, for a strategy not known statically, a run-time
-    composition with the continuation after phi's first game."""
-    return push or (lambda var, k: R.Compose(rz, var, k, (phi.game,)))
+def _plug(rz: R.Realizer, var: str, body: R.Realizer) -> R.Realizer:
+    """rz with each hole filled by body, its `var` bound to the hole's e."""
+    if type(rz) is R.AppRz and rz.fn == _HOLE:
+        return R.subst_rvar(body, var, rz.arg)
+    kids = {}
+    for f in fields(rz):
+        v = getattr(rz, f.name)
+        if isinstance(v, R.Realizer):
+            kids[f.name] = _plug(v, var, body)
+    return replace(rz, **kids) if kids else rz
 
 
 def _split_rz(f: S.Term, g: S.Term) -> R.Realizer:
@@ -233,14 +234,15 @@ class _Elaboration:
         self.oracle = oracle
         self.gated = gated
         self.realize = realize
-        self._ghosts = itertools.count(1)
+        self.ghosts = 0
         self._names = itertools.count(1)
         self.unrealized: Optional[str] = None  # why some accepted leaf has no realizer
 
     # -- helpers -------------------------------------------------------------
 
     def _fresh_ghost(self, base: str) -> str:
-        return f"{base}~{next(self._ghosts)}"
+        self.ghosts += 1
+        return f"{base}~{self.ghosts}"
 
     def _fresh(self, base: str) -> str:
         return f"{base}#{next(self._names)}"
@@ -308,11 +310,7 @@ class _Elaboration:
         the premise that proves the residual where the rule has one,
         composed at run time where it has not."""
         if then is not None and (then.n == 0 or not isinstance(m, _PUSHES)):
-            rz = self._check(ctx, m, phi, path)
-            if then.n == 0:
-                return R.subst_rvar(then.k, then.var, rz)
-            games = tuple(g for _, g in _modal_spine(phi)[: then.n])
-            return R.Compose(rz, then.var, then.k, games)
+            return _finish(self._check(ctx, m, phi, path), phi, then)
         match m:
             case P.PVar(name=p):
                 got = ctx.lookup(p)
@@ -370,26 +368,20 @@ class _Elaboration:
                     self._check(ctx, b, S.Box(g.right, phi.post), path + ("snd",), then),
                 )
 
-            case P.InjL(arg=a):
+            case P.InjL(arg=a) | P.InjR(arg=a):
+                right = isinstance(m, P.InjR)
                 if not (isinstance(phi, S.Diamond) and isinstance(phi.game, S.Choice)):
                     raise CheckError(
-                        RULE_MISMATCH, path, f"inl needs <a++b>, got {_fmt(phi)}"
+                        RULE_MISMATCH, path,
+                        f"{'inr' if right else 'inl'} needs <a++b>, got {_fmt(phi)}",
                     )
-                return _tagged(0, self._check(
-                    ctx, a, S.Diamond(phi.game.left, phi.post), path + ("arg",), then
-                ))
-
-            case P.InjR(arg=a):
-                if not (isinstance(phi, S.Diamond) and isinstance(phi.game, S.Choice)):
-                    raise CheckError(
-                        RULE_MISMATCH, path, f"inr needs <a++b>, got {_fmt(phi)}"
-                    )
-                return _tagged(1, self._check(
-                    ctx, a, S.Diamond(phi.game.right, phi.post), path + ("arg",), then
+                side = phi.game.right if right else phi.game.left
+                return _tagged(int(right), self._check(
+                    ctx, a, S.Diamond(side, phi.post), path + ("arg",), then
                 ))
 
             case P.Case(scrut=a, left=l, bleft=bl, right=r, bright=br):
-                sphi, a_rz, _ = self._synth(ctx, a, path + ("scrut",))
+                sphi, a_rz = self._synth(ctx, a, path + ("scrut",))
                 if not (isinstance(sphi, S.Diamond) and isinstance(sphi.game, S.Choice)):
                     raise CheckError(
                         RULE_MISMATCH, path + ("scrut",),
@@ -402,7 +394,7 @@ class _Elaboration:
                 return R.Decide(a_rz, l, l_rz, r, r_rz)
 
             case P.RCase(scrut=a, svar=s, sbody=bs, gvar=g, gbody=bg):
-                sphi, a_rz, _ = self._synth(ctx, a, path + ("scrut",))
+                sphi, a_rz = self._synth(ctx, a, path + ("scrut",))
                 if not (isinstance(sphi, S.Diamond) and isinstance(sphi.game, S.Repeat)):
                     raise CheckError(
                         RULE_MISMATCH, path + ("scrut",),
@@ -432,7 +424,7 @@ class _Elaboration:
                 return R.Pair(R.TermVal(f), R.subst_rvar(inner, p, R.Unit()))
 
             case P.Unpack(var=x, ghost=y, hyp=p, scrut=a, body=body):
-                sphi, a_rz, _ = self._synth(ctx, a, path + ("scrut",))
+                sphi, a_rz = self._synth(ctx, a, path + ("scrut",))
                 if not (
                     isinstance(sphi, S.Diamond) and isinstance(sphi.game, S.AssignAny)
                 ):
@@ -510,7 +502,7 @@ class _Elaboration:
                 return self._check_for(ctx, m, phi, path)
 
             case P.FP(scrut=a, svar=s, sbody=bs, gvar=g, gbody=bg):
-                sphi, a_rz, _ = self._synth(ctx, a, path + ("scrut",))
+                sphi, a_rz = self._synth(ctx, a, path + ("scrut",))
                 if not (isinstance(sphi, S.Diamond) and isinstance(sphi.game, S.Repeat)):
                     raise CheckError(
                         RULE_MISMATCH, path + ("scrut",),
@@ -553,15 +545,24 @@ class _Elaboration:
                     raise CheckError(
                         RULE_MISMATCH, path, f"mon needs a modal goal, got {_fmt(phi)}"
                     )
+                # guess the scrutinee's postcondition (the goal's own if the
+                # guess fails), check the scrutinee against it, then the body;
+                # the check numbers its ghosts as if no guess had been made
                 fl = P.DIA if isinstance(phi, S.Diamond) else P.BOX
-                mid, build = self._synth_post(
-                    ctx, a, [(fl, phi.game)], path + ("scrut",), _modal_spine(phi.post)
+                ghosts = self.ghosts
+                mid = self._infer_post(
+                    ctx, a, ((fl, phi.game),), _modal_spine(phi.post), path + ("scrut",)
+                )
+                self.ghosts = ghosts
+                mid = phi.post if mid is None else mid
+                a_rz = self._check(
+                    ctx, a, type(phi)(phi.game, mid), path + ("scrut",), _to_hole(p)
                 )
                 renamed = self._rename_ctx(ctx, phi.game)
                 n_rz = self._check(
                     renamed.extend(p, mid), body, phi.post, path + ("body",), _after(then, -1)
                 )
-                return build(p, n_rz)
+                return _plug(a_rz, p, n_rz)
 
             case P.QE(goal=goal, payload=payload):
                 self._same(goal, phi, path, "FO conclusion")
@@ -605,12 +606,12 @@ class _Elaboration:
                         and later.post.post == now
                     ):
                         return self._check(ctx, body, later.post, path + ("body",))
-                got, rz, _ = self._synth(ctx, m, path)
+                got, rz = self._synth(ctx, m, path)
                 self._same(got, phi, path)
                 return rz
 
             case P.App() | P.NumApp() | P.Proj1() | P.Proj2():
-                got, rz, _ = self._synth(ctx, m, path)
+                got, rz = self._synth(ctx, m, path)
                 self._same(got, phi, path)
                 return rz
 
@@ -672,21 +673,22 @@ class _Elaboration:
 
     # -- synthesis -----------------------------------------------------------
 
-    def _synth(self, ctx: Context, m: ProofTerm, path):
-        """(the formula m proves, its realizer, push).  `push` is a builder
-        `(var, k) -> realizer` as `_synth_post` makes for the formula's
-        first game, or None where it would compose at run time: a `mon` in
-        synthesis position learns its scrutinee's game only here, and
-        pushes its body through this builder."""
+    def _synth(self, ctx: Context, m: ProofTerm, path, then: Optional[_Then] = None):
+        """(the formula m proves, its realizer), with `then` as in `_check`.
+        A `mon` in synthesis position learns its scrutinee's game only
+        here, and pushes its body into the scrutinee's strategy this way."""
+        if then is not None and (then.n == 0 or not isinstance(m, _PUSHES)):
+            got, rz = self._synth(ctx, m, path)
+            return got, _finish(rz, got, then)
         match m:
             case P.PVar(name=p):
                 got = ctx.lookup(p)
                 if got is None:
                     raise CheckError(UNBOUND, path, f"unbound hypothesis {p}")
-                return got, R.RVar(p), None
+                return got, R.RVar(p)
 
             case P.App(fn=fn, arg=arg):
-                fphi, f_rz, _ = self._synth(ctx, fn, path + ("fn",))
+                fphi, f_rz = self._synth(ctx, fn, path + ("fn",))
                 imp = S.split_implies(fphi)
                 if imp is None:
                     raise CheckError(
@@ -694,10 +696,10 @@ class _Elaboration:
                         f"application head must prove a test-box, got {_fmt(fphi)}",
                     )
                 pre, post = imp
-                return post, R.AppRz(f_rz, self._check(ctx, arg, pre, path + ("arg",))), None
+                return post, R.AppRz(f_rz, self._check(ctx, arg, pre, path + ("arg",)))
 
             case P.NumApp(fn=fn, term=f):
-                fphi, f_rz, _ = self._synth(ctx, fn, path + ("fn",))
+                fphi, f_rz = self._synth(ctx, fn, path + ("fn",))
                 if not (isinstance(fphi, S.Box) and isinstance(fphi.game, S.AssignAny)):
                     raise CheckError(
                         RULE_MISMATCH, path + ("fn",),
@@ -705,126 +707,109 @@ class _Elaboration:
                     )
                 x = fphi.game.var
                 try:
-                    return S.subst_term(fphi.post, x, f), R.AppNum(f_rz, f), None
+                    return S.subst_term(fphi.post, x, f), R.AppNum(f_rz, f)
                 except S.InadmissibleSubstitution as e:
                     raise CheckError(INADMISSIBLE, path, str(e)) from None
 
-            case P.Proj1(arg=a):
-                sphi, a_rz, _ = self._synth(ctx, a, path + ("arg",))
+            case P.Proj1(arg=a) | P.Proj2(arg=a):
+                i = int(isinstance(m, P.Proj2))
+                sphi, a_rz = self._synth(ctx, a, path + ("arg",))
+                a_rz = (R.Fst, R.Snd)[i](a_rz)
                 both = S.split_and(sphi)
                 if both is not None:
-                    return both[0], R.Fst(a_rz), None
+                    return both[i], a_rz
                 if isinstance(sphi, S.Box) and isinstance(sphi.game, S.Choice):
-                    return S.Box(sphi.game.left, sphi.post), R.Fst(a_rz), None
-                raise CheckError(
-                    RULE_MISMATCH, path, f"projection from non-pair {_fmt(sphi)}"
-                )
-
-            case P.Proj2(arg=a):
-                sphi, a_rz, _ = self._synth(ctx, a, path + ("arg",))
-                both = S.split_and(sphi)
-                if both is not None:
-                    return both[1], R.Snd(a_rz), None
-                if isinstance(sphi, S.Box) and isinstance(sphi.game, S.Choice):
-                    return S.Box(sphi.game.right, sphi.post), R.Snd(a_rz), None
+                    return S.Box((sphi.game.left, sphi.game.right)[i], sphi.post), a_rz
                 raise CheckError(
                     RULE_MISMATCH, path, f"projection from non-pair {_fmt(sphi)}"
                 )
 
             case P.Unroll(body=body):
-                sphi, rz, _ = self._synth(ctx, body, path + ("body",))
+                sphi, rz = self._synth(ctx, body, path + ("body",))
                 if not (isinstance(sphi, S.Box) and isinstance(sphi.game, S.Repeat)):
                     raise CheckError(
                         RULE_MISMATCH, path, f"unroll from non-loop {_fmt(sphi)}"
                     )
-                return conj(sphi.post, S.Box(sphi.game.body, sphi)), rz, None
+                return conj(sphi.post, S.Box(sphi.game.body, sphi)), rz
 
             case P.Lam(hyp=p, ann=ann, body=body):
-                post, rz, _ = self._synth(ctx.extend(p, ann), body, path + ("body",))
-                return (
-                    S.Implies(ann, post), R.ProofLam(p, ann, rz), _lam_b(p, ann, _at_end(rz))
+                post, rz = self._synth(
+                    ctx.extend(p, ann), body, path + ("body",), _after(then, -1)
                 )
+                return S.Implies(ann, post), R.ProofLam(p, ann, rz)
 
             case P.NumLam(var=x, ghost=y, body=body):
                 self._ghost_ok(y, ctx, (), (), path)
-                post, rz, _ = self._synth(
-                    ctx.rename_vars(x, y), body, path + ("body",)
+                post, rz = self._synth(
+                    ctx.rename_vars(x, y), body, path + ("body",), _after(then, -1)
                 )
                 self._expect(
                     y not in S.free_vars(post), FRESHNESS, path,
                     f"ghost {y} escapes into {_fmt(post)}",
                 )
-                return (
-                    S.Box(S.AssignAny(x), post), R.NumLamR(x, rz), _numlam_b(x, _at_end(rz))
-                )
+                return S.Box(S.AssignAny(x), post), R.NumLamR(x, rz)
 
             case P.DPair(fst=a, snd=b):
-                aphi, a_rz, _ = self._synth(ctx, a, path + ("fst",))
-                bphi, b_rz, _ = self._synth(ctx, b, path + ("snd",))
-                return conj(aphi, bphi), R.Pair(a_rz, b_rz), _pair_b(a_rz, _at_end(b_rz))
+                aphi, a_rz = self._synth(ctx, a, path + ("fst",))
+                bphi, b_rz = self._synth(ctx, b, path + ("snd",), _after(then, -1))
+                return conj(aphi, bphi), R.Pair(a_rz, b_rz)
 
             case P.QE(goal=goal, payload=payload):
-                return goal, self._leaf(ctx, goal, payload, path, "FO"), None
+                return goal, self._leaf(ctx, goal, payload, path, "FO")
 
             case P.Dec(goal=goal, payload=payload):
-                return goal, self._leaf(ctx, goal, payload, path, "Dec"), None
+                return goal, self._leaf(ctx, goal, payload, path, "Dec")
 
             case P.Split(left=f, right=g):
-                return S.Or(S.Cmp(f, "<=", g), S.Cmp(f, ">", g)), _split_rz(f, g), None
+                return S.Or(S.Cmp(f, "<=", g), S.Cmp(f, ">", g)), _split_rz(f, g)
 
             case P.Ghost(var=x, term=f, hyp=p, body=body):
                 bad = {x} & (set(ctx.free_vars()) | set(S.free_vars(f)))
                 self._expect(
                     not bad, FRESHNESS, path, f"ghost {x} must be fresh"
                 )
-                post, inner, _ = self._synth(
+                post, inner = self._synth(
                     ctx.extend(p, S.Cmp(S.Var(x), "=", f)), body, path + ("body",)
                 )
                 self._expect(
                     x not in S.free_vars(post), FRESHNESS, path,
                     f"ghost {x} escapes into {_fmt(post)}",
                 )
-                return post, R.AppNum(R.NumLamR(x, R.subst_rvar(inner, p, R.Unit())), f), None
+                return post, R.AppNum(R.NumLamR(x, R.subst_rvar(inner, p, R.Unit())), f)
 
             case P.Mon(scrut=a, hyp=p, body=body):
-                sphi, a_rz, a_push = self._synth(ctx, a, path + ("scrut",))
+                sphi, a_rz = self._synth(ctx, a, path + ("scrut",), _to_hole(p))
                 if not isinstance(sphi, (S.Diamond, S.Box)):
                     raise CheckError(
                         RULE_MISMATCH, path + ("scrut",),
                         f"mon scrutinee must be modal, got {_fmt(sphi)}",
                     )
                 renamed = self._rename_ctx(ctx, sphi.game)
-                post, n_rz, _ = self._synth(
-                    renamed.extend(p, sphi.post), body, path + ("body",)
+                post, n_rz = self._synth(
+                    renamed.extend(p, sphi.post), body, path + ("body",), _after(then, -1)
                 )
-                first = _pushed(a_push, a_rz, sphi)
-                return (
-                    type(sphi)(sphi.game, post), first(p, n_rz),
-                    _mon_b(first, p, _at_end(n_rz)),
-                )
+                return type(sphi)(sphi.game, post), _plug(a_rz, p, n_rz)
 
             case P.Case(scrut=a, left=l, bleft=bl, right=r, bright=br):
-                sphi, a_rz, _ = self._synth(ctx, a, path + ("scrut",))
+                sphi, a_rz = self._synth(ctx, a, path + ("scrut",))
                 if not (isinstance(sphi, S.Diamond) and isinstance(sphi.game, S.Choice)):
                     raise CheckError(
                         RULE_MISMATCH, path + ("scrut",),
                         f"case scrutinee must prove <a++b>, got {_fmt(sphi)}",
                     )
-                lphi, l_rz, l_push = self._synth(
+                lphi, l_rz = self._synth(
                     ctx.extend(l, S.Diamond(sphi.game.left, sphi.post)), bl,
-                    path + ("left",),
+                    path + ("left",), then,
                 )
-                rphi, r_rz, r_push = self._synth(
+                rphi, r_rz = self._synth(
                     ctx.extend(r, S.Diamond(sphi.game.right, sphi.post)), br,
-                    path + ("right",),
+                    path + ("right",), then,
                 )
                 self._same(rphi, lphi, path, "case join")
-                return lphi, R.Decide(a_rz, l, l_rz, r, r_rz), _decide_b(
-                    a_rz, l, _pushed(l_push, l_rz, lphi), r, _pushed(r_push, r_rz, rphi)
-                )
+                return lphi, R.Decide(a_rz, l, l_rz, r, r_rz)
 
             case P.Unpack(var=x, ghost=y, hyp=p, scrut=a, body=body):
-                sphi, a_rz, _ = self._synth(ctx, a, path + ("scrut",))
+                sphi, a_rz = self._synth(ctx, a, path + ("scrut",))
                 if not (
                     isinstance(sphi, S.Diamond) and isinstance(sphi.game, S.AssignAny)
                 ):
@@ -832,14 +817,14 @@ class _Elaboration:
                         RULE_MISMATCH, path + ("scrut",),
                         f"unpack scrutinee must prove <x:=*>, got {_fmt(sphi)}",
                     )
-                post, inner, _ = self._synth(
+                post, inner = self._synth(
                     ctx.rename_vars(x, y).extend(p, sphi.post), body, path + ("body",)
                 )
                 self._expect(
                     x not in S.free_vars(post) and y not in S.free_vars(post),
                     FRESHNESS, path, f"unpacked variable escapes into {_fmt(post)}",
                 )
-                return post, R.subst_rvar(inner, p, R.Snd(a_rz)), None
+                return post, R.subst_rvar(inner, p, R.Snd(a_rz))
 
         raise CheckError(
             RULE_MISMATCH, path, f"cannot infer a formula for {type(m).__name__}"
@@ -850,175 +835,85 @@ class _Elaboration:
             return None
         return self._synth(ctx, payload, path + ("payload",))[0]
 
-    # -- game-directed postcondition synthesis --------------------------------
+    # -- guessing a `mon` scrutinee's postcondition ----------------------------
 
-    def _synth_post(self, ctx: Context, m: ProofTerm, stack, path, hints=()):
-        """Infer psi with  ctx |- m : M0(g0, M1(g1, ... psi))  for a stack
-        [(f0, g0), (f1, g1), ...] of (flavor, game) pairs, and a builder
-        `(var, k) -> realizer` of m that plays the games on the stack and
-        then runs k with the residual evidence (for psi) bound to var.
+    def _infer_post(self, ctx: Context, m: ProofTerm, stack, hints, path):
+        """A guess at psi with  ctx |- m : M0(g0, M1(g1, ... psi))  for a
+        stack [(f0, g0), (f1, g1), ...] of (flavor, game) pairs, or None
+        where m does not fit its games.  Nothing here is trusted: `_check`
+        then checks m against the guess and names any fault.
 
-        When the stack runs dry on a constructor whose game cannot be read
-        off the term (conversion reducts land here), `hints` -- the modal
-        spine of the enclosing goal -- supplies the remaining games.
+        The guess follows m along the games, reads an oracle leaf's goal,
+        and synthesizes the rest.  When the stack runs dry on a rule whose
+        game cannot be read off the term (conversion reducts land here),
+        `hints` -- the modal spine of the enclosing goal -- supplies it.
         """
         if not stack:
-            if hints and type(m) in _NEEDS_GAME:
-                inner, build = self._synth_post(ctx, m, [hints[0]], path, hints[1:])
-                # m's own realizer is the builder run with the identity
-                return _wrap(hints[:1], inner), (
-                    lambda var, k: R.subst_rvar(k, var, build(var, R.RVar(var)))
-                )
-            got, rz, _ = self._synth(ctx, m, path)
-            return got, _at_end(rz)
+            if hints and isinstance(m, _NEEDS_GAME):
+                post = self._infer_post(ctx, m, hints[:1], hints[1:], path)
+                return None if post is None else _wrap(hints[:1], post)
+            if isinstance(m, (P.QE, P.Dec)):
+                return m.goal
+            return self._synth(ctx, m, path)[0]
         (fl, game), rest = stack[0], stack[1:]
-
+        dia = fl == P.DIA
         match m:
-            case P.SeqI(body=body, flavor=flv):
-                if flv != fl or not isinstance(game, S.Seq):
-                    raise CheckError(
-                        RULE_MISMATCH, path, f"sequencing proof against {_fmt(game)}"
-                    )
-                return self._synth_post(
-                    ctx, body, [(fl, game.left), (fl, game.right)] + rest,
-                    path + ("body",), hints,
-                )
-
-            case P.Swap(body=body, flavor=flv):
-                if flv != fl or not isinstance(game, S.Dual):
-                    raise CheckError(
-                        RULE_MISMATCH, path, f"dual proof against {_fmt(game)}"
-                    )
-                other = P.BOX if fl == P.DIA else P.DIA
-                return self._synth_post(
-                    ctx, body, [(other, game.body)] + rest, path + ("body",), hints
-                )
-
-            case P.DPair(fst=a, snd=b) if fl == P.DIA and isinstance(game, S.Test):
-                ev = self._check(ctx, a, game.cond, path + ("fst",))
-                post, build = self._synth_post(ctx, b, rest, path + ("snd",), hints)
-                return post, _pair_b(ev, build)
-
-            case P.Lam(hyp=p, ann=ann, body=body) if fl == P.BOX and isinstance(game, S.Test):
-                self._same(ann, game.cond, path, "lambda annotation")
-                post, build = self._synth_post(
-                    ctx.extend(p, ann), body, rest, path + ("body",), hints
-                )
-                return post, _lam_b(p, ann, build)
-
-            case P.BPair(fst=a, snd=b) if fl == P.BOX and isinstance(game, S.Choice):
-                l, bl = self._synth_post(
-                    ctx, a, [(fl, game.left)] + rest, path + ("fst",), hints
-                )
-                r, br = self._synth_post(
-                    ctx, b, [(fl, game.right)] + rest, path + ("snd",), hints
-                )
-                self._same(r, l, path, "box-pair join")
-                return l, lambda var, k: R.Pair(bl(var, k), br(var, k))
-
-            case P.InjL(arg=a) if fl == P.DIA and isinstance(game, S.Choice):
-                post, build = self._synth_post(
-                    ctx, a, [(fl, game.left)] + rest, path + ("arg",), hints
-                )
-                return post, lambda var, k: _tagged(0, build(var, k))
-
-            case P.InjR(arg=a) if fl == P.DIA and isinstance(game, S.Choice):
-                post, build = self._synth_post(
-                    ctx, a, [(fl, game.right)] + rest, path + ("arg",), hints
-                )
-                return post, lambda var, k: _tagged(1, build(var, k))
-
-            case P.Asgn(var=x, ghost=y, hyp=p, body=body, flavor=flv):
-                if flv != fl or not isinstance(game, S.Assign) or game.var != x:
-                    raise CheckError(
-                        RULE_MISMATCH, path, f"assignment proof against {_fmt(game)}"
-                    )
-                self._ghost_ok(y, ctx, (), (game.term,), path)
+            case P.SeqI(body=body, flavor=f) if f == fl and isinstance(game, S.Seq):
+                stack = ((fl, game.left), (fl, game.right)) + rest
+                return self._infer_post(ctx, body, stack, hints, path + ("body",))
+            case P.Swap(body=body, flavor=f) if f == fl and isinstance(game, S.Dual):
+                stack = ((P.BOX if dia else P.DIA, game.body),) + rest
+                return self._infer_post(ctx, body, stack, hints, path + ("body",))
+            case P.DPair(snd=b) if dia and isinstance(game, S.Test):
+                return self._infer_post(ctx, b, rest, hints, path + ("snd",))
+            case P.Lam(hyp=p, ann=ann, body=body) if not dia and isinstance(game, S.Test):
+                return self._infer_post(ctx.extend(p, ann), body, rest, hints, path + ("body",))
+            case P.BPair(fst=a) if not dia and isinstance(game, S.Choice):
+                stack = ((fl, game.left),) + rest
+                return self._infer_post(ctx, a, stack, hints, path + ("fst",))
+            case P.InjL(arg=a) | P.InjR(arg=a) if dia and isinstance(game, S.Choice):
+                side = game.left if isinstance(m, P.InjL) else game.right
+                return self._infer_post(ctx, a, ((fl, side),) + rest, hints, path + ("arg",))
+            case P.Asgn(var=x, ghost=y, hyp=p, body=body, flavor=f) if (
+                f == fl and isinstance(game, S.Assign) and game.var == x
+            ):
                 hyp = S.Cmp(S.Var(x), "=", S.rename(game.term, x, y))
-                post, build = self._synth_post(
-                    ctx.rename_vars(x, y).extend(p, hyp), body, rest,
-                    path + ("body",), hints,
-                )
-                self._no_escape(y, rest, post, path)
-                return post, lambda var, k: R.subst_rvar(build(var, k), p, R.Unit())
-
+                inner = ctx.rename_vars(x, y).extend(p, hyp)
+                return self._infer_post(inner, body, rest, hints, path + ("body",))
             case P.TCons(var=x, ghost=y, hyp=p, witness=f, body=body) if (
-                fl == P.DIA and isinstance(game, S.AssignAny)
+                dia and isinstance(game, S.AssignAny) and game.var == x
             ):
-                self._expect(game.var == x, RULE_MISMATCH, path, "witness variable mismatch")
-                self._ghost_ok(y, ctx, (), (f,), path)
                 hyp = S.Cmp(S.Var(x), "=", S.rename(f, x, y))
-                post, build = self._synth_post(
-                    ctx.rename_vars(x, y).extend(p, hyp), body, rest,
-                    path + ("body",), hints,
-                )
-                self._no_escape(y, rest, post, path)
-                return post, lambda var, k: R.Pair(
-                    R.TermVal(f), R.subst_rvar(build(var, k), p, R.Unit())
-                )
-
+                inner = ctx.rename_vars(x, y).extend(p, hyp)
+                return self._infer_post(inner, body, rest, hints, path + ("body",))
             case P.NumLam(var=x, ghost=y, body=body) if (
-                fl == P.BOX and isinstance(game, S.AssignAny)
+                not dia and isinstance(game, S.AssignAny) and game.var == x
             ):
-                self._expect(game.var == x, RULE_MISMATCH, path, "bound variable mismatch")
-                self._ghost_ok(y, ctx, (), (), path)
-                post, build = self._synth_post(
-                    ctx.rename_vars(x, y), body, rest, path + ("body",), hints
+                return self._infer_post(
+                    ctx.rename_vars(x, y), body, rest, hints, path + ("body",)
                 )
-                self._no_escape(y, rest, post, path)
-                return post, _numlam_b(x, build)
-
-            case P.Stop(body=body) if fl == P.DIA and isinstance(game, S.Repeat):
-                post, build = self._synth_post(ctx, body, rest, path + ("body",), hints)
-                return post, lambda var, k: _tagged(0, build(var, k))
-
-            case P.Go(body=body) if fl == P.DIA and isinstance(game, S.Repeat):
-                post, build = self._synth_post(
-                    ctx, body, [(fl, game.body), (fl, game)] + rest, path + ("body",),
-                    hints,
-                )
-                return post, lambda var, k: _tagged(1, build(var, k))
-
-            case P.Case(scrut=a, left=l, bleft=bl, right=r, bright=br):
-                sphi, a_rz, _ = self._synth(ctx, a, path + ("scrut",))
+            case P.Stop(body=body) if dia and isinstance(game, S.Repeat):
+                return self._infer_post(ctx, body, rest, hints, path + ("body",))
+            case P.Go(body=body) if dia and isinstance(game, S.Repeat):
+                stack = ((fl, game.body), (fl, game)) + rest
+                return self._infer_post(ctx, body, stack, hints, path + ("body",))
+            case P.Case(scrut=a, left=l, bleft=bl):
+                sphi = self._synth(ctx, a, path + ("scrut",))[0]
                 if not (isinstance(sphi, S.Diamond) and isinstance(sphi.game, S.Choice)):
-                    raise CheckError(
-                        RULE_MISMATCH, path + ("scrut",),
-                        f"case scrutinee must prove <a++b>, got {_fmt(sphi)}",
-                    )
-                lphi, lb = self._synth_post(
-                    ctx.extend(l, S.Diamond(sphi.game.left, sphi.post)), bl,
-                    stack, path + ("left",), hints,
-                )
-                rphi, rb = self._synth_post(
-                    ctx.extend(r, S.Diamond(sphi.game.right, sphi.post)), br,
-                    stack, path + ("right",), hints,
-                )
-                self._same(rphi, lphi, path, "case join")
-                return lphi, _decide_b(a_rz, l, lb, r, rb)
-
+                    return None
+                inner = ctx.extend(l, S.Diamond(sphi.game.left, sphi.post))
+                return self._infer_post(inner, bl, stack, hints, path + ("left",))
             case P.Mon(scrut=a, hyp=p, body=body):
-                mid, first = self._synth_post(
-                    ctx, a, stack[:1], path + ("scrut",), tuple(rest) + tuple(hints)
-                )
-                renamed = self._rename_ctx(ctx, game)
-                post, body_b = self._synth_post(
-                    renamed.extend(p, mid), body, rest, path + ("body",), hints
-                )
-                return post, _mon_b(first, p, body_b)
-
-        # fall back to full synthesis and peel the expected modalities; the
-        # realizer composes with the continuation at run time
-        got, rz, _ = self._synth(ctx, m, path)
-        for fl, g in stack:
-            mod = _MOD[fl]
-            if not (isinstance(got, mod) and got.game == g):
-                raise CheckError(
-                    RULE_MISMATCH, path,
-                    f"expected a proof of {_fmt(mod(g, S.TRUE))}-shaped formula, got {_fmt(got)}",
-                )
-            got = got.post
-        return got, lambda var, k: R.Compose(rz, var, k, tuple(g for _, g in stack))
+                mid = self._infer_post(ctx, a, stack[:1], rest + hints, path + ("scrut",))
+                if mid is None:
+                    return None
+                inner = self._rename_ctx(ctx, game).extend(p, mid)
+                return self._infer_post(inner, body, rest, hints, path + ("body",))
+            case P.QE() | P.Dec():
+                return _peel(m.goal, stack)
+            case _ if isinstance(m, _FITS):
+                return None  # an introduction form against the wrong game
+        return _peel(self._synth(ctx, m, path)[0], stack)
 
     # -- small shared checks ---------------------------------------------------
 
@@ -1042,18 +937,18 @@ class _Elaboration:
                 FRESHNESS, path, f"ghost {y} is not fresh here"
             )
 
-    def _no_escape(self, y: str, rest, post: Formula, path):
-        """A ghost chosen before the goal was known must not be free in it."""
-        goal = _wrap(rest, post)
-        if y in S.free_vars(goal):
-            raise CheckError(FRESHNESS, path, f"ghost {y} escapes into {_fmt(goal)}")
-
 
 # rules with a premise that proves the residual, into which `_check`
 # pushes a continuation
 _PUSHES = (
     P.Lam, P.NumLam, P.DPair, P.BPair, P.InjL, P.InjR, P.Case, P.TCons, P.Asgn,
     P.SeqI, P.Swap, P.Stop, P.Go, P.Mon,
+)
+
+# introduction forms that fit only some games
+_FITS = (
+    P.SeqI, P.Swap, P.DPair, P.Lam, P.BPair, P.InjL, P.InjR, P.Asgn, P.TCons,
+    P.NumLam, P.Stop, P.Go,
 )
 
 _NEEDS_GAME = (
@@ -1070,6 +965,15 @@ def _wrap(stack, post: Formula) -> Formula:
     for fl, g in reversed(stack):
         post = _MOD[fl](g, post)
     return post
+
+
+def _peel(phi: Formula, stack) -> Optional[Formula]:
+    """psi with phi = M0(g0, ... psi) for the stack, or None."""
+    for fl, g in stack:
+        if not (isinstance(phi, _MOD[fl]) and phi.game == g):
+            return None
+        phi = phi.post
+    return phi
 
 
 def _modal_spine(phi: Formula):

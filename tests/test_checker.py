@@ -205,6 +205,31 @@ def test_mon_scrutinee_verdicts(name, kind):
     assert (err and err.kind) == kind, err
 
 
+# a scrutinee that does not fit its game is checked against the goal's own
+# postcondition, so the diagnostic names the rule and a formula of the proof
+MISFIT_SCRUTINEES = {
+    "[asgnd c (c0, h. FO[c = 1](h)), asgnd c (c1, h. FO[c = 1](h))]":
+        "scrut: RuleMismatch: box-pair needs [a++b], got <c := 1>c >= 0",
+    "inl asgnd c (c0, h. FO[c = 1](h))":
+        "scrut: RuleMismatch: inl needs <a++b>, got <c := 1>c >= 0",
+    "asgnb c (c0, h. FO[c = 1](h))":
+        "scrut: RuleMismatch: assignment proof has box flavor, goal is <c := 1>c >= 0",
+}
+
+
+@pytest.mark.parametrize("scrut", sorted(MISFIT_SCRUTINEES))
+def test_misfit_mon_scrutinee_diagnostic(scrut):
+    text = f"theorem t : <c := 1> c >= 0 = mon({scrut}; p. FO[c >= 0](p))"
+    phi, m = parse_script(text).theorems["t"]
+    assert str(ck().check_result(Context(), m, phi)) == MISFIT_SCRUTINEES[scrut]
+
+
+def test_dual_flip_diagnostic_names_the_goal():
+    phi, m = parse_script(MON_SCRUTINEES).theorems["dualFlip"]
+    err = ck().check_result(Context(), m, phi)
+    assert err.message == "lambda needs a test-box goal, got x > 0 & tt"
+
+
 # -- structural metatheory -------------------------------------------------------
 
 
