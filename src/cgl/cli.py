@@ -40,13 +40,11 @@ def _load_script(path: str):
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as e:
-        print(f"{path}: {e}", file=sys.stderr)
-        raise SystemExit(2)
+        raise _Usage(f"{path}: {e}") from None
     try:
         return parse_script(text)
     except ParseError as e:
-        print(f"{path}:{e}", file=sys.stderr)
-        raise SystemExit(2)
+        raise _Usage(f"{path}:{e}") from None
     except RecursionError:
         raise _Usage(f"{path}: input nested too deeply to parse") from None
 
@@ -63,40 +61,70 @@ def _pick_theorem(script, name, path):
     if name is None:
         if len(script.theorems) == 1:
             return next(iter(script.theorems.items()))
-        print(
-            f"{path}: choose one of {', '.join(script.theorems)} with --theorem",
-            file=sys.stderr,
-        )
-        raise SystemExit(2)
+        raise _Usage(f"{path}: choose one of {', '.join(script.theorems)} with --theorem")
     if name not in script.theorems:
-        print(f"{path}: no theorem named {name}", file=sys.stderr)
-        raise SystemExit(2)
+        raise _Usage(f"{path}: no theorem named {name}")
     return name, script.theorems[name]
+
+
+def _number(text, what: str):
+    """A rational read from user input, or a usage error naming `what`."""
+    try:
+        return parse_rational(str(text).strip())
+    except (ValueError, ZeroDivisionError):
+        raise _Usage(f"{what}: {text!r} is not a number") from None
 
 
 def _parse_state(text: str) -> State:
     vals = {}
-    if text:
-        for part in text.split(","):
-            if not part.strip():
-                continue
-            if "=" not in part:
-                print(f"bad state binding {part!r}", file=sys.stderr)
-                raise SystemExit(2)
-            k, v = part.split("=", 1)
-            vals[k.strip()] = parse_rational(v.strip())
+    for part in text.split(","):
+        if not part.strip():
+            continue
+        if "=" not in part:
+            raise _Usage(f"bad state binding {part!r}")
+        k, v = part.split("=", 1)
+        vals[k.strip()] = _number(v, f"--state {k.strip()}")
     return State(vals)
 
 
+_SCRIPT_WORDS = ("L", "R", "assert", "concede", "continue", "stop")
+
+
 def _make_demon(spec: str):
+    kind, _, arg = spec.partition(":")
     if spec == "interactive":
         return InteractiveDemon()
-    if spec.startswith("random:"):
-        return RandomDemon(int(spec.split(":", 1)[1]))
-    if spec.startswith("script:"):
-        return ScriptedDemon(_load_json(spec.split(":", 1)[1], "demon script"))
-    print(f"bad --demon {spec!r}", file=sys.stderr)
-    raise SystemExit(2)
+    if kind == "random":
+        try:
+            return RandomDemon(int(arg))
+        except ValueError:
+            raise _Usage(f"bad --demon {spec!r}: the seed is not an integer") from None
+    if kind == "script":
+        script = _load_json(arg, "demon script")
+        if not isinstance(script, list):
+            raise _Usage(f"demon script {arg} is not a JSON list")
+        for v in script:
+            if v not in _SCRIPT_WORDS:
+                _number(v, f"demon script {arg}")
+        return ScriptedDemon(script)
+    raise _Usage(f"bad --demon {spec!r}")
+
+
+def _make_menu(path: str) -> DemonMenu:
+    data = _load_json(path, "menu")
+    if not isinstance(data, dict) or not isinstance(data.get("values", {}), dict):
+        raise _Usage(f"menu {path} is not a JSON object with a \"values\" object")
+    values = data.get("values", {})
+    for var, vals in values.items():
+        if not isinstance(vals, list):
+            raise _Usage(f"menu values for {var} in {path} are not a JSON list")
+        for v in vals:
+            _number(v, f"menu {path}, {var}")
+    depth = data.get("repeat_depth", 8)
+    try:
+        return DemonMenu(values=values, repeat_depth=int(depth))
+    except (TypeError, ValueError):
+        raise _Usage(f"bad repeat_depth {depth!r} in menu {path}: not an integer") from None
 
 
 def _playable(phi):
@@ -221,13 +249,7 @@ def _outcome(out, post):
 def cmd_verify(args) -> int:
     script = _load_script(args.file)
     name, (phi, proof) = _pick_theorem(script, args.theorem, args.file)
-    menu_data = _load_json(args.menu, "menu")
-    if not isinstance(menu_data, dict):
-        raise _Usage(f"menu {args.menu} is not a JSON object")
-    menu = DemonMenu(
-        values=menu_data.get("values", {}),
-        repeat_depth=int(menu_data.get("repeat_depth", 8)),
-    )
+    menu = _make_menu(args.menu)
     states = [_parse_state(s) for s in args.state] or [State()]
     try:
         rz = extract(proof, phi)
@@ -318,8 +340,6 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except SystemExit as e:
-        return e.code if isinstance(e.code, int) else 2
     except _Usage as e:
         print(f"cgl {args.cmd}: {e}", file=sys.stderr)
         return 2

@@ -7,9 +7,10 @@ finite menu offers every option it does not dominate, so the machine
 explores every line, which is how strategy soundness is verified at desk
 scale.
 
-Realizers are paired with environments; `Compose` wrappers ride along on
-continuations and are distributed lazily at every consuming position, so
-a weakened strategy plays exactly like the strategy it weakens.
+Realizers are paired with environments.  A `Compose` wrapper is peeled
+off when the first game of its prefix is played and rides along on the
+continuation until the prefix is done, so a weakened strategy plays
+exactly like the strategy it weakens.
 """
 
 from __future__ import annotations
@@ -157,9 +158,6 @@ def app_num(cl: Closure, v: Rational, state: State, budget: Budget) -> Closure:
     f = force(cl, state, budget)
     if type(f.rz) is R.NumLamR:
         return Closure(f.rz.body, {**f.env, f.rz.var: v})
-    if type(f.rz) is R.Compose and not f.rz.games:
-        inner = app_num(Closure(f.rz.first, f.env), v, state, budget)
-        return _attach_one(f.rz.var, f.rz.cont, f.env, inner)
     raise IllStructuredRealizer(f"number application to {type(f.rz).__name__}")
 
 
@@ -167,14 +165,7 @@ def app_rz(cl: Closure, arg: Closure, state: State, budget: Budget) -> Closure:
     f = force(cl, state, budget)
     if type(f.rz) is R.ProofLam:
         return Closure(f.rz.body, {**f.env, f.rz.hyp: arg})
-    if type(f.rz) is R.Compose and not f.rz.games:
-        inner = app_rz(Closure(f.rz.first, f.env), arg, state, budget)
-        return _attach_one(f.rz.var, f.rz.cont, f.env, inner)
     raise IllStructuredRealizer(f"realizer application to {type(f.rz).__name__}")
-
-
-def _attach_one(var, cont, env, inner: Closure) -> Closure:
-    return Closure(R.Compose(R.RVar("*r*"), var, cont), {**env, "*r*": inner})
 
 
 def peel_for(cl: Closure, game):
@@ -192,7 +183,7 @@ def peel_for(cl: Closure, game):
                 raise IllStructuredRealizer(f"unbound realizer variable {cl.rz.name}")
             cl = v
         rz = cl.rz
-        if type(rz) is not R.Compose or not rz.games or rz.games[0] != game:
+        if type(rz) is not R.Compose or rz.games[0] != game:
             return ks, cl
         ks.append((rz.var, rz.cont, cl.env, rz.games[1:]))
         cl = Closure(rz.first, cl.env)
@@ -210,8 +201,8 @@ def apply_ks(ks, cl: Closure) -> Closure:
 
 
 def pair_view(f: Closure, state: State, budget: Budget):
-    """View a forced closure as (first, second); formula-level composition
-    distributes onto the continuation half, loop streams unroll on demand."""
+    """View a forced closure as (first, second); loop streams unroll on
+    demand."""
     rz = f.rz
     t = type(rz)
     if t is R.Pair:
@@ -219,14 +210,9 @@ def pair_view(f: Closure, state: State, budget: Budget):
     if t is R.Gen:
         env = {**f.env, rz.var: Closure(rz.init, f.env)}
         rebuilt = R.Gen(R.RVar(rz.var), rz.var, rz.step, rz.post, rz.game)
-        games = (rz.game,) if rz.game is not None else ()
-        stream = R.Compose(R.RVar("*s*"), rz.var, rebuilt, games)
+        stream = R.Compose(R.RVar("*s*"), rz.var, rebuilt, (rz.game,))
         step = Closure(rz.step, env)
         return Closure(rz.post, env), Closure(stream, {**f.env, "*s*": step})
-    if t is R.Compose and not rz.games:
-        inner = force(Closure(rz.first, f.env), state, budget)
-        a, b = pair_view(inner, state, budget)
-        return a, _attach_one(rz.var, rz.cont, f.env, b)
     raise IllStructuredRealizer(f"expected a pair, got {t.__name__}")
 
 
@@ -294,7 +280,11 @@ class ScriptedDemon(DemonOracle):
         return v
 
     def choose_value(self, var, state):
-        return parse_rational(str(self._next("value")))
+        v = self._next("value")
+        try:
+            return parse_rational(str(v))
+        except (ValueError, ZeroDivisionError):
+            raise IllStructuredRealizer(f"demon script wanted a number, got {v!r}") from None
 
     def assert_test(self, phi, state):
         v = self._next("test")
@@ -780,7 +770,7 @@ class _Transpositions:
                     names.add(v)
                 elif type(v) is tuple:  # the games of a Compose
                     v = tuple(self.node(g)[0] for g in v)
-                elif v is not None:
+                else:
                     v, ns = self.node(v)
                     names.update(ns)
                 parts.append(v)

@@ -15,7 +15,6 @@ values can be exported/imported losslessly as tagged JSON trees
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Optional
 
 from .syntax import Formula, Game, Term
 
@@ -98,7 +97,7 @@ class Gen(Realizer):
     var: str
     step: Realizer
     post: Realizer
-    game: Optional[Game]
+    game: Game
 
 
 @dataclass(frozen=True, slots=True)
@@ -108,14 +107,13 @@ class RVar(Realizer):
 
 @dataclass(frozen=True, slots=True)
 class Compose(Realizer):
-    """Play `first` through the recorded game prefix, then continue with
-    `cont` applied to the residual.  An empty prefix composes evidence
-    directly (formula-level weakening)."""
+    """Play `first` through the recorded game prefix (at least one game),
+    then continue with `cont` applied to the residual."""
 
     first: Realizer
     var: str
     cont: Realizer
-    games: tuple[Game, ...] = ()
+    games: tuple[Game, ...]
 
 
 @dataclass(frozen=True, slots=True)

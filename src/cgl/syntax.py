@@ -477,17 +477,26 @@ def eval_fo(phi: Formula, state: State) -> bool:
 # ---------------------------------------------------------------------------
 # Compiled evaluators (plays re-evaluate the same small terms constantly)
 
+# keyed by id(), each entry keeping its object alive; a dict is cleared
+# once it reaches the cap (one certify operation adds about 460 terms and
+# 107 formulas, a verify 214 and 53)
+_CACHE_CAP = 4096
 _term_fns: dict = {}
 _fo_fns: dict = {}
+
+
+def _remember(cache: dict, x, fn):
+    if len(cache) >= _CACHE_CAP:
+        cache.clear()
+    cache[id(x)] = (fn, x)
+    return fn
 
 
 def compile_term(t: Term):
     hit = _term_fns.get(id(t))
     if hit is not None:
         return hit[0]
-    fn = _compile_term(t)
-    _term_fns[id(t)] = (fn, t)
-    return fn
+    return _remember(_term_fns, t, _compile_term(t))
 
 
 def _compile_term(t: Term):
@@ -554,9 +563,7 @@ def compile_fo(phi: Formula):
     hit = _fo_fns.get(id(phi))
     if hit is not None:
         return hit[0]
-    fn = _compile_fo(phi)
-    _fo_fns[id(phi)] = (fn, phi)
-    return fn
+    return _remember(_fo_fns, phi, _compile_fo(phi))
 
 
 def _compile_fo(phi: Formula):

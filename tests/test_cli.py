@@ -3,6 +3,8 @@
 import hashlib
 import json
 
+import pytest
+
 from cgl.cli import corpus_path, main
 
 
@@ -348,3 +350,30 @@ def test_theorem_without_game_is_usage_error(tmp_path, capsys):
         assert code == 2
         _one_line_usage_error(err, argv[0])
         assert "has no game to play" in err
+
+
+# one bad number per input that reads one: (flag, its value or the JSON file
+# it names, a part of the one-line message)
+BAD_NUMBERS = {
+    "state": ("--state", "x=abc", "--state x: 'abc' is not a number"),
+    "state-division": ("--state", "x=1/0", "--state x: '1/0' is not a number"),
+    "random-seed": ("--demon", "random:abc", "the seed is not an integer"),
+    "menu-value": ("--menu", {"values": {"x": ["abc"]}}, "x: 'abc' is not a number"),
+    "menu-depth": ("--menu", {"values": {}, "repeat_depth": "x"}, "bad repeat_depth 'x'"),
+    "script-value": ("--demon", ["abc"], "'abc' is not a number"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_NUMBERS))
+def test_bad_number_is_usage_error(case, tmp_path, capsys):
+    flag, value, msg = BAD_NUMBERS[case]
+    if not isinstance(value, str):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(value))
+        value = str(path) if flag == "--menu" else f"script:{path}"
+    cmd = "verify" if flag == "--menu" else "play"
+    argv = (cmd, corpus_path("basics.cgl"), "--theorem", "signFlip", flag, value)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    _one_line_usage_error(err, cmd)
+    assert msg in err, err

@@ -10,6 +10,7 @@ import random
 import re
 
 from cgl import proofterms as P
+from cgl import realizer as R
 from cgl import syntax as S
 from cgl.checker import CheckError, Checker, elaborate
 from cgl.engine import (
@@ -245,3 +246,31 @@ def test_mutant_verdicts_pinned(all_theorems):
                 h.update(f"{i} {_verdict(mut, phi, oracle)}\n".encode())
         got[name] = h.hexdigest()[:16]
     assert got == MUTANT_DIGESTS
+
+
+def _realizer_nodes(rz):
+    yield rz
+    for f in dataclasses.fields(rz):
+        v = getattr(rz, f.name)
+        if isinstance(v, R.Realizer):
+            yield from _realizer_nodes(v)
+
+
+def test_every_composition_names_its_games(all_theorems):
+    # a run-time composition plays at least one game before its continuation
+    oracle = ArithOracle()
+    composed = 0
+    for name in sorted(all_theorems):
+        phi, proof = all_theorems[name]
+        rng = random.Random(f"compose-{name}")
+        for _ in range(12):
+            mut = _mutate_once(proof, rng)
+            try:
+                rz = elaborate(Context(), mut or proof, phi, oracle)
+            except (CheckError, UncheckedInput):
+                continue
+            for node in _realizer_nodes(rz):
+                if isinstance(node, R.Compose):
+                    assert node.games, name
+                    composed += 1
+    assert composed >= 10, composed

@@ -182,3 +182,13 @@ def test_fo_evaluation_of_derived_connectives():
     assert not S.eval_fo(S.Not(S.Cmp(x, "=", L(1))), st_)
     with pytest.raises(TypeError):
         S.eval_fo(S.Diamond(S.Repeat(S.Assign("x", L(1))), S.TRUE), st_)
+
+
+def test_compile_caches_stay_bounded():
+    # each fresh term or formula is a new cache key; the caches clear at the cap
+    state = S.State({"x": 2})
+    for i in range(3 * S._CACHE_CAP):
+        t = S.Plus(S.Var("x"), S.lit(i))
+        assert S.compile_term(t)(state) == i + 2
+        assert S.compile_fo(S.Cmp(t, ">", S.lit(i)))(state)
+        assert len(S._term_fns) <= S._CACHE_CAP and len(S._fo_fns) <= S._CACHE_CAP
