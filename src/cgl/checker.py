@@ -235,6 +235,8 @@ class _Elaboration:
         self.gated = gated
         self.realize = realize
         self.ghosts = 0
+        self.guessing = False  # inside `_infer_post`: formulas only
+        self._guessed = {}  # (id(scrutinee), games, ghosts) -> (context, guess)
         self._names = itertools.count(1)
         self.unrealized: Optional[str] = None  # why some accepted leaf has no realizer
 
@@ -290,6 +292,8 @@ class _Elaboration:
 
     def _leaf(self, ctx: Context, goal: Formula, payload, path, who: str) -> R.Realizer:
         """Discharge an oracle leaf and realize its goal."""
+        if self.guessing:
+            return R.Unit()
         rho = self._payload_formula(ctx, payload, path)
         self._oracle_gate(rho, goal, path, who)
         if not self.realize:
@@ -480,22 +484,16 @@ class _Elaboration:
                 inner = (S.Box if fl == P.DIA else S.Diamond)(game.body, post)
                 return self._check(ctx, body, inner, path + ("body",), then)
 
-            case P.Stop(body=body):
+            case P.Stop(body=body) | P.Go(body=body):
+                go = isinstance(m, P.Go)
                 if not (isinstance(phi, S.Diamond) and isinstance(phi.game, S.Repeat)):
                     raise CheckError(
-                        RULE_MISMATCH, path, f"stop needs <a*>, got {_fmt(phi)}"
+                        RULE_MISMATCH, path,
+                        f"{'go' if go else 'stop'} needs <a*>, got {_fmt(phi)}",
                     )
-                return _tagged(0, self._check(
-                    ctx, body, phi.post, path + ("body",), _after(then, -1)
-                ))
-
-            case P.Go(body=body):
-                if not (isinstance(phi, S.Diamond) and isinstance(phi.game, S.Repeat)):
-                    raise CheckError(
-                        RULE_MISMATCH, path, f"go needs <a*>, got {_fmt(phi)}"
-                    )
-                return _tagged(1, self._check(
-                    ctx, body, S.Diamond(phi.game.body, phi), path + ("body",), _after(then, 1)
+                goal = S.Diamond(phi.game.body, phi) if go else phi.post
+                return _tagged(int(go), self._check(
+                    ctx, body, goal, path + ("body",), _after(then, 1 if go else -1)
                 ))
 
             case P.For():
@@ -549,11 +547,11 @@ class _Elaboration:
                 # guess fails), check the scrutinee against it, then the body;
                 # the check numbers its ghosts as if no guess had been made
                 fl = P.DIA if isinstance(phi, S.Diamond) else P.BOX
-                ghosts = self.ghosts
-                mid = self._infer_post(
+                ghosts, self.guessing = self.ghosts, True
+                mid = self._guess(
                     ctx, a, ((fl, phi.game),), _modal_spine(phi.post), path + ("scrut",)
                 )
-                self.ghosts = ghosts
+                self.ghosts, self.guessing = ghosts, False
                 mid = phi.post if mid is None else mid
                 a_rz = self._check(
                     ctx, a, type(phi)(phi.game, mid), path + ("scrut",), _to_hole(p)
@@ -696,6 +694,8 @@ class _Elaboration:
                         f"application head must prove a test-box, got {_fmt(fphi)}",
                     )
                 pre, post = imp
+                if self.guessing:
+                    return post, f_rz
                 return post, R.AppRz(f_rz, self._check(ctx, arg, pre, path + ("arg",)))
 
             case P.NumApp(fn=fn, term=f):
@@ -837,6 +837,15 @@ class _Elaboration:
 
     # -- guessing a `mon` scrutinee's postcondition ----------------------------
 
+    def _guess(self, ctx: Context, m: ProofTerm, stack, hints, path):
+        """`_infer_post`, remembered: a scrutinee nested in another `mon`
+        scrutinee is guessed once, not again at every enclosing level."""
+        key = (id(m), stack, hints, self.ghosts)
+        hit = self._guessed.get(key)
+        if hit is None or hit[0] is not ctx:
+            hit = self._guessed[key] = ctx, self._infer_post(ctx, m, stack, hints, path)
+        return hit[1]
+
     def _infer_post(self, ctx: Context, m: ProofTerm, stack, hints, path):
         """A guess at psi with  ctx |- m : M0(g0, M1(g1, ... psi))  for a
         stack [(f0, g0), (f1, g1), ...] of (flavor, game) pairs, or None
@@ -844,9 +853,11 @@ class _Elaboration:
         then checks m against the guess and names any fault.
 
         The guess follows m along the games, reads an oracle leaf's goal,
-        and synthesizes the rest.  When the stack runs dry on a rule whose
-        game cannot be read off the term (conversion reducts land here),
-        `hints` -- the modal spine of the enclosing goal -- supplies it.
+        and synthesizes the rest; while guessing, synthesis asks no oracle
+        and checks no application argument.  When the stack runs dry on a
+        rule whose game cannot be read off the term (conversion reducts land
+        here), `hints` -- the modal spine of the enclosing goal -- supplies
+        it.
         """
         if not stack:
             if hints and isinstance(m, _NEEDS_GAME):
@@ -867,7 +878,8 @@ class _Elaboration:
             case P.DPair(snd=b) if dia and isinstance(game, S.Test):
                 return self._infer_post(ctx, b, rest, hints, path + ("snd",))
             case P.Lam(hyp=p, ann=ann, body=body) if not dia and isinstance(game, S.Test):
-                return self._infer_post(ctx.extend(p, ann), body, rest, hints, path + ("body",))
+                inner = ctx.extend(p, ann)
+                return self._infer_post(inner, body, rest, hints, path + ("body",))
             case P.BPair(fst=a) if not dia and isinstance(game, S.Choice):
                 stack = ((fl, game.left),) + rest
                 return self._infer_post(ctx, a, stack, hints, path + ("fst",))
@@ -904,14 +916,14 @@ class _Elaboration:
                 inner = ctx.extend(l, S.Diamond(sphi.game.left, sphi.post))
                 return self._infer_post(inner, bl, stack, hints, path + ("left",))
             case P.Mon(scrut=a, hyp=p, body=body):
-                mid = self._infer_post(ctx, a, stack[:1], rest + hints, path + ("scrut",))
+                mid = self._guess(ctx, a, stack[:1], rest + hints, path + ("scrut",))
                 if mid is None:
                     return None
                 inner = self._rename_ctx(ctx, game).extend(p, mid)
                 return self._infer_post(inner, body, rest, hints, path + ("body",))
             case P.QE() | P.Dec():
                 return _peel(m.goal, stack)
-            case _ if isinstance(m, _FITS):
+            case _ if isinstance(m, _PUSHES):
                 return None  # an introduction form against the wrong game
         return _peel(self._synth(ctx, m, path)[0], stack)
 
@@ -943,12 +955,6 @@ class _Elaboration:
 _PUSHES = (
     P.Lam, P.NumLam, P.DPair, P.BPair, P.InjL, P.InjR, P.Case, P.TCons, P.Asgn,
     P.SeqI, P.Swap, P.Stop, P.Go, P.Mon,
-)
-
-# introduction forms that fit only some games
-_FITS = (
-    P.SeqI, P.Swap, P.DPair, P.Lam, P.BPair, P.InjL, P.InjR, P.Asgn, P.TCons,
-    P.NumLam, P.Stop, P.Go,
 )
 
 _NEEDS_GAME = (

@@ -26,6 +26,7 @@ from cgl.extraction import (
 )
 from cgl.proofterms import Context
 from cgl.interchange import realizer_from_json, to_json
+from cgl.parser import parse_script
 from cgl.syntax import State
 from test_checker import WRAPPED_STEPS, _counter_loop
 
@@ -266,3 +267,26 @@ def test_corpus_realizers_pinned(all_theorems):
     got = {name: realizer_digest(extract(proof, phi))
            for name, (phi, proof) in all_theorems.items()}
     assert got == REALIZER_DIGESTS
+
+
+# Hole I: `unpack` never binds its witness.  The body's `wit y := x` reads x
+# from the state at play time, not the 6 the scrutinee unpacked, so the
+# theorem checks but its strategy loses from x = 0.
+HOLE_I = r"""
+theorem unp : <y := *> y > 5 =
+  unpack((\h : <x := *> x > 5. h) (wit x := 6 (x0, k. FO[x > 5](k))); x, x1, p.
+    wit y := x (y0, k2. FO[y > 5](p, k2)))
+"""
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError, reason="hole I: unpack does not bind its witness"
+)
+def test_unpacked_witness_is_played():
+    phi, m = parse_script(HOLE_I).theorems["unp"]
+    assert Checker().check_result(Context(), m, phi) is None
+    game, role, post = modal_core(phi)
+    cex = verify_exhaustive(
+        game, role, close(extract(m, phi)), [State({"x": 0})], post, DemonMenu({}, 2)
+    )
+    assert cex is None, cex.outcome
