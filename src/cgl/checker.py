@@ -904,11 +904,9 @@ class _Elaboration:
                 return self._infer_post(
                     ctx.rename_vars(x, y), body, rest, hints, path + ("body",)
                 )
-            case P.Stop(body=body) if dia and isinstance(game, S.Repeat):
-                return self._infer_post(ctx, body, rest, hints, path + ("body",))
-            case P.Go(body=body) if dia and isinstance(game, S.Repeat):
-                stack = ((fl, game.body), (fl, game)) + rest
-                return self._infer_post(ctx, body, stack, hints, path + ("body",))
+            case P.Stop(body=body) | P.Go(body=body) if dia and isinstance(game, S.Repeat):
+                more = ((fl, game.body), (fl, game)) if isinstance(m, P.Go) else ()
+                return self._infer_post(ctx, body, more + rest, hints, path + ("body",))
             case P.Case(scrut=a, left=l, bleft=bl):
                 sphi = self._synth(ctx, a, path + ("scrut",))[0]
                 if not (isinstance(sphi, S.Diamond) and isinstance(sphi.game, S.Choice)):

@@ -87,9 +87,6 @@ def _parse_state(text: str) -> State:
     return State(vals)
 
 
-_SCRIPT_WORDS = ("L", "R", "assert", "concede", "continue", "stop")
-
-
 def _make_demon(spec: str):
     kind, _, arg = spec.partition(":")
     if spec == "interactive":
@@ -104,7 +101,7 @@ def _make_demon(spec: str):
         if not isinstance(script, list):
             raise _Usage(f"demon script {arg} is not a JSON list")
         for v in script:
-            if v not in _SCRIPT_WORDS:
+            if v not in ScriptedDemon.WORDS:
                 _number(v, f"demon script {arg}")
         return ScriptedDemon(script)
     raise _Usage(f"bad --demon {spec!r}")

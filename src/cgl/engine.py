@@ -262,6 +262,8 @@ class ScriptedDemon(DemonOracle):
     'L'/'R' (branch), rationals-as-strings (values), 'assert'/'concede',
     'continue'/'stop'."""
 
+    WORDS = ("L", "R", "assert", "concede", "continue", "stop")  # the rest are numbers
+
     def __init__(self, script):
         self.script = list(script)
         self.pos = 0
