@@ -100,14 +100,15 @@ class Budget:
 
 
 def _overlay(state: State, env) -> State:
-    """Number bindings from the environment shadow the game state, in one
-    copy of its bindings."""
+    """The numbers `AppNum` bound shadow the game state, in one copy of its
+    bindings.  A number is bound under the 1-tuple of its variable, apart
+    from the realizer variables, which are strings."""
     vals = None
     for k, v in env.items():
-        if type(v) is Fraction:
+        if type(k) is tuple:
             if vals is None:
                 vals = state._vals.copy()
-            vals[k] = v
+            vals[k[0]] = v
     return state if vals is None else State.of(vals)
 
 
@@ -124,12 +125,10 @@ def force(cl: Closure, state: State, budget: Budget) -> Closure:
             v = cl.env.get(rz.name)
             if v is None:
                 raise IllStructuredRealizer(f"unbound realizer variable {rz.name}")
-            if type(v) is Fraction:
-                return Closure(R.TermVal(S.Lit(v)))
             cl = v
         elif t is R.IfTerm:
             try:
-                b = S.eval_fo(rz.cond, _overlay(state, cl.env) if cl.env else state)
+                b = S.eval_fo(rz.cond, _overlay(state, cl.env))
             except (TypeError, ArithmeticError) as e:
                 raise IllStructuredRealizer(f"unevaluable decision {rz.cond!r}: {e}")
             cl = Closure(rz.then if b else rz.els, cl.env)
@@ -144,7 +143,7 @@ def force(cl: Closure, state: State, budget: Budget) -> Closure:
             pair = pair_view(force(Closure(rz.arg, cl.env), state, budget), state, budget)
             cl = pair[0] if t is R.Fst else pair[1]
         elif t is R.AppNum:
-            v = S.eval_term(rz.term, _overlay(state, cl.env) if cl.env else state)
+            v = S.eval_term(rz.term, _overlay(state, cl.env))
             cl = app_num(Closure(rz.fn, cl.env), v, state, budget)
         elif t is R.AppRz:
             cl = app_rz(Closure(rz.fn, cl.env), Closure(rz.arg, cl.env), state, budget)
@@ -154,10 +153,14 @@ def force(cl: Closure, state: State, budget: Budget) -> Closure:
             return cl
 
 
-def app_num(cl: Closure, v: Rational, state: State, budget: Budget) -> Closure:
+def app_num(cl: Closure, v: Optional[Rational], state: State, budget: Budget) -> Closure:
+    """cl, a number lambda, applied to v; to None at a demon's `x := *`,
+    whose value the state already holds, so nothing is bound."""
     f = force(cl, state, budget)
     if type(f.rz) is R.NumLamR:
-        return Closure(f.rz.body, {**f.env, f.rz.var: v})
+        if v is None:
+            return Closure(f.rz.body, f.env)
+        return Closure(f.rz.body, {**f.env, (f.rz.var,): v})
     raise IllStructuredRealizer(f"number application to {type(f.rz).__name__}")
 
 
@@ -177,8 +180,6 @@ def peel_for(cl: Closure, game):
     while True:
         while type(cl.rz) is R.RVar:
             v = cl.env.get(cl.rz.name)
-            if type(v) is Fraction:
-                return ks, Closure(R.TermVal(S.Lit(v)))
             if type(v) is not Closure:
                 raise IllStructuredRealizer(f"unbound realizer variable {cl.rz.name}")
             cl = v
@@ -219,7 +220,7 @@ def pair_view(f: Closure, state: State, budget: Budget):
 def num_of(cl: Closure, state: State, budget: Budget) -> Rational:
     f = force(cl, state, budget)
     if type(f.rz) is R.TermVal:
-        return S.eval_term(f.rz.term, _overlay(state, f.env) if f.env else state)
+        return S.eval_term(f.rz.term, _overlay(state, f.env))
     raise IllStructuredRealizer(f"expected a number, got {type(f.rz).__name__}")
 
 
@@ -554,7 +555,7 @@ def _lines(game, role, cl, state, demon, budget, tracer=None, memo=None):
                     x, cl, st0 = ctx
                     if ev is not None or memo is not None:
                         path = _move(ev, memo, path, f"demon-value {x} {format_rational(opt)}")
-                    st, cl, mode = st0.set(x, opt), app_num(cl, opt, st0, budget), _RET
+                    st, cl, mode = st0.set(x, opt), app_num(cl, None, st0, budget), _RET
                 elif kind == _TEST:
                     phi, cl, st = ctx
                     if opt != "concede" and not _holds(phi, st):
@@ -794,7 +795,10 @@ class _Transpositions:
         for n in names:
             v = cl.env.get(n)
             if v is not None:
-                seen.append((n, (self.closure(v),) if type(v) is Closure else v))
+                seen.append((n, (self.closure(v),)))
+            v = cl.env.get((n,))
+            if v is not None:
+                seen.append((n, v))
         fp = self._canon.setdefault((num, tuple(seen)), len(self._canon))
         self._ids[id(cl)] = (cl, fp, ())
         return fp

@@ -8,7 +8,9 @@ A script is a sequence of named definitions:
 
 Game and formula names elaborate inline (definitions are acyclic by
 construction: names must be defined before use).  The printer module
-inverts this grammar exactly; `parse(print(ast)) == ast`.
+inverts this grammar exactly; `parse(print(ast)) == ast`.  Proof forms
+that a keyword or bracket opens are read from `printer.PROOF_FORMS`, the
+one source of the proof syntax, whose templates the printer fills in.
 
 All errors carry line/column positions and the expected-token set.
 """
@@ -16,10 +18,12 @@ All errors carry line/column positions and the expected-token set.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Optional
 
 from . import proofterms as P
 from . import syntax as S
+from .printer import ATOM, CASE, FORM_OF, PREFIX
 from .rational import parse_rational
 
 KEYWORDS = {
@@ -441,7 +445,6 @@ class Parser:
     # -- proofs --------------------------------------------------------------------------
 
     def proof(self) -> P.ProofTerm:
-        t = self.peek()
         if self.at("\\"):
             self.next()
             x = self.ident("binder")
@@ -458,38 +461,10 @@ class Parser:
             ann = self.formula()
             self.eat(".")
             return P.Lam(x, ann, self.proof())
-        if self.at("case") or self.at("rcase") or self.at("fp"):
-            kw = self.next().text
-            scrut = self.proof_prefix()
-            self.eat("of")
-            l = self.ident("binder")
-            self.eat(".")
-            bl = self.proof()
-            self.eat("|")
-            r = self.ident("binder")
-            self.eat(".")
-            br = self.proof()
-            cls = {"case": P.Case, "rcase": P.RCase, "fp": P.FP}[kw]
-            return cls(scrut, l, bl, r, br)
-        return self.proof_prefix()
-
-    _PREFIX_KWS = {
-        "pi1": P.Proj1, "pi2": P.Proj2, "inl": P.InjL, "inr": P.InjR,
-        "stop": P.Stop, "go": P.Go, "roll": P.Roll, "unroll": P.Unroll,
-    }
+        return self.proof_form(CASE) or self.proof_prefix()
 
     def proof_prefix(self) -> P.ProofTerm:
-        t = self.peek()
-        if t.kind == "keyword" and t.text in self._PREFIX_KWS:
-            self.next()
-            return self._PREFIX_KWS[t.text](self.proof_prefix())
-        if self.at("seqd") or self.at("seqb"):
-            kw = self.next().text
-            return P.SeqI(self.proof_prefix(), P.DIA if kw == "seqd" else P.BOX)
-        if self.at("yieldd") or self.at("yieldb"):
-            kw = self.next().text
-            return P.Swap(self.proof_prefix(), P.DIA if kw == "yieldd" else P.BOX)
-        return self.proof_app()
+        return self.proof_form(PREFIX) or self.proof_app()
 
     def proof_app(self) -> P.ProofTerm:
         head = self.proof_atom()
@@ -498,9 +473,7 @@ class Parser:
             if self.at("@"):
                 self.next()
                 head = P.NumApp(head, self.term_atom())
-            elif t.kind == "ident" or t.text in ("(",) or (
-                t.kind == "keyword" and t.text in ("FO", "Dec", "split")
-            ):
+            elif t.kind == "ident" or t.text in ("(", "FO", "Dec", "split"):
                 head = P.App(head, self.proof_atom())
             else:
                 return head
@@ -512,155 +485,79 @@ class Parser:
             inner = self.proof()
             self.eat(")")
             return inner
-        if self.at("<"):
-            self.next()
-            a = self.proof()
-            self.eat(",")
-            b = self.proof()
-            self.eat(">")
-            return P.DPair(a, b)
-        if self.at("["):
-            self.next()
-            a = self.proof()
-            self.eat(",")
-            b = self.proof()
-            self.eat("]")
-            return P.BPair(a, b)
-        if self.at("FO") or self.at("Dec"):
-            kw = self.next().text
-            self.eat("[")
-            goal = self.formula()
-            self.eat("]")
-            payload = self._payload()
-            return (P.QE if kw == "FO" else P.Dec)(goal, payload)
-        if self.at("split"):
-            self.next()
-            self.eat("(")
-            a = self.term()
-            self.eat(",")
-            b = self.term()
-            self.eat(")")
-            return P.Split(a, b)
-        if self.at("wit"):
-            self.next()
-            x = self.ident("witness variable")
-            self.eat(":=")
-            f = self.term()
-            self.eat("(")
-            n1 = self.ident("binder")
-            if self.at(","):
-                self.next()
-                n2 = self.ident("hypothesis")
-                ghost, hyp = n1, n2
-            else:
-                ghost, hyp = self.fresh_ghost(x), n1
-            self.eat(".")
-            body = self.proof()
-            self.eat(")")
-            return P.TCons(x, ghost, hyp, f, body)
-        if self.at("asgnd") or self.at("asgnb"):
-            kw = self.next().text
-            x = self.ident("assigned variable")
-            self.eat("(")
-            n1 = self.ident("binder")
-            if self.at(","):
-                self.next()
-                n2 = self.ident("hypothesis")
-                ghost, hyp = n1, n2
-            else:
-                ghost, hyp = self.fresh_ghost(x), n1
-            self.eat(".")
-            body = self.proof()
-            self.eat(")")
-            return P.Asgn(x, ghost, hyp, body, P.DIA if kw == "asgnd" else P.BOX)
-        if self.at("mon"):
-            self.next()
-            self.eat("(")
-            scrut = self.proof()
-            self.eat(";")
-            p = self.ident("hypothesis")
-            self.eat(".")
-            body = self.proof()
-            self.eat(")")
-            return P.Mon(scrut, p, body)
-        if self.at("ghost"):
-            self.next()
-            self.eat("(")
-            x = self.ident("ghost variable")
-            self.eat(":=")
-            f = self.term()
-            self.eat(";")
-            p = self.ident("hypothesis")
-            self.eat(".")
-            body = self.proof()
-            self.eat(")")
-            return P.Ghost(x, f, p, body)
-        if self.at("unpack"):
-            self.next()
-            self.eat("(")
-            scrut = self.proof()
-            self.eat(";")
-            x = self.ident("unpacked variable")
-            self.eat(",")
-            y = self.ident("ghost")
-            self.eat(",")
-            p = self.ident("hypothesis")
-            self.eat(".")
-            body = self.proof()
-            self.eat(")")
-            return P.Unpack(x, y, p, scrut, body)
-        if self.at("rep"):
-            self.next()
-            self.eat("(")
-            init = self.proof()
-            self.eat(";")
-            p = self.ident("invariant hypothesis")
-            self.eat(":")
-            inv = self.formula()
-            self.eat(".")
-            body = self.proof()
-            self.eat(";")
-            done = self.proof()
-            self.eat(")")
-            return P.Rep(p, init, body, done, inv)
-        if self.at("for"):
-            self.next()
-            self.eat("(")
-            init = self.proof()
-            self.eat(";")
-            p = self.ident("invariant hypothesis")
-            self.eat(":")
-            inv = self.formula()
-            self.eat(";")
-            q = self.ident("metric hypothesis")
-            self.eat(";")
-            m0 = self.ident("metric snapshot")
-            self.eat(":=")
-            metric = self.term()
-            self.eat(";")
-            body = self.proof()
-            self.eat(";")
-            done = self.proof()
-            self.eat(")")
-            return P.For(p, q, m0, init, body, done, metric, inv)
         if t.kind == "ident":
             return P.PVar(self.next().text)
-        raise ParseError(f"found {t.text!r}", t.line, t.col, ("proof term",))
+        m = self.proof_form(ATOM)
+        if m is None:
+            raise ParseError(f"found {t.text!r}", t.line, t.col, ("proof term",))
+        return m
+
+    def _form_at(self, prec: int):
+        form = _FORMS.get(self.peek().text)
+        return form if form is not None and form[3] == prec else None
+
+    def proof_form(self, prec: int) -> Optional[P.ProofTerm]:
+        """The table form of precedence `prec` that the next token opens,
+        read field by field; None when the token opens none."""
+        form = self._form_at(prec)
+        if form is None:
+            return None
+        cls, flavor, pieces, _ = form
+        vals = {} if flavor is None else {"flavor": flavor}
+        for piece in pieces:
+            if type(piece) is str:
+                for text in _tokens(piece):
+                    self.eat(text)
+                continue
+            name, kind, sub, optional = piece
+            if optional:  # `{ghost,}`
+                if self.peek().kind == "ident" and self.at(",", 1):
+                    vals[name] = self.next().text
+                    self.next()
+                else:
+                    vals[name] = self.fresh_ghost(vals["var"])
+            elif kind == "str":
+                vals[name] = self.ident(_NAMED.get(name, "binder"))
+            elif kind == "ProofTerm":
+                vals[name] = self.proof_prefix() if sub == PREFIX else self.proof()
+            elif kind == "Term":
+                vals[name] = self.term()
+            elif kind == "Formula":
+                vals[name] = self.formula()
+            else:
+                vals[name] = self._payload()
+        return cls(**vals)
 
     def _payload(self) -> Optional[P.ProofTerm]:
-        self.eat("(")
         if self.at(")"):
-            self.next()
             return None
         parts = [self.proof()]
         while self.at(","):
             self.next()
             parts.append(self.proof())
-        self.eat(")")
         out = parts[-1]
         for p in reversed(parts[:-1]):
             out = P.DPair(p, out)
         return out
+
+
+# what a name field is called in an error's expected set
+_NAMED = {
+    "var": "variable", "ghost": "ghost", "hyp": "hypothesis",
+    "mhyp": "metric hypothesis", "m0": "metric snapshot",
+}
+
+
+@cache  # called with the proof table's literal texts only
+def _tokens(text: str) -> tuple:
+    return tuple(t.text for t in tokenize(text)[:-1])
+
+
+# the proof table's forms by the token that opens them
+_FORMS = {
+    _tokens(pieces[0])[0]: (cls, flavor, pieces, prec)
+    for (cls, flavor), (pieces, prec) in FORM_OF.items()
+}
 
 
 def parse_script(text: str) -> ProofScript:

@@ -4,9 +4,14 @@ Precedences (low to high):
   formulas:  <-> 1, -> 2, | 3, & 4, prefix/modal/quantifier 5, atoms 6
   games:     ++/cap 1, ; 2, postfix */^d 3, atoms 4
   terms:     +/- 1, * div mod 2, unary - 3, atoms 4
+  proofs:    case/rcase/fp 0, lambdas 1, prefix keywords 2, application 3,
+             atoms 4 (`PROOF_FORMS`, which the parser reads too)
 """
 
 from __future__ import annotations
+
+import re
+from dataclasses import fields
 
 from . import proofterms as P
 from . import syntax as S
@@ -158,18 +163,71 @@ def print_game(g: S.Game, level: int = 0) -> str:
 # ---------------------------------------------------------------------------
 # Proof terms
 
-_PREFIXES = {
-    P.Proj1: "pi1",
-    P.Proj2: "pi2",
-    P.InjL: "inl",
-    P.InjR: "inr",
-    P.Stop: "stop",
-    P.Go: "go",
-    P.Roll: "roll",
-    P.Unroll: "unroll",
-}
+# Proof levels, loosest first.  A form prints in parentheses where a tighter
+# level is wanted; a `case` in a left branch is parenthesized, a lambda is not.
+CASE, LAMBDA, PREFIX, APP, ATOM = range(5)
 
-# proof levels: 0 open (lambda bodies), 1 prefix chains, 2 application, 3 atoms
+# The one source of the proof syntax: every form that a keyword or bracket
+# opens, as (constructor, flavor, template, precedence).  `print_proof`
+# fills the template and the parser reads it, each {field} by its
+# annotation in the constructor: a name, a term, a formula, a proof (at the
+# level after the colon, 0 when there is none) or the FO/Dec payload (proofs
+# separated by commas, read as nested diamond-test pairs).  `{ghost,}` is a
+# ghost name and its comma; where it is left out the parser picks a fresh
+# ghost for the form's `var`.  Lambdas, application, `@`, parentheses and
+# variables are written by hand in both modules.
+PROOF_FORMS = (
+    (P.Case, None, "case {scrut:2} of {left}. {bleft:1} | {right}. {bright}", CASE),
+    (P.RCase, None, "rcase {scrut:2} of {svar}. {sbody:1} | {gvar}. {gbody}", CASE),
+    (P.FP, None, "fp {scrut:2} of {svar}. {sbody:1} | {gvar}. {gbody}", CASE),
+    (P.Proj1, None, "pi1 {arg:2}", PREFIX),
+    (P.Proj2, None, "pi2 {arg:2}", PREFIX),
+    (P.InjL, None, "inl {arg:2}", PREFIX),
+    (P.InjR, None, "inr {arg:2}", PREFIX),
+    (P.Stop, None, "stop {body:2}", PREFIX),
+    (P.Go, None, "go {body:2}", PREFIX),
+    (P.Roll, None, "roll {body:2}", PREFIX),
+    (P.Unroll, None, "unroll {body:2}", PREFIX),
+    (P.SeqI, P.DIA, "seqd {body:2}", PREFIX),
+    (P.SeqI, P.BOX, "seqb {body:2}", PREFIX),
+    (P.Swap, P.DIA, "yieldd {body:2}", PREFIX),
+    (P.Swap, P.BOX, "yieldb {body:2}", PREFIX),
+    (P.DPair, None, "<{fst}, {snd}>", ATOM),
+    (P.BPair, None, "[{fst}, {snd}]", ATOM),
+    (P.QE, None, "FO[{goal}]({payload})", ATOM),
+    (P.Dec, None, "Dec[{goal}]({payload})", ATOM),
+    (P.Split, None, "split({left}, {right})", ATOM),
+    (P.TCons, None, "wit {var} := {witness} ({ghost,} {hyp}. {body})", ATOM),
+    (P.Asgn, P.DIA, "asgnd {var} ({ghost,} {hyp}. {body})", ATOM),
+    (P.Asgn, P.BOX, "asgnb {var} ({ghost,} {hyp}. {body})", ATOM),
+    (P.Mon, None, "mon({scrut}; {hyp}. {body})", ATOM),
+    (P.Ghost, None, "ghost({var} := {term}; {hyp}. {body})", ATOM),
+    (P.Unpack, None, "unpack({scrut}; {var}, {ghost}, {hyp}. {body})", ATOM),
+    (P.Rep, None, "rep({init}; {hyp} : {inv}. {body}; {done})", ATOM),
+    (P.For, None, "for({init}; {hyp} : {inv}; {mhyp}; {m0} := {metric}; {body}; {done})", ATOM),
+)
+
+
+def _template_pieces(cls, template: str) -> tuple:
+    """The template as literal texts and (field, annotation, level,
+    optional) slots, in order."""
+    kinds = {f.name: f.type for f in fields(cls)}
+    out = []
+    for i, part in enumerate(re.split(r"\{([^}]*)\}", template)):
+        if i % 2:
+            name, _, level = part.partition(":")
+            bare = name.rstrip(",")
+            out.append((bare, kinds[bare], int(level or 0), bare != name))
+        elif part:
+            out.append(part)
+    return tuple(out)
+
+
+# (constructor, flavor) -> (template pieces, precedence)
+FORM_OF = {
+    (cls, flavor): (_template_pieces(cls, template), prec)
+    for cls, flavor, template, prec in PROOF_FORMS
+}
 
 
 def print_proof(m: P.ProofTerm, level: int = 0) -> str:
@@ -180,96 +238,39 @@ def print_proof(m: P.ProofTerm, level: int = 0) -> str:
         case P.PVar(name=p):
             return p
         case P.Lam(hyp=p, ann=ann, body=b):
-            return par(f"\\{p} : {print_formula(ann)}. {print_proof(b, 0)}", 0)
+            return par(f"\\{p} : {print_formula(ann)}. {print_proof(b)}", LAMBDA)
         case P.NumLam(var=x, ghost=y, body=b):
-            return par(f"\\{x} : Q as {y}. {print_proof(b, 0)}", 0)
+            return par(f"\\{x} : Q as {y}. {print_proof(b)}", LAMBDA)
         case P.App(fn=f, arg=a):
-            return par(f"{print_proof(f, 2)} {print_proof(a, 3)}", 2)
+            return par(f"{print_proof(f, APP)} {print_proof(a, ATOM)}", APP)
         case P.NumApp(fn=f, term=t):
-            return par(f"{print_proof(f, 2)} @ {_term_atom(t)}", 2)
-        case P.DPair(fst=a, snd=b):
-            return f"<{print_proof(a, 0)}, {print_proof(b, 0)}>"
-        case P.BPair(fst=a, snd=b):
-            return f"[{print_proof(a, 0)}, {print_proof(b, 0)}]"
-        case P.SeqI(body=b, flavor=fl):
-            kw = "seqd" if fl == P.DIA else "seqb"
-            return par(f"{kw} {print_proof(b, 1)}", 1)
-        case P.Swap(body=b, flavor=fl):
-            kw = "yieldd" if fl == P.DIA else "yieldb"
-            return par(f"{kw} {print_proof(b, 1)}", 1)
-        case P.Case(scrut=a, left=l, bleft=bl, right=r, bright=br):
-            return par(
-                f"case {print_proof(a, 1)} of {l}. {_branch(bl)} | {r}. {print_proof(br, 0)}",
-                0,
-            )
-        case P.RCase(scrut=a, svar=s, sbody=bs, gvar=g, gbody=bg):
-            return par(
-                f"rcase {print_proof(a, 1)} of {s}. {_branch(bs)} | {g}. {print_proof(bg, 0)}",
-                0,
-            )
-        case P.FP(scrut=a, svar=s, sbody=bs, gvar=g, gbody=bg):
-            return par(
-                f"fp {print_proof(a, 1)} of {s}. {_branch(bs)} | {g}. {print_proof(bg, 0)}",
-                0,
-            )
-        case P.TCons(var=x, ghost=y, hyp=p, witness=f, body=b):
-            return f"wit {x} := {print_term(f)} ({y}, {p}. {print_proof(b, 0)})"
-        case P.Unpack(var=x, ghost=y, hyp=p, scrut=a, body=b):
-            return (
-                f"unpack({print_proof(a, 0)}; {x}, {y}, {p}. {print_proof(b, 0)})"
-            )
-        case P.Asgn(var=x, ghost=y, hyp=p, body=b, flavor=fl):
-            kw = "asgnd" if fl == P.DIA else "asgnb"
-            return f"{kw} {x} ({y}, {p}. {print_proof(b, 0)})"
-        case P.For(
-            hyp=p, mhyp=q, m0=m0, init=a, body=b, done=c, metric=mt, inv=inv
-        ):
-            return (
-                f"for({print_proof(a, 0)}; {p} : {print_formula(inv)}; {q}; "
-                f"{m0} := {print_term(mt)}; {print_proof(b, 0)}; {print_proof(c, 0)})"
-            )
-        case P.Rep(hyp=p, init=a, body=b, done=c, inv=inv):
-            return (
-                f"rep({print_proof(a, 0)}; {p} : {print_formula(inv)}. "
-                f"{print_proof(b, 0)}; {print_proof(c, 0)})"
-            )
-        case P.Mon(scrut=a, hyp=p, body=b):
-            return f"mon({print_proof(a, 0)}; {p}. {print_proof(b, 0)})"
-        case P.QE(goal=goal, payload=pl):
-            return f"FO[{print_formula(goal)}]({_payload(pl)})"
-        case P.Dec(goal=goal, payload=pl):
-            return f"Dec[{print_formula(goal)}]({_payload(pl)})"
-        case P.Split(left=f, right=g):
-            return f"split({print_term(f)}, {print_term(g)})"
-        case P.Ghost(var=x, term=t, hyp=p, body=b):
-            return f"ghost({x} := {print_term(t)}; {p}. {print_proof(b, 0)})"
-    if type(m) in _PREFIXES:
-        inner = getattr(m, "arg", None) or getattr(m, "body", None)
-        return par(f"{_PREFIXES[type(m)]} {print_proof(inner, 1)}", 1)
-    raise TypeError(f"not a proof term: {m!r}")
-
-
-def _branch(b: P.ProofTerm) -> str:
-    if isinstance(b, (P.Case, P.RCase, P.FP)):
-        return f"({print_proof(b, 0)})"
-    return print_proof(b, 0)
+            return par(f"{print_proof(f, APP)} @ {print_term(t, 4)}", APP)
+    form = FORM_OF.get((type(m), getattr(m, "flavor", None)))
+    if form is None:
+        raise TypeError(f"not a proof term: {m!r}")
+    out = []
+    for piece in form[0]:
+        if type(piece) is str:
+            out.append(piece)
+            continue
+        name, kind, sub, optional = piece
+        v = getattr(m, name)
+        if kind == "ProofTerm":
+            v = print_proof(v, sub)
+        elif kind == "Term":
+            v = print_term(v)
+        elif kind == "Formula":
+            v = print_formula(v)
+        elif kind != "str":  # the FO/Dec payload
+            v = _payload(v)
+        out.append(v + "," if optional else v)
+    return par("".join(out), form[1])
 
 
 def _payload(pl) -> str:
-    if pl is None:
-        return ""
-    parts = []
-    cur = pl
-    while isinstance(cur, P.DPair):
-        parts.append(cur.fst)
-        cur = cur.snd
-    parts.append(cur)
-    return ", ".join(print_proof(p, 0) for p in parts)
-
-
-def _term_atom(t: S.Term) -> str:
-    s = print_term(t, 4)
-    return s
+    if isinstance(pl, P.DPair):
+        return f"{print_proof(pl.fst)}, {_payload(pl.snd)}"
+    return "" if pl is None else print_proof(pl)
 
 
 # ---------------------------------------------------------------------------

@@ -125,6 +125,30 @@ class Decide(Realizer):
     right: Realizer
 
 
+# each binder of realizer variables: (binder field, the fields it scopes)
+BINDERS = {
+    ProofLam: (("hyp", ("body",)),),
+    Ind: (("var", ("body",)),),
+    Compose: (("var", ("cont",)),),
+    Gen: (("var", ("step", "post")),),
+    Decide: (("lvar", ("left",)), ("rvar", ("right",))),
+}
+
+
+def free_rvars(r: Realizer) -> frozenset:
+    """The realizer variables free in r."""
+    if type(r) is RVar:
+        return frozenset((r.name,))
+    scope = {f: b for b, fs in BINDERS.get(type(r), ()) for f in fs}
+    out = frozenset()
+    for f in fields(type(r)):
+        v = getattr(r, f.name)
+        if isinstance(v, Realizer):
+            inner = free_rvars(v)
+            out |= inner - {getattr(r, scope[f.name])} if f.name in scope else inner
+    return out
+
+
 def subst_rvar(r: Realizer, name: str, value: Realizer) -> Realizer:
     """Capture-avoiding substitution for realizer variables (binder names
     are assumed distinct from `name` except where they shadow it)."""

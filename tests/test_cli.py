@@ -270,9 +270,16 @@ theorem stale : [x := * ; {x := x + 1 ; {y := 0 ++ y := 1}^d}] Goal =
 """
 
 
-def test_verify_counterexample_outcome_is_readable(tmp_path, capsys):
+def test_verify_counterexample_outcome_is_readable(tmp_path, capsys, monkeypatch):
+    import cgl.cli
+    from cgl import realizer as R
+    from cgl import syntax as S
+
     f = tmp_path / "stale.cgl"
     f.write_text(STALE)
+    # a strategy that always sets y to 0, which loses once x > 0
+    losing = R.NumLamR("x", R.Pair(R.TermVal(S.lit(0)), R.Unit()))
+    monkeypatch.setattr(cgl.cli, "extract", lambda proof, phi: losing)
     menu = tmp_path / "menu.json"
     menu.write_text(json.dumps({"values": {"x": ["-1/2"]}, "repeat_depth": 4}))
     code, out, _ = run(capsys, "verify", str(f), "--menu", str(menu))
@@ -312,6 +319,41 @@ def test_deep_nesting_is_usage_error(tmp_path, capsys):
     code, _out, err = run(capsys, "check", str(f))
     assert code == 2
     _one_line_usage_error(err, "check")
+
+
+def test_demon_value_is_read_from_the_state(tmp_path, capsys):
+    # hole B: the demon's x must not shadow the x := x + 1 that follows it
+    f = tmp_path / "stale.cgl"
+    f.write_text(STALE)
+    menu = tmp_path / "menu.json"
+    menu.write_text(json.dumps({"values": {"x": ["-1/2", "0", "2"]}}))
+    code, out, err = run(capsys, "verify", str(f), "--menu", str(menu), "--state", "x=0")
+    assert (code, err) == (0, "") and "all demon lines win" in out
+
+
+def test_numbers_leave_same_named_hypotheses_alone(tmp_path, capsys):
+    # hole H: neither the demon's y nor the ghost g replaces the hypothesis
+    # of the same name that the strategy cases on
+    f = tmp_path / "names.cgl"
+    f.write_text(
+        "theorem okName : (x > 0 | x <= 0) -> [y := * ; {z := 1 ++ z := 2}^d] z > 0 =\n"
+        "  \\y : (x > 0 | x <= 0). seqb (\\y : Q as y0. yieldb (case y of\n"
+        "    l. inl asgnd z (z0, k. FO[z > 0](k))\n"
+        "  | r. inr asgnd z (z1, k. FO[z > 0](k))))\n"
+        "theorem ghostName : (x > 0 | x <= 0) -> <z := *> z > 0 =\n"
+        "  \\g : (x > 0 | x <= 0). ghost(g := 1; p. case g of\n"
+        "    l. wit z := 1 (z0, k. FO[z > 0](k))\n"
+        "  | r. wit z := 2 (z1, k. FO[z > 0](k)))\n"
+    )
+    menu = tmp_path / "menu.json"
+    menu.write_text(json.dumps({"values": {"y": ["5"]}}))
+    assert run(capsys, "check", str(f))[0] == 0
+    for x, z in (("1", "1"), ("-1", "2")):
+        code, out, err = run(capsys, "verify", str(f), "--theorem", "okName", "--menu", str(menu),
+                             "--state", f"x={x}")
+        assert (code, err) == (0, "") and "all demon lines win" in out
+        code, out, err = run(capsys, "play", str(f), "--theorem", "ghostName", "--state", f"x={x}")
+        assert (code, err) == (0, "") and f"angel-value z {z}" in out
 
 
 def test_verify_menu_without_values_is_usage_error(tmp_path, capsys):

@@ -384,12 +384,13 @@ def test_table_keys_see_environment_residual_and_iteration():
     # Each case differs from a position explored earlier only in what one
     # part of the key covers; results recorded without the table.
     n = S.Var("n")
-    count_past_n = R.NumLamR("n", R.Ind("w", R.IfTerm(
+    count_past_n = R.NumLamR("y", R.AppNum(R.NumLamR("n", R.Pair(R.Unit(), R.Ind("w", R.IfTerm(
         S.Cmp(x, ">", n), R.Pair(R.TermVal(L(0)), R.Unit()),
-        R.Pair(R.TermVal(L(1)), R.RVar("w")))))
-    # the loop head differs only in the demon value held in the environment
-    game = S.Seq(S.Dual(S.AssignAny("y")),
-                 S.Seq(S.Assign("y", L(0)), S.Repeat(S.Assign("x", S.Plus(x, L(1))))))
+        R.Pair(R.TermVal(L(1)), R.RVar("w")))))), S.Var("y")))
+    # the loop head differs only in the number n, let-bound to the demon's
+    # value of y before y is reset
+    game = S.Seq(S.Dual(S.AssignAny("y")), S.Seq(S.Test(S.TRUE), S.Seq(
+        S.Assign("y", L(0)), S.Repeat(S.Assign("x", S.Plus(x, L(1)))))))
     cex = verify_exhaustive(game, ACTIVE, close(count_past_n), [State()],
                             S.Cmp(x, "<", L(3)), DemonMenu({"y": ["0", "5"]}, 2))
     assert (cex.outcome.state, cex.trace) == (State({"x": 6, "y": 0}), ("demon-value y 5",))

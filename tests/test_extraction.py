@@ -16,7 +16,7 @@ from cgl import syntax as S
 from cgl.checker import Checker
 from cgl.oracle import ArithOracle
 from cgl.engine import (
-    ACTIVE, DORMANT, Budget, DemonMenu, Finished, ScriptedDemon, close,
+    ACTIVE, DORMANT, Budget, DemonMenu, Finished, ScriptedDemon, app_rz, close,
     force, modal_core, num_of, pair_view, play, strip_assumptions,
     verify_exhaustive,
 )
@@ -269,6 +269,25 @@ def test_corpus_realizers_pinned(all_theorems):
     assert got == REALIZER_DIGESTS
 
 
+CAPTURE = r"""
+theorem capture : (<z := 1 ++ z := 2> z > 0) -> [?c > 0] <z := 1 ++ z := 2> z > 0 =
+  \h : <z := 1 ++ z := 2> z > 0. mon(\h : c > 0. FO[tt](); p. h)
+"""
+
+
+def test_mon_body_is_not_captured_by_its_scrutinee():
+    # the body's h is the outer hypothesis; plugged into the scrutinee's
+    # strategy, it must not become the scrutinee's h, the test's evidence
+    phi, m = parse_script(CAPTURE).theorems["capture"]
+    game, role, post = modal_core(phi)
+    st, budget = State({"c": 1}), Budget(100)
+    right = close(R.Pair(R.TermVal(L(1)), R.Unit()))  # evidence: play z := 2
+    cl = app_rz(app_rz(close(extract(m, phi)), right, st, budget), close(R.Unit()), st, budget)
+    out = play(game, role, cl, st, ScriptedDemon([]))
+    assert out == Finished(State({"c": 1, "z": 2}), out.residual)
+    assert S.eval_fo(post, out.state)
+
+
 # Hole I: `unpack` never binds its witness.  The body's `wit y := x` reads x
 # from the state at play time, not the 6 the scrutinee unpacked, so the
 # theorem checks but its strategy loses from x = 0.
@@ -289,4 +308,38 @@ def test_unpacked_witness_is_played():
     cex = verify_exhaustive(
         game, role, close(extract(m, phi)), [State({"x": 0})], post, DemonMenu({}, 2)
     )
+    assert cex is None, cex.outcome
+
+
+# Hole J: a strategy's terms are evaluated when the engine first needs the
+# realizer, which can be after a later assignment changed what they read.
+# lateGhost plays z := 5 (the ghost reads c after c := 5); lateCase and
+# lateHyp decide c > 0 after c := 0.
+HOLE_J = r"""
+formula G = (g <= 0 & z = 1) | (g > 0 & z = 2)
+theorem lateGhost : c = 3 -> <c := 5 ; z := *> z = 3 =
+  \h : c = 3. ghost(g := c; p. seqd asgnd c (c0, k. wit z := g (z0, k2. FO[z = 3](h, p, k, k2))))
+theorem lateCase : <g := c ; {c := 0 ; z := *}> G =
+  seqd asgnd g (g0, hg. case split(c, 0) of
+    l. seqd asgnd c (c0, hc. wit z := 1 (z0, hz. FO[G](hg, l, hz)))
+  | r. seqd asgnd c (c1, hc. wit z := 2 (z1, hz. FO[G](hg, r, hz))))
+theorem lateHyp : (c > 0 | c <= 0) -> <g := c ; {c := 0 ; z := *}> G =
+  \h : (c > 0 | c <= 0). seqd asgnd g (g0, hg. seqd asgnd c (c0, hc. case h of
+    l. wit z := 2 (z0, hz. FO[G](hg, l, hz))
+  | r. wit z := 1 (z1, hz. FO[G](hg, r, hz))))
+"""
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="hole J: strategy terms are evaluated after later assignments",
+)
+@pytest.mark.parametrize("name, c", [("lateGhost", 3), ("lateCase", 5), ("lateHyp", 5)])
+def test_strategy_terms_see_the_state_they_were_formed_in(name, c):
+    phi, m = parse_script(HOLE_J).theorems[name]
+    assert Checker().check_result(Context(), m, phi) is None
+    st = State({"c": c})
+    core, cl = strip_assumptions(phi, close(extract(m, phi)), st)
+    game, role, post = modal_core(core)
+    cex = verify_exhaustive(game, role, cl, [st], post, DemonMenu({}, 2))
     assert cex is None, cex.outcome
