@@ -171,25 +171,23 @@ def _to_hole(var: str) -> _Then:
     return _Then(1, var, R.AppRz(_HOLE, R.RVar(var)))
 
 
-def _plug(rz: R.Realizer, var: str, body: R.Realizer, fresh, free=None) -> R.Realizer:
-    """rz with each hole filled by body, its `var` bound to the hole's e.
-    A binder of rz that has a hole in its scope and the name of another
-    free variable of body is renamed by `fresh` first, so it captures none."""
-    if free is None:
-        free = R.free_rvars(body) - {var}
-    if type(rz) is R.AppRz and rz.fn == _HOLE:
-        return R.subst_rvar(body, var, rz.arg)
+def _plug(rz: R.Realizer, var: str, body: R.Realizer) -> R.Realizer:
+    """rz with each hole filled by body, its `var` bound to the hole's e:
+    the hole becomes `\\var. body`, applied where it stands.  Both steps
+    are substitutions, which rename binders apart, so neither rz nor body
+    captures a variable of the other."""
+    fill = R.ProofLam(var, S.TRUE, body)
+    return _beta(R.subst_rvar(rz, _HOLE.name, fill), fill)
+
+
+def _beta(rz: R.Realizer, fill: R.ProofLam) -> R.Realizer:
+    if type(rz) is R.AppRz and rz.fn is fill:
+        return R.subst_rvar(fill.body, fill.hyp, rz.arg)
     kids = {}
-    for b, scope in R.BINDERS.get(type(rz), ()):
-        old = getattr(rz, b)
-        if old in free and any(_HOLE.name in R.free_rvars(getattr(rz, f)) for f in scope):
-            kids[b] = new = fresh(old)
-            for f in scope:
-                kids[f] = R.subst_rvar(getattr(rz, f), old, R.RVar(new))
     for f in fields(rz):
-        v = kids.get(f.name, getattr(rz, f.name))
+        v = getattr(rz, f.name)
         if isinstance(v, R.Realizer):
-            kids[f.name] = _plug(v, var, body, fresh, free)
+            kids[f.name] = _beta(v, fill)
     return replace(rz, **kids) if kids else rz
 
 
@@ -570,7 +568,7 @@ class _Elaboration:
                 n_rz = self._check(
                     renamed.extend(p, mid), body, phi.post, path + ("body",), _after(then, -1)
                 )
-                return _plug(a_rz, p, n_rz, self._fresh)
+                return _plug(a_rz, p, n_rz)
 
             case P.QE(goal=goal, payload=payload):
                 self._same(goal, phi, path, "FO conclusion")
@@ -798,7 +796,7 @@ class _Elaboration:
                 post, n_rz = self._synth(
                     renamed.extend(p, sphi.post), body, path + ("body",), _after(then, -1)
                 )
-                return type(sphi)(sphi.game, post), _plug(a_rz, p, n_rz, self._fresh)
+                return type(sphi)(sphi.game, post), _plug(a_rz, p, n_rz)
 
             case P.Case(scrut=a, left=l, bleft=bl, right=r, bright=br):
                 sphi, a_rz = self._synth(ctx, a, path + ("scrut",))

@@ -155,12 +155,16 @@ def force(cl: Closure, state: State, budget: Budget) -> Closure:
 
 def app_num(cl: Closure, v: Optional[Rational], state: State, budget: Budget) -> Closure:
     """cl, a number lambda, applied to v; to None at a demon's `x := *`,
-    whose value the state already holds, so nothing is bound."""
+    whose value the state already holds, so a number bound to x earlier is
+    dropped rather than left to shadow it."""
     f = force(cl, state, budget)
     if type(f.rz) is R.NumLamR:
-        if v is None:
-            return Closure(f.rz.body, f.env)
-        return Closure(f.rz.body, {**f.env, (f.rz.var,): v})
+        key = (f.rz.var,)
+        if v is not None:
+            return Closure(f.rz.body, {**f.env, key: v})
+        if key in f.env:
+            return Closure(f.rz.body, {k: w for k, w in f.env.items() if k != key})
+        return Closure(f.rz.body, f.env)
     raise IllStructuredRealizer(f"number application to {type(f.rz).__name__}")
 
 

@@ -18,7 +18,6 @@ All errors carry line/column positions and the expected-token set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from typing import Optional
 
 from . import proofterms as P
@@ -506,8 +505,7 @@ class Parser:
         vals = {} if flavor is None else {"flavor": flavor}
         for piece in pieces:
             if type(piece) is str:
-                for text in _tokens(piece):
-                    self.eat(text)
+                self.eat(piece)
                 continue
             name, kind, sub, optional = piece
             if optional:  # `{ghost,}`
@@ -548,15 +546,17 @@ _NAMED = {
 }
 
 
-@cache  # called with the proof table's literal texts only
-def _tokens(text: str) -> tuple:
-    return tuple(t.text for t in tokenize(text)[:-1])
+def _lexed(pieces: tuple) -> tuple:
+    """Template pieces with each literal text split into its tokens' texts."""
+    return tuple(x for p in pieces for x in (
+        [t.text for t in tokenize(p)[:-1]] if type(p) is str else [p]))
 
 
 # the proof table's forms by the token that opens them
 _FORMS = {
-    _tokens(pieces[0])[0]: (cls, flavor, pieces, prec)
+    lexed[0]: (cls, flavor, lexed, prec)
     for (cls, flavor), (pieces, prec) in FORM_OF.items()
+    if (lexed := _lexed(pieces))
 }
 
 

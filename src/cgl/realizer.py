@@ -14,7 +14,8 @@ values can be exported/imported losslessly as tagged JSON trees
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
+from itertools import count
 
 from .syntax import Formula, Game, Term
 
@@ -134,6 +135,13 @@ BINDERS = {
     Decide: (("lvar", ("left",)), ("rvar", ("right",))),
 }
 
+# each constructor's realizer fields
+_KIDS = {
+    cls: tuple(f.name for f in fields(cls) if f.type == "Realizer")
+    for cls in list(globals().values())
+    if isinstance(cls, type) and issubclass(cls, Realizer) and cls is not Realizer
+}
+
 
 def free_rvars(r: Realizer) -> frozenset:
     """The realizer variables free in r."""
@@ -141,46 +149,37 @@ def free_rvars(r: Realizer) -> frozenset:
         return frozenset((r.name,))
     scope = {f: b for b, fs in BINDERS.get(type(r), ()) for f in fs}
     out = frozenset()
-    for f in fields(type(r)):
-        v = getattr(r, f.name)
-        if isinstance(v, Realizer):
-            inner = free_rvars(v)
-            out |= inner - {getattr(r, scope[f.name])} if f.name in scope else inner
+    for f in _KIDS[type(r)]:
+        inner = free_rvars(getattr(r, f))
+        out |= inner - {getattr(r, scope[f])} if f in scope else inner
     return out
 
 
 def subst_rvar(r: Realizer, name: str, value: Realizer) -> Realizer:
-    """Capture-avoiding substitution for realizer variables (binder names
-    are assumed distinct from `name` except where they shadow it)."""
-    match r:
-        case RVar(name=n):
-            return value if n == name else r
-        case ProofLam(hyp=h) if h == name:
-            return r
-        case Ind(var=v) if v == name:
-            return r
-        case Compose(first=f, var=v, cont=k, games=gs):
-            nf = subst_rvar(f, name, value)
-            return Compose(nf, v, k if v == name else subst_rvar(k, name, value), gs)
-        case Gen(init=i, var=v, step=s, post=p, game=g):
-            ni = subst_rvar(i, name, value)
-            if v == name:
-                return Gen(ni, v, s, p, g)
-            return Gen(
-                ni, v, subst_rvar(s, name, value), subst_rvar(p, name, value), g
-            )
-        case Decide(scrut=sc, lvar=lv, left=le, rvar=rv, right=ri):
-            nsc = subst_rvar(sc, name, value)
-            nle = le if lv == name else subst_rvar(le, name, value)
-            nri = ri if rv == name else subst_rvar(ri, name, value)
-            return Decide(nsc, lv, nle, rv, nri)
-    updates = {}
-    for f in fields(type(r)):
-        v = getattr(r, f.name)
-        if isinstance(v, Realizer):
-            updates[f.name] = subst_rvar(v, name, value)
-    if not updates:
+    """r with value for each free `name`.  A binder with a free `name` in
+    its scope and the name of a variable free in value is renamed apart
+    first, so value's variables are never captured."""
+    return _subst(r, name, value, free_rvars(value))
+
+
+def _subst(r: Realizer, name: str, value: Realizer, free: frozenset) -> Realizer:
+    t = type(r)
+    if t is RVar:
+        return value if r.name == name else r
+    kids = {}
+    for b, scope in BINDERS.get(t, ()):
+        old = getattr(r, b)
+        if old == name:  # shadowed: the scope is left as it is
+            kids.update((f, getattr(r, f)) for f in scope)
+        elif old in free and any(name in free_rvars(getattr(r, f)) for f in scope):
+            taken = free.union({name}, *(free_rvars(getattr(r, f)) for f in scope))
+            kids[b] = new = next(n for i in count(1) if (n := f"{old}'{i}") not in taken)
+            for f in scope:
+                moved = _subst(getattr(r, f), old, RVar(new), frozenset((new,)))
+                kids[f] = _subst(moved, name, value, free)
+    for f in _KIDS[t]:
+        if f not in kids:
+            kids[f] = _subst(getattr(r, f), name, value, free)
+    if all(v is getattr(r, f) for f, v in kids.items()):
         return r
-    vals = {f.name: getattr(r, f.name) for f in fields(type(r))}
-    vals.update(updates)
-    return type(r)(**vals)
+    return replace(r, **kids)

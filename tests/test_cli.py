@@ -331,6 +331,21 @@ def test_demon_value_is_read_from_the_state(tmp_path, capsys):
     assert (code, err) == (0, "") and "all demon lines win" in out
 
 
+def test_demon_value_drops_an_earlier_number_of_its_name(tmp_path, capsys):
+    # the ghost binds x to 5; the demon's x := * that follows must not be
+    # read as that 5 (the strategy would play z := 5 against x = 7)
+    f = tmp_path / "shadow.cgl"
+    f.write_text(
+        "theorem t : [x := * ; {z := *}^d] z = x =\n"
+        "  ghost(x := 5; p. seqb (\\x : Q as x1. yieldb wit z := x (z0, k. FO[z = x](k))))\n"
+    )
+    menu = tmp_path / "menu.json"
+    menu.write_text(json.dumps({"values": {"x": ["7"]}}))
+    assert run(capsys, "check", str(f))[0] == 0
+    code, out, err = run(capsys, "verify", str(f), "--menu", str(menu))
+    assert (code, err) == (0, "") and "all demon lines win" in out
+
+
 def test_numbers_leave_same_named_hypotheses_alone(tmp_path, capsys):
     # hole H: neither the demon's y nor the ghost g replaces the hypothesis
     # of the same name that the strategy cases on

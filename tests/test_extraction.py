@@ -269,16 +269,20 @@ def test_corpus_realizers_pinned(all_theorems):
     assert got == REALIZER_DIGESTS
 
 
+# A `mon` body plugged into its scrutinee's strategy: in `outer` the body's
+# h is the outer hypothesis and must not become the scrutinee's h (the
+# test's evidence); in `inner` the body's own h must not capture the
+# scrutinee's h that the hole hands it as p.
 CAPTURE = r"""
-theorem capture : (<z := 1 ++ z := 2> z > 0) -> [?c > 0] <z := 1 ++ z := 2> z > 0 =
-  \h : <z := 1 ++ z := 2> z > 0. mon(\h : c > 0. FO[tt](); p. h)
+formula Z = <z := 1 ++ z := 2> z > 0
+theorem outer : Z -> [?c > 0] Z = \h : Z. mon(\h : c > 0. FO[tt](); p. h)
+theorem inner : Z -> [?c > 0] Z = mon(\h : Z. h; p. \h : c > 0. p)
 """
 
 
-def test_mon_body_is_not_captured_by_its_scrutinee():
-    # the body's h is the outer hypothesis; plugged into the scrutinee's
-    # strategy, it must not become the scrutinee's h, the test's evidence
-    phi, m = parse_script(CAPTURE).theorems["capture"]
+@pytest.mark.parametrize("name", ["outer", "inner"])
+def test_mon_plug_captures_nothing(name):
+    phi, m = parse_script(CAPTURE).theorems[name]
     game, role, post = modal_core(phi)
     st, budget = State({"c": 1}), Budget(100)
     right = close(R.Pair(R.TermVal(L(1)), R.Unit()))  # evidence: play z := 2
@@ -342,4 +346,24 @@ def test_strategy_terms_see_the_state_they_were_formed_in(name, c):
     core, cl = strip_assumptions(phi, close(extract(m, phi)), st)
     game, role, post = modal_core(core)
     cex = verify_exhaustive(game, role, cl, [st], post, DemonMenu({}, 2))
+    assert cex is None, cex.outcome
+
+
+# Hole K: the ghost's number for x outlives the assignment x := 1, and the
+# strategy reads it over the state, so it plays z := 5 against x = 1.
+HOLE_K = r"""
+theorem shadow : <x := 1 ; z := *> z = x =
+  ghost(x := 5; p. seqd asgnd x (x0, k. wit z := x (z0, k2. FO[z = x](k, k2))))
+"""
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="hole K: a bound number shadows a later assignment",
+)
+def test_assignment_is_not_shadowed_by_a_bound_number():
+    phi, m = parse_script(HOLE_K).theorems["shadow"]
+    assert Checker().check_result(Context(), m, phi) is None
+    game, role, post = modal_core(phi)
+    cex = verify_exhaustive(game, role, close(extract(m, phi)), [State()], post, DemonMenu({}, 2))
     assert cex is None, cex.outcome
