@@ -11,6 +11,12 @@ linearized once and kept as integer rows `sum + k op 0`, scaled to
 integers and divided by their gcd (as in Pugh's Omega test); elimination
 is integer-row Fourier-Motzkin, with floor tightening on all-integer rows,
 which certifies the modular-arithmetic facts the proof corpus needs.
+When a system survives elimination, back-substitution through the
+eliminations gives its model, integer-valued on the quotient variables;
+a model under which rho holds and phi fails, by evaluation, is the
+`Refuted` answer's witness.  A small grid and random search for a witness
+runs only where no such model exists: nonlinear terms, the round cap, or
+integer points that the rational elimination loses.
 DNF branches, linear systems per branch and the rows of one elimination
 round are each capped at `_BRANCH_CAP`; past a cap the answer is
 `Unknown` ("formula too large").  `exists_witness` picks closed witnesses
@@ -35,6 +41,7 @@ REFUTED = "refuted"
 UNKNOWN = "unknown"
 
 _BRANCH_CAP = 4096
+_MEMO_CAP = 4096  # answers an oracle keeps; the memo is cleared when full
 
 
 class OracleResult:
@@ -334,10 +341,12 @@ def _is_int(v) -> bool:
     return v[0] == "q"  # quotient variables; state and remainder ones are rational
 
 
-def _unsat(rows) -> bool:
-    """Certified unsatisfiability of integer rows `sum + k op 0` over the
-    rationals, with the quotient variables integer-valued."""
-    work = rows
+def _unsat(rows):
+    """True when the integer rows `sum + k op 0` are certified unsatisfiable
+    over the rationals, with the quotient variables integer-valued;
+    otherwise a model {var: Fraction} of the rows, back-substituted
+    through the eliminations, or None when none is found."""
+    work, eliminated = rows, []  # per round: the variable and its rows
     for _round in range(200):
         # constant and tightening pass
         nxt = []
@@ -361,7 +370,7 @@ def _unsat(rows) -> bool:
             nxt.append((op, co, k))
         work = nxt
         if not work:
-            return False
+            return _back_substitute(eliminated)
 
         # substitute a rational variable defined by an equality
         for i, (op, co, k) in enumerate(work):
@@ -369,6 +378,7 @@ def _unsat(rows) -> bool:
             if v is None:
                 continue
             c = co[v]
+            eliminated.append((v, [work[i]]))
             new_work = []
             for j, (op2, co2, k2) in enumerate(work):
                 if j == i:
@@ -391,6 +401,7 @@ def _unsat(rows) -> bool:
                     eqs.append(row)
                 else:
                     (uppers if c > 0 else lowers).append(row)
+            eliminated.append((v, eqs + uppers + lowers))
             for _, co, k in eqs:  # split equalities over v into two inequalities
                 pos, neg = ("<=", co, k), ("<=", {u: -w for u, w in co.items()}, -k)
                 uppers.append(pos if co[v] > 0 else neg)
@@ -405,7 +416,64 @@ def _unsat(rows) -> bool:
                     co, k = _comb(col, kl, cu // g, cou, ku, cl // g, v)
                     new_work.append(("<" if "<" in (opu, opl) else "<=", co, k))
             work = new_work
-    return False
+    return None
+
+
+def _back_substitute(eliminated):
+    """A model of the rows of every round, last round first: each round's
+    rows bound its variable once the later rounds' variables have values
+    (Schrijver, Theory of Linear and Integer Programming, 12.2).  A
+    variable that no later round keeps is unconstrained there and gets 0.
+    None when an integer variable has no integer between its bounds."""
+    model = {}
+    for v, rows in reversed(eliminated):
+        lo = hi = None
+        for op, co, k in rows:
+            rest = k
+            for u, w in co.items():
+                if u != v:
+                    rest += w * model.setdefault(u, Fraction(0))
+            b = Fraction(-rest, co[v])  # the row reads  v op b  or  b op v
+            if op == "=" or co[v] > 0:
+                bound = (b, op != "<")
+                hi = bound if hi is None else min(hi, bound)
+            if op == "=" or co[v] < 0:
+                bound = (b, op == "<")
+                lo = bound if lo is None else max(lo, bound)
+        x = _pick(lo, hi, _is_int(v))
+        if x is None:
+            return None
+        model[v] = x
+    return model
+
+
+def _pick(lo, hi, integral):
+    """A value within the bounds: 0 if they allow it, else the integer
+    nearest the bound that 0 violates, else (for a rational variable)
+    their midpoint; None if none fits.  The upper bound `hi` is
+    (b, inclusive) and the lower `lo` is (b, exclusive), so that `min` and
+    `max` keep the tighter of two bounds."""
+
+    def fits(x):
+        return (lo is None or x > lo[0] or x == lo[0] and not lo[1]) and (
+            hi is None or x < hi[0] or x == hi[0] and hi[1])
+
+    if fits(0):
+        return Fraction(0)
+    if hi is not None and hi[0] <= 0:
+        n = math.floor(hi[0])
+        if n == hi[0] and not hi[1]:
+            n -= 1
+    else:
+        n = math.ceil(lo[0])
+        if n == lo[0] and lo[1]:
+            n += 1
+    if fits(n):
+        return Fraction(n)
+    if integral or lo is None or hi is None:
+        return None
+    mid = (lo[0] + hi[0]) / 2
+    return mid if fits(mid) else None
 
 
 _FLIP = {">": "<", ">=": "<="}
@@ -422,10 +490,11 @@ def _expand(lin: _Linearizer, rel, a, b):
     return out
 
 
-def _branch_unsat(literals, lin: _Linearizer, expanded: dict) -> bool:
-    """Every system of one DNF branch is unsatisfiable; `expanded` holds the
-    systems of the literals already seen in this query, by identity: the
-    branches of one DNF share their literal tuples."""
+def _branch_unsat(literals, lin: _Linearizer, expanded: dict):
+    """True when every system of one DNF branch is unsatisfiable, else
+    what `_unsat` gives for the first system that is not; `expanded` holds
+    the systems of the literals already seen in this query, by identity:
+    the branches of one DNF share their literal tuples."""
     systems = [[]]
     for lit in literals:
         sys_lit = expanded.get(id(lit))
@@ -434,7 +503,11 @@ def _branch_unsat(literals, lin: _Linearizer, expanded: dict) -> bool:
         systems = [s + e for s in systems for e in sys_lit]
         if len(systems) > _BRANCH_CAP:
             raise _TooBig()
-    return all(_unsat(s) for s in systems)
+    for s in systems:
+        res = _unsat(s)
+        if res is not True:
+            return res
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -454,6 +527,8 @@ class ArithOracle:
         hit = self._memo.get(key)
         if hit is None:
             hit = self._decide(rho, phi)
+            if len(self._memo) >= _MEMO_CAP:
+                self._memo.clear()
             self._memo[key] = hit
         return hit
 
@@ -485,31 +560,36 @@ class ArithOracle:
         except (_TooBig, ValueError):
             return OracleResult(UNKNOWN, reason="formula too large")
 
-        lin, expanded = _Linearizer(), {}
+        lin, expanded, model = _Linearizer(), {}, None
         if refutable:
             reason = "no certificate and no witness found"
         else:
             reason = "quantified sequent: no certificate; witness search skipped"
         for branch in branches:
             try:
-                if not _branch_unsat(branch, lin, expanded):
-                    break
+                res = _branch_unsat(branch, lin, expanded)
             except _NonLinear:
                 reason = "nonlinear term"
                 break
             except _TooBig:
                 reason = "formula too large"
                 break
+            if res is not True:
+                model = res
+                break
         else:
             return OracleResult(VALID)
 
         if refutable:
-            w = self._search_witness(rho, phi)
+            w = self._search_witness(rho, phi, model)
             if w is not None:
                 return OracleResult(REFUTED, witness=w)
         return OracleResult(UNKNOWN, reason=reason)
 
-    def _search_witness(self, rho, phi) -> Optional[State]:
+    def _search_witness(self, rho, phi, model) -> Optional[State]:
+        """A state where rho holds and phi fails: the elimination's model
+        when evaluation confirms it, else a point of a small grid or a
+        random one."""
         fv = set()
         if rho is not None:
             fv |= S.free_vars(rho)
@@ -527,6 +607,10 @@ class ArithOracle:
             except (TypeError, ArithmeticError):
                 return False
 
+        if model is not None:
+            vals = {x: model.get(("v", x), Fraction(0)) for x in fv}
+            if falsifies(vals):
+                return State(vals)
         if not fv:
             return State() if falsifies({}) else None
 

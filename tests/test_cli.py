@@ -260,6 +260,19 @@ def test_check_rejects_negated_forall_hypothesis(tmp_path, capsys):
     ]
 
 
+def test_check_refutes_a_leaf_off_the_grid(tmp_path, capsys):
+    # every counter-model is non-integer and has x + y = 1
+    f = tmp_path / "share.cgl"
+    f.write_text(
+        "theorem share : x <= 1/2 & x + y = 1 & d = y -> d >= 3/5 =\n"
+        "  \\h : x <= 1/2 & x + y = 1 & d = y. FO[d >= 3/5](h)\n"
+    )
+    code, out, _ = run(capsys, "check", str(f))
+    assert code == 1
+    assert out.startswith(f"{f}: share: body: OracleRefuted: FO: d >= 3/5 refuted at State(")
+    assert out.endswith(" under x <= 1/2 & x + y = 1 & d = y\n")
+
+
 STALE = """
 formula Goal = (y = 0 & x <= 0) | (y = 1 & x > 0)
 theorem stale : [x := * ; {x := x + 1 ; {y := 0 ++ y := 1}^d}] Goal =
