@@ -10,7 +10,8 @@ auxiliary integer quotient variables.  Each literal of a query is
 linearized once and kept as integer rows `sum + k op 0`, scaled to
 integers and divided by their gcd (as in Pugh's Omega test); elimination
 is integer-row Fourier-Motzkin, with floor tightening on all-integer rows,
-which certifies the modular-arithmetic facts the proof corpus needs.
+which certifies the modular-arithmetic facts the proof corpus needs; each
+round keeps only the tightest row of each coefficient vector.
 When a system survives elimination, back-substitution through the
 eliminations gives its model, integer-valued on the quotient variables;
 a model under which rho holds and phi fails, by evaluation, is the
@@ -34,6 +35,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import syntax as S
+from .rational import Rational, canon
 from .syntax import Formula, State, Term
 
 VALID = "valid"
@@ -181,20 +183,20 @@ class _TooBig(Exception):
 class LinSum:
     __slots__ = ("coeffs", "const")
 
-    def __init__(self, coeffs=None, const=Fraction(0)):
+    def __init__(self, coeffs=None, const=0):
         self.coeffs = {k: v for k, v in (coeffs or {}).items() if v != 0}
         self.const = const
 
     def __add__(self, other):
         out = dict(self.coeffs)
         for k, v in other.coeffs.items():
-            out[k] = out.get(k, Fraction(0)) + v
+            out[k] = out.get(k, 0) + v
         return LinSum(out, self.const + other.const)
 
     def __sub__(self, other):
-        return self + other.scale(Fraction(-1))
+        return self + other.scale(-1)
 
-    def scale(self, c: Fraction):
+    def scale(self, c: Rational):
         return LinSum({k: v * c for k, v in self.coeffs.items()}, self.const * c)
 
     def is_const(self):
@@ -225,15 +227,15 @@ class _Linearizer:
         """Returns [(side_constraints, LinSum)] over all case branches."""
         match t:
             case S.Lit(value=v):
-                return [([], LinSum({}, v))]
+                return [([], LinSum({}, canon(v)))]
             case S.Var(name=x):
-                return [([], LinSum({("v", x): Fraction(1)}))]
+                return [([], LinSum({("v", x): 1}))]
             case S.Plus(left=a, right=b):
                 return self._bin(a, b, lambda x, y: x + y)
             case S.Minus(left=a, right=b):
                 return self._bin(a, b, lambda x, y: x - y)
             case S.Neg(arg=a):
-                return [(c, ls.scale(Fraction(-1))) for c, ls in self.term(a)]
+                return [(c, ls.scale(-1)) for c, ls in self.term(a)]
             case S.Times(left=a, right=b):
                 out = []
                 for ca, la in self.term(a):
@@ -252,8 +254,8 @@ class _Linearizer:
             case S.Abs(arg=a):
                 out = []
                 for c, ls in self.term(a):
-                    out.append((c + [("<=", ls.scale(Fraction(-1)))], ls))
-                    out.append((c + [("<", ls)], ls.scale(Fraction(-1))))
+                    out.append((c + [("<=", ls.scale(-1))], ls))
+                    out.append((c + [("<", ls)], ls.scale(-1)))
                 return out
             case S.Min(left=a, right=b):
                 return self._minmax(a, b, take_left_when="<=")
@@ -275,9 +277,9 @@ class _Linearizer:
                 diff = la - lb
                 if take_left_when == "<=":
                     out.append((ca + cb + [("<=", diff)], la))
-                    out.append((ca + cb + [("<", diff.scale(Fraction(-1)))], lb))
+                    out.append((ca + cb + [("<", diff.scale(-1))], lb))
                 else:
-                    out.append((ca + cb + [("<=", diff.scale(Fraction(-1)))], la))
+                    out.append((ca + cb + [("<=", diff.scale(-1))], la))
                     out.append((ca + cb + [("<", diff)], lb))
         return out
 
@@ -295,15 +297,15 @@ class _Linearizer:
                     n = self.counter
                     self.counter += 1
                     q, r = ("q", n), ("r", n)
-                    qs, rs = LinSum({q: Fraction(1)}), LinSum({r: Fraction(1)})
+                    qs, rs = LinSum({q: 1}), LinSum({r: 1})
                     defs = [
                         ("=", la - qs.scale(d) - rs),
-                        ("<=", rs.scale(Fraction(-1))),
+                        ("<=", rs.scale(-1)),
                         ("<", rs - LinSum({}, abs(d))),
                     ]
                     self.defs[key] = (q, r, defs)
                 q, r, defs = self.defs[key]
-                want = LinSum({(q if want_quot else r): Fraction(1)})
+                want = LinSum({(q if want_quot else r): 1})
                 out.append((ca + list(defs), want))
         return out
 
@@ -344,12 +346,13 @@ def _is_int(v) -> bool:
 def _unsat(rows):
     """True when the integer rows `sum + k op 0` are certified unsatisfiable
     over the rationals, with the quotient variables integer-valued;
-    otherwise a model {var: Fraction} of the rows, back-substituted
+    otherwise a model {var: rational} of the rows, back-substituted
     through the eliminations, or None when none is found."""
     work, eliminated = rows, []  # per round: the variable and its rows
     for _round in range(200):
-        # constant and tightening pass
-        nxt = []
+        # constant and tightening pass, which keeps the tightest row of each
+        # coefficient vector: the larger constant, strict on a tie
+        nxt = {}
         for op, co, k in work:
             if not co:
                 if k > 0 if op == "<=" else k >= 0 if op == "<" else k != 0:
@@ -367,8 +370,13 @@ def _unsat(rows):
                     op = "<="
                 if g > 1:
                     co = {v: c // g for v, c in co.items()}
-            nxt.append((op, co, k))
-        work = nxt
+            key = (op == "=", frozenset(co.items()))
+            old = nxt.get(key)
+            if old is None or op != "=" and (k > old[2] or k == old[2] and op == "<"):
+                nxt[key] = (op, co, k)
+            elif op == "=" and k != old[2]:
+                return True
+        work = list(nxt.values())
         if not work:
             return _back_substitute(eliminated)
 
@@ -432,7 +440,7 @@ def _back_substitute(eliminated):
             rest = k
             for u, w in co.items():
                 if u != v:
-                    rest += w * model.setdefault(u, Fraction(0))
+                    rest += w * model.setdefault(u, 0)
             b = Fraction(-rest, co[v])  # the row reads  v op b  or  b op v
             if op == "=" or co[v] > 0:
                 bound = (b, op != "<")
@@ -459,7 +467,7 @@ def _pick(lo, hi, integral):
             hi is None or x < hi[0] or x == hi[0] and hi[1])
 
     if fits(0):
-        return Fraction(0)
+        return 0
     if hi is not None and hi[0] <= 0:
         n = math.floor(hi[0])
         if n == hi[0] and not hi[1]:
@@ -469,7 +477,7 @@ def _pick(lo, hi, integral):
         if n == lo[0] and lo[1]:
             n += 1
     if fits(n):
-        return Fraction(n)
+        return n
     if integral or lo is None or hi is None:
         return None
     mid = (lo[0] + hi[0]) / 2
@@ -485,7 +493,7 @@ def _expand(lin: _Linearizer, rel, a, b):
     for conds_a, la in lin.term(a):
         for conds_b, lb in lin.term(b):
             diff = la - lb
-            cons = (_FLIP[rel], diff.scale(Fraction(-1))) if rel in _FLIP else (rel, diff)
+            cons = (_FLIP[rel], diff.scale(-1)) if rel in _FLIP else (rel, diff)
             out.append([_row(op, ls) for op, ls in conds_a + conds_b + [cons]])
     return out
 
@@ -600,7 +608,7 @@ class ArithOracle:
         probe = State()
 
         def falsifies(vals):
-            # candidate values are Fractions already: no State built per point
+            # candidate values are rationals already: no State built per point
             probe._vals = vals
             try:
                 return (hyp is None or hyp(probe)) and not goal(probe)
@@ -608,14 +616,14 @@ class ArithOracle:
                 return False
 
         if model is not None:
-            vals = {x: model.get(("v", x), Fraction(0)) for x in fv}
+            vals = {x: model.get(("v", x), 0) for x in fv}
             if falsifies(vals):
                 return State(vals)
         if not fv:
             return State() if falsifies({}) else None
 
         if len(fv) <= 3:
-            grid = [Fraction(i) for i in range(-8, 9)]
+            grid = range(-8, 9)
             for combo in itertools.product(grid, repeat=len(fv)):
                 vals = dict(zip(fv, combo))
                 if falsifies(vals):

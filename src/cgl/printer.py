@@ -230,6 +230,10 @@ FORM_OF = {
 }
 
 
+# the atoms that the parser reads as an application's argument unparenthesized
+_BARE_ARGS = (P.PVar, P.QE, P.Dec, P.Split)
+
+
 def print_proof(m: P.ProofTerm, level: int = 0) -> str:
     def par(s, mine):
         return f"({s})" if mine < level else s
@@ -242,7 +246,10 @@ def print_proof(m: P.ProofTerm, level: int = 0) -> str:
         case P.NumLam(var=x, ghost=y, body=b):
             return par(f"\\{x} : Q as {y}. {print_proof(b)}", LAMBDA)
         case P.App(fn=f, arg=a):
-            return par(f"{print_proof(f, APP)} {print_proof(a, ATOM)}", APP)
+            arg = print_proof(a)
+            if type(a) not in _BARE_ARGS:
+                arg = f"({arg})"
+            return par(f"{print_proof(f, APP)} {arg}", APP)
         case P.NumApp(fn=f, term=t):
             return par(f"{print_proof(f, APP)} @ {print_term(t, 4)}", APP)
     form = FORM_OF.get((type(m), getattr(m, "flavor", None)))

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Union
 
-from .rational import DivisionByZero, Rational, format_rational, rat_quot, rat_rem
+from .rational import DivisionByZero, Rational, canon, format_rational, rat_quot, rat_rem
 
 # ---------------------------------------------------------------------------
 # Terms
@@ -243,33 +243,30 @@ def split_implies(phi: Formula):
 # State and term evaluation
 
 
-_ZERO = Fraction(0)
-
-
 class State:
-    """Total valuation of program variables, default 0, functional update."""
+    """Total valuation of program variables, default 0, functional update.
+    Values are held in canonical form (`rational.canon`)."""
 
     __slots__ = ("_vals",)
 
     def __init__(self, vals=None):
-        self._vals = dict(vals) if vals else {}
-        for k, v in list(self._vals.items()):
-            self._vals[k] = Fraction(v)
+        self._vals = {k: canon(v) for k, v in dict(vals).items()} if vals else {}
 
     @staticmethod
     def of(vals: dict) -> "State":
-        """The state over `vals`, taken as is: each value already a
-        Fraction, and the dict not changed afterwards."""
+        """The state over `vals`, taken as is and not changed afterwards:
+        each value an int or a Fraction, canonical or not (`State.set`
+        and evaluation keep it canonical; only speed depends on that)."""
         st = object.__new__(State)
         st._vals = vals
         return st
 
     def get(self, x: str) -> Rational:
-        return self._vals.get(x, _ZERO)
+        return self._vals.get(x, 0)
 
     def set(self, x: str, v) -> "State":
         new = self._vals.copy()
-        new[x] = v if type(v) is Fraction else Fraction(v)
+        new[x] = v if type(v) is int else canon(v)
         return State.of(new)
 
     def swap(self, x: str, y: str) -> "State":
@@ -300,8 +297,10 @@ class State:
 
 
 def eval_term(t: Term, state: State) -> Rational:
-    """Exact rational value of t at state (compiled and cached per node)."""
-    return compile_term(t)(state)
+    """Exact rational value of t at state, in canonical form (compiled and
+    cached per node)."""
+    v = compile_term(t)(state)
+    return v if type(v) is int else canon(v)
 
 
 # ---------------------------------------------------------------------------
@@ -502,9 +501,10 @@ def compile_term(t: Term):
 def _compile_term(t: Term):
     match t:
         case Lit(value=v):
+            v = canon(v)
             return lambda s: v
         case Var(name=x):
-            return lambda s: s._vals.get(x, _ZERO)
+            return lambda s: s._vals.get(x, 0)
         case Plus(left=a, right=b):
             fa, fb = compile_term(a), compile_term(b)
             return lambda s: fa(s) + fb(s)

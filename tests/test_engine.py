@@ -338,6 +338,17 @@ def test_verify_nim_scales_to_hundreds(all_theorems, name, c0, post, depth, req)
     assert dt < 1.0, f"{name} from c={c0} took {dt:.2f}s"
 
 
+@pytest.mark.parametrize("post", [MOD4_IS_1, S.And(MOD4_IS_1, S.Cmp(c, ">", L(9)))])
+def test_verify_ignores_the_form_of_integral_values(all_theorems, post):
+    game, role, cl, _ = _nim(all_theorems, "dNim", 29)
+    answers = []
+    for st in (State({"c": 29}), State.of({"c": Fraction(29)})):
+        cex = verify_exhaustive(game, role, cl, [st], post, DemonMenu({}, 12))
+        answers.append(cex and (cex.state, type(cex.outcome), cex.outcome.state, cex.trace))
+    assert answers[0] == answers[1]
+    assert (answers[0] is None) == (post is MOD4_IS_1)
+
+
 def _line(*moves):
     """The trail of a dNim line whose adversary always takes 1."""
     trail = []

@@ -280,25 +280,45 @@ def test_memo_is_bounded():
     assert o.decide(None, S.Cmp(L(0), "<=", L(1))).status == VALID
 
 
-def test_elimination_row_cap_ends_unknown():
-    # sequent 43 of random.Random(4) in the search over linear and mod-4
-    # sequents (`_rand_atom` below, 3 to 6 hypotheses, a two-atom goal):
-    # with no cap on the rows a round of elimination builds, deciding it
-    # ran past 40 s; capped, it ends in about 0.4 s on one Xeon core, so
-    # the generous bound below only catches a runaway
-    rho = parse_formula_text(
+# sequent 43 of random.Random(4) in the search over linear and mod-4
+# sequents (`_rand_atom` below, 3 to 6 hypotheses, a two-atom goal): with
+# no cap on the rows a round of elimination builds, deciding it ran past
+# 40 s; the cap ended it UNKNOWN until the tightening pass kept only the
+# tightest row of each coefficient vector
+_PAST_THE_CAP = (
+    parse_formula_text(
         "((((2 * z + 4 != 2 & (-1 * z + (-1 * y + (1 * x + 2))) mod 4 != -1)"
         " & -2 * z + (2 * x + 1) <= 2) & -1 * z + (1 * y + (2 * x + 1)) > 1)"
         " & -1 * z + (2 * y + 4) <= 1) & -2 * z + (-1 * y + (-1 * x + 4)) = 0"
-    )
-    goal = parse_formula_text(
+    ),
+    parse_formula_text(
         "(2 * z + (-2 * y + (1 * x + -4))) mod 4 > 0"
         " | (-1 * z + (1 * y + (2 * x + 2))) mod 4 <= -1"
-    )
+    ),
+)
+
+
+def test_elimination_row_cap_ends_unknown():
+    # sequent 294 of `_rand_family(random.Random(3), 400)` below: a round
+    # of elimination would still build more than 4,096 rows; capped, it
+    # ends in about 0.15 s, so the generous bound below only catches a
+    # runaway
+    rho, goal = _rand_family(random.Random(3), 400)[294]
     t = time.perf_counter()
     res = oracle().decide(rho, goal)
     assert res.status == UNKNOWN and res.reason == "formula too large"
     assert time.perf_counter() - t < 30
+
+
+def test_dominated_rows_keep_the_elimination_under_the_cap():
+    _refuted_at(*_PAST_THE_CAP)
+
+
+@pytest.mark.parametrize("seed, i", [(2, 44), (2, 224), (3, 73)])
+def test_dominated_rows_keep_valid_answers(seed, i):
+    # each of these ended "formula too large" when every row was kept
+    rho, goal = _rand_family(random.Random(seed), 400)[i]
+    assert oracle().decide(rho, goal).status == VALID
 
 
 # -- VALID never has a falsifying grid point ---------------------------------

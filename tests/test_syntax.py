@@ -57,6 +57,42 @@ def test_state_default_zero_and_update():
     assert st_.get("fresh") == 0 and st2.get("fresh") == Fraction(1, 3)
 
 
+# -- canonical rationals: an int when integral, else a Fraction -------------
+
+
+def test_state_holds_integral_values_as_ints():
+    assert type(S.State({"c": Fraction(6, 2)}).get("c")) is int
+    st_ = S.State().set("x", Fraction(1, 2) + Fraction(1, 2)).set("y", Fraction(1, 3))
+    assert type(st_.get("x")) is int and st_.get("x") == 1
+    assert type(st_.get("y")) is Fraction and st_.get("y") == Fraction(1, 3)
+    assert type(S.State().get("unset")) is int
+
+
+def test_quotient_is_an_int():
+    assert type(rat_quot(Fraction(7, 2), Fraction(1, 3))) is int
+    assert type(rat_quot(7, -2)) is int and rat_quot(7, -2) == -3
+    assert type(S.eval_term(S.Div(L("7/2"), L(1)), S.State())) is int
+
+
+def _eval_or_div0(t, state):
+    try:
+        return S.eval_term(t, state)
+    except DivisionByZero:
+        return "division by zero"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_evaluation_ignores_the_form_of_integral_values(rnd):
+    t = rand_term(rnd, 4)
+    canonical = rand_state(rnd)
+    as_fractions = S.State.of({v: Fraction(canonical.get(v)) for v in canonical.vars()})
+    a, b = _eval_or_div0(t, canonical), _eval_or_div0(t, as_fractions)
+    assert a == b
+    if a != "division by zero":
+        assert type(a) is type(b) is (int if a.denominator == 1 else Fraction)
+
+
 # -- static semantics ---------------------------------------------------------
 
 
