@@ -44,6 +44,7 @@ UNKNOWN = "unknown"
 
 _BRANCH_CAP = 4096
 _MEMO_CAP = 4096  # answers an oracle keeps; the memo is cleared when full
+_WITNESS_TRIES, _WITNESS_SEED = 3000, 2024  # random points a witness search tries
 
 
 class OracleResult:
@@ -525,10 +526,8 @@ def _branch_unsat(literals, lin: _Linearizer, expanded: dict):
 class ArithOracle:
     """Validity oracle with ground, linear, and incomplete tiers."""
 
-    def __init__(self, witness_tries: int = 3000, seed: int = 2024):
+    def __init__(self):
         self._memo = {}
-        self.witness_tries = witness_tries
-        self.seed = seed
 
     def decide(self, rho: Optional[Formula], phi: Formula) -> OracleResult:
         key = (rho, phi)
@@ -551,9 +550,9 @@ class ArithOracle:
             hyp_view = fo_view(rho)
             if hyp_view is None:
                 return OracleResult(UNKNOWN, reason="hypothesis is not first-order")
-            problem = ("and", hyp_view, _negate(goal_view))
+            sequent = ("imp", hyp_view, goal_view)
         else:
-            problem = _negate(goal_view)
+            sequent = goal_view
 
         incomplete: list = []
         counter = itertools.count()
@@ -563,7 +562,7 @@ class ArithOracle:
 
         refutable = not (has_quantifier(goal_view) or (rho is not None and has_quantifier(fo_view(rho))))
         try:
-            nnf = _nnf(problem, False, fresh, incomplete)
+            nnf = _nnf(sequent, True, fresh, incomplete)  # satisfiable iff the sequent fails
             branches = _dnf(nnf)
         except (_TooBig, ValueError):
             return OracleResult(UNKNOWN, reason="formula too large")
@@ -628,29 +627,12 @@ class ArithOracle:
                 vals = dict(zip(fv, combo))
                 if falsifies(vals):
                     return State(vals)
-        rng = random.Random(self.seed)
-        for _ in range(self.witness_tries):
+        rng = random.Random(_WITNESS_SEED)
+        for _ in range(_WITNESS_TRIES):
             vals = {x: Fraction(rng.randint(-16, 16), rng.randint(1, 4)) for x in fv}
             if falsifies(vals):
                 return State(vals)
         return None
-
-
-def _negate(view):
-    tag = view[0]
-    if tag == "cmp":
-        return ("cmp", _NEG_REL[view[1]], view[2], view[3])
-    if tag == "and":
-        return ("or", _negate(view[1]), _negate(view[2]))
-    if tag == "or":
-        return ("and", _negate(view[1]), _negate(view[2]))
-    if tag == "imp":
-        return ("and", view[1], _negate(view[2]))
-    if tag == "forall":
-        return ("exists", view[1], _negate(view[2]))
-    if tag == "exists":
-        return ("forall", view[1], _negate(view[2]))
-    raise ValueError(view)
 
 
 # ---------------------------------------------------------------------------

@@ -267,9 +267,6 @@ class Context:
     def rename_vars(self, x: str, y: str) -> "Context":
         return Context({p: rename(phi, x, y) for p, phi in self._items.items()})
 
-    def map_formulas(self, fn) -> "Context":
-        return Context({p: fn(phi) for p, phi in self._items.items()})
-
     def names(self):
         return set(self._items)
 

@@ -1,6 +1,8 @@
 """Judgment checking: rule examples, diagnostics, and the structural
 metatheory the checker must respect."""
 
+import random
+
 import pytest
 
 from cgl import checker as C
@@ -228,6 +230,65 @@ def test_dual_flip_diagnostic_names_the_goal():
     phi, m = parse_script(MON_SCRUTINEES).theorems["dualFlip"]
     err = ck().check_result(Context(), m, phi)
     assert err.message == "lambda needs a test-box goal, got x > 0 & tt"
+
+
+# `unpack` and `Dec` make the same side conditions in both modes: as the
+# payload of an oracle leaf they are synthesized, as the lambda's body checked
+BOTH_MODES = r"""
+theorem ghostNotFresh : y = 5 -> z = 1 =
+  \h : y = 5. FO[z = 1](unpack((\q : <x := *> x > 10. q) (wit x := 11 (x0, k. FO[x > 10](k))); x, y, p. FO[z = 1](p, h)))
+theorem varMismatch : w = 0 -> z = 1 =
+  \h : w = 0. FO[z = 1](unpack((\q : <w := *> w > 10. q) (wit w := 11 (w0, k. FO[w > 10](k))); x, x1, p. FO[z = 1](p, h)))
+theorem decNotOr : x > 0 -> x > 0 =
+  \h : x > 0. FO[x > 0](Dec[x > 0](h))
+"""
+
+
+@pytest.mark.parametrize("name, message", [
+    # false at y = 5, z = 0: renaming y to the ghost turns h into x = 5
+    ("ghostNotFresh", "FreshnessViolation: ghost y is not fresh here"),
+    # false at w = 0, z = 0: the unpacked x is not the scrutinee's w
+    ("varMismatch", "RuleMismatch: unpacks x but scrutinee binds w"),
+    # true, but only a disjunction is decided
+    ("decNotOr", "RuleMismatch: Dec needs a disjunction, got x > 0"),
+])
+@pytest.mark.parametrize("position", ["body.payload", "body"])
+def test_side_conditions_hold_in_both_modes(name, message, position):
+    phi, m = _at_position(name, position)
+    assert str(ck().check_result(Context(), m, phi)) == f"{position}: {message}"
+
+
+def _at_position(name, position):
+    phi, m = parse_script(BOTH_MODES).theorems[name]
+    return phi, (m if position == "body.payload" else P.Lam(m.hyp, m.ann, m.body.payload))
+
+
+def test_synthesis_agrees_with_checking(all_theorems):
+    # whatever a closed proof synthesizes, it checks against: on the corpus,
+    # the proofs above in both positions, and seeded mutants of each
+    from test_fuzz import _mutate, _subterms
+
+    seeds = {name: m for name, (_, m) in all_theorems.items()}
+    for name in parse_script(BOTH_MODES).theorems:
+        for position in ("body.payload", "body"):
+            seeds[f"{name} {position}"] = _at_position(name, position)[1]
+    proofs = []
+    for name, proof in sorted(seeds.items()):
+        rng = random.Random(f"synth-{name}")
+        proofs.append(proof)
+        proofs += [m for m in (_mutate(proof, rng) for _ in range(30)) if m is not None]
+    checker, synthesized = ck(), 0
+    for proof in proofs:
+        for _, sub in _subterms(proof):
+            if P.free_pvars(sub):
+                continue
+            try:
+                phi = checker.synth(Context(), sub)
+            except C.CheckError:
+                continue
+            synthesized += 1
+            assert checker.check_result(Context(), sub, phi) is None, (sub, phi)
+    assert synthesized > 500
 
 
 # -- structural metatheory -------------------------------------------------------
