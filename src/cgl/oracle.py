@@ -12,6 +12,12 @@ integers and divided by their gcd (as in Pugh's Omega test); elimination
 is integer-row Fourier-Motzkin, with floor tightening on all-integer rows,
 which certifies the modular-arithmetic facts the proof corpus needs; each
 round keeps only the tightest row of each coefficient vector.
+Each DNF literal of a query gets one bit, and every row carries the mask
+of the literals it was derived from; a contradiction's mask is an unsat
+core, a set of literals that no point satisfies together (Dutertre & de
+Moura's conflict explanation, CAV 2006).  A later branch that holds all
+the literals of a core is unsatisfiable and is skipped, not eliminated,
+even where its other literals are nonlinear or too large to expand.
 When a system survives elimination, back-substitution through the
 eliminations gives its model, integer-valued on the quotient variables;
 a model under which rho holds and phi fails, by evaluation, is the
@@ -345,26 +351,31 @@ def _is_int(v) -> bool:
 
 
 def _unsat(rows):
-    """True when the integer rows `sum + k op 0` are certified unsatisfiable
-    over the rationals, with the quotient variables integer-valued;
-    otherwise a model {var: rational} of the rows, back-substituted
+    """The core of the integer rows `(op, {var: int}, k, mask)`, each
+    reading `sum + k op 0`, when they are certified unsatisfiable over the
+    rationals with the quotient variables integer-valued: the OR of the
+    masks of the rows the contradiction was derived from, an int > 0.
+    Otherwise a model {var: rational} of the rows, back-substituted
     through the eliminations, or None when none is found."""
     work, eliminated = rows, []  # per round: the variable and its rows
     for _round in range(200):
         # constant and tightening pass, which keeps the tightest row of each
         # coefficient vector: the larger constant, strict on a tie
         nxt = {}
-        for op, co, k in work:
+        for op, co, k, m in work:
             if not co:
                 if k > 0 if op == "<=" else k >= 0 if op == "<" else k != 0:
-                    return True
+                    return m
                 continue
-            if all(_is_int(v) for v in co):
+            for v in co:
+                if v[0] != "q":  # not all quotient variables: no rounding
+                    break
+            else:
                 # divide by the coefficients' gcd g: sum <= -k/g rounds down
                 g = math.gcd(*co.values())
                 if op == "=":
                     if k % g:
-                        return True
+                        return m
                     k //= g
                 else:
                     k = -(-k // g) if op == "<=" else k // g + 1
@@ -374,33 +385,34 @@ def _unsat(rows):
             key = (op == "=", frozenset(co.items()))
             old = nxt.get(key)
             if old is None or op != "=" and (k > old[2] or k == old[2] and op == "<"):
-                nxt[key] = (op, co, k)
+                nxt[key] = (op, co, k, m)
             elif op == "=" and k != old[2]:
-                return True
+                return m | old[3]
         work = list(nxt.values())
         if not work:
             return _back_substitute(eliminated)
 
         # substitute a rational variable defined by an equality
-        for i, (op, co, k) in enumerate(work):
+        for i, (op, co, k, m) in enumerate(work):
             v = next((u for u in co if not _is_int(u)), None) if op == "=" else None
             if v is None:
                 continue
             c = co[v]
             eliminated.append((v, [work[i]]))
             new_work = []
-            for j, (op2, co2, k2) in enumerate(work):
+            for j, (op2, co2, k2, m2) in enumerate(work):
                 if j == i:
                     continue
                 cv = co2.get(v)
                 if cv is not None:  # |c| * row2 - sign(c) * cv * row
                     co2, k2 = _comb(co2, k2, abs(c), co, k, -cv if c > 0 else cv, v)
-                new_work.append((op2, co2, k2))
+                    m2 |= m
+                new_work.append((op2, co2, k2, m2))
             work = new_work
             break
         else:
             # eliminate one variable by Fourier-Motzkin (rationals first)
-            v = min({u for _, co, _ in work for u in co}, key=lambda u: (_is_int(u), str(u)))
+            v = min({u for _, co, _, _ in work for u in co}, key=lambda u: (_is_int(u), str(u)))
             uppers, lowers, new_work, eqs = [], [], [], []
             for row in work:
                 c = row[1].get(v)
@@ -411,19 +423,19 @@ def _unsat(rows):
                 else:
                     (uppers if c > 0 else lowers).append(row)
             eliminated.append((v, eqs + uppers + lowers))
-            for _, co, k in eqs:  # split equalities over v into two inequalities
-                pos, neg = ("<=", co, k), ("<=", {u: -w for u, w in co.items()}, -k)
+            for _, co, k, m in eqs:  # split equalities over v into two inequalities
+                pos, neg = ("<=", co, k, m), ("<=", {u: -w for u, w in co.items()}, -k, m)
                 uppers.append(pos if co[v] > 0 else neg)
                 lowers.append(neg if co[v] > 0 else pos)
             if len(new_work) + len(uppers) * len(lowers) > _BRANCH_CAP:
                 raise _TooBig()
-            for opu, cou, ku in uppers:
+            for opu, cou, ku, mu in uppers:
                 cu = cou[v]
-                for opl, col, kl in lowers:
+                for opl, col, kl, ml in lowers:
                     cl = -col[v]
                     g = math.gcd(cu, cl)
                     co, k = _comb(col, kl, cu // g, cou, ku, cl // g, v)
-                    new_work.append(("<" if "<" in (opu, opl) else "<=", co, k))
+                    new_work.append(("<" if "<" in (opu, opl) else "<=", co, k, mu | ml))
             work = new_work
     return None
 
@@ -437,7 +449,7 @@ def _back_substitute(eliminated):
     model = {}
     for v, rows in reversed(eliminated):
         lo = hi = None
-        for op, co, k in rows:
+        for op, co, k, _ in rows:
             rest = k
             for u, w in co.items():
                 if u != v:
@@ -488,35 +500,42 @@ def _pick(lo, hi, integral):
 _FLIP = {">": "<", ">=": "<="}
 
 
-def _expand(lin: _Linearizer, rel, a, b):
-    """The integer-row systems of the literal `a rel b`, one per case branch."""
+def _expand(lin: _Linearizer, lit, bit):
+    """The integer-row systems of the literal `a rel b`, one per case
+    branch, each row carrying the literal's bit as its mask."""
+    rel, a, b = lit
     out = []
     for conds_a, la in lin.term(a):
         for conds_b, lb in lin.term(b):
             diff = la - lb
             cons = (_FLIP[rel], diff.scale(-1)) if rel in _FLIP else (rel, diff)
-            out.append([_row(op, ls) for op, ls in conds_a + conds_b + [cons]])
+            out.append([(*_row(op, ls), bit) for op, ls in conds_a + conds_b + [cons]])
     return out
 
 
-def _branch_unsat(literals, lin: _Linearizer, expanded: dict):
-    """True when every system of one DNF branch is unsatisfiable, else
-    what `_unsat` gives for the first system that is not; `expanded` holds
-    the systems of the literals already seen in this query, by identity:
-    the branches of one DNF share their literal tuples."""
+def _branch_unsat(literals, lin: _Linearizer, bits: dict, expanded: dict):
+    """The core of one DNF branch when every system of it is unsatisfiable:
+    the OR of its systems' cores, a mask over the literals' `bits`;
+    otherwise what `_unsat` gives for the first system that is not.  The
+    case systems of a literal cover all of its cases, so no point
+    satisfies all the literals of the core.  `bits` and `expanded` hold
+    each literal's bit and systems, by identity: the branches of one DNF
+    share their literal tuples."""
     systems = [[]]
     for lit in literals:
         sys_lit = expanded.get(id(lit))
         if sys_lit is None:
-            sys_lit = expanded[id(lit)] = _expand(lin, *lit)
+            sys_lit = expanded[id(lit)] = _expand(lin, lit, bits[id(lit)])
         systems = [s + e for s in systems for e in sys_lit]
         if len(systems) > _BRANCH_CAP:
             raise _TooBig()
+    core = 0
     for s in systems:
         res = _unsat(s)
-        if res is not True:
+        if type(res) is not int:
             return res
-    return True
+        core |= res
+    return core
 
 
 # ---------------------------------------------------------------------------
@@ -560,30 +579,38 @@ class ArithOracle:
         def fresh(x):
             return f"{x}?{next(counter)}"
 
-        refutable = not (has_quantifier(goal_view) or (rho is not None and has_quantifier(fo_view(rho))))
+        refutable = not (has_quantifier(goal_view) or (rho is not None and has_quantifier(hyp_view)))
         try:
             nnf = _nnf(sequent, True, fresh, incomplete)  # satisfiable iff the sequent fails
             branches = _dnf(nnf)
         except (_TooBig, ValueError):
             return OracleResult(UNKNOWN, reason="formula too large")
 
-        lin, expanded, model = _Linearizer(), {}, None
+        # a core is a set of literals that no point satisfies together; a
+        # branch holding all of one is unsatisfiable and is not eliminated
+        lin, bits, expanded, cores, model = _Linearizer(), {}, {}, [], None
         if refutable:
             reason = "no certificate and no witness found"
         else:
             reason = "quantified sequent: no certificate; witness search skipped"
         for branch in branches:
+            mask = 0
+            for lit in branch:
+                mask |= bits.setdefault(id(lit), 1 << len(bits))
+            if any(core & mask == core for core in cores):
+                continue
             try:
-                res = _branch_unsat(branch, lin, expanded)
+                res = _branch_unsat(branch, lin, bits, expanded)
             except _NonLinear:
                 reason = "nonlinear term"
                 break
             except _TooBig:
                 reason = "formula too large"
                 break
-            if res is not True:
+            if type(res) is not int:
                 model = res
                 break
+            cores.append(res)
         else:
             return OracleResult(VALID)
 

@@ -9,9 +9,12 @@ from fractions import Fraction
 
 import pytest
 
+from cgl import oracle as O
 from cgl import syntax as S
+from cgl.checker import Checker
 from cgl.oracle import REFUTED, UNKNOWN, VALID, ArithOracle
 from cgl.parser import parse_formula_text
+from cgl.proofterms import Context
 from conftest import rand_state
 
 L = S.lit
@@ -389,3 +392,83 @@ def test_models_keep_every_valid_answer():
     assert len(valid) == 109
     assert hashlib.sha256(repr(valid).encode()).hexdigest()[:16] == "a1d392319af16138"
     assert unknown <= 4
+
+
+@pytest.mark.parametrize("seed, digest", [
+    (1, "373eb37cafb963b2"), (2, "d9643c8be75285f3"),
+    (3, "fb3bf74799335ede"), (4, "45a9f4f07378eebd"),
+])
+def test_family_answers_pinned(seed, digest):
+    # status, reason and witness of each of the 400 sequents; skipping the
+    # branches that hold an unsat core changes none of them
+    o = oracle()
+    answers = []
+    for rho, goal in _rand_family(random.Random(seed), 400):
+        res = o.decide(rho, goal)
+        answers.append((res.status, res.reason, repr(res.witness)))
+    assert hashlib.sha256(repr(answers).encode()).hexdigest()[:16] == digest
+
+
+# -- unsat cores: a refuted set of literals retires every branch holding it --
+
+# aNim's largest loop-step leaf (`nim.cgl`): the three cases of `g3 mod 4`
+# in the hypothesis times the negated goal make 108 DNF branches
+_NIM_STEP = (
+    parse_formula_text(
+        "(g3 > 0 & (g3 mod 4 = 0 | g3 mod 4 = 2 | g3 mod 4 = 3))"
+        " & (M0 = (g3 - 2) div 4 & (g3 - 2) div 4 >= 1)"
+        " & (!g3 mod 4 = 3 & tt) & (!g3 mod 4 = 2 & tt) & c = g3 - 3"
+    ),
+    parse_formula_text("(c > 0 & c mod 4 = 1) & (c - 2) div 4 + 1 <= M0"),
+)
+
+
+def test_cores_skip_branches(monkeypatch):
+    rho, goal = _NIM_STEP
+    sequent = ("imp", O.fo_view(rho), O.fo_view(goal))
+    branches = O._dnf(O._nnf(sequent, True, None, []))
+    eliminations = []
+    unsat = O._unsat
+    monkeypatch.setattr(O, "_unsat", lambda rows: eliminations.append(1) or unsat(rows))
+    assert oracle().decide(rho, goal).status == VALID
+    assert len(branches) == 108 and len(eliminations) < len(branches)
+
+
+# valid, and refuted only through both halves of the integer equality,
+# which Fourier-Motzkin splits when it eliminates `x div 2`
+_SPLIT_EQUALITY = (parse_formula_text("x div 2 - y div 3 = 1 & x div 2 <= 0"),
+                   parse_formula_text("y div 3 < 0"))
+
+
+def test_cores_have_no_grid_point(monkeypatch, corpus):
+    # every core learned here: the literals whose bits it holds
+    cores = []
+    branch_unsat = O._branch_unsat
+
+    def recording(literals, lin, bits, expanded):
+        res = branch_unsat(literals, lin, bits, expanded)
+        if type(res) is int:
+            cores.append([lit for lit in literals if bits[id(lit)] & res])
+        return res
+
+    monkeypatch.setattr(O, "_branch_unsat", recording)
+    assert oracle().decide(*_SPLIT_EQUALITY).status == VALID
+    for seed in (1, 2):
+        o = oracle()
+        for rho, goal in _rand_family(random.Random(seed), 400):
+            o.decide(rho, goal)
+    family = len(cores)
+    for script in corpus.values():
+        ck = Checker(oracle())
+        for phi, m in script.theorems.values():
+            assert ck.check_result(Context(), m, phi) is None
+    assert family > 500 and len(cores) - family > 100
+    grid = range(-4, 5)
+    for core in {repr(c): c for c in cores}.values():
+        conj = S.TRUE
+        for rel, a, b in core:
+            conj = S.And(conj, S.Cmp(a, rel, b))
+        names = sorted(S.free_vars(conj))
+        holds = S.compile_fo(conj)
+        for point in itertools.product(grid, repeat=len(names)):
+            assert not holds(S.State.of(dict(zip(names, point)))), (core, point)
