@@ -472,3 +472,94 @@ def test_cores_have_no_grid_point(monkeypatch, corpus):
         holds = S.compile_fo(conj)
         for point in itertools.product(grid, repeat=len(names)):
             assert not holds(S.State.of(dict(zip(names, point)))), (core, point)
+
+
+# -- expansion pin: the rows each literal becomes ----------------------------
+
+
+def _certify_sequents(rng):
+    """24 sequents shaped like a certify operation's: 12 valid ones over
+    x, y, z, whose goal is a nonnegative combination of four hypotheses
+    loosened by a constant, and 12 over x, y that fail at a planted
+    integer point."""
+    def lin(cs, names, k):
+        t = L(k)
+        for c, v in zip(cs, names):
+            t = S.Plus(S.Times(L(c), S.Var(v)), t)
+        return t
+
+    out = []
+    for names in (["x", "y", "z"], ["x", "y"]):
+        for _ in range(12):
+            hyps = [([rng.randint(-3, 3) for _ in names], rng.randint(-10, 10)) for _ in range(4)]
+            if len(names) == 3:
+                lam = [rng.randint(0, 3) for _ in hyps]
+                goal = ([sum(l * h[0][j] for l, h in zip(lam, hyps)) for j in range(3)],
+                        sum(l * h[1] for l, h in zip(lam, hyps)) + rng.randint(0, 2))
+            else:
+                goal = ([rng.randint(-3, 3) for _ in names], rng.randint(-10, 10))
+            rho = S.TRUE
+            for cs, k in hyps:
+                rho = S.And(rho, S.Cmp(lin(cs, names, 0), "<=", L(k)))
+            out.append((rho, S.Cmp(lin(goal[0], names, 0), "<=", L(goal[1]))))
+    return out
+
+
+def _expansions(monkeypatch, run):
+    """repr of every `_expand` result that `run` makes the oracle compute,
+    in order; the oracle builds one `_Linearizer` per query."""
+    seen = []
+    expand = O._expand
+
+    def recording(lin, lit, bit):
+        try:
+            rows = expand(lin, lit, bit)
+        except O._NonLinear:
+            seen.append("nonlinear")
+            raise
+        seen.append(repr(rows))
+        return rows
+
+    monkeypatch.setattr(O, "_expand", recording)
+    run()
+    return seen
+
+
+def _corpus_checks(corpus):
+    for script in corpus.values():
+        ck = Checker(oracle())
+        for phi, m in script.theorems.values():
+            ck.check_result(Context(), m, phi)
+
+
+def _decide_all(sequents):
+    o = oracle()
+    for rho, goal in sequents:
+        o.decide(rho, goal)
+
+
+def _rand_pairs(n):
+    tries = random.Random(99)
+    from conftest import rand_formula
+    return [(rand_formula(tries, 2), rand_formula(tries, 2)) for _ in range(n)]
+
+
+@pytest.mark.parametrize("source, count, digest", [
+    ("corpus", 352, "b93270485a25e1f1"),
+    ("certify", 144, "3dedee42a0b47de3"),
+    ("family", 5450, "b2f537ee3eb9b970"),
+    ("random", 488, "83630c3866d5ec83"),
+])
+def test_expansions_pinned(monkeypatch, corpus, source, count, digest):
+    # the rows of each literal, dict key order included: `_unsat`
+    # substitutes the first rational variable of an equality in key order,
+    # so reordered rows change models and witnesses; recorded while sums
+    # were still `LinSum` objects
+    run = {
+        "corpus": lambda: _corpus_checks(corpus),
+        "certify": lambda: _decide_all(_certify_sequents(random.Random(301))),
+        "family": lambda: [_decide_all(_rand_family(random.Random(s), 400)) for s in (1, 2)],
+        "random": lambda: _decide_all(_rand_pairs(300)),
+    }[source]
+    seen = _expansions(monkeypatch, run)
+    assert (len(seen), hashlib.sha256(repr(seen).encode()).hexdigest()[:16]) == (count, digest)
