@@ -7,11 +7,12 @@ non-literal divisors).
 
 Quotient/remainder terms with literal divisors are compiled away with
 auxiliary integer quotient variables.  Each literal of a query is
-linearized once and kept as integer rows `sum + k op 0`, scaled to
-integers and divided by their gcd (as in Pugh's Omega test); elimination
-is integer-row Fourier-Motzkin, with floor tightening on all-integer rows,
-which certifies the modular-arithmetic facts the proof corpus needs; each
-round keeps only the tightest row of each coefficient vector.
+linearized once, into sums that are plain `({var: coeff}, const)` pairs,
+and kept as integer rows `sum + k op 0`, scaled to integers and divided
+by their gcd (as in Pugh's Omega test); elimination is integer-row
+Fourier-Motzkin, with floor tightening on all-integer rows, which
+certifies the modular-arithmetic facts the proof corpus needs; each round
+keeps only the tightest row of each coefficient vector.
 Each DNF literal of a query gets one bit, and every row carries the mask
 of the literals it was derived from; a contradiction's mask is an unsat
 core, a set of literals that no point satisfies together (Dutertre & de
@@ -41,7 +42,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import syntax as S
-from .rational import Rational, canon
+from .rational import canon
 from .syntax import Formula, State, Term
 
 VALID = "valid"
@@ -185,41 +186,51 @@ class _TooBig(Exception):
 
 # ---------------------------------------------------------------------------
 # Linear sums and constraint systems
-
-
-class LinSum:
-    __slots__ = ("coeffs", "const")
-
-    def __init__(self, coeffs=None, const=0):
-        self.coeffs = {k: v for k, v in (coeffs or {}).items() if v != 0}
-        self.const = const
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, 0) + v
-        return LinSum(out, self.const + other.const)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c: Rational):
-        return LinSum({k: v * c for k, v in self.coeffs.items()}, self.const * c)
-
-    def is_const(self):
-        return not self.coeffs
-
-    def key(self):
-        return (tuple(sorted(self.coeffs.items())), self.const)
-
-    def __repr__(self):
-        parts = [f"{v}*{k}" for k, v in sorted(self.coeffs.items())]
-        parts.append(str(self.const))
-        return " + ".join(parts)
+#
+# A sum is a pair ({var: rational}, rational) with no zero coefficient; no
+# sum is changed once built, so sums and rows share their dicts freely.
 
 
 class _NonLinear(Exception):
     pass
+
+
+def _add(a, b, c=1):
+    """The sum a + c * b; a's variables keep their order, b's new ones follow."""
+    co = dict(a[0])
+    for v, w in b[0].items():
+        w = co.get(v, 0) + c * w
+        if w:
+            co[v] = w
+        else:
+            del co[v]
+    return co, a[1] + c * b[1]
+
+
+def _scale(a, c):
+    """The sum c * a."""
+    return ({v: w * c for v, w in a[0].items()} if c else {}), a[1] * c
+
+
+def _row(op: str, s, sign=1):
+    """The constraint `sign * s op 0` of the sum s as (op, {var: int}, int):
+    scaled by the lcm of its denominators and divided by the gcd of its
+    integers."""
+    co, k = s
+    for c in (k, *co.values()):
+        if type(c) is not int:
+            den = math.lcm(k.denominator, *(c.denominator for c in co.values())) * sign
+            co = {v: c.numerator * (den // c.denominator) for v, c in co.items()}
+            k = k.numerator * (den // k.denominator)
+            break
+    else:
+        if sign < 0:
+            co, k = {v: -c for v, c in co.items()}, -k
+    g = math.gcd(k, *co.values())
+    if g > 1:
+        co = {v: c // g for v, c in co.items()}
+        k //= g
+    return op, co, k
 
 
 class _Linearizer:
@@ -227,32 +238,32 @@ class _Linearizer:
     quotient/remainder variables; abs/min/max fork case branches."""
 
     def __init__(self):
-        self.defs = {}  # canonical key -> (qvar, rvar, def-constraints)
+        self.defs = {}  # (sum, divisor) -> (qvar, rvar, definition rows)
         self.counter = 0
 
     def term(self, t: Term):
-        """Returns [(side_constraints, LinSum)] over all case branches."""
+        """[(side rows, sum)] over all case branches; the side rows are a
+        tuple of integer rows (op, {var: int}, int)."""
         match t:
             case S.Lit(value=v):
-                return [([], LinSum({}, canon(v)))]
+                return [((), ({}, canon(v)))]
             case S.Var(name=x):
-                return [([], LinSum({("v", x): 1}))]
+                return [((), ({("v", x): 1}, 0))]
             case S.Plus(left=a, right=b):
-                return self._bin(a, b, lambda x, y: x + y)
+                return [(c, _add(la, lb)) for c, la, lb in self.pairs(a, b)]
             case S.Minus(left=a, right=b):
-                return self._bin(a, b, lambda x, y: x - y)
+                return [(c, _add(la, lb, -1)) for c, la, lb in self.pairs(a, b)]
             case S.Neg(arg=a):
-                return [(c, ls.scale(-1)) for c, ls in self.term(a)]
+                return [(c, _scale(s, -1)) for c, s in self.term(a)]
             case S.Times(left=a, right=b):
                 out = []
-                for ca, la in self.term(a):
-                    for cb, lb in self.term(b):
-                        if la.is_const():
-                            out.append((ca + cb, lb.scale(la.const)))
-                        elif lb.is_const():
-                            out.append((ca + cb, la.scale(lb.const)))
-                        else:
-                            raise _NonLinear()
+                for c, la, lb in self.pairs(a, b):
+                    if not la[0]:
+                        out.append((c, _scale(lb, la[1])))
+                    elif not lb[0]:
+                        out.append((c, _scale(la, lb[1])))
+                    else:
+                        raise _NonLinear()
                 return out
             case S.Div(left=a, right=b):
                 return self._divmod(a, b, want_quot=True)
@@ -260,74 +271,49 @@ class _Linearizer:
                 return self._divmod(a, b, want_quot=False)
             case S.Abs(arg=a):
                 out = []
-                for c, ls in self.term(a):
-                    out.append((c + [("<=", ls.scale(-1))], ls))
-                    out.append((c + [("<", ls)], ls.scale(-1)))
+                for c, s in self.term(a):
+                    out.append((c + (_row("<=", s, -1),), s))
+                    out.append((c + (_row("<", s),), _scale(s, -1)))
                 return out
             case S.Min(left=a, right=b):
-                return self._minmax(a, b, take_left_when="<=")
+                return self._minmax(a, b, 1)
             case S.Max(left=a, right=b):
-                return self._minmax(a, b, take_left_when=">=")
+                return self._minmax(a, b, -1)
         raise _NonLinear()
 
-    def _bin(self, a, b, op):
-        return [
-            (ca + cb, op(la, lb))
-            for ca, la in self.term(a)
-            for cb, lb in self.term(b)
-        ]
+    def pairs(self, a, b):
+        """(side rows, sum of a, sum of b) for each pair of case branches."""
+        ta, tb = self.term(a), self.term(b)
+        return [(ca + cb, la, lb) for ca, la in ta for cb, lb in tb]
 
-    def _minmax(self, a, b, take_left_when):
+    def _minmax(self, a, b, sign):
+        # min (sign 1) is a where a - b <= 0, max (sign -1) where b - a <= 0
         out = []
-        for ca, la in self.term(a):
-            for cb, lb in self.term(b):
-                diff = la - lb
-                if take_left_when == "<=":
-                    out.append((ca + cb + [("<=", diff)], la))
-                    out.append((ca + cb + [("<", diff.scale(-1))], lb))
-                else:
-                    out.append((ca + cb + [("<=", diff.scale(-1))], la))
-                    out.append((ca + cb + [("<", diff)], lb))
+        for c, la, lb in self.pairs(a, b):
+            diff = _add(la, lb, -1)
+            out.append((c + (_row("<=", diff, sign),), la))
+            out.append((c + (_row("<", diff, -sign),), lb))
         return out
 
     def _divmod(self, a, b, want_quot):
         out = []
-        for cb, lb in self.term(b):
-            if not lb.is_const():
+        for _, (co, d) in self.term(b):
+            if co or d == 0:
                 raise _NonLinear()
-            d = lb.const
-            if d == 0:
-                raise _NonLinear()
-            for ca, la in self.term(a):
-                key = (la.key(), d)
+            for c, (cs, k) in self.term(a):
+                key = (frozenset(cs.items()), k, d)
                 if key not in self.defs:
                     n = self.counter
                     self.counter += 1
                     q, r = ("q", n), ("r", n)
-                    qs, rs = LinSum({q: 1}), LinSum({r: 1})
-                    defs = [
-                        ("=", la - qs.scale(d) - rs),
-                        ("<=", rs.scale(-1)),
-                        ("<", rs - LinSum({}, abs(d))),
-                    ]
-                    self.defs[key] = (q, r, defs)
-                q, r, defs = self.defs[key]
-                want = LinSum({(q if want_quot else r): 1})
-                out.append((ca + list(defs), want))
+                    self.defs[key] = q, r, (  # a = d * q + r, 0 <= r < |d|
+                        _row("=", ({**cs, q: -d, r: -1}, k)),
+                        ("<=", {r: -1}, 0),
+                        _row("<", ({r: 1}, -abs(d))),
+                    )
+                q, r, rows = self.defs[key]
+                out.append((c + rows, ({q if want_quot else r: 1}, 0)))
         return out
-
-
-def _row(op: str, ls: LinSum):
-    """The constraint `ls op 0` as (op, {var: int}, int): scaled by the lcm
-    of its denominators and divided by the gcd of its integers."""
-    den = math.lcm(ls.const.denominator, *(c.denominator for c in ls.coeffs.values()))
-    coeffs = {v: c.numerator * (den // c.denominator) for v, c in ls.coeffs.items()}
-    k = ls.const.numerator * (den // ls.const.denominator)
-    g = math.gcd(k, *coeffs.values())
-    if g > 1:
-        coeffs = {v: c // g for v, c in coeffs.items()}
-        k //= g
-    return op, coeffs, k
 
 
 def _comb(a, ka, ca, b, kb, cb, v):
@@ -505,11 +491,10 @@ def _expand(lin: _Linearizer, lit, bit):
     branch, each row carrying the literal's bit as its mask."""
     rel, a, b = lit
     out = []
-    for conds_a, la in lin.term(a):
-        for conds_b, lb in lin.term(b):
-            diff = la - lb
-            cons = (_FLIP[rel], diff.scale(-1)) if rel in _FLIP else (rel, diff)
-            out.append([(*_row(op, ls), bit) for op, ls in conds_a + conds_b + [cons]])
+    for conds, la, lb in lin.pairs(a, b):
+        diff = _add(la, lb, -1)
+        cons = _row(_FLIP[rel], diff, -1) if rel in _FLIP else _row(rel, diff)
+        out.append([(op, co, k, bit) for op, co, k in (*conds, cons)])
     return out
 
 

@@ -17,8 +17,9 @@ All errors carry line/column positions and the expected-token set.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import proofterms as P
 from . import syntax as S
@@ -40,8 +41,7 @@ _PUNCT = [
 ]
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # 'ident', 'number', 'punct', 'keyword', 'eof'
     text: str
     line: int
@@ -64,63 +64,46 @@ _UNICODE_ALIASES = {
     "≥": ">=", "≠": "!=", "↔": "<->",
 }
 
+# one token after optional blanks, or the end; `\d` is a decimal digit and
+# `\w` a letter, digit or `_` (`str.isalnum`), in any script
+_TOKEN = re.compile(
+    r"[ \t\r]*(?:(?P<newline>\n)|(?P<comment>//[^\n]*)|(?P<number>\d+(?:\.\d+)?)"
+    r"|(?P<word>\w+)|(?P<punct>" + "|".join(map(re.escape, _PUNCT)) + ")"
+    r"|(?P<alias>[" + "".join(_UNICODE_ALIASES) + r"])|(?P<stray>.)|\Z)"
+)
 
-def tokenize(text: str):
-    toks = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
+
+def tokenize(text: str) -> list:
+    """The tokens of `text`, the last one `eof`; a stray character or a
+    digit that is not a decimal one is a ParseError at its position."""
+    toks, line, bol = [], 1, 0  # bol: where the current line begins
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "newline":
+            line, bol = line + 1, m.end()
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
+        if kind is None:
+            break
+        word = m[kind]
+        col = m.start(kind) - bol + 1
+        if kind == "word":
+            c = word[0]
+            if c.isalpha() or c == "_":
+                kind = "keyword" if word in KEYWORDS else "ident"
+            elif c.isdigit():  # a digit that is not a decimal one, such as '²'
+                raise ParseError(f"non-decimal digit {c!r} in a number", line, col)
+            else:
+                raise ParseError(f"stray character {c!r}", line, col)
+        elif kind == "alias":
+            kind, word = "punct", _UNICODE_ALIASES[word]
+        elif kind == "stray":
+            raise ParseError(f"stray character {word!r}", line, col)
+        elif kind == "comment":
             continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch in _UNICODE_ALIASES:
-            alias = _UNICODE_ALIASES[ch]
-            toks.append(Token("punct", alias, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdigit():
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            toks.append(Token("number", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = "keyword" if word in KEYWORDS else "ident"
-            toks.append(Token(kind, word, line, col))
-            col += j - i
-            i = j
-            continue
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                toks.append(Token("punct", p, line, col))
-                i += len(p)
-                col += len(p)
-                break
-        else:
-            raise ParseError(f"stray character {ch!r}", line, col)
-    toks.append(Token("eof", "", line, col))
+        toks.append(Token(kind, word, line, col))
+    # a comment on the last line ends the input at its first column
+    end = text.find("//", bol)
+    toks.append(Token("eof", "", line, (len(text) if end < 0 else end) - bol + 1))
     return toks
 
 
@@ -146,6 +129,7 @@ class ProofScript:
 class Parser:
     def __init__(self, text: str):
         self.toks = tokenize(text)
+        self.toks.append(self.toks[-1])  # what `peek(1)` sees at the end
         self.pos = 0
         self.games: dict = {}
         self.formulas: dict = {}
@@ -155,7 +139,7 @@ class Parser:
     # -- token plumbing -------------------------------------------------------
 
     def peek(self, k=0) -> Token:
-        return self.toks[min(self.pos + k, len(self.toks) - 1)]
+        return self.toks[self.pos + k]
 
     def next(self) -> Token:
         t = self.peek()
@@ -163,7 +147,7 @@ class Parser:
         return t
 
     def at(self, text: str, k=0) -> bool:
-        t = self.peek(k)
+        t = self.toks[self.pos + k]
         return t.text == text and t.kind in ("punct", "keyword")
 
     def eat(self, text: str) -> Token:
@@ -274,6 +258,10 @@ class Parser:
             if self.at("/") and self.peek(1).kind == "number":
                 self.next()
                 den = self.next().text
+                if "." in t.text or "." in den:
+                    raise ParseError(f"{t.text}/{den}: a fraction's parts are integers", t.line, t.col)
+                if not int(den):
+                    raise ParseError(f"{t.text}/{den}: denominator 0", t.line, t.col)
                 return S.Lit(parse_rational(f"{t.text}/{den}"))
             return S.Lit(parse_rational(t.text))
         if self.at("abs") or self.at("min") or self.at("max"):

@@ -52,6 +52,14 @@ def test_usage_error_exit_2(tmp_path, capsys):
     assert ":" in err  # line:col position
 
 
+def test_malformed_number_exit_2(tmp_path, capsys):
+    f = tmp_path / "zero.cgl"
+    f.write_text("theorem t : x = 1/0 -> tt = \\h : x = 1/0. FO[tt]()")
+    code, _out, err = run(capsys, "check", str(f))
+    assert code == 2
+    assert err.splitlines() == [f"cgl check: {f}:1:17: 1/0: denominator 0"]
+
+
 def test_missing_file_exit_2(capsys):
     code, _out, err = run(capsys, "check", "/nonexistent/x.cgl")
     assert code == 2
