@@ -35,6 +35,23 @@ class _Usage(Exception):
     """Bad input: reported as one `cgl <cmd>: ...` line with exit code 2."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as one `cgl <cmd>: ...` line, exit 2."""
+
+    def error(self, message):
+        raise _Usage(f"{self.prog}: {message}")
+
+
+def _positive_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n <= 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return n
+
+
 def _load_script(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -287,7 +304,7 @@ def corpus_path(name: str) -> str:
 
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="cgl",
         description="Check, normalize, extract, and play game-logic proofs.",
     )
@@ -301,7 +318,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("normalize", help="reduce proofs to normal form")
     p.add_argument("file")
     p.add_argument("--theorem")
-    p.add_argument("--fuel", type=int, default=10**6)
+    p.add_argument("--fuel", type=_positive_int, default=10**6)
     p.add_argument("--trace", action="store_true", help="one line per step")
     p.add_argument("--show", action="store_true", help="print the normal form")
     p.set_defaults(fn=cmd_normalize)
@@ -318,7 +335,7 @@ def main(argv=None) -> int:
     p.add_argument("--demon", default="random:0",
                    help="interactive | random:SEED | script:PATH")
     p.add_argument("--state", default="", help='e.g. "c=9,x=1/2"')
-    p.add_argument("--fuel", type=int, default=100_000)
+    p.add_argument("--fuel", type=_positive_int, default=100_000)
     p.set_defaults(fn=cmd_play)
 
     p = sub.add_parser("verify", help="exhaust finite demon menus")
@@ -327,14 +344,18 @@ def main(argv=None) -> int:
     p.add_argument("--menu", required=True, help="JSON adversary menu")
     p.add_argument("--state", action="append", default=[],
                    help="initial state (repeatable)")
-    p.add_argument("--fuel", type=int, default=2_000_000)
+    p.add_argument("--fuel", type=_positive_int, default=2_000_000)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("test", help="run the bundled corpus and property suites")
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(fn=cmd_test)
 
-    args = ap.parse_args(argv)
+    try:
+        args = ap.parse_args(argv)
+    except _Usage as e:
+        print(e, file=sys.stderr)
+        return 2
     try:
         return args.fn(args)
     except _Usage as e:

@@ -12,12 +12,16 @@ Both run one resumable reduction machine, after Danvy and Nielsen,
 proof-term type, the children searched for a redex, in order, each with
 the S-rule that names a step inside it and the C-rule that fires when it
 is a stuck case; `_HEAD` holds the rule that may fire at a node once its
-searched children are stuck.  The machine keeps the path from the root to
-its focus on an explicit stack, so no search recurses.  When a rule fires
-at the focus, the machine plugs the reduct into the ancestors once, which
-gives the step's term and its root-level rule name, and the next search
-starts at the reduct: every child left of the path is unchanged, stuck and
-not a case.
+searched children are stuck.  The machine keeps the ancestors of its
+focus as a linked list of frames, a zipper after Huet, "The Zipper"
+(1997), so no search recurses.  When a rule fires at the focus, the
+reduct replaces the focus and no ancestor is touched: an ancestor is
+rebuilt with its new child only when the search returns to it, so a step
+costs the same under any number of ancestors.  The next search starts at
+the reduct: every child left of the path is unchanged, stuck and not a
+case.  A step's root term, which `step` returns and `normalize`'s trace
+holds, is the reduct plugged into the frames above it, built when asked
+for.
 
 Rule names follow the calculus; `APPENDIX_RULES` is the registry the
 coverage report checks off.
@@ -25,6 +29,7 @@ coverage report checks off.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from operator import attrgetter
 from typing import Optional
 
@@ -496,66 +501,76 @@ def _head(m: ProofTerm, fv):
 # The machine
 
 
-class _Machine:
-    """Leftmost-innermost search on an explicit stack.
+def _root(m: ProofTerm, frame) -> ProofTerm:
+    """m plugged into `frame` and every frame above it: the root term."""
+    while frame is not None:
+        node, kids, k, frame = frame
+        m = kids[k][0](node, m)
+    return m
 
-    `path` holds one frame (node, children, k) per ancestor of the focus,
-    root first: the focus is the child `children[k]` of `node`.  `focus` is
-    None once `term` is normal.
+
+class _Machine:
+    """Leftmost-innermost search with the focus's ancestors as a linked list
+    of frames (node, children, k, up), innermost first: the focus is the
+    child `children[k]` of `node`, and `up` is node's own frame, None at
+    the root.  A frame's node may hold an older copy of its child at k;
+    it is rebuilt with the new one when the search returns to it.  `top`
+    is the S-rule of the root frame's child k, which names every step
+    under the root.
     """
 
     def __init__(self, m: ProofTerm):
-        self.term = m
         self.focus = m
-        self.path = []
+        self.path = None
+        self.top = None
         self.fv = _FreeVars()
 
-    def step(self) -> Optional[tuple]:
-        """Fire the next rule: (root reduct, root rule), or None if normal."""
+    def root(self) -> ProofTerm:
+        return _root(self.focus, self.path)
+
+    def step(self) -> Optional[str]:
+        """Fire the next rule and return its root-level name, or None once
+        the term is normal; the search resumes at the reduct."""
         path, fv = self.path, self.fv
         m = self.focus
-        if m is None:
-            return None
         while True:
             kids = _children(m)
             if kids:  # search the first child
-                path.append((m, kids, 0))
+                if path is None:
+                    self.top = kids[0][2]
+                path = (m, kids, 0, path)
                 m = getattr(m, kids[0][1])
                 continue
             fired = _head(m, fv)
             if fired is not None:
-                return self._fire(*fired)
+                return self._fire(path, *fired)
             while True:  # m is stuck: go on at its parent
-                if not path:
-                    self.focus = None
+                if path is None:
+                    self.focus = m
                     return None
-                node, kids, k = path.pop()
+                node, kids, k, up = path
+                plug = kids[k][0]
                 if type(m) is P.Case:
-                    return self._fire(_lift_case(node, kids[k][0], m), kids[k][3])
+                    return self._fire(up, _lift_case(node, plug, m), kids[k][3])
+                if getattr(node, kids[k][1]) is not m:
+                    node = plug(node, m)
                 k += 1
                 if k < len(kids):  # search the next child
-                    path.append((node, kids, k))
+                    if up is None:
+                        self.top = kids[k][2]
+                    path = (node, kids, k, up)
                     m = getattr(node, kids[k][1])
                     break
+                path = up
                 fired = _head(node, fv)
                 if fired is not None:
-                    return self._fire(*fired)
+                    return self._fire(path, *fired)
                 m = node
 
-    def _fire(self, reduct: ProofTerm, rule: str) -> tuple:
-        """Plug the reduct of the focus into its ancestors; the search
-        resumes at the reduct."""
-        path = self.path
-        self.focus = t = reduct
-        for i in range(len(path) - 1, -1, -1):
-            node, kids, k = path[i]
-            t = kids[k][0](node, t)
-            path[i] = (t, kids, k)
-        if path:
-            node, kids, k = path[0]
-            rule = kids[k][2]
-        self.term = t
-        return t, rule
+    def _fire(self, path, reduct: ProofTerm, rule: str) -> str:
+        """The reduct of the node under `path` becomes the focus."""
+        self.focus, self.path = reduct, path
+        return rule if path is None else self.top
 
 
 def step(m: ProofTerm) -> Optional[tuple]:
@@ -564,7 +579,9 @@ def step(m: ProofTerm) -> Optional[tuple]:
     Total on arbitrary terms; on checker-accepted terms `None` coincides
     with `is_normal`.
     """
-    return _Machine(m).step()
+    machine = _Machine(m)
+    rule = machine.step()
+    return None if rule is None else (machine.root(), rule)
 
 
 def redex_path(old: ProofTerm, new: ProofTerm) -> str:
@@ -583,19 +600,46 @@ def redex_path(old: ProofTerm, new: ProofTerm) -> str:
     return ".".join(parts) or "root"
 
 
-def normalize(m: ProofTerm, fuel: int = 10**6):
-    """Iterate `step` until normal; returns (normal_form, steps, trace).
+class Trace(Sequence):
+    """The steps of one normalization as (rule, root reduct) pairs.  Each
+    step keeps its reduct and the frames above it; its root term is built
+    when the step is read, by index, by iteration or by `==`."""
 
-    The trace records one (rule, reduct) node per step.  Raises
-    FuelExhausted (carrying the last term) when fuel runs out.
+    def __init__(self, steps: list):
+        self._steps = steps  # (rule, reduct, frame) per step
+
+    def __len__(self) -> int:
+        return len(self._steps)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Trace(self._steps[i])
+        rule, reduct, frame = self._steps[i]
+        return rule, _root(reduct, frame)
+
+    def __eq__(self, other):
+        if not isinstance(other, (Trace, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:
+        return f"Trace({list(self)!r})"
+
+
+def normalize(m: ProofTerm, fuel: int = 10**6):
+    """Run the machine until normal; returns (normal_form, steps, trace).
+
+    The trace is a `Trace`: one (rule, root reduct) pair per step, each
+    root built only when read.  Raises FuelExhausted (carrying the last
+    term) when fuel runs out.
     """
     if fuel <= 0:
         raise ValueError("fuel must be positive")
     machine = _Machine(m)
-    trace = []
+    steps = []
     for i in range(fuel):
-        s = machine.step()
-        if s is None:
-            return machine.term, i, trace
-        trace.append((s[1], s[0]))
-    raise FuelExhausted(machine.term, fuel)
+        rule = machine.step()
+        if rule is None:
+            return machine.focus, i, Trace(steps)
+        steps.append((rule, machine.focus, machine.path))
+    raise FuelExhausted(machine.root(), fuel)

@@ -350,9 +350,13 @@ class Parser:
                 inner = self.formula(0)
                 self.eat(")")
                 return inner
-            except ParseError:
+            except ParseError as e:
                 self.pos = save
-                return self.comparison()
+                try:
+                    return self.comparison()
+                except ParseError as e2:
+                    # both readings fail: report the one that got further
+                    raise e if (e.line, e.col) > (e2.line, e2.col) else e2 from None
         if t.kind == "ident" and t.text in self.formulas:
             # formula abbreviations shadow program variables by name
             return self.formulas[self.next().text]

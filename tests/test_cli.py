@@ -455,3 +455,15 @@ def test_bad_number_is_usage_error(case, tmp_path, capsys):
     assert code == 2 and out == ""
     _one_line_usage_error(err, cmd)
     assert msg in err, err
+
+
+@pytest.mark.parametrize("cmd", ["normalize", "play", "verify"])
+@pytest.mark.parametrize("fuel", ["0", "-5", "ten"])
+def test_fuel_must_be_a_positive_integer(cmd, fuel, capsys):
+    argv = [cmd, corpus_path("nim.cgl"), "--theorem", "dNim", "--fuel", fuel]
+    if cmd == "verify":
+        argv += ["--menu", corpus_path("nim_menu.json")]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    _one_line_usage_error(err, cmd)
+    assert f"argument --fuel: {fuel!r} is not a positive integer" in err, err

@@ -318,7 +318,8 @@ def test_unpacked_witness_is_played():
 # Hole J: a strategy's terms are evaluated when the engine first needs the
 # realizer, which can be after a later assignment changed what they read.
 # lateGhost plays z := 5 (the ghost reads c after c := 5); lateCase and
-# lateHyp decide c > 0 after c := 0.
+# lateHyp decide c > 0 after c := 0, and so does lateNested, whose case
+# evidence `o` is decided only by the inner case, after c := 0.
 HOLE_J = r"""
 formula G = (g <= 0 & z = 1) | (g > 0 & z = 2)
 theorem lateGhost : c = 3 -> <c := 5 ; z := *> z = 3 =
@@ -331,6 +332,12 @@ theorem lateHyp : (c > 0 | c <= 0) -> <g := c ; {c := 0 ; z := *}> G =
   \h : (c > 0 | c <= 0). seqd asgnd g (g0, hg. seqd asgnd c (c0, hc. case h of
     l. wit z := 2 (z0, hz. FO[G](hg, l, hz))
   | r. wit z := 1 (z1, hz. FO[G](hg, r, hz))))
+theorem lateNested : <g := c ; {c := 0 ; z := *}> G =
+  seqd asgnd g (g0, hg. case Dec[(c <= 0 | c > 0) | c < c]() of
+    o. seqd asgnd c (c0, hc. case pi1 o of
+      l. wit z := 1 (z0, hz. FO[G](hg, l, hz))
+    | r. wit z := 2 (z1, hz. FO[G](hg, r, hz)))
+  | n. seqd asgnd c (c0, hc. wit z := 1 (z0, hz. FO[G](n, hz))))
 """
 
 
@@ -338,7 +345,9 @@ theorem lateHyp : (c > 0 | c <= 0) -> <g := c ; {c := 0 ; z := *}> G =
     strict=True, raises=AssertionError,
     reason="hole J: strategy terms are evaluated after later assignments",
 )
-@pytest.mark.parametrize("name, c", [("lateGhost", 3), ("lateCase", 5), ("lateHyp", 5)])
+@pytest.mark.parametrize(
+    "name, c", [("lateGhost", 3), ("lateCase", 5), ("lateHyp", 5), ("lateNested", 5)]
+)
 def test_strategy_terms_see_the_state_they_were_formed_in(name, c):
     phi, m = parse_script(HOLE_J).theorems[name]
     assert Checker().check_result(Context(), m, phi) is None

@@ -427,3 +427,41 @@ def test_deep_term_normalizes_without_recursion():
         assert type(nf) is P.InjL
         nf = nf.arg
     assert nf == SP
+
+
+def _spine(m, depth):
+    """The term under `depth` InjL ancestors, unwrapped without recursion."""
+    for _ in range(depth):
+        assert type(m) is P.InjL
+        m = m.arg
+    return m
+
+
+def test_step_cost_does_not_grow_with_depth(monkeypatch):
+    # k redexes under 2,000 InjL ancestors: the machine rebuilds each
+    # ancestor once, on the way up, not once per step
+    k, depth = 5, 2000
+    m = REDEX
+    for _ in range(k - 1):
+        m = P.BPair(REDEX, m)
+    for _ in range(depth):
+        m = P.InjL(m)
+    built, init = [], P.InjL.__init__
+
+    def counting_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(P.InjL, "__init__", counting_init)
+    nf, steps, trace = N.normalize(m)
+    assert steps == k and len(built) <= k + depth
+    monkeypatch.undo()
+    cur, stepped = m, []
+    while (s := N.step(cur)) is not None:
+        cur = s[0]
+        stepped.append((s[1], cur))
+    # equality on 2,000-deep terms would recurse past Python's limit
+    assert [(r, _spine(t, depth)) for r, t in trace] == [
+        (r, _spine(t, depth)) for r, t in stepped
+    ]
+    assert _spine(nf, depth) == _spine(cur, depth)

@@ -86,6 +86,15 @@ def test_malformed_number_is_a_positioned_error(text, message):
     assert (e.value.message, e.value.line, e.value.col) == (message, 1, 5)
 
 
+def test_error_inside_parentheses_is_not_masked():
+    # '(' reads as a formula or as a term; when both fail, the error is
+    # the one that got furthest, here the same as without the parentheses
+    for text, col in (("(x = 1/0 & y = 0)", 18), ("x = 1/0 & y = 0", 17)):
+        with pytest.raises(ParseError) as e:
+            parse_script(f"theorem t : {text} -> tt = \\h : tt. FO[tt]()\n")
+        assert (e.value.message, e.value.line, e.value.col) == ("1/0: denominator 0", 1, col)
+
+
 def test_decimal_digits_of_any_script_are_numbers():
     assert parse_term_text("٣/٤") == L("3/4")
     assert parse_term_text("1.٥") == L("3/2")
