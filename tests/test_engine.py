@@ -620,3 +620,31 @@ def test_verify_at_repeat_depth_1000(all_theorems):
     game, role, cl, st = _nim(all_theorems, "dNim", 4001)
     cex = verify_exhaustive(game, role, cl, [st], MOD4_IS_1, DemonMenu({}, 1000))
     assert cex is None
+
+
+@pytest.mark.parametrize("fuel,want", [
+    (20_000, ({"Finished": 632, "AngelViolation": 80, "DemonViolation": 88},
+              "69521ef48a6d4c80")),
+    (12, ({"Finished": 495, "AngelViolation": 76, "DemonViolation": 83, "FuelOut": 146},
+          "a3d1d18df48aa493")),
+])
+def test_pinned_random_plays(rng, fuel, want):
+    # every outcome, end state and event of seeded random plays, each game
+    # in both roles against a seeded adversary; at fuel 12 many plays run
+    # out, so the digest also pins where fuel is spent
+    h, kinds = hashlib.sha256(), {}
+    for i in range(400):
+        game = S.Repeat(rand_game(rng, 2)) if rng.random() < 0.3 else rand_game(rng, 3)
+        st = rand_state(rng)
+        for role in (ACTIVE, DORMANT):
+            rz = suitable(rng, game, role)
+            tr = Tracer()
+            try:
+                out = play(game, role, close(rz), st, RandomDemon(i, stop_after=6),
+                           fuel=fuel, tracer=tr)
+                rec = (type(out).__name__, repr(out.state))
+            except E.IllStructuredRealizer as e:
+                rec = ("error", str(e))
+            kinds[rec[0]] = kinds.get(rec[0], 0) + 1
+            h.update(f"{rec!r} {list(tr.events)!r}\n".encode())
+    assert (kinds, h.hexdigest()[:16]) == want
