@@ -16,6 +16,7 @@ exactly like the strategy it weakens.
 from __future__ import annotations
 
 import random as _random
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -24,7 +25,7 @@ from . import realizer as R
 from . import syntax as S
 from .checker import realizer_of_formula
 from .printer import print_formula, print_game
-from .rational import Rational, format_rational, parse_rational
+from .rational import Rational, canon, format_rational, parse_rational
 from .syntax import Formula, Game, State
 
 ACTIVE = "active"
@@ -89,27 +90,38 @@ class Budget:
     def __init__(self, n: int):
         self.left = n
 
-    def tick(self, n: int = 1):
-        self.left -= n
-        if self.left < 0:
-            raise BudgetExhausted()
-
 
 # ---------------------------------------------------------------------------
 # Forcing
 
 
-def _overlay(state: State, env) -> State:
-    """The numbers `AppNum` bound shadow the game state, in one copy of its
-    bindings.  A number is bound under the 1-tuple of its variable, apart
-    from the realizer variables, which are strings."""
+def _at(state: State, env, x):
+    """x, a term or formula, evaluated at state under env: the numbers
+    `AppNum` bound to variables x reads shadow the game state, in one copy
+    of its bindings.  A number is bound under the 1-tuple of its variable,
+    apart from the realizer variables, which are strings."""
+    hit = _evals.get(id(x))
+    fn, keys = hit[0] if hit is not None else _stage(x)
     vals = None
-    for k, v in env.items():
-        if type(k) is tuple:
+    for key in keys:
+        v = env.get(key)
+        if v is not None:
             if vals is None:
                 vals = state._vals.copy()
-            vals[k[0]] = v
-    return state if vals is None else State.of(vals)
+            vals[key[0]] = v
+    v = fn(state if vals is None else State.of(vals))
+    return canon(v) if type(v) is Fraction else v
+
+
+# per-node tables, capped and keeping their keys alive (`syntax.remember`)
+_evals: dict = {}  # term or formula -> (evaluator, env keys of its variables)
+_streams: dict = {}  # Gen -> the loop stream it unrolls to
+_code = {ACTIVE: {}, DORMANT: {}}  # role -> game -> its instruction
+
+
+def _stage(x):
+    fn = S.compile_fo(x) if isinstance(x, Formula) else S.compile_term(x)
+    return S.remember(_evals, x, (fn, tuple((v,) for v in S.free_vars(x))))
 
 
 def force(cl: Closure, state: State, budget: Budget) -> Closure:
@@ -128,14 +140,13 @@ def force(cl: Closure, state: State, budget: Budget) -> Closure:
             cl = v
         elif t is R.IfTerm:
             try:
-                b = S.eval_fo(rz.cond, _overlay(state, cl.env))
+                b = _at(state, cl.env, rz.cond)
             except (TypeError, ArithmeticError) as e:
                 raise IllStructuredRealizer(f"unevaluable decision {rz.cond!r}: {e}")
             cl = Closure(rz.then if b else rz.els, cl.env)
         elif t is R.Decide:
-            scrut = force(Closure(rz.scrut, cl.env), state, budget)
-            sel, payload = pair_view(scrut, state, budget)
-            if num_of(sel, state, budget) == 0:
+            sel, payload = _number_and_rest(Closure(rz.scrut, cl.env), state, budget)
+            if sel == 0:
                 cl = Closure(rz.left, {**cl.env, rz.lvar: payload})
             else:
                 cl = Closure(rz.right, {**cl.env, rz.rvar: payload})
@@ -143,7 +154,7 @@ def force(cl: Closure, state: State, budget: Budget) -> Closure:
             pair = pair_view(force(Closure(rz.arg, cl.env), state, budget), state, budget)
             cl = pair[0] if t is R.Fst else pair[1]
         elif t is R.AppNum:
-            v = S.eval_term(rz.term, _overlay(state, cl.env))
+            v = _at(state, cl.env, rz.term)
             cl = app_num(Closure(rz.fn, cl.env), v, state, budget)
         elif t is R.AppRz:
             cl = app_rz(Closure(rz.fn, cl.env), Closure(rz.arg, cl.env), state, budget)
@@ -214,18 +225,44 @@ def pair_view(f: Closure, state: State, budget: Budget):
         return Closure(rz.fst, f.env), Closure(rz.snd, f.env)
     if t is R.Gen:
         env = {**f.env, rz.var: Closure(rz.init, f.env)}
-        rebuilt = R.Gen(R.RVar(rz.var), rz.var, rz.step, rz.post, rz.game)
-        stream = R.Compose(R.RVar("*s*"), rz.var, rebuilt, (rz.game,))
         step = Closure(rz.step, env)
-        return Closure(rz.post, env), Closure(stream, {**f.env, "*s*": step})
+        return Closure(rz.post, env), Closure(_stream(rz), {**f.env, "*s*": step})
     raise IllStructuredRealizer(f"expected a pair, got {t.__name__}")
+
+
+def _stream(gen: R.Gen) -> R.Compose:
+    """What a Gen unrolls to: its step played through the loop body, whose
+    residual is the next invariant evidence of the same loop.  Built once
+    per Gen node; the Gen of the stream is its own next stream's."""
+    hit = _streams.get(id(gen))
+    if hit is not None:
+        return hit[0]
+    again = gen
+    if gen.init != R.RVar(gen.var):
+        again = R.Gen(R.RVar(gen.var), gen.var, gen.step, gen.post, gen.game)
+    return S.remember(_streams, gen, R.Compose(R.RVar("*s*"), gen.var, again, (gen.game,)))
 
 
 def num_of(cl: Closure, state: State, budget: Budget) -> Rational:
     f = force(cl, state, budget)
     if type(f.rz) is R.TermVal:
-        return S.eval_term(f.rz.term, _overlay(state, f.env))
+        return _at(state, f.env, f.rz.term)
     raise IllStructuredRealizer(f"expected a number, got {type(f.rz).__name__}")
+
+
+def _number_and_rest(cl: Closure, state: State, budget: Budget):
+    """cl forced to a pair: the number its first half evaluates to, and its
+    second half.  A literal pair's number spends the one forcing step its
+    TermVal would, and no closure is made for it."""
+    f = force(cl, state, budget)
+    rz = f.rz
+    if type(rz) is R.Pair and type(rz.fst) is R.TermVal:
+        budget.left -= 1
+        if budget.left < 0:
+            raise BudgetExhausted()
+        return _at(state, f.env, rz.fst.term), Closure(rz.snd, f.env)
+    first, rest = pair_view(f, state, budget)
+    return num_of(first, state, budget), rest
 
 
 # ---------------------------------------------------------------------------
@@ -376,26 +413,89 @@ class InteractiveDemon(DemonOracle):
 # The game machine, derived from the two recursive interpreters (play and
 # explore) it replaced, after Ager, Biernacki, Danvy & Midtgaard, "A
 # Functional Correspondence between Evaluators and Abstract Machines"
-# (PPDP 2003).  Registers: game, role, closure, state.  The continuation
-# `k` is a linked list of frames (tag, a, b, next) that lines share, so
-# loop depth never reaches Python's stack.  A Demon decision pushes the
-# options the demon offers onto `todo`, last first; the machine takes them
-# depth first.
+# (PPDP 2003).  Registers: instruction, closure, state.  Each game node is
+# compiled once per role into an instruction, (opcode, game, operands),
+# whose subgames' instructions and assignment evaluator are resolved in
+# advance (Feeley & Lapalme, "Using closures for code generation", 1987);
+# a dual game's body is compiled in the other role, so no register holds
+# the role.  The continuation `k` is a linked list of frames (tag, a, b,
+# next) that lines share, so loop depth never reaches Python's stack.  A
+# Demon decision pushes the options the demon offers onto `todo`, last
+# first; the machine takes them depth first.
 
-_SEQ, _KS, _LOOP, _MEMO = range(4)  # frames; _LOOP and _MEMO ones add a field
+_SEQ, _KS, _LOOP, _MEMO = range(4)  # frames; _MEMO ones add a path
 _EVAL, _RET, _HEAD, _BACK = range(4)  # what the machine does next
 _TEST, _VALUE, _BRANCH, _REPEAT, _REPLAY, _DONE = range(6)  # kinds of option
+# opcodes; `_lines` tests two ranges: from _I_ASSIGN to _I_ANGEL_VALUE the
+# leaves that end with no decision, from _I_ANGEL_LOOP the loops
+(_I_SEQ, _I_ASSIGN, _I_ANGEL_TEST, _I_ANGEL_VALUE, _I_ANGEL_BRANCH, _I_DUAL, _I_DEMON_TEST,
+ _I_DEMON_VALUE, _I_DEMON_BRANCH, _I_ANGEL_LOOP, _I_DEMON_LOOP) = range(11)
 
 _UNIT = close(R.Unit())  # evidence for an asserted test
+_HONEST = "honest"  # a test option: assert exactly when the test holds
 
 
-class Tracer:
-    """Collects a play's events, one line each, in `events`."""
+def _compile(g: Game, role: str) -> tuple:
+    t, angel = type(g), role == ACTIVE
+    if t is S.Seq:
+        return _I_SEQ, g, _compile(g.left, role), _compile(g.right, role)
+    if t is S.Assign:
+        return _I_ASSIGN, g, g.var, S.compile_term(g.term)
+    if t is S.Dual:
+        return _I_DUAL, g, _compile(g.body, flip(role))
+    if t is S.Test:
+        return _I_ANGEL_TEST if angel else _I_DEMON_TEST, g, g.cond
+    if t is S.AssignAny:
+        return _I_ANGEL_VALUE if angel else _I_DEMON_VALUE, g, g.var
+    if t is S.Choice:
+        return (_I_ANGEL_BRANCH if angel else _I_DEMON_BRANCH, g,
+                _compile(g.left, role), _compile(g.right, role))
+    if t is S.Repeat:
+        return _I_ANGEL_LOOP if angel else _I_DEMON_LOOP, g, _compile(g.body, role)
+    raise TypeError(f"not a game: {g!r}")
 
-    __slots__ = ("events",)
+
+def _instruction(game: Game, role: str) -> tuple:
+    hit = _code[role].get(id(game))
+    return hit[0] if hit is not None else S.remember(_code[role], game, _compile(game, role))
+
+
+class Tracer(Sequence):
+    """A play's events, one line each, read through `events` (the tracer
+    itself).  The machine records each event unformatted, in `raw`; a line
+    is formatted, to the text `docs/traces.md` lists, only when it is read,
+    so `len` and an unread trace format nothing."""
+
+    __slots__ = ("raw", "_texts")
+    events = property(lambda self: self)
 
     def __init__(self):
-        self.events = []
+        self.raw, self._texts = [], {}  # _texts: id(test) -> its printed form
+
+    def __len__(self):
+        return len(self.raw)
+
+    def __getitem__(self, i):
+        if type(i) is slice:
+            return [_line(e, self._texts) for e in self.raw[i]]
+        return _line(self.raw[i], self._texts)
+
+    def __iter__(self):
+        return (_line(e, self._texts) for e in self.raw)
+
+
+def _line(e, texts) -> str:
+    """The text of an event or trail move as the machine records it: a
+    string, (word, variable, value) or (word, test, verdict)."""
+    if type(e) is str:
+        return e
+    word, x, v = e
+    if type(x) is str:
+        return f"{word} {x} {format_rational(v)}"
+    text = texts.get(id(x))
+    if text is None:
+        text = texts[id(x)] = print_formula(x)
+    return f"{word} ({text}) {v}"
 
 
 def _holds(phi: Formula, state: State) -> bool:
@@ -410,81 +510,76 @@ def _lines(game, role, cl, state, demon, budget, tracer=None, memo=None):
     first.  `tracer` receives play events.  `memo`, a `_Transpositions`,
     wraps every loop head; with it, `path` holds the line's Demon moves
     (read them with `_trail`), and a fuel-out carries the path it reached."""
-    ev = tracer.events.append if tracer is not None else None
-    texts = {}  # id(test condition) -> its printed form, for this run
+    ev = tracer.raw.append if tracer is not None else None
     todo = []  # options not yet taken: (kind, option, context, k, path)
-    k, g, st, bad, it, path, mode = None, game, state, None, 0, None, _EVAL
+    k, ins, st, bad, it, path, mode = None, _instruction(game, role), state, None, 0, None, _EVAL
     out = okey = None  # the outcome in hand and its table key, once made
     try:
         while True:
-            if mode == _EVAL:  # play game g; each game node spends fuel
-                budget.tick()
+            if mode == _EVAL:  # play instruction ins; each game node spends fuel
+                budget.left -= 1
+                if budget.left < 0:
+                    raise BudgetExhausted()
                 t = type(cl.rz)
                 if t is R.RVar or t is R.Compose:
-                    ks, cl = peel_for(cl, g)
+                    ks, cl = peel_for(cl, ins[1])
                     if ks:
                         k = (_KS, ks, None, k)
-                t = type(g)
-                if t is S.Seq:
-                    k, g = (_SEQ, g.right, role, k), g.left
+                op = ins[0]
+                if op == _I_SEQ:
+                    k, ins = (_SEQ, ins[3], None, k), ins[2]
                     continue
-                if t is S.Assign:
-                    v = S.eval_term(g.term, st)
-                    if ev is not None:
-                        ev(f"assign {g.var} {format_rational(v)}")
-                    st, mode = st.set(g.var, v), _RET
-                    continue
-                if t is S.Dual:
-                    if ev is not None:
-                        ev("swap-roles")
-                    role, g = flip(role), g.body
-                    continue
-                if t is S.Repeat:
-                    g, it, mode = g.body, 0, _HEAD
-                    continue
-                if t is S.Test:
-                    phi = g.cond
-                    if role == DORMANT:
-                        kind, opts, ctx = _TEST, demon.test_options(phi, st), (phi, cl, st)
-                    else:
-                        ok = _holds(phi, st)
+                if op <= _I_ANGEL_VALUE:  # a leaf of Angel's or of the state's
+                    if op == _I_ASSIGN:
+                        v = ins[3](st)
+                        st = st.set(ins[2], v)
                         if ev is not None:
-                            ev(f"angel-test ({_printed(texts, phi)}) {'pass' if ok else 'fail'}")
-                        if ok:
-                            cl = pair_view(force(cl, st, budget), st, budget)[1]
-                        else:
+                            ev(("assign", ins[2], v))
+                    elif op == _I_ANGEL_TEST:
+                        ok = _holds(ins[2], st)
+                        if ev is not None:
+                            ev(("angel-test", ins[2], "pass" if ok else "fail"))
+                        if not ok:
                             if memo is not None:
                                 path = (path, "angel-test fail")
-                            bad = AngelViolation(st)
+                            bad, mode = AngelViolation(st), _RET
+                            continue
+                        cl = pair_view(force(cl, st, budget), st, budget)[1]
+                    else:
+                        v, cl = _number_and_rest(cl, st, budget)
+                        if ev is not None:
+                            ev(("angel-value", ins[2], v))
+                        st = st.set(ins[2], v)
+                    if k is not None and k[0] == _SEQ:  # straight on to the next game
+                        ins, k = k[1], k[3]
+                    else:
                         mode = _RET
-                        continue
-                elif t is S.AssignAny:
-                    if role == DORMANT:
-                        kind, opts, ctx = _VALUE, demon.value_options(g.var, st), (g.var, cl, st)
-                    else:
-                        val_cl, cl = pair_view(force(cl, st, budget), st, budget)
-                        v = num_of(val_cl, st, budget)
-                        if ev is not None:
-                            ev(f"angel-value {g.var} {format_rational(v)}")
-                        st, mode = st.set(g.var, v), _RET
-                        continue
-                elif t is S.Choice:
-                    if role == DORMANT:
-                        fst, snd = pair_view(force(cl, st, budget), st, budget)
-                        kind, opts = _BRANCH, demon.branch_options(g, st)
-                        ctx = (g, role, fst, snd, st)
-                    else:
-                        sel, cl = _select(cl, st, budget, "branch")
-                        if ev is not None:
-                            ev(f"angel-branch {'L' if sel == 0 else 'R'}")
-                        g = g.left if sel == 0 else g.right
-                        continue
+                    continue
+                if op == _I_ANGEL_BRANCH:
+                    sel, cl = _select(cl, st, budget, "branch")
+                    if ev is not None:
+                        ev("angel-branch L" if sel == 0 else "angel-branch R")
+                    ins = ins[2] if sel == 0 else ins[3]
+                    continue
+                if op == _I_DUAL:
+                    if ev is not None:
+                        ev("swap-roles")
+                    ins = ins[2]
+                    continue
+                if op >= _I_ANGEL_LOOP:
+                    it, mode = 0, _HEAD
+                    continue
+                if op == _I_DEMON_TEST:
+                    kind, opts, ctx = _TEST, demon.test_options(ins[2], st), (ins[2], cl, st)
+                elif op == _I_DEMON_VALUE:
+                    kind, opts, ctx = _VALUE, demon.value_options(ins[2], st), (ins[2], cl, st)
                 else:
-                    raise TypeError(f"not a game: {g!r}")
-            elif mode == _HEAD:  # the head of loop body g at iteration it
+                    fst, snd = pair_view(force(cl, st, budget), st, budget)
+                    kind, opts, ctx = _BRANCH, demon.branch_options(ins[1], st), (ins, fst, snd, st)
+            elif mode == _HEAD:  # the head of loop ins at iteration it
                 outs = None
                 if memo is not None:
-                    key = (memo.node(g)[0], role, it, _state_key(st), memo.closure(cl))
+                    key = (memo.node(ins[1])[0], ins[0], it, _state_key(st), memo.closure(cl))
                     outs = memo.entries.get(key)
                     if outs is None:
                         rec = []
@@ -495,16 +590,19 @@ def _lines(game, role, cl, state, demon, budget, tracer=None, memo=None):
                         outs = [r for r in outs if r[1] not in k[2]]
                     kind, opts, ctx = _REPLAY, outs, None
                 else:
-                    budget.tick()
-                    if role == DORMANT:
-                        kind, opts, ctx = _REPEAT, demon.repeat_options(st, it), (g, cl, st, it)
+                    budget.left -= 1
+                    if budget.left < 0:
+                        raise BudgetExhausted()
+                    if ins[0] == _I_DEMON_LOOP:
+                        kind, opts, ctx = _REPEAT, demon.repeat_options(st, it), (ins, cl, st, it)
                     else:
                         sel, cl = _select(cl, st, budget, "loop")
                         if ev is not None:
-                            ev(f"angel-loop {'stop' if sel == 0 else 'continue'}")
+                            ev("angel-loop stop" if sel == 0 else "angel-loop continue")
                         if sel == 1:
-                            k = (_LOOP, g, 0, k, ACTIVE)
-                        mode = _EVAL if sel == 1 else _RET
+                            k, ins, mode = (_LOOP, ins, 0, k), ins[2], _EVAL
+                        else:
+                            mode = _RET
                         continue
             elif mode == _RET:  # hand the outcome, (st, cl) or bad, to k
                 while k is not None:
@@ -520,74 +618,75 @@ def _lines(game, role, cl, state, demon, budget, tracer=None, memo=None):
                         k[1].append((out, okey, (path, k[4])))
                     elif bad is None:
                         if tag == _SEQ:
-                            g, role, k, mode = k[1], k[2], k[3], _EVAL
+                            ins, k, mode = k[1], k[3], _EVAL
                             break
                         if tag == _KS:
                             cl, out, okey = apply_ks(k[1], cl), None, None
                         else:
-                            g, it, k, role, mode = k[1], k[2], k[3], k[4], _HEAD
+                            ins, it, k, mode = k[1], k[2], k[3], _HEAD
                             break
                     k = k[3]
                 else:
                     yield (out or (Finished(st, cl) if bad is None else bad)), path
                 out = okey = None
-                if mode == _RET:
-                    mode = _BACK
-                continue
-            else:  # _BACK: take the latest option not yet taken
-                if not todo:
-                    return
-                kind, opt, ctx, k, path = todo.pop()
-                bad = None
-                if kind == _DONE:  # a loop head's subtree is exhausted
-                    memo.entries.setdefault(opt, ctx)
-                elif kind == _REPLAY:
-                    out, okey, segment = opt
-                    if segment[0] is not segment[1]:
-                        path = (path, segment)
-                    if type(out) is Finished:
-                        st, cl, mode = out.state, out.residual, _RET
-                    else:
-                        bad, mode = out, _RET
+                if mode != _RET:
                     continue
-                elif kind == _BRANCH:
-                    path = _move(ev, memo, path, f"demon-branch {opt}")
-                    g, role, fst, snd, st = ctx
-                    g, cl = (g.left, fst) if opt == "L" else (g.right, snd)
-                    mode = _EVAL
-                elif kind == _VALUE:
-                    x, cl, st0 = ctx
-                    if ev is not None or memo is not None:
-                        path = _move(ev, memo, path, f"demon-value {x} {format_rational(opt)}")
-                    st, cl, mode = st0.set(x, opt), app_num(cl, None, st0, budget), _RET
-                elif kind == _TEST:
-                    phi, cl, st = ctx
-                    if opt != "concede" and not _holds(phi, st):
-                        opt = "false-assert"
-                    if ev is not None:
-                        ev(f"demon-test ({_printed(texts, phi)}) {opt}")
-                    if opt == "assert":
-                        cl = app_rz(cl, _UNIT, st, budget)
-                    else:
-                        if memo is not None:
-                            path = (path, f"demon-test {opt}")
-                        bad = DemonViolation(st)
-                    mode = _RET
-                else:  # _REPEAT
-                    g, cl, st, it = ctx
-                    if ev is not None:
-                        ev(f"demon-loop {'continue' if opt else 'stop'}")
+                mode = _BACK
+            if mode != _BACK:  # a Demon decision: push its options, last first
+                for opt in reversed(opts):
+                    todo.append((kind, opt, ctx, k, path))
+            # take the latest option not yet taken
+            if not todo:
+                return
+            kind, opt, ctx, k, path = todo.pop()
+            bad = None
+            if kind == _DONE:  # a loop head's subtree is exhausted
+                memo.entries.setdefault(opt, ctx)
+                mode = _BACK
+            elif kind == _REPLAY:
+                out, okey, segment = opt
+                if segment[0] is not segment[1]:
+                    path = (path, segment)
+                if type(out) is Finished:
+                    st, cl = out.state, out.residual
+                else:
+                    bad = out
+                mode = _RET
+            elif kind == _BRANCH:
+                path = _move(ev, memo, path, f"demon-branch {opt}")
+                ins, fst, snd, st = ctx
+                ins, cl = (ins[2], fst) if opt == "L" else (ins[3], snd)
+                mode = _EVAL
+            elif kind == _VALUE:
+                x, cl, st0 = ctx
+                path = _move(ev, memo, path, ("demon-value", x, opt))
+                st, cl, mode = st0.set(x, opt), app_num(cl, None, st0, budget), _RET
+            elif kind == _TEST:
+                phi, cl, st = ctx
+                if opt is _HONEST:
+                    opt = "assert" if _holds(phi, st) else "concede"
+                elif opt != "concede" and not _holds(phi, st):
+                    opt = "false-assert"
+                if ev is not None:
+                    ev(("demon-test", phi, opt))
+                if opt == "assert":
+                    cl = app_rz(cl, _UNIT, st, budget)
+                else:
                     if memo is not None:
-                        path = (path, f"demon-loop {'continue' if opt else 'stop'}@{it}")
-                    post, stream = pair_view(force(cl, st, budget), st, budget)
-                    if opt:
-                        k = (_LOOP, g, it + 1, k, DORMANT)
-                    role, cl, mode = DORMANT, stream if opt else post, _EVAL if opt else _RET
-                continue
-            # a Demon decision: push its options, last first, and take the first
-            for opt in reversed(opts):
-                todo.append((kind, opt, ctx, k, path))
-            mode = _BACK
+                        path = (path, f"demon-test {opt}")
+                    bad = DemonViolation(st)
+                mode = _RET
+            else:  # _REPEAT
+                ins, cl, st, it = ctx
+                if ev is not None:
+                    ev("demon-loop continue" if opt else "demon-loop stop")
+                if memo is not None:
+                    path = (path, f"demon-loop {'continue' if opt else 'stop'}@{it}")
+                post, stream = pair_view(force(cl, st, budget), st, budget)
+                if opt:
+                    k, ins, cl, mode = (_LOOP, ins, it + 1, k), ins[2], stream, _EVAL
+                else:
+                    cl, mode = post, _RET
     except BudgetExhausted as e:
         e.path = path
         raise
@@ -595,47 +694,39 @@ def _lines(game, role, cl, state, demon, budget, tracer=None, memo=None):
 
 def _select(cl: Closure, state: State, budget: Budget, what: str):
     """Angel's 0/1 selector and the continuation paired with it."""
-    sel_cl, cont = pair_view(force(cl, state, budget), state, budget)
-    sel = num_of(sel_cl, state, budget)
+    sel, cont = _number_and_rest(cl, state, budget)
     if sel != 0 and sel != 1:
         raise IllStructuredRealizer(f"{what} selector {sel} not in {{0,1}}")
     return sel, cont
 
 
-def _move(ev, memo, path, move: str):
+def _move(ev, memo, path, move):
     if ev is not None:
         ev(move)
     return path if memo is None else (path, move)
 
 
 def _trail(path) -> tuple:
-    """The Demon moves on a path, oldest first.  A path is a linked list of
-    (earlier path, move); a replayed segment, (end, start), stands for the
-    moves from path start to path end."""
+    """The Demon moves on a path, oldest first, formatted.  A path is a
+    linked list of (earlier path, move); a replayed segment, (end, start),
+    stands for the moves from path start to path end."""
     out, todo = [], [(path, None)]
     while todo:
         cur, stop = todo.pop()
         while cur is not stop:
             cur, move = cur
-            if type(move) is str:
-                out.append(move)
+            if type(move) is str or len(move) == 3:
+                out.append(_line(move, None))
             else:
                 todo.append((cur, stop))
                 cur, stop = move
     return tuple(reversed(out))
 
 
-def _printed(texts, phi) -> str:
-    text = texts.get(id(phi))
-    if text is None:
-        text = texts[id(phi)] = print_formula(phi)
-    return text
-
-
 def play(game: Game, role: str, cl: Closure, state: State, demon: DemonOracle,
          fuel: int = 100_000, tracer: Optional[Tracer] = None):
     """Play one run; returns Finished/AngelViolation/DemonViolation/FuelOut.
-    Events are formatted only when a tracer is given."""
+    Events are recorded only when a tracer is given."""
     budget = Budget(fuel)
     try:
         return next(_lines(game, role, cl, state, demon, budget, tracer))[0]
@@ -681,25 +772,23 @@ class DemonMenu:
     """Finite adversary menus: values per nondeterministic assignment and a
     cap on Demon-controlled repetition depth.  As a demon it offers every
     option not dominated: at a test only the honest answer, since a false
-    assertion and a conceded true test both lose for Demon on the spot."""
+    assertion and a conceded true test both lose for Demon on the spot; the
+    machine finds it when it evaluates the test, once."""
 
     values: dict
     repeat_depth: int = 8
 
-    def values_for(self, var: str):
+    def value_options(self, var: str, state: State):
         vals = self.values.get(var)
         if vals is None:
             raise NoMenuValues(f"no menu values for {var} := *")
         return [parse_rational(str(v)) for v in vals]
 
-    def value_options(self, var: str, state: State):
-        return self.values_for(var)
-
     def branch_options(self, game: Game, state: State):
         return ("L", "R")
 
     def test_options(self, phi: Formula, state: State):
-        return ("assert",) if _holds(phi, state) else ("concede",)
+        return (_HONEST,)
 
     def repeat_options(self, state: State, iteration: int):
         return (False, True) if iteration < self.repeat_depth else (False,)
@@ -744,7 +833,7 @@ class _Transpositions:
     What a loop head's subtree yields depends only on the loop body, the
     role, the state, the iteration, and what the closure can observe: its
     realizer and the environment entries named in it (realizer variables,
-    and term variables that `_overlay` would shadow; closure values count
+    and term variables that `_at` would shadow; closure values count
     by their own fingerprint).  The first visit of such a key records the
     subtree's distinct outcomes, each with the path of its first line;
     later visits replay them and spend no fuel.  Outcomes are distinct when

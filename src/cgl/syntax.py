@@ -484,7 +484,8 @@ _term_fns: dict = {}
 _fo_fns: dict = {}
 
 
-def _remember(cache: dict, x, fn):
+def remember(cache: dict, x, fn):
+    """fn, stored in `cache` under id(x) with x kept alive."""
     if len(cache) >= _CACHE_CAP:
         cache.clear()
     cache[id(x)] = (fn, x)
@@ -495,7 +496,7 @@ def compile_term(t: Term):
     hit = _term_fns.get(id(t))
     if hit is not None:
         return hit[0]
-    return _remember(_term_fns, t, _compile_term(t))
+    return remember(_term_fns, t, _compile_term(t))
 
 
 def _compile_term(t: Term):
@@ -563,7 +564,7 @@ def compile_fo(phi: Formula):
     hit = _fo_fns.get(id(phi))
     if hit is not None:
         return hit[0]
-    return _remember(_fo_fns, phi, _compile_fo(phi))
+    return remember(_fo_fns, phi, _compile_fo(phi))
 
 
 def _compile_fo(phi: Formula):

@@ -529,6 +529,80 @@ def test_untraced_play_formats_nothing(monkeypatch):
     assert isinstance(out, Finished) and out.state.get("y") == Fraction(3, 2)
 
 
+CUTS = [str(Fraction(k, 7)) for k in range(-3, 11)]  # 8 of the 14 cut the cake
+
+
+def _dcake(all_theorems):
+    phi, proof = all_theorems["dCake"]
+    game, role, post = modal_core(phi)
+    return game, role, close(extract(proof, phi, checked=True)), post
+
+
+def test_verify_evaluates_each_demon_test_once(all_theorems, monkeypatch):
+    game, role, cl, post = _dcake(all_theorems)
+    calls = []
+
+    def counted(phi, state):
+        calls.append(phi)
+        return holds(phi, state)
+
+    holds = E._holds
+    monkeypatch.setattr(E, "_holds", counted)
+    assert verify_exhaustive(game, role, cl, [State()], post, DemonMenu({"x": CUTS})) is None
+    assert len(calls) == len(CUTS)  # one test per cut
+
+    # a scripted adversary's false assertion is still caught, and its
+    # concession is taken without evaluating the test
+    for move, outcome, evaluated in (("assert", "false-assert", 1), ("concede", "concede", 0)):
+        calls.clear()
+        tr = Tracer()
+        out = play(game, role, cl, State(), ScriptedDemon(["2", move]), tracer=tr)
+        assert isinstance(out, DemonViolation) and len(calls) == evaluated
+        assert tr.events[-1] == f"demon-test (0 <= x & x <= 1) {outcome}"
+
+
+def test_passing_verify_formats_nothing(all_theorems, monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("formatted a move of a verify that passes")
+
+    game, role, cl, post = _dcake(all_theorems)
+    monkeypatch.setattr(E, "print_formula", refuse)
+    monkeypatch.setattr(E, "format_rational", refuse)
+    assert verify_exhaustive(game, role, cl, [State()], post, DemonMenu({"x": CUTS})) is None
+    game, role, cl, st = _nim(all_theorems, "dNim", 29)
+    assert verify_exhaustive(game, role, cl, [st], MOD4_IS_1, DemonMenu({}, 12)) is None
+
+
+def test_trace_formats_lines_when_read(monkeypatch):
+    # a traced play and the length of its trace format nothing
+    tr = Tracer()
+    game = S.Seq(S.Dual(S.AssignAny("x")), S.Seq(S.Assign("y", x), S.Test(S.Cmp(y, "=", x))))
+    rz = R.NumLamR("n", R.Pair(R.Unit(), R.Unit()))
+    with monkeypatch.context() as m:
+        m.setattr(E, "print_formula", None)
+        m.setattr(E, "format_rational", None)
+        play(game, ACTIVE, close(rz), State(), ScriptedDemon(["3/2"]), tracer=tr)
+        assert len(tr.events) == 4
+    lines = ["swap-roles", "demon-value x 3/2", "assign y 3/2", "angel-test (y = x) pass"]
+    assert list(tr.events) == lines and tr.events[1:3] == lines[1:3] and tr.events[-1] == lines[-1]
+
+
+def test_engine_tables_stay_bounded():
+    # each play brings a fresh game, Gen and selector term, so each is a new
+    # key of a per-node table; the tables clear at the cap and keep every
+    # key they hold alive
+    for i in range(S._CACHE_CAP + 100):
+        body = S.Assign("x", S.Plus(x, L(i)))
+        pick = R.Pair(R.TermVal(L(i % 2)), R.Unit())
+        game = S.Seq(S.Repeat(body), S.Dual(S.Choice(S.Assign("y", L(0)), S.Assign("y", L(1)))))
+        gen = R.Gen(R.Unit(), "v", R.Unit(), pick, body)
+        out = play(game, DORMANT, close(gen), State(), ScriptedDemon(["continue", "stop"]))
+        assert (out.state.get("x"), out.state.get("y")) == (i, i % 2)
+    for table in (E._evals, E._streams, E._code[DORMANT]):
+        assert 0 < len(table) <= S._CACHE_CAP
+        assert all(key == id(entry[1]) for key, entry in table.items())
+
+
 # -- traces and counterexamples pinned on the two-interpreter engine -----------
 #
 # Recorded before play and verify shared one machine; each must stay equal.
