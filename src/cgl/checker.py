@@ -32,6 +32,13 @@ First-order leaves (FO / Dec / split) are discharged by the arithmetic
 oracle; every failure names the offending subterm by path.  All mutable
 state (ghost and fresh-name counters) lives in one `_Elaboration` per
 call, so a `Checker` holds only its oracle.
+
+Every checking pass, `check_result` included, builds the full realizer,
+witnesses of existential leaves too.  The last proof a gated pass accepted
+and realized in full is kept in a one-entry slot with its goal, context
+and realizer; `accepted` hands that realizer back for the same term
+object (`is`) against an equal goal and context, which is how
+`extraction.extract(..., checked=True)` after a check walks no proof.
 """
 
 from __future__ import annotations
@@ -212,39 +219,69 @@ class Checker:
         return elaborate(ctx, m, phi, self.oracle)
 
     def check_result(self, ctx: Context, m: ProofTerm, phi: Formula):
-        """The CheckError, or None when ctx |- m : phi."""
+        """The CheckError, or None when ctx |- m : phi (also when an
+        accepted oracle leaf has no closed witness, so no realizer)."""
         try:
-            _Elaboration(self.oracle, True, realize=False)._check(ctx, m, phi, ())
+            elaborate(ctx, m, phi, self.oracle)
         except CheckError as e:
             return e
+        except UncheckedInput:
+            pass
         return None
 
     def synth(self, ctx: Context, m: ProofTerm) -> Formula:
-        return _Elaboration(self.oracle, True, realize=False)._synth(ctx, m, ())[0]
+        return _Elaboration(self.oracle, True)._synth(ctx, m, ())[0]
+
+
+class _Accepted(NamedTuple):
+    m: ProofTerm
+    phi: Formula
+    ctx: tuple  # the context's (name, formula) items, in order
+    rz: R.Realizer
+
+
+# The last proof that a gated elaboration accepted and realized in full,
+# for `accepted`.  The record holds its term, so no other term can take
+# over its id, and all of it is immutable, so it stays true whatever
+# runs later, in any thread.  One entry, not a table: a table keyed by
+# id would keep every checked script's terms alive.
+_accepted: Optional[_Accepted] = None
+
+
+def accepted(ctx: Context, m: ProofTerm, phi: Formula) -> Optional[R.Realizer]:
+    """The realizer of m built by the gated elaboration that last accepted
+    a proof, if that proof was this very object (`is`) proving an equal
+    phi in an equal context; else None."""
+    last = _accepted
+    if last is not None and last.m is m and last.phi == phi and last.ctx == tuple(ctx.items()):
+        return last.rz
+    return None
 
 
 def elaborate(ctx: Context, m: ProofTerm, phi: Formula, oracle: ArithOracle,
               gated: bool = True) -> R.Realizer:
     """Check m against phi and return its realizer.  With gated=False the
     caller vouches for the proof: the structural checks still run, but
-    no oracle query decides a leaf or a loop metric."""
+    no oracle query decides a leaf or a loop metric.  A gated elaboration
+    that accepts the proof and realizes every leaf is remembered for
+    `accepted`."""
+    global _accepted
     el = _Elaboration(oracle, gated)
     rz = el._check(ctx, m, phi, ())
     if el.unrealized is not None:
         raise UncheckedInput(el.unrealized)
+    if gated:
+        _accepted = _Accepted(m, phi, tuple(ctx.items()), rz)
     return rz
 
 
 class _Elaboration:
-    """One checking pass: the oracle, whether its gates run, whether the
-    realizer is wanted (a check-only pass builds it but skips the witness
-    search of existential oracle leaves), and the counters for ghost and
-    fresh realizer names."""
+    """One checking pass: the oracle, whether its gates run, and the
+    counters for ghost and fresh realizer names."""
 
-    def __init__(self, oracle: ArithOracle, gated: bool, realize: bool = True):
+    def __init__(self, oracle: ArithOracle, gated: bool):
         self.oracle = oracle
         self.gated = gated
-        self.realize = realize
         self.ghosts = 0
         self.guessing = False  # inside `_infer_post`: formulas only
         self._guessed = {}  # (id(scrutinee), games, ghosts) -> (context, guess)
@@ -307,8 +344,6 @@ class _Elaboration:
             return R.Unit()
         rho = self._payload_formula(ctx, payload, path)
         self._oracle_gate(rho, goal, path, who)
-        if not self.realize:
-            return R.Unit()
         try:
             return realizer_of_formula(goal, self.oracle)
         except UncheckedInput as e:

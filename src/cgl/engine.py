@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random as _random
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -356,11 +356,8 @@ class RandomDemon(DemonOracle):
             return self.rng.choice(self.value_pool)
         return Fraction(self.rng.randint(-10, 10), self.rng.randint(1, 4))
 
-    def assert_test(self, phi, state):
-        try:
-            return "assert" if S.eval_fo(phi, state) else "concede"
-        except TypeError:
-            return "concede"
+    def test_options(self, phi, state):
+        return (_CANDID,)  # the machine evaluates the test, once
 
     def continue_repeat(self, state, iteration):
         if iteration >= self.stop_after:
@@ -433,6 +430,7 @@ _TEST, _VALUE, _BRANCH, _REPEAT, _REPLAY, _DONE = range(6)  # kinds of option
 
 _UNIT = close(R.Unit())  # evidence for an asserted test
 _HONEST = "honest"  # a test option: assert exactly when the test holds
+_CANDID = "candid"  # the same, but concede a test that is not ground first-order
 
 
 def _compile(g: Game, role: str) -> tuple:
@@ -663,8 +661,13 @@ def _lines(game, role, cl, state, demon, budget, tracer=None, memo=None):
                 st, cl, mode = st0.set(x, opt), app_num(cl, None, st0, budget), _RET
             elif kind == _TEST:
                 phi, cl, st = ctx
-                if opt is _HONEST:
-                    opt = "assert" if _holds(phi, st) else "concede"
+                if opt is _HONEST or opt is _CANDID:
+                    try:
+                        opt = "assert" if _holds(phi, st) else "concede"
+                    except IllStructuredRealizer:
+                        if opt is _HONEST:
+                            raise
+                        opt = "concede"
                 elif opt != "concede" and not _holds(phi, st):
                     opt = "false-assert"
                 if ev is not None:
@@ -777,12 +780,18 @@ class DemonMenu:
 
     values: dict
     repeat_depth: int = 8
+    # var -> its values, parsed at the first decision on var; a verify
+    # fills the cache of its own copy, which it drops when it returns
+    _parsed: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def value_options(self, var: str, state: State):
-        vals = self.values.get(var)
-        if vals is None:
-            raise NoMenuValues(f"no menu values for {var} := *")
-        return [parse_rational(str(v)) for v in vals]
+        opts = self._parsed.get(var)
+        if opts is None:
+            vals = self.values.get(var)
+            if vals is None:
+                raise NoMenuValues(f"no menu values for {var} := *")
+            opts = self._parsed[var] = [parse_rational(str(v)) for v in vals]
+        return opts
 
     def branch_options(self, game: Game, state: State):
         return ("L", "R")
@@ -808,8 +817,10 @@ def verify_exhaustive(game: Game, role: str, cl: Closure, init_states, post: For
 
     Each distinct loop-head position is explored once per call and
     replayed from a transposition table after that; a replay spends no
-    fuel, so fuel bounds the work of the unmemoized search from above."""
-    memo = _Transpositions()
+    fuel, so fuel bounds the work of the unmemoized search from above.
+    The menu's values are parsed once per call too, into a copy of the
+    menu, so the caller's menu holds no parsed values after the call."""
+    memo, menu = _Transpositions(), replace(menu)
     for st in init_states:
         try:
             for out, path in _lines(game, role, cl, st, menu, Budget(fuel), None, memo):

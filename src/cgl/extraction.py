@@ -4,7 +4,9 @@ and disjunct extractors built on it.
 The checker elaborates each proof into its realizer in the same pass that
 checks it (see `checker`), so `extract` is that pass: by default with the
 oracle deciding every leaf, or, when the caller vouches for the proof,
-with the structural checks only.
+with the structural checks only.  A vouched-for proof that the checker
+has just accepted is not walked again: its check already built the
+realizer, and `extract` returns that one.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Optional
 
 from . import realizer as R
 from . import syntax as S
-from .checker import CheckError, UncheckedInput, elaborate
+from .checker import CheckError, UncheckedInput, accepted, elaborate
 from .engine import Budget, close, force, num_of, pair_view
 from .oracle import ArithOracle
 from .proofterms import Context, ProofTerm
@@ -36,9 +38,15 @@ def extract(
     caller vouches for the proof, so the oracle decides no leaf and no
     loop metric; the structural checks still run.  Leaves proving an
     existential fact query `oracle` for a closed witness either way.
+    With checked=True, when the checker last accepted this very term
+    object against an equal phi and context and realized every leaf, the
+    realizer that check built is returned and no pass runs at all.
     """
+    ctx = ctx or Context()
+    if checked and (rz := accepted(ctx, m, phi)) is not None:
+        return rz
     try:
-        return elaborate(ctx or Context(), m, phi, oracle or ArithOracle(), gated=not checked)
+        return elaborate(ctx, m, phi, oracle or ArithOracle(), gated=not checked)
     except CheckError as e:
         raise UncheckedInput(str(e)) from None
 

@@ -561,6 +561,57 @@ def test_verify_evaluates_each_demon_test_once(all_theorems, monkeypatch):
         assert tr.events[-1] == f"demon-test (0 <= x & x <= 1) {outcome}"
 
 
+def test_random_demon_tests_are_evaluated_once(all_theorems, monkeypatch):
+    # the pipeline of `cgl play nim.cgl --theorem dNim --state c=4001
+    # --demon random:3`: the seeded adversary leaves its tests to the
+    # machine, which evaluates each one once (4 Demon tests, 4 calls)
+    phi, proof = all_theorems["dNim"]
+    st = State({"c": 4001})
+    core, cl = strip_assumptions(phi, close(extract(proof, phi)), st)
+    game, role, _ = modal_core(core)
+    calls = []
+
+    def counted(f, state):
+        calls.append(f)
+        return eval_fo(f, state)
+
+    eval_fo = S.eval_fo
+    monkeypatch.setattr(S, "eval_fo", counted)
+    tr = Tracer()
+    play(game, role, cl, st, RandomDemon(3), tracer=tr)
+    tests = [e for e in tr.raw if type(e) is tuple and e[0].endswith("-test")]
+    demon = [e for e in tests if e[0] == "demon-test"]
+    assert len(demon) == 4 and all(e[2] == "assert" for e in demon)
+    test = tests[0][1]  # Nim's one `?c > 0`, played by both sides
+    assert all(e[1] is test for e in tests)
+    assert sum(f is test for f in calls) == len(tests)
+
+
+def test_menu_values_are_parsed_once(monkeypatch):
+    # Demon picks x in every round of a loop it may run 3 times; each
+    # listed value is parsed at the first pick and reused after
+    parsed = []
+
+    def counted(text):
+        parsed.append(text)
+        return parse_rational(text)
+
+    monkeypatch.setattr(E, "parse_rational", counted)
+    body = S.Seq(S.AssignAny("x"), S.Assign("y", S.Plus(y, x)))
+    gen = R.Gen(R.Unit(), "v", R.NumLamR("n", R.Unit()), R.Unit(), body)
+    menu = DemonMenu({"x": ["1", "-1/2", "3"]}, 3)
+    cex = verify_exhaustive(S.Repeat(body), DORMANT, close(gen), [State({"y": 0})],
+                            S.Cmp(y, "<", L(9)), menu)
+    assert sorted(parsed) == sorted(menu.values["x"])
+    assert menu == DemonMenu({"x": ["1", "-1/2", "3"]}, 3)
+    assert menu._parsed == {}  # the verify parsed into its own copy
+    assert _cex_record(cex) == (
+        "State(y=0)", "Finished", "State(x=3, y=9)",
+        ("demon-loop continue@0", "demon-value x 3", "demon-loop continue@1",
+         "demon-value x 3", "demon-loop continue@2", "demon-value x 3", "demon-loop stop@3"),
+    )
+
+
 def test_passing_verify_formats_nothing(all_theorems, monkeypatch):
     def refuse(*_args):
         raise AssertionError("formatted a move of a verify that passes")

@@ -5,6 +5,7 @@ import hashlib
 import json
 import random
 import re
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from cgl import normalizer as N
 from cgl import proofterms as P
 from cgl import realizer as R
 from cgl import syntax as S
-from cgl.checker import Checker
+from cgl.checker import Checker, _Elaboration, accepted, elaborate
 from cgl.oracle import ArithOracle
 from cgl.engine import (
     ACTIVE, DORMANT, Budget, DemonMenu, Finished, ScriptedDemon, app_rz, close,
@@ -63,6 +64,9 @@ def test_leaf_without_closed_witness_checks_but_has_no_realizer():
     phi = S.Implies(absurd, goal)
     m = P.Lam("h", absurd, P.QE(goal, P.PVar("h")))
     assert Checker().check_result(Context(), m, phi) is None
+    assert accepted(Context(), m, phi) is None
+    with pytest.raises(UncheckedInput, match="no closed witness"):
+        extract(m, phi, checked=True)
     with pytest.raises(UncheckedInput, match="no closed witness"):
         extract(m, phi)
     with pytest.raises(UncheckedInput, match="no closed witness"):
@@ -217,6 +221,92 @@ def test_check_and_extract_share_one_oracle(all_theorems, monkeypatch):
     phi, proof = all_theorems["dNim"]
     extract(proof, phi)
     assert len(made) == 1
+
+
+# -- extraction right after a check reuses the check's realizer -------------
+
+
+def _counted_rules(monkeypatch):
+    """A list that grows by one at every `_Elaboration._rule` call."""
+    calls = []
+    rule = _Elaboration._rule
+
+    def counted(self, *args):
+        calls.append(args[1])
+        return rule(self, *args)
+
+    monkeypatch.setattr(_Elaboration, "_rule", counted)
+    return calls
+
+
+def test_extract_after_check_returns_the_checks_realizer(all_theorems):
+    from test_checker import MON_SCRUTINEES
+    from test_fuzz import _mutate_once
+
+    theorems = dict(all_theorems)
+    theorems.update(parse_script(MON_SCRUTINEES).theorems)
+    ck = Checker()
+    served = 0
+    for name in sorted(theorems):
+        phi, proof = theorems[name]
+        rng = random.Random(f"mutants-{name}")  # the pinned verdicts' mutants
+        proofs = [proof]
+        for i in range(26):
+            mut = _mutate_once(proof, rng)
+            if mut is not None and i % 2:
+                mut = _mutate_once(mut, rng)
+            proofs.append(mut)
+        for m in proofs:
+            if m is None or ck.check_result(Context(), m, phi) is not None:
+                continue
+            built = accepted(Context(), m, phi)
+            if built is None:  # a leaf without a closed witness
+                with pytest.raises(UncheckedInput):
+                    extract(m, phi, checked=True)
+                continue
+            assert extract(m, phi, checked=True) is built, name
+            assert built == elaborate(Context(), m, phi, ArithOracle(), gated=False), name
+            served += 1
+    assert served >= 250  # 22 corpus proofs and most of their mutants
+
+
+def test_extract_after_check_walks_no_proof(all_theorems, monkeypatch):
+    calls = _counted_rules(monkeypatch)
+    for name, (phi, proof) in all_theorems.items():
+        assert Checker().check_result(Context(), proof, phi) is None
+        calls.clear()
+        extract(proof, phi, checked=True)
+        assert calls == [], name
+
+
+def test_extract_elaborates_what_the_check_did_not_accept(all_theorems, monkeypatch):
+    calls = _counted_rules(monkeypatch)
+    phi, m = all_theorems["dNim"]
+    ck = Checker()
+    assert ck.check_result(Context(), m, phi) is None
+    built = accepted(Context(), m, phi)
+
+    # an equal but distinct term, and a wider context: walked afresh
+    for args, ctx in (((replace(m), phi), None), ((m, phi), Context({"junk": ONE_POS}))):
+        calls.clear()
+        rz = extract(*args, ctx=ctx, checked=True)
+        assert calls and rz == built and rz is not built
+
+    # a different goal: walked, and rejected
+    calls.clear()
+    with pytest.raises(UncheckedInput):
+        extract(m, all_theorems["aNim"][0], checked=True)
+    assert calls
+
+    # a rejected proof: vouched for, it is walked and realized as before
+    false_phi, false_m = parse_script(
+        r"theorem falseStep : x > 0 -> x > 1 = \h : x > 0. FO[x > 1](h)"
+    ).theorems["falseStep"]
+    assert ck.check_result(Context(), false_m, false_phi) is not None
+    calls.clear()
+    rz = extract(false_m, false_phi, checked=True)
+    assert calls
+    assert rz == elaborate(Context(), false_m, false_phi, ArithOracle(), gated=False)
 
 
 # -- parity pin: the realizer of every corpus theorem -----------------------
