@@ -25,7 +25,7 @@ from . import realizer as R
 from . import syntax as S
 from .checker import realizer_of_formula
 from .printer import print_formula, print_game
-from .rational import Rational, canon, format_rational, parse_rational
+from .rational import Rational, format_rational, parse_rational
 from .syntax import Formula, Game, State
 
 ACTIVE = "active"
@@ -109,8 +109,7 @@ def _at(state: State, env, x):
             if vals is None:
                 vals = state._vals.copy()
             vals[key[0]] = v
-    v = fn(state if vals is None else State.of(vals))
-    return canon(v) if type(v) is Fraction else v
+    return fn(state if vals is None else State.of(vals))
 
 
 # per-node tables, capped and keeping their keys alive (`syntax.remember`)
@@ -418,7 +417,8 @@ class InteractiveDemon(DemonOracle):
 # the role.  The continuation `k` is a linked list of frames (tag, a, b,
 # next) that lines share, so loop depth never reaches Python's stack.  A
 # Demon decision pushes the options the demon offers onto `todo`, last
-# first; the machine takes them depth first.
+# first; the machine takes them depth first.  A decision with one option,
+# which is every decision of an oracle, is taken directly.
 
 _SEQ, _KS, _LOOP, _MEMO = range(4)  # frames; _MEMO ones add a path
 _EVAL, _RET, _HEAD, _BACK = range(4)  # what the machine does next
@@ -630,13 +630,16 @@ def _lines(game, role, cl, state, demon, budget, tracer=None, memo=None):
                 if mode != _RET:
                     continue
                 mode = _BACK
-            if mode != _BACK:  # a Demon decision: push its options, last first
-                for opt in reversed(opts):
-                    todo.append((kind, opt, ctx, k, path))
-            # take the latest option not yet taken
-            if not todo:
-                return
-            kind, opt, ctx, k, path = todo.pop()
+            if mode != _BACK and len(opts) == 1:  # a decision with one option
+                opt = opts[0]
+            else:
+                if mode != _BACK:  # a Demon decision: push its options, last first
+                    for opt in reversed(opts):
+                        todo.append((kind, opt, ctx, k, path))
+                # take the latest option not yet taken
+                if not todo:
+                    return
+                kind, opt, ctx, k, path = todo.pop()
             bad = None
             if kind == _DONE:  # a loop head's subtree is exhausted
                 memo.entries.setdefault(opt, ctx)

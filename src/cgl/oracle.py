@@ -296,8 +296,8 @@ class _Linearizer:
         return out
 
     def _divmod(self, a, b, want_quot):
-        out = []
-        for _, (co, d) in self.term(b):
+        out = []  # each branch of a under each branch of the divisor, whose rows it keeps
+        for cb, (co, d) in self.term(b):
             if co or d == 0:
                 raise _NonLinear()
             for c, (cs, k) in self.term(a):
@@ -312,7 +312,7 @@ class _Linearizer:
                         _row("<", ({r: 1}, -abs(d))),
                     )
                 q, r, rows = self.defs[key]
-                out.append((c + rows, ({q if want_quot else r: 1}, 0)))
+                out.append((cb + c + rows, ({q if want_quot else r: 1}, 0)))
         return out
 
 

@@ -15,7 +15,10 @@ from fractions import Fraction
 from functools import cache
 from typing import Union
 
-from .rational import DivisionByZero, Rational, canon, format_rational, rat_quot, rat_rem
+from .rational import (
+    CONVERSE, INT_RELATIONS, RELATIONS, DivisionByZero, Rational, add, canon, format_rational,
+    mul, rat_quot, rat_rem, sub,
+)
 
 # ---------------------------------------------------------------------------
 # Terms
@@ -298,7 +301,10 @@ class State:
 
 def eval_term(t: Term, state: State) -> Rational:
     """Exact rational value of t at state, in canonical form (compiled and
-    cached per node)."""
+    cached per node).  Evaluation keeps canonical values canonical; the
+    repair here is for a state `State.of` took with non-canonical values,
+    which a variable reads back, and a negation, `abs`, `min` or `max`
+    passes on, as they are."""
     v = compile_term(t)(state)
     return v if type(v) is int else canon(v)
 
@@ -499,6 +505,9 @@ def compile_term(t: Term):
     return remember(_term_fns, t, _compile_term(t))
 
 
+_le, _ge = RELATIONS["<="], RELATIONS[">="]
+
+
 def _compile_term(t: Term):
     match t:
         case Lit(value=v):
@@ -506,15 +515,32 @@ def _compile_term(t: Term):
             return lambda s: v
         case Var(name=x):
             return lambda s: s._vals.get(x, 0)
+        # an int pair stays on the int operator, inline; any other pair
+        # goes to the kernel
         case Plus(left=a, right=b):
             fa, fb = compile_term(a), compile_term(b)
-            return lambda s: fa(s) + fb(s)
+
+            def plus(s):
+                u, v = fa(s), fb(s)
+                return u + v if type(u) is int and type(v) is int else add(u, v)
+
+            return plus
         case Times(left=a, right=b):
             fa, fb = compile_term(a), compile_term(b)
-            return lambda s: fa(s) * fb(s)
+
+            def times(s):
+                u, v = fa(s), fb(s)
+                return u * v if type(u) is int and type(v) is int else mul(u, v)
+
+            return times
         case Minus(left=a, right=b):
             fa, fb = compile_term(a), compile_term(b)
-            return lambda s: fa(s) - fb(s)
+
+            def minus(s):
+                u, v = fa(s), fb(s)
+                return u - v if type(u) is int and type(v) is int else sub(u, v)
+
+            return minus
         case Neg(arg=a):
             fa = compile_term(a)
             return lambda s: -fa(s)
@@ -541,23 +567,23 @@ def _compile_term(t: Term):
         case Abs(arg=a):
             fa = compile_term(a)
             return lambda s: abs(fa(s))
-        case Min(left=a, right=b):
+        case Min(left=a, right=b):  # the first of equal values, as `min`
             fa, fb = compile_term(a), compile_term(b)
-            return lambda s: min(fa(s), fb(s))
-        case Max(left=a, right=b):
+
+            def least(s):
+                u, v = fa(s), fb(s)
+                return u if _le(u, v) else v
+
+            return least
+        case Max(left=a, right=b):  # the first of equal values, as `max`
             fa, fb = compile_term(a), compile_term(b)
-            return lambda s: max(fa(s), fb(s))
+
+            def greatest(s):
+                u, v = fa(s), fb(s)
+                return u if _ge(u, v) else v
+
+            return greatest
     raise TypeError(f"not a term: {t!r}")
-
-
-_CMP_FNS = {
-    "<=": lambda a, b: a <= b,
-    "<": lambda a, b: a < b,
-    "=": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
 
 
 def compile_fo(phi: Formula):
@@ -569,9 +595,24 @@ def compile_fo(phi: Formula):
 
 def _compile_fo(phi: Formula):
     if isinstance(phi, Cmp):
-        fa, fb = compile_term(phi.left), compile_term(phi.right)
-        op = _CMP_FNS[phi.rel]
-        return lambda s: op(fa(s), fb(s))
+        # int pairs compare as they are, others by cross-multiplication; a
+        # literal goes to the right, split into numerator and denominator
+        a, rel, b = phi.left, phi.rel, phi.right
+        if type(a) is Lit and type(b) is not Lit:
+            a, rel, b = b, CONVERSE[rel], a
+        fa, op = compile_term(a), INT_RELATIONS[rel]
+        if type(b) is Lit:
+            n, d = b.value.numerator, b.value.denominator
+
+            def against_literal(s):
+                v = fa(s)
+                if type(v) is int:
+                    return op(v * d, n)
+                return op(v.numerator * d, n * v.denominator)
+
+            return against_literal
+        fb, rel = compile_term(b), RELATIONS[rel]
+        return lambda s: rel(fa(s), fb(s))
     disj = split_or(phi)
     if disj is not None:
         fa, fb = compile_fo(disj[0]), compile_fo(disj[1])

@@ -89,6 +89,19 @@ def test_abs_case_split():
     assert oracle().decide(rho, goal).status == VALID
 
 
+@pytest.mark.parametrize("goal", [
+    "x div abs(-2) = x div 2",
+    "x div max(2, 1) = x div 2",
+    "x mod max(2, 1) = x mod 2",
+    "x div min(-3, 2) = x div (-3)",
+    "x div max(3, 1) != x div min(-1, 3) + -1",
+])
+def test_divisor_case_rows_reach_the_quotient(goal):
+    # each case of the divisor holds only under its own side rows: without
+    # them `abs(-2)` is -2 in one branch, and the quotients differ there
+    assert oracle().decide(None, parse_formula_text(goal)).status == VALID
+
+
 def test_excluded_middle_for_comparisons():
     phi = S.Cmp(S.Mod(c, L(4)), "=", L(3))
     assert oracle().decide(None, S.Or(phi, S.Not(phi))).status == VALID

@@ -93,6 +93,28 @@ def test_evaluation_ignores_the_form_of_integral_values(rnd):
         assert type(a) is type(b) is (int if a.denominator == 1 else Fraction)
 
 
+_PYTHON_RELATIONS = {"<=": lambda a, b: a <= b, "<": lambda a, b: a < b,
+                     "=": lambda a, b: a == b, "!=": lambda a, b: a != b,
+                     ">": lambda a, b: a > b, ">=": lambda a, b: a >= b}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_compiled_evaluators_agree_with_python(rnd):
+    u, v, w = (rnd.choice([rnd.randint(-3, 3), Fraction(rnd.randint(-9, 9), rnd.randint(1, 4))])
+               for _ in range(3))
+    st_ = S.State.of({"x": u, "y": v})
+    for term, python in ((S.Plus(x, y), u + v), (S.Minus(x, y), u - v), (S.Times(x, y), u * v),
+                         (S.Min(x, y), min(u, v)), (S.Max(x, y), max(u, v))):
+        assert S.eval_term(term, st_) == python
+    # a comparison with a literal on the left, the right, both sides or neither
+    for rel, holds in _PYTHON_RELATIONS.items():
+        assert S.eval_fo(S.Cmp(x, rel, S.Lit(w)), st_) is holds(u, w)
+        assert S.eval_fo(S.Cmp(S.Lit(w), rel, x), st_) is holds(w, u)
+        assert S.eval_fo(S.Cmp(S.Lit(v), rel, S.Lit(w)), st_) is holds(v, w)
+        assert S.eval_fo(S.Cmp(x, rel, y), st_) is holds(u, v)
+
+
 # -- static semantics ---------------------------------------------------------
 
 
