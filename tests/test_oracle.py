@@ -14,6 +14,7 @@ from cgl import syntax as S
 from cgl.checker import Checker
 from cgl.oracle import REFUTED, UNKNOWN, VALID, ArithOracle
 from cgl.parser import parse_formula_text
+from cgl.printer import print_term
 from cgl.proofterms import Context
 from conftest import rand_state
 
@@ -575,4 +576,49 @@ def test_expansions_pinned(monkeypatch, corpus, source, count, digest):
         "random": lambda: _decide_all(_rand_pairs(300)),
     }[source]
     seen = _expansions(monkeypatch, run)
+    assert (len(seen), hashlib.sha256(repr(seen).encode()).hexdigest()[:16]) == (count, digest)
+
+
+# -- DNF pin: the branches each decided sequent becomes ----------------------
+
+
+def _branches(rho, goal):
+    """Every DNF branch of the negated sequent, in order, each literal
+    printed; None when a side is not first-order, "too large" past the cap."""
+    counter = itertools.count()
+    views = [O.fo_view(p) for p in (rho, goal) if p is not None]
+    if None in views:
+        return None
+    sequent = ("imp", *views) if rho is not None else views[0]
+    try:
+        branches = O._dnf(O._nnf(sequent, True, lambda v: f"{v}?{next(counter)}", []))
+    except O._TooBig:
+        return "too large"
+    return [[(rel, print_term(a), print_term(b)) for rel, a, b in br] for br in branches]
+
+
+@pytest.mark.parametrize("source, count, digest", [
+    ("corpus", 62, "041edd92a6f4a75a"),
+    ("certify", 24, "8d5ec40a9abdf470"),
+    ("family", 800, "1d3175acba1d7bf9"),
+    ("random", 300, "c25fca992d9de9aa"),
+])
+def test_dnf_branches_pinned(monkeypatch, corpus, source, count, digest):
+    # the full branch list of every sequent the sources of
+    # `test_expansions_pinned` decide, skipped branches included: branch
+    # order decides which cores are learned first and which model is found
+    seen = []
+    decide = ArithOracle.decide
+
+    def recording(self, rho, goal):
+        seen.append(_branches(rho, goal))
+        return decide(self, rho, goal)
+
+    monkeypatch.setattr(ArithOracle, "decide", recording)
+    {
+        "corpus": lambda: _corpus_checks(corpus),
+        "certify": lambda: _decide_all(_certify_sequents(random.Random(301))),
+        "family": lambda: [_decide_all(_rand_family(random.Random(s), 400)) for s in (1, 2)],
+        "random": lambda: _decide_all(_rand_pairs(300)),
+    }[source]()
     assert (len(seen), hashlib.sha256(repr(seen).encode()).hexdigest()[:16]) == (count, digest)
