@@ -221,6 +221,8 @@ def _too_many_systems():
     return rho, S.Cmp(S.Abs(x), ">=", L(0))
 
 
+_MODAL = S.Box(S.Assign("x", L(1)), S.Cmp(x, "=", L(1)))
+
 _BEYOND_INTEGER_MODEL = (
     parse_formula_text(
         "(((2 * z + (2 * y + (1 * x + -3)) != 0 & (1 * z + (2 * y + (-2 * x + 3))) mod 4 = 2)"
@@ -235,8 +237,8 @@ _BEYOND_INTEGER_MODEL = (
     (None, S.Cmp(S.Times(x, x), ">=", L(0)), "nonlinear term"),
     (*_too_many_branches(), "formula too large"),
     (*_too_many_systems(), "formula too large"),
-    (None, S.Box(S.Assign("x", L(1)), S.Cmp(x, "=", L(1))), "goal is not first-order"),
-    (S.Box(S.Assign("x", L(1)), S.Cmp(x, "=", L(1))), S.Cmp(y, "=", y), "hypothesis is not first-order"),
+    (None, _MODAL, "goal is not first-order"),
+    (_MODAL, S.Cmp(y, "=", y), "hypothesis is not first-order"),
     # sequent 36 of `_rand_family(random.Random(1))` below: falsified at
     # x = 10, y = 23/2, z = -8, but the elimination's model fails (a
     # quotient variable has no integer between its bounds) and the point
@@ -247,6 +249,11 @@ _BEYOND_INTEGER_MODEL = (
      "quantified sequent: no certificate; witness search skipped"),
     (None, S.Exists("x", S.Cmp(x, ">", y)),
      "quantified sequent: no certificate; witness search skipped"),
+    # a modal body under a quantifier that the negated sequent weakens
+    (None, S.Exists("y", _MODAL), "goal is not first-order"),
+    (S.Forall("y", _MODAL), S.Cmp(y, "=", y), "hypothesis is not first-order"),
+    # the goal's reason wins
+    (_MODAL, _MODAL, "goal is not first-order"),
 ])
 def test_unknown_reasons(rho, goal, reason):
     res = oracle().decide(rho, goal)
