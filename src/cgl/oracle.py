@@ -5,6 +5,10 @@ ground evaluation, linear arithmetic by variable elimination, and
 reject-with-incompleteness for everything else (nonlinear products,
 non-literal divisors).
 
+The negated sequent becomes its disjunctive normal form in one recursion
+over the formula (`_dnf`): existentials get fresh names, and universals
+are weakened to `true`, which is sound for refutation.
+
 Quotient/remainder terms with literal divisors are compiled away with
 auxiliary integer quotient variables.  Each literal of a query is
 linearized once, into sums that are plain `({var: coeff}, const)` pairs,
@@ -68,116 +72,62 @@ class OracleResult:
 
 
 # ---------------------------------------------------------------------------
-# First-order view of formulas
+# Formulas to disjunctive normal form
 
 
-def fo_view(phi: Formula):
-    """Structured first-order view, or None when phi is genuinely modal."""
+def _first_order(phi: Formula) -> bool:
+    """Whether phi is built from comparisons by the derived connectives and
+    quantifiers alone, with no genuinely modal part."""
     if isinstance(phi, S.Cmp):
-        return ("cmp", phi.rel, phi.left, phi.right)
-    disj = S.split_or(phi)
-    if disj is not None:
-        a, b = disj
-        va, vb = fo_view(a), fo_view(b)
-        return ("or", va, vb) if va and vb else None
-    conj = S.split_and(phi)
-    if conj is not None:
-        a, b = conj
-        va, vb = fo_view(a), fo_view(b)
-        return ("and", va, vb) if va and vb else None
-    imp = S.split_implies(phi)
-    if imp is not None:
-        a, b = imp
-        va, vb = fo_view(a), fo_view(b)
-        return ("imp", va, vb) if va and vb else None
-    if isinstance(phi, S.Box) and isinstance(phi.game, S.AssignAny):
-        body = fo_view(phi.post)
-        return ("forall", phi.game.var, body) if body else None
-    if isinstance(phi, S.Diamond) and isinstance(phi.game, S.AssignAny):
-        body = fo_view(phi.post)
-        return ("exists", phi.game.var, body) if body else None
-    return None
-
-
-def has_quantifier(view) -> bool:
-    tag = view[0]
-    if tag == "cmp":
-        return False
-    if tag in ("forall", "exists"):
         return True
-    return any(has_quantifier(v) for v in view[1:])
+    parts = S.split_or(phi) or S.split_and(phi) or S.split_implies(phi)
+    if parts is not None:
+        return _first_order(parts[0]) and _first_order(parts[1])
+    if isinstance(phi, (S.Box, S.Diamond)) and isinstance(phi.game, S.AssignAny):
+        return _first_order(phi.post)
+    return False
 
 
 _NEG_REL = {"<=": ">", "<": ">=", "=": "!=", "!=": "=", ">": "<=", ">=": "<"}
 
 
-def _nnf(view, neg: bool, fresh, incomplete: list):
-    """Negation normal form of the satisfiability problem; universal
-    subproblems are weakened to `true`, which is sound for refutation."""
-    tag = view[0]
-    if tag == "cmp":
-        _, rel, a, b = view
-        return ("cmp", _NEG_REL[rel] if neg else rel, a, b)
-    if tag == "and":
-        l, r = _nnf(view[1], neg, fresh, incomplete), _nnf(view[2], neg, fresh, incomplete)
-        return ("or" if neg else "and", l, r)
-    if tag == "or":
-        l, r = _nnf(view[1], neg, fresh, incomplete), _nnf(view[2], neg, fresh, incomplete)
-        return ("and" if neg else "or", l, r)
-    if tag == "imp":
-        l = _nnf(view[1], not neg, fresh, incomplete)
-        r = _nnf(view[2], neg, fresh, incomplete)
-        return ("and" if neg else "or", l, r)
-    if tag in ("forall", "exists"):
-        return _quant(view, neg, fresh, incomplete)
-    raise ValueError(view)
-
-
-def _quant(view, neg, fresh, incomplete):
-    tag, x, body = view
-    if neg:
-        tag = "exists" if tag == "forall" else "forall"
-    if tag == "exists":
-        x2 = fresh(x)
-        return _nnf(_rename_view(body, x, x2), neg, fresh, incomplete)
-    incomplete.append(view)
-    return ("true",)
-
-
-def _rename_view(view, x, y):
-    tag = view[0]
-    if tag == "cmp":
-        return ("cmp", view[1], S.rename(view[2], x, y), S.rename(view[3], x, y))
-    if tag in ("and", "or", "imp"):
-        return (tag, _rename_view(view[1], x, y), _rename_view(view[2], x, y))
-    if tag in ("forall", "exists"):
-        if view[1] in (x, y):
-            return view
-        return (tag, view[1], _rename_view(view[2], x, y))
-    return view
-
-
-def _dnf(view):
-    tag = view[0]
-    if tag == "true":
-        return [[]]
-    if tag == "cmp":
-        _, rel, a, b = view
-        if rel == "!=":
-            return [[("<", a, b)], [("<", b, a)]]
-        return [[(rel, a, b)]]
-    if tag == "and":
-        left, right = _dnf(view[1]), _dnf(view[2])
-        out = []
-        for l in left:
-            for r in right:
-                out.append(l + r)
-                if len(out) > _BRANCH_CAP:
-                    raise _TooBig()
-        return out
-    if tag == "or":
-        return _dnf(view[1]) + _dnf(view[2])
-    raise ValueError(view)
+def _dnf(phi: Formula, neg: bool, names: dict, fresh, quantified: list):
+    """The branches of the DNF of the first-order phi, or of its negation
+    when `neg` is set: lists of literals `(rel, a, b)`, with `!=` split
+    into its two strict sides.  An existential under the polarity binds a
+    fresh name `fresh(x)`, which `names` maps x to for its body; a universal
+    is weakened to `true`, which is sound for refutation.  Every quantifier
+    met is appended to `quantified`."""
+    if isinstance(phi, S.Cmp):
+        rel, a, b = _NEG_REL[phi.rel] if neg else phi.rel, phi.left, phi.right
+        for x, x2 in names.items():
+            a, b = S.rename(a, x, x2), S.rename(b, x, x2)
+        return [[("<", a, b)], [("<", b, a)]] if rel == "!=" else [[(rel, a, b)]]
+    if (parts := S.split_or(phi)) is not None:
+        lneg, product = neg, neg
+    elif (parts := S.split_and(phi)) is not None:
+        lneg, product = neg, not neg
+    elif (parts := S.split_implies(phi)) is not None:
+        lneg, product = not neg, neg
+    else:
+        quantified.append(phi)
+        if isinstance(phi, S.Diamond) == neg:  # a universal under the polarity
+            return [[]]
+        x = phi.game.var
+        inner = {v: v2 for v, v2 in names.items() if v != x}
+        inner[x] = fresh(x)
+        return _dnf(phi.post, neg, inner, fresh, quantified)
+    left = _dnf(parts[0], lneg, names, fresh, quantified)
+    right = _dnf(parts[1], neg, names, fresh, quantified)
+    if not product:
+        return left + right
+    out = []
+    for l in left:
+        for r in right:
+            out.append(l + r)
+            if len(out) > _BRANCH_CAP:
+                raise _TooBig()
+    return out
 
 
 class _TooBig(Exception):
@@ -547,29 +497,17 @@ class ArithOracle:
         return self.decide(rho, phi).status == VALID
 
     def _decide(self, rho, phi) -> OracleResult:
-        goal_view = fo_view(phi)
-        if goal_view is None:
+        if not _first_order(phi):
             return OracleResult(UNKNOWN, reason="goal is not first-order")
-        if rho is not None:
-            hyp_view = fo_view(rho)
-            if hyp_view is None:
-                return OracleResult(UNKNOWN, reason="hypothesis is not first-order")
-            sequent = ("imp", hyp_view, goal_view)
-        else:
-            sequent = goal_view
-
-        incomplete: list = []
-        counter = itertools.count()
-
-        def fresh(x):
-            return f"{x}?{next(counter)}"
-
-        refutable = not (has_quantifier(goal_view) or (rho is not None and has_quantifier(hyp_view)))
-        try:
-            nnf = _nnf(sequent, True, fresh, incomplete)  # satisfiable iff the sequent fails
-            branches = _dnf(nnf)
-        except (_TooBig, ValueError):
+        if rho is not None and not _first_order(rho):
+            return OracleResult(UNKNOWN, reason="hypothesis is not first-order")
+        counter, quantified = itertools.count(), []
+        try:  # the negated sequent: satisfiable iff the sequent fails
+            branches = _dnf(phi if rho is None else S.Implies(rho, phi), True, {},
+                            lambda x: f"{x}?{next(counter)}", quantified)
+        except _TooBig:
             return OracleResult(UNKNOWN, reason="formula too large")
+        refutable = not quantified
 
         # a core is a set of literals that no point satisfies together; a
         # branch holding all of one is unsatisfiable and is not eliminated

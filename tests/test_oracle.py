@@ -446,8 +446,7 @@ _NIM_STEP = (
 
 def test_cores_skip_branches(monkeypatch):
     rho, goal = _NIM_STEP
-    sequent = ("imp", O.fo_view(rho), O.fo_view(goal))
-    branches = O._dnf(O._nnf(sequent, True, None, []))
+    branches = O._dnf(S.Implies(rho, goal), True, {}, None, [])
     eliminations = []
     unsat = O._unsat
     monkeypatch.setattr(O, "_unsat", lambda rows: eliminations.append(1) or unsat(rows))
@@ -593,12 +592,11 @@ def _branches(rho, goal):
     """Every DNF branch of the negated sequent, in order, each literal
     printed; None when a side is not first-order, "too large" past the cap."""
     counter = itertools.count()
-    views = [O.fo_view(p) for p in (rho, goal) if p is not None]
-    if None in views:
+    if not all(O._first_order(p) for p in (rho, goal) if p is not None):
         return None
-    sequent = ("imp", *views) if rho is not None else views[0]
+    sequent = goal if rho is None else S.Implies(rho, goal)
     try:
-        branches = O._dnf(O._nnf(sequent, True, lambda v: f"{v}?{next(counter)}", []))
+        branches = O._dnf(sequent, True, {}, lambda v: f"{v}?{next(counter)}", [])
     except O._TooBig:
         return "too large"
     return [[(rel, print_term(a), print_term(b)) for rel, a, b in br] for br in branches]
