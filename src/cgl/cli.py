@@ -56,7 +56,7 @@ def _load_script(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise _Usage(f"{path}: {e}") from None
     try:
         return parse_script(text)
@@ -214,8 +214,11 @@ def cmd_extract(args) -> int:
         return 1
     data = json.dumps(to_json(rz), indent=2)
     if args.emit_realizer:
-        with open(args.emit_realizer, "w", encoding="utf-8") as fh:
-            fh.write(data + "\n")
+        try:
+            with open(args.emit_realizer, "w", encoding="utf-8") as fh:
+                fh.write(data + "\n")
+        except OSError as e:
+            raise _Usage(f"cannot write {args.emit_realizer}: {e}") from None
         print(f"{name}: strategy written to {args.emit_realizer}")
     else:
         print(data)

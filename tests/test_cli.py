@@ -60,9 +60,12 @@ def test_malformed_number_exit_2(tmp_path, capsys):
     assert err.splitlines() == [f"cgl check: {f}:1:17: 1/0: denominator 0"]
 
 
-def test_missing_file_exit_2(capsys):
-    code, _out, err = run(capsys, "check", "/nonexistent/x.cgl")
-    assert code == 2
+def test_missing_file_exit_2(tmp_path, capsys):
+    undecodable = tmp_path / "latin1.cgl"
+    undecodable.write_bytes("theorem caf\xe9 : tt = FO[tt]()".encode("latin-1"))
+    for path in ("/nonexistent/x.cgl", str(undecodable)):
+        code, _out, err = run(capsys, "check", path)
+        assert code == 2 and len(err.splitlines()) == 1, err
 
 
 def test_normalize_trace(capsys):
@@ -130,6 +133,17 @@ def test_extract_emit(tmp_path, capsys):
     from cgl.interchange import realizer_from_json
 
     realizer_from_json(data)  # parses back
+
+
+def test_extract_unwritable_output_exit_2(tmp_path, capsys):
+    for out_file in (tmp_path / "missing" / "strategy.json", tmp_path):
+        code, out, err = run(
+            capsys, "extract", corpus_path("cake.cgl"), "--theorem", "dCake",
+            "--emit-realizer", str(out_file),
+        )
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"cgl extract: cannot write {out_file}: ")
 
 
 def test_play_script_demon(tmp_path, capsys):
