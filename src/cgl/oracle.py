@@ -114,7 +114,7 @@ def _dnf(phi: Formula, neg: bool, names: dict, fresh, quantified: list):
         if isinstance(phi, S.Diamond) == neg:  # a universal under the polarity
             return [[]]
         x = phi.game.var
-        inner = {v: v2 for v, v2 in names.items() if v != x}
+        inner = {v: v2 for v, v2 in names.items() if v != x}  # x is rebound last
         inner[x] = fresh(x)
         return _dnf(phi.post, neg, inner, fresh, quantified)
     left = _dnf(parts[0], lneg, names, fresh, quantified)
