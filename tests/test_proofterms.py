@@ -1,5 +1,6 @@
 """Proof-term renaming, substitution, and alpha-equivalence."""
 
+import hashlib
 import random
 
 from cgl import proofterms as P
@@ -155,3 +156,50 @@ def test_subst_copies_argument_only_where_variable_occurs(monkeypatch):
     inner = P.Asgn("x", "x0", "h", P.PVar("p"), P.DIA)
     out = P.subst_pt(P.Asgn("x", "x1", "k", inner, P.DIA), "p", P.QE(S.Cmp(x, ">", L(0)), None))
     assert out.body.body.goal == S.Cmp(S.Var("x1"), ">", L(0))
+
+
+def _open_arg(rng) -> P.ProofTerm:
+    # free proof variables named like the binders of `_rand_proof` (p, l,
+    # r, h, m) and like the substituted ones, with program variables x and
+    # y that the binders crossed on the way down rename
+    names = ["h", "m", "l", "r", "p", "q", "k"]
+    k = rng.randrange(4)
+    if k == 0:
+        return P.PVar(rng.choice(names))
+    if k == 1:
+        return P.App(P.PVar(rng.choice(names)), P.QE(S.Cmp(x, ">", y), None))
+    if k == 2:
+        return P.DPair(P.Split(S.Plus(x, y), L(1)), P.PVar(rng.choice(names)))
+    return P.Mon(P.PVar(rng.choice(names)), "h", _rand_proof(rng, 1))
+
+
+def _wrap_unpack(rng, m) -> P.ProofTerm:
+    # `_rand_proof` builds no Unpack: put one above m, or beside it
+    if rng.random() < 0.5:
+        m = P.Unpack("x", "xu", rng.choice(["h", "p", "u"]), _rand_proof(rng, 1), m)
+    if rng.random() < 0.3:
+        m = P.DPair(P.Unpack("y", "yu", "h", P.PVar("p"), _rand_proof(rng, 2)), m)
+    return m
+
+
+def test_subst_pinned():
+    # a pin of substitution's results on open arguments whose free proof
+    # variables collide with binders, through Asgn/TCons/Unpack/NumLam
+    # chains: the digest of the results' reprs and how many results are
+    # the input itself
+    rng = random.Random(2024)
+    h, same, crossed = hashlib.sha256(), 0, set()
+    for _ in range(1500):
+        m = _wrap_unpack(rng, _rand_proof(rng, rng.randint(2, 5)))
+        p = rng.choice(sorted(P.free_pvars(m)) or ["p"])
+        out = P.subst_pt(m, p, _open_arg(rng))
+        same += out is m
+        h.update(repr(out).encode())
+        stack = [m]
+        while stack:
+            n = stack.pop()
+            crossed.add(type(n))
+            stack.extend(v for v in map(n.__getattribute__, n.__slots__)
+                         if isinstance(v, P.ProofTerm))
+    assert {P.Asgn, P.TCons, P.Unpack, P.NumLam} <= crossed
+    assert (same, h.hexdigest()[:16]) == (434, "8f59ae53cfe74e60")
