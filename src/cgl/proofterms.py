@@ -3,6 +3,11 @@
 Every binder records its binding occurrence explicitly, including the ghost
 program variables introduced by assignment-style rules, so that checking,
 substitution, and normalization agree on names without a global supply.
+Walks read a plan per class, staged on first use (`_plan`): binder groups,
+proof-term children with the binders scoping them, and field names.
+Substitution rebuilds a node by position only when a child changed, and
+finds the argument's free proof variables at the first binder it meets;
+a closed argument skips every capture check.
 
 Node inventory (constructor -- introducing rule):
   PVar            hypothesis
@@ -314,37 +319,6 @@ def _child_spec(cls):
     return spec
 
 
-_FIELD_NAMES = {}  # class -> its field names, in constructor order
-
-
-def field_names(cls) -> tuple:
-    names = _FIELD_NAMES.get(cls)
-    if names is None:
-        names = _FIELD_NAMES[cls] = tuple(f.name for f in fields(cls))
-    return names
-
-
-def _rebuild(m: ProofTerm, **updates) -> ProofTerm:
-    return type(m)(
-        *[updates[f] if f in updates else getattr(m, f) for f in field_names(type(m))]
-    )
-
-
-def map_children(m: ProofTerm, on_pt, on_term, on_formula) -> ProofTerm:
-    updates = {}
-    for name, kind in _child_spec(type(m)):
-        v = getattr(m, name)
-        if kind == "pt":
-            updates[name] = on_pt(v)
-        elif kind == "pt?":
-            updates[name] = on_pt(v) if v is not None else None
-        elif kind == "term":
-            updates[name] = on_term(v)
-        else:
-            updates[name] = on_formula(v)
-    return _rebuild(m, **updates)
-
-
 _GHOST_FIELDS = {
     NumLam: ("var", "ghost"),
     TCons: ("var", "ghost"),
@@ -370,6 +344,57 @@ _PVAR_BINDERS = {
 }
 
 
+_PLANS = {}  # class -> its plan, built by `_plan` on first use
+
+
+def _plan(cls) -> tuple:
+    """The walks' static view of a proof-term class, staged once: its
+    proof-variable binder groups as (position, field, scoped fields); its
+    proof-term children as (position, field, binder fields scoping it);
+    whether it binds a program variable; its field names; and every child
+    and ghost as (position, kind)."""
+    names = tuple(f.name for f in fields(cls))
+    groups = _PVAR_BINDERS.get(cls, ())
+    kinds = dict(_child_spec(cls), **dict.fromkeys(_GHOST_FIELDS.get(cls, ()), "ghost"))
+    _PLANS[cls] = plan = (
+        tuple((names.index(h), h, targets) for h, targets in groups),
+        tuple(
+            (names.index(f), f, tuple(h for h, targets in groups if f in targets))
+            for f, kind in kinds.items()
+            if kind in ("pt", "pt?")
+        ),
+        cls in (Asgn, TCons, Unpack, NumLam),
+        names,
+        tuple((names.index(f), kind) for f, kind in kinds.items()),
+    )
+    return plan
+
+
+def field_names(cls) -> tuple:
+    return (_PLANS.get(cls) or _plan(cls))[3]
+
+
+def map_children(m: ProofTerm, on_pt, on_term, on_formula, on_ghost=None) -> ProofTerm:
+    """m rebuilt with each child mapped by its kind, and each ghost program
+    variable by `on_ghost` when given."""
+    cls = type(m)
+    *_, names, spec = _PLANS.get(cls) or _plan(cls)
+    vals = [getattr(m, f) for f in names]
+    for pos, kind in spec:
+        v = vals[pos]
+        if kind == "pt":
+            vals[pos] = on_pt(v)
+        elif kind == "pt?":
+            vals[pos] = on_pt(v) if v is not None else None
+        elif kind == "term":
+            vals[pos] = on_term(v)
+        elif kind == "formula":
+            vals[pos] = on_formula(v)
+        elif on_ghost is not None:
+            vals[pos] = on_ghost(v)
+    return cls(*vals)
+
+
 def rename_pt(m: ProofTerm, x: str, y: str) -> ProofTerm:
     """Transpose program variables x and y everywhere, binders included.
 
@@ -382,15 +407,13 @@ def rename_pt(m: ProofTerm, x: str, y: str) -> ProofTerm:
     def rn(v: str) -> str:
         return y if v == x else x if v == y else v
 
-    out = map_children(
+    return map_children(
         m,
         lambda n: rename_pt(n, x, y),
         lambda t: rename(t, x, y),
         lambda f: rename(f, x, y),
+        rn,
     )
-    ghost_fields = _GHOST_FIELDS.get(type(m), ())
-    updates = {g: rn(getattr(out, g)) for g in ghost_fields}
-    return _rebuild(out, **updates) if updates else out
 
 
 def free_pvars(m: ProofTerm, memo=None) -> frozenset[str]:
@@ -403,7 +426,7 @@ def free_pvars(m: ProofTerm, memo=None) -> frozenset[str]:
         if hit is not None:
             return hit[0]
     out = frozenset()
-    for name, scope in _pt_scopes(type(m)):
+    for _, name, scope in (_PLANS.get(type(m)) or _plan(type(m)))[1]:
         v = getattr(m, name)
         if v is not None:
             inner = free_pvars(v, memo)
@@ -483,28 +506,13 @@ def subst_pt(m: ProofTerm, p: str, n: ProofTerm, fv_n=None, memo=None) -> ProofT
     y renames x and y inside the substituted copy, so hypotheses formed
     before the binding keep referring to the old value.  The copy is
     renamed only where p occurs, once per chain of binders crossed.
-    `fv_n`, when given, is `free_pvars(n)`; `memo` is a `free_pvars` memo.
+    `fv_n`, when given, is `free_pvars(n)`; otherwise it is computed, once
+    and through `memo` (a `free_pvars` memo), at the first proof-variable
+    binder the walk meets, and a closed n skips every capture check.
     Subterms the substitution leaves unchanged are shared with m, not
     copied.
     """
-    if fv_n is None:
-        fv_n = free_pvars(n)
     return _subst_pt(m, p, n, fv_n, {} if memo is None else memo, None, {})
-
-
-_PT_SCOPES = {}  # class -> ((proof-term field, binder fields scoping it), ...)
-
-
-def _pt_scopes(cls):
-    spec = _PT_SCOPES.get(cls)
-    if spec is None:
-        groups = _PVAR_BINDERS.get(cls, ())
-        spec = _PT_SCOPES[cls] = tuple(
-            (name, tuple(h for h, targets in groups if name in targets))
-            for name, kind in _child_spec(cls)
-            if kind in ("pt", "pt?")
-        )
-    return spec
 
 
 def _renamed(n: ProofTerm, moved, copies) -> ProofTerm:
@@ -523,43 +531,46 @@ def _subst_pt(m: ProofTerm, p: str, n: ProofTerm, fv_n, memo, moved, copies) -> 
     cls = type(m)
     if cls is PVar:
         return _renamed(n, moved, copies) if m.name == p else m
-    if cls is Split:
-        return m
+    groups, kids, binds, names, _ = _PLANS.get(cls) or _plan(cls)
 
     renames = {}
-    # alpha-vary binders that would capture free proof variables of n
-    for h, targets in _PVAR_BINDERS.get(cls, ()):
-        b = getattr(m, h)
-        if b in fv_n and any(
-            p in free_pvars(getattr(m, t), memo) - {b} for t in targets
-        ):
-            avoid = set(fv_n) | {b}
-            for t in targets:
-                avoid |= all_pvar_names(getattr(m, t))
-            renames[h] = (b, fresh_pvar(b, avoid))
+    if groups:
+        if fv_n is None:
+            fv_n = free_pvars(n, memo)
+        # alpha-vary binders that would capture free proof variables of n
+        for pos, h, targets in groups if fv_n else ():
+            b = getattr(m, h)
+            if b in fv_n and b != p and any(
+                p in free_pvars(getattr(m, t), memo) for t in targets
+            ):
+                avoid = set(fv_n) | {b}
+                for t in targets:
+                    avoid |= all_pvar_names(getattr(m, t))
+                renames[h] = (pos, b, fresh_pvar(b, avoid))
 
     # crossing a program-variable binder adjusts the substituted copy
-    if cls in (Asgn, TCons, Unpack, NumLam):
+    if binds:
         moved = (m.var, m.ghost, moved)
-    updates = {}
-    for name, scope in _pt_scopes(cls):
+    vals = None
+    for pos, name, scope in kids:
         old = v = getattr(m, name)
         if v is None:
             continue
         shadowed = False
         for h in scope:
             if h in renames:
-                b, new = renames[h]
+                _, b, new = renames[h]
                 v = _subst_pt(v, b, PVar(new), frozenset((new,)), memo, None, {})
             elif getattr(m, h) == p:
                 shadowed = True
         if not shadowed:
             v = _subst_pt(v, p, n, fv_n, memo, moved, copies)
-        if v is not old:
-            updates[name] = v
-    for h, (_, new) in renames.items():
-        updates[h] = new
-    return _rebuild(m, **updates) if updates else m
+        if v is not old or renames:
+            vals = vals or [getattr(m, f) for f in names]
+            vals[pos] = v
+    for pos, _, new in renames.values():
+        vals[pos] = new
+    return m if vals is None else cls(*vals)
 
 
 def subst_term_pt(m: ProofTerm, x: str, f: Term) -> ProofTerm:
