@@ -229,6 +229,7 @@ def cmd_play(args) -> int:
     script = _load_script(args.file)
     name, (phi, proof) = _pick_theorem(script, args.theorem, args.file)
     state = _parse_state(args.state)
+    demon = _make_demon(args.demon)
     try:
         rz = extract(proof, phi)
     except UncheckedInput as e:
@@ -240,7 +241,6 @@ def cmd_play(args) -> int:
         return 1
     core_phi, cl = stripped
     game, role, post = _playable(core_phi)
-    demon = _make_demon(args.demon)
     tracer = Tracer()
     out = play(game, role, cl, state, demon, fuel=args.fuel, tracer=tracer)
     for line in tracer.events:
@@ -372,6 +372,10 @@ def main(argv=None) -> int:
         # a strategy whose shape does not fit the game it is played on
         print(f"cgl {args.cmd}: ill-structured strategy: {e}", file=sys.stderr)
         return 1
+    except RecursionError:
+        # a walk over a long input ran out of Python's stack
+        print(f"cgl {args.cmd}: input too deep to process", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         return 1
 

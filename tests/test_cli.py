@@ -356,6 +356,37 @@ def test_deep_nesting_is_usage_error(tmp_path, capsys):
     _one_line_usage_error(err, "check")
 
 
+def test_demon_spec_is_read_before_the_hypotheses(capsys):
+    # without --state, c = 0 fails dNim's hypothesis c > 0; the bad spec is
+    # still what is reported
+    argv = ("play", corpus_path("nim.cgl"), "--theorem", "dNim", "--demon", "random:x")
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    _one_line_usage_error(err, "play")
+    assert "the seed is not an integer" in err, err
+
+
+def _sum(n):
+    return " + ".join(["x"] * n)
+
+
+# sums that the parser builds in a loop, so that the first walk over them
+# after parsing is what runs out of stack
+LONG_INPUTS = {
+    "equation": f"theorem t : {_sum(330)} = {_sum(330)} = FO[{_sum(330)} = {_sum(330)}]()\n",
+    "assignment": f"theorem t : <x := {_sum(700)}> x = x = asgnd x (x0, h. FO[x = x]())\n",
+}
+
+
+@pytest.mark.parametrize("cmd", ["check", "play"])
+@pytest.mark.parametrize("case", sorted(LONG_INPUTS))
+def test_long_input_is_usage_error(case, cmd, tmp_path, capsys):
+    f = tmp_path / "long.cgl"
+    f.write_text(LONG_INPUTS[case])
+    code, _out, err = run(capsys, cmd, str(f))
+    assert (code, err) == (2, f"cgl {cmd}: input too deep to process\n")
+
+
 def test_demon_value_is_read_from_the_state(tmp_path, capsys):
     # hole B: the demon's x must not shadow the x := x + 1 that follows it
     f = tmp_path / "stale.cgl"
