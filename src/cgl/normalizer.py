@@ -12,16 +12,16 @@ Both run one resumable reduction machine, after Danvy and Nielsen,
 proof-term type, the children searched for a redex, in order, each with
 the S-rule that names a step inside it and the C-rule that fires when it
 is a stuck case; `_HEAD` holds the rule that may fire at a node once its
-searched children are stuck.  `step` reads both inline, one lookup each
-per node.  The machine keeps the ancestors of its focus as a linked list
-of frames, a zipper after Huet, "The Zipper" (1997), so no search
-recurses.  When a rule fires at the focus, the reduct replaces the focus
-and no ancestor is touched: an ancestor is rebuilt with its new child
-only when the search returns to it, so a step costs the same under any
-number of ancestors.  The next search starts at the reduct: every child
-left of the path is unchanged, stuck and not a case.  A step's root
-term, which `step` returns and `normalize`'s trace holds, is the reduct
-plugged into the frames above it, built when asked for.
+searched children are stuck.  The machine keeps the ancestors of its
+focus as a linked list of frames, a zipper after Huet, "The Zipper"
+(1997), so no search recurses.  When a rule fires at the focus, the
+reduct replaces the focus and no ancestor is touched: an ancestor is
+rebuilt with its new child only when the search returns to it, so a step
+costs the same under any number of ancestors.  The next search starts at
+the reduct: every child left of the path is unchanged, stuck and not a
+case.  A step's root term, which `step` returns and `normalize`'s trace
+holds, is the reduct plugged into the frames above it, built when asked
+for.
 
 Rule names follow the calculus; `APPENDIX_RULES` is the registry the
 coverage report checks off.
@@ -253,13 +253,14 @@ def normal_kind(m: ProofTerm) -> str:
 class _FreeVars(dict):
     """Free proof variables of the terms one normalization meets and of
     their subterms, each computed once: keyed by identity, the term kept
-    alive beside its set."""
+    alive beside its set.  A beta rule's substitution asks it for the
+    argument's set only at the first binder it crosses."""
 
     def __call__(self, m: ProofTerm) -> frozenset:
         return P.free_pvars(m, self)
 
     def subst(self, body: ProofTerm, p: str, arg: ProofTerm) -> ProofTerm:
-        return P.subst_pt(body, p, arg, memo=self)
+        return P.subst_pt(body, p, arg, self)
 
 
 def _fresh_pvar(base, fv, *terms):
@@ -492,6 +493,11 @@ _HEAD = {
 }
 
 
+def _head(m: ProofTerm, fv):
+    rule = _HEAD.get(type(m))
+    return rule(m, fv) if rule is not None else None
+
+
 # ---------------------------------------------------------------------------
 # The machine
 
@@ -527,21 +533,16 @@ class _Machine:
         """Fire the next rule and return its root-level name, or None once
         the term is normal; the search resumes at the reduct."""
         path, fv = self.path, self.fv
-        search, head = _SEARCH.get, _HEAD.get
         m = self.focus
         while True:
-            cls = type(m)
-            kids = search(cls, ())
-            if cls is P.SeqI or cls is P.Swap:
-                kids = _SEARCH[cls, m.flavor == P.DIA]
+            kids = _children(m)
             if kids:  # search the first child
                 if path is None:
                     self.top = kids[0][2]
                 path = (m, kids, 0, path)
                 m = getattr(m, kids[0][1])
                 continue
-            rule = head(cls)
-            fired = rule(m, fv) if rule is not None else None
+            fired = _head(m, fv)
             if fired is not None:
                 return self._fire(path, *fired)
             while True:  # m is stuck: go on at its parent
@@ -562,8 +563,7 @@ class _Machine:
                     m = getattr(node, kids[k][1])
                     break
                 path = up
-                rule = head(type(node))
-                fired = rule(node, fv) if rule is not None else None
+                fired = _head(node, fv)
                 if fired is not None:
                     return self._fire(path, *fired)
                 m = node

@@ -499,20 +499,19 @@ def all_pvar_names(m: ProofTerm) -> frozenset[str]:
     return frozenset(out)
 
 
-def subst_pt(m: ProofTerm, p: str, n: ProofTerm, fv_n=None, memo=None) -> ProofTerm:
+def subst_pt(m: ProofTerm, p: str, n: ProofTerm, memo=None) -> ProofTerm:
     """Capture-avoiding substitution of proof term n for proof variable p.
 
     Crossing a binder that re-binds a program variable x with recorded ghost
     y renames x and y inside the substituted copy, so hypotheses formed
     before the binding keep referring to the old value.  The copy is
     renamed only where p occurs, once per chain of binders crossed.
-    `fv_n`, when given, is `free_pvars(n)`; otherwise it is computed, once
-    and through `memo` (a `free_pvars` memo), at the first proof-variable
-    binder the walk meets, and a closed n skips every capture check.
-    Subterms the substitution leaves unchanged are shared with m, not
-    copied.
+    `free_pvars(n)` is computed once, through `memo` (a `free_pvars`
+    memo), at the first proof-variable binder the walk meets, and a closed
+    n skips every capture check.  Subterms the substitution leaves
+    unchanged are shared with m, not copied.
     """
-    return _subst_pt(m, p, n, fv_n, {} if memo is None else memo, None, {})
+    return _subst_pt(m, p, n, None, {} if memo is None else memo, None, {})
 
 
 def _renamed(n: ProofTerm, moved, copies) -> ProofTerm:

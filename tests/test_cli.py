@@ -371,10 +371,12 @@ def _sum(n):
 
 
 # sums that the parser builds in a loop, so that the first walk over them
-# after parsing is what runs out of stack
+# after parsing is what runs out of stack; 3,000 terms is several times
+# the default recursion limit, so a walk overflows whether or not the
+# interpreter counts C-level comparison frames against that limit
 LONG_INPUTS = {
-    "equation": f"theorem t : {_sum(330)} = {_sum(330)} = FO[{_sum(330)} = {_sum(330)}]()\n",
-    "assignment": f"theorem t : <x := {_sum(700)}> x = x = asgnd x (x0, h. FO[x = x]())\n",
+    "equation": f"theorem t : {_sum(3000)} = {_sum(3000)} = FO[{_sum(3000)} = {_sum(3000)}]()\n",
+    "assignment": f"theorem t : <x := {_sum(3000)}> x = x = asgnd x (x0, h. FO[x = x]())\n",
 }
 
 
