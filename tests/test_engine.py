@@ -2,6 +2,7 @@
 and the trace-level semantic properties."""
 
 import hashlib
+import json
 import time
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ import pytest
 from cgl import engine as E
 from cgl import realizer as R
 from cgl import syntax as S
+from cgl.cli import corpus_path
 from cgl.engine import (
     ACTIVE, DORMANT, DemonMenu, Finished, AngelViolation, DemonViolation,
     RandomDemon, ScriptedDemon, Tracer, close, modal_core, play,
@@ -718,6 +720,13 @@ def test_pinned_counterexample_records(all_theorems, rng):
                                 ("demon-value x -1", "angel-test fail"))
 
     # every verdict of the random loop games the trail-replay test explores
+    assert _random_verify_records(rng, 20_000) == (
+        {"none": 179, "Finished": 163, "AngelViolation": 47, "DemonViolation": 11},
+        "0ece1c0f1d3517c2")
+
+
+def _random_verify_records(rng, fuel):
+    """(verdict kinds, digest) of verifying 400 seeded random games."""
     menu = DemonMenu({v: ["1", "-1/2"] for v in ("x", "y", "z", "c")}, 3)
     h, kinds = hashlib.sha256(), {}
     for _ in range(400):
@@ -728,16 +737,56 @@ def test_pinned_counterexample_records(all_theorems, rng):
         post = S.Cmp(rng.choice((x, y, c)), rng.choice(S.REL_OPS), S.Lit(rand_rational(rng)))
         try:
             cex = verify_exhaustive(game, role, close(rz), [st], post, menu,
-                                    fuel=20_000, require_finished=rng.random() < 0.3)
+                                    fuel=fuel, require_finished=rng.random() < 0.3)
             rec = _cex_record(cex)
         except E.IllStructuredRealizer as e:
             rec = ("error", str(e))
         kind = "none" if rec is None else rec[0] if rec[0] == "error" else rec[1]
         kinds[kind] = kinds.get(kind, 0) + 1
         h.update(f"{rec!r}\n".encode())
-    assert (kinds, h.hexdigest()[:16]) == (
-        {"none": 179, "Finished": 163, "AngelViolation": 47, "DemonViolation": 11},
-        "0ece1c0f1d3517c2")
+    return kinds, h.hexdigest()[:16]
+
+
+def test_pinned_counterexample_records_at_small_fuel(rng):
+    # the random games of the records above at fuel 40, where some lines
+    # run out inside a Demon value fan-out, so the digest pins how much
+    # fuel each value of a fan-out is charged
+    assert _random_verify_records(rng, 40) == (
+        {"none": 149, "Finished": 162, "FuelOut": 32, "AngelViolation": 47,
+         "DemonViolation": 10},
+        "811fa07726196b0d")
+
+
+def test_pinned_dcake_verify_at_every_fuel(all_theorems):
+    # dCake over the bundled cake menu at every fuel from 1 to 399: the
+    # counterexample (a fuel-out, with the trail it reached) or None
+    game, role, cl, post = _dcake(all_theorems)
+    with open(corpus_path("cake_menu.json")) as fh:
+        menu = DemonMenu(**json.load(fh))
+    h, records = hashlib.sha256(), {}
+    for fuel in range(1, 400):
+        records[fuel] = rec = _cex_record(
+            verify_exhaustive(game, role, cl, [State()], post, menu, fuel=fuel))
+        h.update(f"{fuel} {rec!r}\n".encode())
+    assert min(f for f, rec in records.items() if rec is None) == 224
+    assert records[60] == ("State()", "FuelOut", "State()", ("demon-value x 3/10",))
+    assert records[223] == ("State()", "FuelOut", "State()", ("demon-value x 2/3",))
+    assert h.hexdigest()[:16] == "7c5bd411e715d92a"
+
+
+def test_ill_structured_value_continuation_fails_at_the_first_value():
+    # Demon's x := * against a residual strategy that is no number lambda:
+    # the play, and the verify, fail after the move of the menu's first value
+    game = S.Seq(S.Dual(S.Choice(S.Assign("y", L(1)), S.Assign("y", L(2)))),
+                 S.Dual(S.AssignAny("x")))
+    cl, menu = close(R.Pair(R.Unit(), R.Unit())), DemonMenu({"x": ["5", "6"]})
+    tr = Tracer()
+    with pytest.raises(E.IllStructuredRealizer, match="number application to Unit"):
+        play(game, ACTIVE, cl, State(), menu, tracer=tr)
+    assert list(tr.events) == ["swap-roles", "demon-branch L", "assign y 1", "swap-roles",
+                               "demon-value x 5"]
+    with pytest.raises(E.IllStructuredRealizer, match="number application to Unit"):
+        verify_exhaustive(game, ACTIVE, cl, [State()], S.TRUE, menu)
 
 
 def test_verify_at_repeat_depth_1000(all_theorems):
