@@ -25,7 +25,7 @@ from . import realizer as R
 from . import syntax as S
 from .checker import realizer_of_formula
 from .printer import print_formula, print_game
-from .rational import Rational, format_rational, parse_rational
+from .rational import Rational, canon, format_rational, parse_rational
 from .syntax import Formula, Game, State
 
 ACTIVE = "active"
@@ -116,6 +116,7 @@ def _at(state: State, env, x):
 _evals: dict = {}  # term or formula -> (evaluator, env keys of its variables)
 _streams: dict = {}  # Gen -> the loop stream it unrolls to
 _code = {ACTIVE: {}, DORMANT: {}}  # role -> game -> its instruction
+_WHNF = frozenset((R.Unit, R.Pair, R.TermVal, R.NumLamR, R.ProofLam, R.Gen, R.Compose))
 
 
 def _stage(x):
@@ -132,6 +133,8 @@ def force(cl: Closure, state: State, budget: Budget) -> Closure:
             raise BudgetExhausted()
         rz = cl.rz
         t = type(rz)
+        if t in _WHNF:
+            return cl
         if t is R.RVar:
             v = cl.env.get(rz.name)
             if v is None:
@@ -276,7 +279,7 @@ class DemonOracle:
         return (self.choose_branch(game, state),)
 
     def value_options(self, var: str, state: State):
-        return (self.choose_value(var, state),)
+        return (canon(self.choose_value(var, state)),)  # the machine stores it as is
 
     def test_options(self, phi: Formula, state: State):
         return (self.assert_test(phi, state),)
@@ -442,7 +445,7 @@ def _compile(g: Game, role: str) -> tuple:
     if t is S.Dual:
         return _I_DUAL, g, _compile(g.body, flip(role))
     if t is S.Test:
-        return _I_ANGEL_TEST if angel else _I_DEMON_TEST, g, g.cond
+        return _I_ANGEL_TEST if angel else _I_DEMON_TEST, g, g.cond, _condition(g.cond)
     if t is S.AssignAny:
         return _I_ANGEL_VALUE if angel else _I_DEMON_VALUE, g, g.var
     if t is S.Choice:
@@ -451,6 +454,14 @@ def _compile(g: Game, role: str) -> tuple:
     if t is S.Repeat:
         return _I_ANGEL_LOOP if angel else _I_DEMON_LOOP, g, _compile(g.body, role)
     raise TypeError(f"not a game: {g!r}")
+
+
+def _condition(phi: Formula):
+    """phi compiled; one not first-order raises TypeError when evaluated."""
+    try:
+        return S.compile_fo(phi)
+    except TypeError:
+        return lambda state: S.eval_fo(phi, state)
 
 
 def _instruction(game: Game, role: str) -> tuple:
@@ -496,11 +507,18 @@ def _line(e, texts) -> str:
     return f"{word} ({text}) {v}"
 
 
-def _holds(phi: Formula, state: State) -> bool:
+def _holds(ins: tuple, state: State) -> bool:  # ins: a test instruction
     try:
-        return S.eval_fo(phi, state)
+        return ins[3](state)
     except TypeError:
-        raise IllStructuredRealizer(f"test {print_formula(phi)} is not ground first-order")
+        raise IllStructuredRealizer(f"test {print_formula(ins[2])} is not ground first-order")
+
+
+def _put(state: State, x: str, v: Rational) -> State:
+    """state with x bound to v, which is canonical and stored as it is."""
+    vals = state._vals.copy()
+    vals[x] = v
+    return State.of(vals)
 
 
 def _lines(game, role, cl, state, demon, budget, tracer=None, memo=None):
@@ -530,11 +548,11 @@ def _lines(game, role, cl, state, demon, budget, tracer=None, memo=None):
                 if op <= _I_ANGEL_VALUE:  # a leaf of Angel's or of the state's
                     if op == _I_ASSIGN:
                         v = ins[3](st)
-                        st = st.set(ins[2], v)
+                        st = _put(st, ins[2], v)
                         if ev is not None:
                             ev(("assign", ins[2], v))
                     elif op == _I_ANGEL_TEST:
-                        ok = _holds(ins[2], st)
+                        ok = _holds(ins, st)
                         if ev is not None:
                             ev(("angel-test", ins[2], "pass" if ok else "fail"))
                         if not ok:
@@ -542,12 +560,14 @@ def _lines(game, role, cl, state, demon, budget, tracer=None, memo=None):
                                 path = (path, "angel-test fail")
                             bad, mode = AngelViolation(st), _RET
                             continue
-                        cl = pair_view(force(cl, st, budget), st, budget)[1]
+                        f = force(cl, st, budget)  # only the second half is kept
+                        cl = Closure(f.rz.snd, f.env) if type(f.rz) is R.Pair else pair_view(
+                            f, st, budget)[1]
                     else:
                         v, cl = _number_and_rest(cl, st, budget)
                         if ev is not None:
                             ev(("angel-value", ins[2], v))
-                        st = st.set(ins[2], v)
+                        st = _put(st, ins[2], v)
                     if k is not None and k[0] == _SEQ:  # straight on to the next game
                         ins, k = k[1], k[3]
                     else:
@@ -568,9 +588,9 @@ def _lines(game, role, cl, state, demon, budget, tracer=None, memo=None):
                     it, mode = 0, _HEAD
                     continue
                 if op == _I_DEMON_TEST:
-                    kind, opts, ctx = _TEST, demon.test_options(ins[2], st), (ins[2], cl, st)
-                elif op == _I_DEMON_VALUE:
-                    kind, opts, ctx = _VALUE, demon.value_options(ins[2], st), (ins[2], cl, st)
+                    kind, opts, ctx = _TEST, demon.test_options(ins[2], st), (ins, cl, st)
+                elif op == _I_DEMON_VALUE:  # ctx[3]: the fuel forcing cl took, once known
+                    kind, opts, ctx = _VALUE, demon.value_options(ins[2], st), [ins[2], cl, st, 0]
                 else:
                     fst, snd = pair_view(force(cl, st, budget), st, budget)
                     kind, opts, ctx = _BRANCH, demon.branch_options(ins[1], st), (ins, fst, snd, st)
@@ -659,22 +679,30 @@ def _lines(game, role, cl, state, demon, budget, tracer=None, memo=None):
                 ins, cl = (ins[2], fst) if opt == "L" else (ins[3], snd)
                 mode = _EVAL
             elif kind == _VALUE:
-                x, cl, st0 = ctx
+                x, cl, st0, spent = ctx
                 path = _move(ev, memo, path, ("demon-value", x, opt))
-                st, cl, mode = st0.set(x, opt), app_num(cl, None, st0, budget), _RET
+                if not spent:  # the first value forces what all values continue with
+                    left = budget.left
+                    ctx[1] = cl = app_num(cl, None, st0, budget)
+                    ctx[3] = left - budget.left
+                else:  # a later one is charged the fuel that forcing spent
+                    budget.left -= spent
+                    if budget.left < 0:
+                        raise BudgetExhausted()
+                st, mode = _put(st0, x, opt), _RET
             elif kind == _TEST:
-                phi, cl, st = ctx
+                ins, cl, st = ctx
                 if opt is _HONEST or opt is _CANDID:
                     try:
-                        opt = "assert" if _holds(phi, st) else "concede"
+                        opt = "assert" if _holds(ins, st) else "concede"
                     except IllStructuredRealizer:
                         if opt is _HONEST:
                             raise
                         opt = "concede"
-                elif opt != "concede" and not _holds(phi, st):
+                elif opt != "concede" and not _holds(ins, st):
                     opt = "false-assert"
                 if ev is not None:
-                    ev(("demon-test", phi, opt))
+                    ev(("demon-test", ins[2], opt))
                 if opt == "assert":
                     cl = app_rz(cl, _UNIT, st, budget)
                 else:
@@ -783,8 +811,9 @@ class DemonMenu:
 
     values: dict
     repeat_depth: int = 8
-    # var -> its values, parsed at the first decision on var; a verify
-    # fills the cache of its own copy, which it drops when it returns
+    # var -> its canonical values, read at the first decision on var (an int
+    # or Fraction as it is, the rest from its text); a verify fills the cache
+    # of its own copy, which it drops when it returns
     _parsed: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def value_options(self, var: str, state: State):
@@ -793,7 +822,8 @@ class DemonMenu:
             vals = self.values.get(var)
             if vals is None:
                 raise NoMenuValues(f"no menu values for {var} := *")
-            opts = self._parsed[var] = [parse_rational(str(v)) for v in vals]
+            opts = self._parsed[var] = [canon(v) if type(v) in (int, Fraction) else
+                                        canon(parse_rational(str(v))) for v in vals]
         return opts
 
     def branch_options(self, game: Game, state: State):
@@ -823,11 +853,11 @@ def verify_exhaustive(game: Game, role: str, cl: Closure, init_states, post: For
     fuel, so fuel bounds the work of the unmemoized search from above.
     The menu's values are parsed once per call too, into a copy of the
     menu, so the caller's menu holds no parsed values after the call."""
-    memo, menu = _Transpositions(), replace(menu)
+    memo, menu, holds = _Transpositions(), replace(menu), _condition(post)
     for st in init_states:
         try:
             for out, path in _lines(game, role, cl, st, menu, Budget(fuel), None, memo):
-                if (not S.eval_fo(post, out.state) if type(out) is Finished
+                if (not holds(out.state) if type(out) is Finished
                         else require_finished or type(out) is not DemonViolation):
                     return CounterExample(st, out, _trail(path))
         except BudgetExhausted as e:

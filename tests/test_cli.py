@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -514,3 +515,43 @@ def test_fuel_must_be_a_positive_integer(cmd, fuel, capsys):
     assert code == 2 and out == ""
     _one_line_usage_error(err, cmd)
     assert f"argument --fuel: {fuel!r} is not a positive integer" in err, err
+
+
+def _nested_sum(depth):
+    return "(x + " * depth + "x" + ")" * depth
+
+
+def _sweep_input(shape, nodes):
+    """A script of about `nodes` syntax nodes, long or deep in `shape`."""
+    def chain(unit, unit_nodes, sep):
+        return sep.join([unit] * (nodes // unit_nodes))
+
+    if shape == "sum":
+        return f"theorem t : <x := {chain('x', 2, ' + ')}> x = x = asgnd x (x0, h. FO[x = x]())\n"
+    if shape == "and":
+        conj = chain("x = x", 4, " & ")
+        return f"theorem t : <x := 1> ({conj}) = asgnd x (x0, h. FO[{conj}]())\n"
+    if shape == "seq":
+        k = nodes // 5
+        proof = "".join(f"seqd asgnd x (x{i}, h{i}. " for i in range(k - 1))
+        proof += f"asgnd x (x{k}, h{k}. FO[tt]())" + ")" * (k - 1)
+        return f"theorem t : <{chain('x := x + 1', 5, '; ')}> tt = {proof}\n"
+    deep = chain(_nested_sum(150), 302, " + ")  # parentheses nested 150 deep
+    return f"theorem t : <x := {deep}> x = x = asgnd x (x0, h. FO[x = x]())\n"
+
+
+@pytest.mark.parametrize("cmd", ["check", "normalize", "extract", "play", "verify"])
+@pytest.mark.parametrize("nodes", [1_000, 10_000])
+@pytest.mark.parametrize("shape", ["sum", "and", "seq", "parens"])
+def test_size_sweep_ends_in_one_line_at_most(shape, nodes, cmd, tmp_path, capsys):
+    # long sums, & chains and ; sequences, and sums nested 150 parentheses
+    # deep: every command ends with a documented exit code and at most a
+    # one-line diagnostic, at the interpreter's own recursion limit
+    f, menu = tmp_path / "long.cgl", tmp_path / "menu.json"
+    f.write_text(_sweep_input(shape, nodes))
+    menu.write_text('{"values": {}}')
+    limit = sys.getrecursionlimit()
+    argv = [cmd, str(f)] + (["--menu", str(menu)] if cmd == "verify" else [])
+    code, _out, err = run(capsys, *argv)
+    assert code in (0, 1, 2) and len(err.splitlines()) <= 1, err
+    assert "Traceback" not in err and sys.getrecursionlimit() == limit

@@ -573,12 +573,12 @@ def test_random_demon_tests_are_evaluated_once(all_theorems, monkeypatch):
     game, role, _ = modal_core(core)
     calls = []
 
-    def counted(f, state):
-        calls.append(f)
-        return eval_fo(f, state)
+    def counted(ins, state):  # ins: a test instruction, which carries its formula
+        calls.append(ins[2])
+        return holds(ins, state)
 
-    eval_fo = S.eval_fo
-    monkeypatch.setattr(S, "eval_fo", counted)
+    holds = E._holds
+    monkeypatch.setattr(E, "_holds", counted)
     tr = Tracer()
     play(game, role, cl, st, RandomDemon(3), tracer=tr)
     tests = [e for e in tr.raw if type(e) is tuple and e[0].endswith("-test")]
@@ -612,6 +612,47 @@ def test_menu_values_are_parsed_once(monkeypatch):
         ("demon-loop continue@0", "demon-value x 3", "demon-loop continue@1",
          "demon-value x 3", "demon-loop continue@2", "demon-value x 3", "demon-loop stop@3"),
     )
+
+
+def test_menu_values_enter_canonical(monkeypatch):
+    # an int or a Fraction is taken as it is; a string or a JSON float is
+    # parsed from its text, with the same values and errors as ever
+    parsed = []
+
+    def counted(text):
+        parsed.append(text)
+        return parse_rational(text)
+
+    monkeypatch.setattr(E, "parse_rational", counted)
+    opts = DemonMenu({"x": [3, Fraction(4, 2), "1/3", 0.5]}).value_options("x", State())
+    assert [(type(v), v) for v in opts] == [
+        (int, 3), (int, 2), (Fraction, Fraction(1, 3)), (Fraction, Fraction(1, 2))]
+    assert parsed == ["1/3", "0.5"]
+    for bad, error in (("abc", ValueError), ("1/0", ZeroDivisionError), (True, ValueError)):
+        with pytest.raises(error):
+            DemonMenu({"x": [bad]}).value_options("x", State())
+
+
+def _canonical(st):
+    return all(type(v) is int or v.denominator > 1 for v in map(st.get, st.vars()))
+
+
+def test_values_stay_canonical():
+    # every way a value enters a state leaves an int when it is integral:
+    # Demon's x := * from a menu, a script, a random pool and a reader;
+    # y := x + (1/2 + 1/2), evaluated; Angel's z := * from a TermVal
+    half = S.Plus(L("1/2"), L("1/2"))
+    game = S.Seq(S.Dual(S.AssignAny("x")), S.Seq(S.Assign("y", S.Plus(x, half)),
+                                                  S.AssignAny("z")))
+    cl = close(R.NumLamR("n", R.Pair(R.TermVal(half), R.Unit())))
+    cex = verify_exhaustive(game, ACTIVE, cl, [State()], S.FALSE, DemonMenu({"x": ["4/2"]}))
+    outs = [cex.outcome]
+    for demon in (ScriptedDemon(["6/3"]), RandomDemon(0, value_pool=[Fraction(6, 3)]),
+                  E.InteractiveDemon(write=lambda _: None, read=lambda: "8/4")):
+        outs.append(play(game, ACTIVE, cl, State(), demon))
+    assert [repr(o.state) for o in outs] == [
+        f"State(x={v}, y={v + 1}, z=1)" for v in (2, 2, 2, 2)]
+    assert all(type(o) is Finished and _canonical(o.state) for o in outs)
 
 
 def test_passing_verify_formats_nothing(all_theorems, monkeypatch):
