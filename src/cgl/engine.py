@@ -160,10 +160,8 @@ def force(cl: Closure, state: State, budget: Budget) -> Closure:
             cl = app_num(Closure(rz.fn, cl.env), v, state, budget)
         elif t is R.AppRz:
             cl = app_rz(Closure(rz.fn, cl.env), Closure(rz.arg, cl.env), state, budget)
-        elif t is R.Ind:
+        else:  # Ind
             cl = Closure(rz.body, {**cl.env, rz.var: cl})
-        else:
-            return cl
 
 
 def app_num(cl: Closure, v: Optional[Rational], state: State, budget: Budget) -> Closure:

@@ -633,6 +633,22 @@ def test_menu_values_enter_canonical(monkeypatch):
             DemonMenu({"x": [bad]}).value_options("x", State())
 
 
+def test_conditions_that_are_not_first_order_fail_where_they_are_evaluated():
+    # a game test or a postcondition with a modality compiles to nothing
+    # play can judge: the test is an ill-structured position, a random
+    # adversary concedes it, and verify raises at the first finished line
+    phi = S.Diamond(S.Assign("x", L(1)), S.TRUE)
+    for role in (ACTIVE, DORMANT):
+        with pytest.raises(E.IllStructuredRealizer, match="is not ground first-order"):
+            play(S.Test(phi), role, close(R.Pair(R.Unit(), R.Unit())), State(),
+                 ScriptedDemon(["assert"]))
+    out = play(S.Test(phi), DORMANT, close(R.Unit()), State(), RandomDemon(1))
+    assert type(out) is DemonViolation
+    with pytest.raises(TypeError, match="not a play-time evaluable formula"):
+        verify_exhaustive(S.Assign("x", L(1)), ACTIVE, close(R.Unit()), [State()], phi,
+                          DemonMenu({}))
+
+
 def _canonical(st):
     return all(type(v) is int or v.denominator > 1 for v in map(st.get, st.vars()))
 
