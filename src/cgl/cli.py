@@ -15,14 +15,10 @@ from . import engine, normalizer
 from . import syntax as S
 from .checker import Checker
 from .engine import (
-    ACTIVE, DORMANT, Budget, DemonMenu, InteractiveDemon, NoMenuValues,
-    RandomDemon, ScriptedDemon, Tracer, close, modal_core, play,
-    strip_assumptions, verify_exhaustive,
+    DemonMenu, InteractiveDemon, NoMenuValues, RandomDemon, ScriptedDemon, Tracer, close,
+    modal_core, play, strip_assumptions, verify_exhaustive,
 )
-from .extraction import (
-    UncheckedInput, extract, extract_disjunct,
-    extract_existential, validate_existential,
-)
+from .extraction import UncheckedInput, extract
 from .interchange import to_json
 from .parser import ParseError, parse_script
 from .printer import print_formula, print_proof
@@ -135,10 +131,9 @@ def _make_menu(path: str) -> DemonMenu:
         for v in vals:
             _number(v, f"menu {path}, {var}")
     depth = data.get("repeat_depth", 8)
-    try:
-        return DemonMenu(values=values, repeat_depth=int(depth))
-    except (TypeError, ValueError):
-        raise _Usage(f"bad repeat_depth {depth!r} in menu {path}: not an integer") from None
+    if type(depth) is not int or depth < 0:  # JSON's true is a bool, not an int
+        raise _Usage(f"bad repeat_depth {depth!r} in menu {path}: not a non-negative integer")
+    return DemonMenu(values=values, repeat_depth=depth)
 
 
 def _playable(phi):

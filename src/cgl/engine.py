@@ -20,6 +20,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
+from weakref import ref
 
 from . import realizer as R
 from . import syntax as S
@@ -100,8 +101,10 @@ def _at(state: State, env, x):
     `AppNum` bound to variables x reads shadow the game state, in one copy
     of its bindings.  A number is bound under the 1-tuple of its variable,
     apart from the realizer variables, which are strings."""
-    hit = _evals.get(id(x))
-    fn, keys = hit[0] if hit is not None else _stage(x)
+    try:
+        fn, keys = x._staged
+    except AttributeError:
+        fn, keys = S.kept(x, "_staged", _stage)
     vals = None
     for key in keys:
         v = env.get(key)
@@ -112,16 +115,15 @@ def _at(state: State, env, x):
     return fn(state if vals is None else State.of(vals))
 
 
-# per-node tables, capped and keeping their keys alive (`syntax.remember`)
-_evals: dict = {}  # term or formula -> (evaluator, env keys of its variables)
-_streams: dict = {}  # Gen -> the loop stream it unrolls to
-_code = {ACTIVE: {}, DORMANT: {}}  # role -> game -> its instruction
+# id(Gen) -> (the loop stream it unrolls to, the Gen); cleared at the cap
+_streams: dict = {}
+_STREAMS_CAP = 4096
 _WHNF = frozenset((R.Unit, R.Pair, R.TermVal, R.NumLamR, R.ProofLam, R.Gen, R.Compose))
 
 
-def _stage(x):
+def _stage(x):  # (evaluator, env keys of its variables) of a term or formula
     fn = S.compile_fo(x) if isinstance(x, Formula) else S.compile_term(x)
-    return S.remember(_evals, x, (fn, tuple((v,) for v in S.free_vars(x))))
+    return fn, tuple((v,) for v in S.free_vars(x))
 
 
 def force(cl: Closure, state: State, budget: Budget) -> Closure:
@@ -240,7 +242,10 @@ def _stream(gen: R.Gen) -> R.Compose:
     again = gen
     if gen.init != R.RVar(gen.var):
         again = R.Gen(R.RVar(gen.var), gen.var, gen.step, gen.post, gen.game)
-    return S.remember(_streams, gen, R.Compose(R.RVar("*s*"), gen.var, again, (gen.game,)))
+    if len(_streams) >= _STREAMS_CAP:
+        _streams.clear()
+    hit = _streams[id(gen)] = R.Compose(R.RVar("*s*"), gen.var, again, (gen.game,)), gen
+    return hit[0]
 
 
 def num_of(cl: Closure, state: State, budget: Budget) -> Rational:
@@ -310,18 +315,17 @@ class ScriptedDemon(DemonOracle):
         self.script = list(script)
         self.pos = 0
 
-    def _next(self, kind):
+    def _next(self, kind, words=None):
         if self.pos >= len(self.script):
             raise IllStructuredRealizer(f"demon script exhausted wanting {kind}")
         v = self.script[self.pos]
         self.pos += 1
+        if words is not None and v not in words:
+            raise IllStructuredRealizer(f"demon script wanted {'/'.join(words)}, got {v!r}")
         return v
 
     def choose_branch(self, game, state):
-        v = self._next("branch")
-        if v not in ("L", "R"):
-            raise IllStructuredRealizer(f"demon script wanted L/R, got {v!r}")
-        return v
+        return self._next("branch", ("L", "R"))
 
     def choose_value(self, var, state):
         v = self._next("value")
@@ -331,13 +335,10 @@ class ScriptedDemon(DemonOracle):
             raise IllStructuredRealizer(f"demon script wanted a number, got {v!r}") from None
 
     def assert_test(self, phi, state):
-        v = self._next("test")
-        if v not in ("assert", "concede"):
-            raise IllStructuredRealizer(f"demon script wanted assert/concede, got {v!r}")
-        return v
+        return self._next("test", ("assert", "concede"))
 
     def continue_repeat(self, state, iteration):
-        return self._next("repeat") == "continue"
+        return self._next("repeat", ("continue", "stop")) == "continue"
 
 
 class RandomDemon(DemonOracle):
@@ -413,7 +414,9 @@ class InteractiveDemon(DemonOracle):
 # (PPDP 2003).  Registers: instruction, closure, state.  Each game node is
 # compiled once per role into an instruction, (opcode, game, operands),
 # whose subgames' instructions and assignment evaluator are resolved in
-# advance (Feeley & Lapalme, "Using closures for code generation", 1987);
+# advance (Feeley & Lapalme, "Using closures for code generation", 1987).
+# The instruction is kept on its node and holds the node by a weak
+# reference, so the two form no cycle and a dropped game is freed at once;
 # a dual game's body is compiled in the other role, so no register holds
 # the role.  The continuation `k` is a linked list of frames (tag, a, b,
 # next) that lines share, so loop depth never reaches Python's stack.  A
@@ -435,22 +438,22 @@ _CANDID = "candid"  # the same, but concede a test that is not ground first-orde
 
 
 def _compile(g: Game, role: str) -> tuple:
-    t, angel = type(g), role == ACTIVE
+    t, angel, w = type(g), role == ACTIVE, ref(g)
     if t is S.Seq:
-        return _I_SEQ, g, _compile(g.left, role), _compile(g.right, role)
+        return _I_SEQ, w, _instruction(g.left, role), _instruction(g.right, role)
     if t is S.Assign:
-        return _I_ASSIGN, g, g.var, S.compile_term(g.term)
+        return _I_ASSIGN, w, g.var, S.compile_term(g.term)
     if t is S.Dual:
-        return _I_DUAL, g, _compile(g.body, flip(role))
+        return _I_DUAL, w, _instruction(g.body, flip(role))
     if t is S.Test:
-        return _I_ANGEL_TEST if angel else _I_DEMON_TEST, g, g.cond, _condition(g.cond)
+        return _I_ANGEL_TEST if angel else _I_DEMON_TEST, w, g.cond, _condition(g.cond)
     if t is S.AssignAny:
-        return _I_ANGEL_VALUE if angel else _I_DEMON_VALUE, g, g.var
+        return _I_ANGEL_VALUE if angel else _I_DEMON_VALUE, w, g.var
     if t is S.Choice:
-        return (_I_ANGEL_BRANCH if angel else _I_DEMON_BRANCH, g,
-                _compile(g.left, role), _compile(g.right, role))
+        return (_I_ANGEL_BRANCH if angel else _I_DEMON_BRANCH, w,
+                _instruction(g.left, role), _instruction(g.right, role))
     if t is S.Repeat:
-        return _I_ANGEL_LOOP if angel else _I_DEMON_LOOP, g, _compile(g.body, role)
+        return _I_ANGEL_LOOP if angel else _I_DEMON_LOOP, w, _instruction(g.body, role)
     raise TypeError(f"not a game: {g!r}")
 
 
@@ -463,8 +466,7 @@ def _condition(phi: Formula):
 
 
 def _instruction(game: Game, role: str) -> tuple:
-    hit = _code[role].get(id(game))
-    return hit[0] if hit is not None else S.remember(_code[role], game, _compile(game, role))
+    return S.kept(game, "_" + role, lambda g: _compile(g, role))  # _active, _dormant
 
 
 class Tracer(Sequence):
@@ -477,7 +479,7 @@ class Tracer(Sequence):
     events = property(lambda self: self)
 
     def __init__(self):
-        self.raw, self._texts = [], {}  # _texts: id(test) -> its printed form
+        self.raw, self._texts = [], {}  # _texts: test -> its printed form
 
     def __len__(self):
         return len(self.raw)
@@ -499,9 +501,9 @@ def _line(e, texts) -> str:
     word, x, v = e
     if type(x) is str:
         return f"{word} {x} {format_rational(v)}"
-    text = texts.get(id(x))
+    text = texts.get(x)
     if text is None:
-        text = texts[id(x)] = print_formula(x)
+        text = texts[x] = print_formula(x)
     return f"{word} ({text}) {v}"
 
 
@@ -536,7 +538,7 @@ def _lines(game, role, cl, state, demon, budget, tracer=None, memo=None):
                     raise BudgetExhausted()
                 t = type(cl.rz)
                 if t is R.RVar or t is R.Compose:
-                    ks, cl = peel_for(cl, ins[1])
+                    ks, cl = peel_for(cl, ins[1]())
                     if ks:
                         k = (_KS, ks, None, k)
                 op = ins[0]
@@ -591,11 +593,12 @@ def _lines(game, role, cl, state, demon, budget, tracer=None, memo=None):
                     kind, opts, ctx = _VALUE, demon.value_options(ins[2], st), [ins[2], cl, st, 0]
                 else:
                     fst, snd = pair_view(force(cl, st, budget), st, budget)
-                    kind, opts, ctx = _BRANCH, demon.branch_options(ins[1], st), (ins, fst, snd, st)
+                    kind, opts = _BRANCH, demon.branch_options(ins[1](), st)
+                    ctx = ins, fst, snd, st
             elif mode == _HEAD:  # the head of loop ins at iteration it
                 outs = None
                 if memo is not None:
-                    key = (memo.node(ins[1])[0], ins[0], it, _state_key(st), memo.closure(cl))
+                    key = (ins[1](), ins[0], it, _state_key(st), memo.closure(cl))
                     outs = memo.entries.get(key)
                     if outs is None:
                         rec = []
@@ -882,10 +885,10 @@ class _Transpositions:
     type, state and residual fingerprint differ; a repeat continues exactly
     like its first occurrence, so it can never be the first losing line.
 
-    Realizers, syntax and closures are hash-consed to small integers
-    (Filliâtre & Conchon, "Type-Safe Modular Hash-Consing", 2006), so a
-    key hashes in constant time.  The id()-keyed table keeps every object
-    it numbers alive, so no id is reused while the table lives.
+    Realizers and closures are hash-consed to small integers (syntax is
+    interned already), so a key hashes in constant time.  The id()-keyed
+    table keeps every object it numbers alive, so no id is reused while
+    the table lives.
     """
 
     __slots__ = ("entries", "_ids", "_canon")
@@ -895,29 +898,23 @@ class _Transpositions:
         self._ids = {}  # id(x) -> (x, number, names x can read)
         self._canon = {}  # structural key -> number
 
-    def node(self, x):
-        """(number, names) of a realizer, term, formula or game."""
+    def node(self, x: R.Realizer):
+        """(number, names x can read) of a realizer."""
         hit = self._ids.get(id(x))
         if hit is not None:
             return hit[1], hit[2]
-        if isinstance(x, R.Realizer):
-            parts, names = [type(x)], set()
-            for field in x.__slots__:
-                v = getattr(x, field)
-                if type(v) is str:  # a variable or a binder
-                    names.add(v)
-                elif type(v) is tuple:  # the games of a Compose
-                    v = tuple(self.node(g)[0] for g in v)
-                else:
-                    v, ns = self.node(v)
-                    names.update(ns)
-                parts.append(v)
-            key, names = tuple(parts), tuple(sorted(names))
-        else:
-            # games are never evaluated under an environment
-            key = x
-            names = () if isinstance(x, Game) else tuple(sorted(S.free_vars(x)))
-        num = self._canon.setdefault(key, len(self._canon))
+        parts, names = [type(x)], set()
+        for field in x.__slots__:
+            v = getattr(x, field)
+            if type(v) is str:  # a variable or a binder
+                names.add(v)
+            elif isinstance(v, R.Realizer):
+                v, ns = self.node(v)
+                names.update(ns)
+            elif isinstance(v, (S.Term, Formula)):  # games are never evaluated
+                names.update(S.free_vars(v))
+            parts.append(v)
+        num, names = self._canon.setdefault(tuple(parts), len(self._canon)), tuple(sorted(names))
         self._ids[id(x)] = (x, num, names)
         return num, names
 

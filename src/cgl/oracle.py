@@ -46,7 +46,6 @@ from fractions import Fraction
 from typing import Optional
 
 from . import syntax as S
-from .rational import canon
 from .syntax import Formula, State, Term
 
 VALID = "valid"
@@ -196,7 +195,7 @@ class _Linearizer:
         tuple of integer rows (op, {var: int}, int)."""
         match t:
             case S.Lit(value=v):
-                return [((), ({}, canon(v)))]
+                return [((), ({}, v))]
             case S.Var(name=x):
                 return [((), ({("v", x): 1}, 0))]
             case S.Plus(left=a, right=b):

@@ -32,6 +32,7 @@ Node inventory (constructor -- introducing rule):
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import cache
 from typing import Optional
 
 from . import syntax as S
@@ -298,25 +299,13 @@ class Context:
 # ---------------------------------------------------------------------------
 # Generic traversal helpers
 
-_CHILD_KINDS = {}  # class -> [(field, kind)], kind in {"pt", "term", "formula"}
+_KINDS = {"ProofTerm": "pt", "Optional[ProofTerm]": "pt?", "Term": "term", "Formula": "formula"}
 
 
-def _child_spec(cls):
-    spec = _CHILD_KINDS.get(cls)
-    if spec is None:
-        spec = []
-        for f in fields(cls):
-            t = f.type
-            if t == "ProofTerm":
-                spec.append((f.name, "pt"))
-            elif t == "Optional[ProofTerm]":
-                spec.append((f.name, "pt?"))
-            elif t == "Term":
-                spec.append((f.name, "term"))
-            elif t == "Formula":
-                spec.append((f.name, "formula"))
-        _CHILD_KINDS[cls] = spec
-    return spec
+@cache
+def _child_spec(cls) -> tuple:
+    """(field, kind) for each child of a proof-term class, in field order."""
+    return tuple((f.name, _KINDS[f.type]) for f in fields(cls) if f.type in _KINDS)
 
 
 _GHOST_FIELDS = {
@@ -489,13 +478,9 @@ def all_pvar_names(m: ProofTerm) -> frozenset[str]:
         if isinstance(n, PVar):
             out.add(n.name)
             continue
-        for h, _ in _PVAR_BINDERS.get(type(n), ()):
-            out.add(getattr(n, h))
-        for name, kind in _child_spec(type(n)):
-            if kind in ("pt", "pt?"):
-                v = getattr(n, name)
-                if v is not None:
-                    stack.append(v)
+        groups, kids, *_ = _PLANS.get(type(n)) or _plan(type(n))
+        out.update(getattr(n, h) for _, h, _ in groups)
+        stack.extend(v for _, f, _ in kids if (v := getattr(n, f)) is not None)
     return frozenset(out)
 
 
@@ -606,14 +591,26 @@ def alpha_eq(a: ProofTerm, b: ProofTerm) -> bool:
     return _alpha(a, b, {}, {})
 
 
+def _same(m: dict, x: str, y: str) -> bool:
+    """x in a and y in b name twin binders, or are both free: m holds x: y
+    and (y,): x, so a name one side binds matches no free name of the other."""
+    return m.get(x, x) == y and m.get((y,), y) == x
+
+
+def _bind(m: dict, pairs: list) -> dict:
+    return {**m, **{x: y for x, y in pairs}, **{(y,): x for x, y in pairs}} if pairs else m
+
+
 def _expr_eq(e1, e2, vmap: dict) -> bool:
+    if not vmap:  # syntax is interned
+        return e1 is e2
     t = type(e1)
     if t is not type(e2):
         return False
     if t is S.Var:
-        return vmap.get(e1.name, e1.name) == e2.name
+        return _same(vmap, e1.name, e2.name)
     if t in (S.Assign, S.AssignAny):
-        if vmap.get(e1.var, e1.var) != e2.var:
+        if not _same(vmap, e1.var, e2.var):
             return False
         return t is S.AssignAny or _expr_eq(e1.term, e2.term, vmap)
     return all(
@@ -624,47 +621,34 @@ def _expr_eq(e1, e2, vmap: dict) -> bool:
 
 
 def _alpha(a: ProofTerm, b: ProofTerm, pmap: dict, vmap: dict) -> bool:
-    if type(a) is not type(b):
+    """a and b alike up to bound names: each proof-term child under the
+    binders that scope it and the node's ghosts, each term and formula outside."""
+    cls = type(a)
+    if cls is not type(b):
         return False
-    if isinstance(a, PVar):
-        return pmap.get(a.name, a.name) == b.name
-    if isinstance(a, Split):
-        return _expr_eq(a.left, b.left, vmap) and _expr_eq(a.right, b.right, vmap)
-
-    pmap2 = dict(pmap)
-    vmap2 = dict(vmap)
-    for h, _targets in _PVAR_BINDERS.get(type(a), ()):
-        pmap2[getattr(a, h)] = getattr(b, h)
-    for g in _GHOST_FIELDS.get(type(a), ()):
-        va, vb = getattr(a, g), getattr(b, g)
-        if g == "var" and type(a) in (Asgn, TCons, Unpack, NumLam):
-            if va != vb:  # the bound program variable itself is rigid
-                return False
-            continue
-        vmap2[va] = vb
-
-    if isinstance(a, Lam) and not _expr_eq(a.ann, b.ann, vmap):
-        return False
-    if isinstance(a, (QE, Dec)) and not _expr_eq(a.goal, b.goal, vmap):
-        return False
-    if isinstance(a, (For, Rep)) and not _expr_eq(a.inv, b.inv, vmap):
-        return False
-    if isinstance(a, For) and not _expr_eq(a.metric, b.metric, vmap):
-        return False
-
-    for name, kind in _child_spec(type(a)):
-        va, vb = getattr(a, name), getattr(b, name)
-        if kind in ("pt", "pt?"):
-            if (va is None) != (vb is None):
-                return False
-            if va is not None and not _alpha(va, vb, pmap2, vmap2):
-                return False
-        elif kind == "term" and name not in ("metric",):
-            if name == "witness" or name == "term":
-                if not _expr_eq(va, vb, vmap):  # witnesses live outside the binder
+    if cls is PVar:
+        return _same(pmap, a.name, b.name)
+    _, kids, binds, names, spec = _PLANS.get(cls) or _plan(cls)
+    ghosts = []
+    for pos, kind in spec:
+        va, vb = getattr(a, names[pos]), getattr(b, names[pos])
+        if kind == "ghost":
+            if binds and names[pos] == "var":
+                if va != vb:  # the bound program variable itself is rigid
                     return False
-        elif kind == "formula" and name in ("ann", "goal", "inv"):
-            continue
-    if hasattr(a, "flavor") and a.flavor != getattr(b, "flavor"):
+            else:
+                ghosts.append((va, vb))
+        elif kind in ("term", "formula") and not _expr_eq(va, vb, vmap):
+            return False
+    if "flavor" in names and a.flavor != b.flavor:
         return False
+    inner = _bind(vmap, ghosts)
+    for _, name, scope in kids:
+        va, vb = getattr(a, name), getattr(b, name)
+        if va is None or vb is None:
+            if va is not vb:
+                return False
+        elif not _alpha(va, vb, _bind(pmap, [(getattr(a, h), getattr(b, h)) for h in scope]),
+                        inner):
+            return False
     return True

@@ -13,7 +13,6 @@ from importlib import resources
 
 from . import normalizer
 from . import proofterms as P
-from . import syntax as S
 from .checker import Checker
 from .engine import (
     DemonMenu, close, modal_core, strip_assumptions, verify_exhaustive,

@@ -5,15 +5,17 @@ formulas are mutually recursive; the derived propositional connectives
 (and/or/implies/quantifiers/dormant choice) live in the parser layer and
 elaborate into this core.
 
-All nodes are immutable and hashable; operations build new trees.
+All nodes are immutable and hash-consed (Filliâtre & Conchon, 2006): a
+constructor returns the one live node of its structure, so equality and
+hashing are identity, and what is derived from a node is kept on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from fractions import Fraction
 from functools import cache
 from typing import Union
+from weakref import WeakValueDictionary
 
 from .rational import (
     CONVERSE, INT_RELATIONS, RELATIONS, DivisionByZero, Rational, add, canon, format_rational,
@@ -21,14 +23,52 @@ from .rational import (
 )
 
 # ---------------------------------------------------------------------------
+# Interning
+
+_nodes = WeakValueDictionary()  # (class, *field values) -> the live node
+
+
+class _Node:
+    # interned in __new__: a metaclass would put every isinstance test and
+    # class pattern against a syntax class on CPython's slow path
+    __slots__ = ("__weakref__",)
+
+    def __new__(cls, *args, **kwargs):
+        if kwargs:  # the generated __init__ checks the arguments and orders them
+            cls._init(node := object.__new__(cls), *args, **kwargs)
+            args = tuple(getattr(node, f) for f in cls.__match_args__)
+        key = (cls, canon(*args)) if cls is Lit else (cls, *args)
+        node = _nodes.get(key)
+        if node is None:
+            cls._init(node := object.__new__(cls), *key[1:])
+            _nodes[key] = node
+        return node
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
+
+    def __deepcopy__(self, memo):  # `copy.copy` goes through __reduce__
+        return self
+
+
+def _node(cls):
+    """A frozen slotted dataclass whose generated __init__ runs only on a
+    node `_Node.__new__` makes; eq=False: a node equals and hashes as itself."""
+    cls = dataclass(cls, frozen=True, slots=True, eq=False)
+    cls._init = cls.__init__
+    del cls.__init__
+    return cls
+
+
+# ---------------------------------------------------------------------------
 # Terms
 
 
-class Term:
-    __slots__ = ()
+class Term(_Node):
+    __slots__ = ("_fn", "_staged")  # evaluator; the engine's (evaluator, env keys)
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Lit(Term):
     value: Rational
 
@@ -36,7 +76,7 @@ class Lit(Term):
         return f"Lit({format_rational(self.value)})"
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Var(Term):
     name: str
 
@@ -44,30 +84,30 @@ class Var(Term):
         return f"Var({self.name})"
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Plus(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Times(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Minus(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Neg(Term):
     arg: Term
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Div(Term):
     """Integer quotient; the divisor is assumed nonzero."""
 
@@ -75,7 +115,7 @@ class Div(Term):
     right: Term
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Mod(Term):
     """Rational remainder paired with Div; divisor assumed nonzero."""
 
@@ -83,73 +123,72 @@ class Mod(Term):
     right: Term
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Abs(Term):
     arg: Term
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Min(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Max(Term):
     left: Term
     right: Term
 
 
-def lit(x) -> Lit:
-    return Lit(Fraction(x))
+lit = Lit  # any value `Fraction` accepts, canonicalized
 
 
 # ---------------------------------------------------------------------------
 # Games and formulas
 
 
-class Game:
-    __slots__ = ()
+class Game(_Node):
+    __slots__ = ("_active", "_dormant")  # the engine's instruction in each role
 
 
-class Formula:
-    __slots__ = ()
+class Formula(_Node):
+    __slots__ = ("_fo", "_staged")  # first-order evaluator; the engine's staging
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Test(Game):
     cond: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Assign(Game):
     var: str
     term: Term
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class AssignAny(Game):
     var: str
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Choice(Game):
     left: Game
     right: Game
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Seq(Game):
     left: Game
     right: Game
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Repeat(Game):
     body: Game
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Dual(Game):
     body: Game
 
@@ -157,7 +196,7 @@ class Dual(Game):
 REL_OPS = ("<=", "<", "=", "!=", ">", ">=")
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Cmp(Formula):
     left: Term
     rel: str
@@ -168,13 +207,13 @@ class Cmp(Formula):
             raise ValueError(f"bad relation {self.rel!r}")
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Diamond(Formula):
     game: Game
     post: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Box(Formula):
     game: Game
     post: Formula
@@ -482,27 +521,17 @@ def eval_fo(phi: Formula, state: State) -> bool:
 # ---------------------------------------------------------------------------
 # Compiled evaluators (plays re-evaluate the same small terms constantly)
 
-# keyed by id(), each entry keeping its object alive; a dict is cleared
-# once it reaches the cap (one certify operation adds about 460 terms and
-# 107 formulas, a verify 214 and 53)
-_CACHE_CAP = 4096
-_term_fns: dict = {}
-_fo_fns: dict = {}
-
-
-def remember(cache: dict, x, fn):
-    """fn, stored in `cache` under id(x) with x kept alive."""
-    if len(cache) >= _CACHE_CAP:
-        cache.clear()
-    cache[id(x)] = (fn, x)
-    return fn
+def kept(node: Expr, slot: str, make):
+    """make(node), kept on the node in `slot` from the first call on."""
+    try:
+        return getattr(node, slot)
+    except AttributeError:
+        object.__setattr__(node, slot, v := make(node))
+        return v
 
 
 def compile_term(t: Term):
-    hit = _term_fns.get(id(t))
-    if hit is not None:
-        return hit[0]
-    return remember(_term_fns, t, _compile_term(t))
+    return kept(t, "_fn", _compile_term)
 
 
 _le, _ge = RELATIONS["<="], RELATIONS[">="]
@@ -511,7 +540,6 @@ _le, _ge = RELATIONS["<="], RELATIONS[">="]
 def _compile_term(t: Term):
     match t:
         case Lit(value=v):
-            v = canon(v)
             return lambda s: v
         case Var(name=x):
             return lambda s: s._vals.get(x, 0)
@@ -587,10 +615,7 @@ def _compile_term(t: Term):
 
 
 def compile_fo(phi: Formula):
-    hit = _fo_fns.get(id(phi))
-    if hit is not None:
-        return hit[0]
-    return remember(_fo_fns, phi, _compile_fo(phi))
+    return kept(phi, "_fo", _compile_fo)
 
 
 def _compile_fo(phi: Formula):

@@ -390,6 +390,15 @@ def test_long_input_is_usage_error(case, cmd, tmp_path, capsys):
     assert (code, err) == (2, f"cgl {cmd}: input too deep to process\n")
 
 
+def test_equation_of_a_330_term_sum_checks(tmp_path, capsys):
+    # the depth at which comparing the two sides structurally overflowed
+    # CPython 3.11's stack; interned syntax compares them by identity
+    f = tmp_path / "sum.cgl"
+    f.write_text(f"theorem t : {_sum(330)} = {_sum(330)} = FO[{_sum(330)} = {_sum(330)}]()\n")
+    code, out, err = run(capsys, "check", str(f))
+    assert (code, out, err) == (0, "t: ok\n", "")
+
+
 def test_demon_value_is_read_from_the_state(tmp_path, capsys):
     # hole B: the demon's x must not shadow the x := x + 1 that follows it
     f = tmp_path / "stale.cgl"
@@ -486,6 +495,10 @@ BAD_NUMBERS = {
     "random-seed": ("--demon", "random:abc", "the seed is not an integer"),
     "menu-value": ("--menu", {"values": {"x": ["abc"]}}, "x: 'abc' is not a number"),
     "menu-depth": ("--menu", {"values": {}, "repeat_depth": "x"}, "bad repeat_depth 'x'"),
+    "menu-depth-fraction": ("--menu", {"values": {}, "repeat_depth": 2.5}, "bad repeat_depth 2.5"),
+    "menu-depth-negative": ("--menu", {"values": {}, "repeat_depth": -3}, "bad repeat_depth -3"),
+    "menu-depth-bool": ("--menu", {"values": {}, "repeat_depth": True}, "bad repeat_depth True"),
+    "menu-depth-string": ("--menu", {"values": {}, "repeat_depth": "4"}, "bad repeat_depth '4'"),
     "script-value": ("--demon", ["abc"], "'abc' is not a number"),
 }
 

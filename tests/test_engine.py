@@ -1,9 +1,11 @@
 """Gameplay interpreter: single plays, oracles, exhaustive verification,
 and the trace-level semantic properties."""
 
+import gc
 import hashlib
 import json
 import time
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -697,19 +699,43 @@ def test_trace_formats_lines_when_read(monkeypatch):
 
 
 def test_engine_tables_stay_bounded():
-    # each play brings a fresh game, Gen and selector term, so each is a new
-    # key of a per-node table; the tables clear at the cap and keep every
-    # key they hold alive
-    for i in range(S._CACHE_CAP + 100):
+    # each play brings a fresh Gen, a new key of the stream table; the table
+    # clears at the cap and keeps every key it holds alive
+    for i in range(E._STREAMS_CAP + 100):
         body = S.Assign("x", S.Plus(x, L(i)))
         pick = R.Pair(R.TermVal(L(i % 2)), R.Unit())
         game = S.Seq(S.Repeat(body), S.Dual(S.Choice(S.Assign("y", L(0)), S.Assign("y", L(1)))))
         gen = R.Gen(R.Unit(), "v", R.Unit(), pick, body)
         out = play(game, DORMANT, close(gen), State(), ScriptedDemon(["continue", "stop"]))
         assert (out.state.get("x"), out.state.get("y")) == (i, i % 2)
-    for table in (E._evals, E._streams, E._code[DORMANT]):
-        assert 0 < len(table) <= S._CACHE_CAP
-        assert all(key == id(entry[1]) for key, entry in table.items())
+    assert 0 < len(E._streams) <= E._STREAMS_CAP
+    assert all(key == id(entry[1]) for key, entry in E._streams.items())
+
+
+def test_dropped_node_is_freed_with_its_evaluator_and_instruction():
+    # what the engine derives from a node lives on the node, not in a table
+    # that keeps it alive
+    gc.collect()
+    before = len(S._nodes)
+    term = S.Plus(S.Var("lifetime"), L(7))
+    game = S.Seq(S.Assign("lifetime", term), S.Test(S.Cmp(term, ">", L(0))))
+    out = play(game, ACTIVE, close(R.Pair(R.Unit(), R.Unit())), State(), ScriptedDemon([]))
+    assert out.state.get("lifetime") == 7 and E._at(State(), {}, term) == 7
+    ins = E._instruction(game, ACTIVE)
+    assert ins[2][3] is S.compile_term(term) and E._instruction(game, ACTIVE) is ins
+    assert len(S._nodes) > before
+    refs = [weakref.ref(v) for v in (term, game, ins[2][3], ins[3][3])]
+    del term, game, out, ins
+    gc.collect()
+    assert [r() for r in refs] == [None] * 4
+    assert len(S._nodes) == before
+
+
+@pytest.mark.parametrize("word", ["L", "5", "assert"])
+def test_scripted_demon_rejects_a_wrong_word_at_a_loop(word):
+    game = S.Repeat(S.Assign("x", S.Plus(x, L(1))))
+    with pytest.raises(E.IllStructuredRealizer, match="wanted continue/stop, got"):
+        play(game, DORMANT, close(R.Unit()), State(), ScriptedDemon([word]))
 
 
 # -- traces and counterexamples pinned on the two-interpreter engine -----------

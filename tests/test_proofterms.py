@@ -118,6 +118,20 @@ def test_alpha_eq_binders():
     b = P.Lam("q", S.TRUE, P.PVar("q"))
     assert P.alpha_eq(a, b)
     assert not P.alpha_eq(a, P.Lam("q", S.TRUE, P.PVar("p")))
+    # a binder does not scope the scrutinee beside its body
+    case = P.Case(P.PVar("l"), "l", P.PVar("l"), "r", P.PVar("r"))
+    assert P.free_pvars(case) == {"l"}
+    assert not P.alpha_eq(case, P.Case(P.PVar("m"), "m", P.PVar("m"), "r", P.PVar("r")))
+    assert P.alpha_eq(case, P.Case(P.PVar("l"), "m", P.PVar("m"), "r", P.PVar("r")))
+    mon = P.Mon(P.PVar("h"), "h", P.PVar("h"))
+    assert not P.alpha_eq(mon, P.Mon(P.PVar("k"), "k", P.PVar("k")))
+    assert P.alpha_eq(mon, P.Mon(P.PVar("h"), "k", P.PVar("k")))
+    unpack = P.Unpack("x", "g", "h", P.PVar("h"), P.PVar("h"))
+    assert not P.alpha_eq(unpack, P.Unpack("x", "g", "k", P.PVar("k"), P.PVar("k")))
+    assert P.alpha_eq(unpack, P.Unpack("x", "g2", "k", P.PVar("h"), P.PVar("k")))
+    # a binder of one side does not capture a free name of the other
+    assert not P.alpha_eq(P.Lam("p", S.TRUE, P.PVar("q")), b)
+    assert not P.alpha_eq(b, P.Lam("p", S.TRUE, P.PVar("q")))
 
 
 def test_alpha_eq_ghosts():
@@ -126,6 +140,8 @@ def test_alpha_eq_ghosts():
     assert P.alpha_eq(a, b)
     c = P.Asgn("y", "g1", "h", P.QE(S.Cmp(x, "=", S.Var("g1")), None), P.DIA)
     assert not P.alpha_eq(a, c)  # the assigned variable is rigid
+    d = P.Asgn("x", "g1", "h", P.QE(S.Cmp(x, "=", S.Var("g2")), None), P.DIA)
+    assert not P.alpha_eq(d, b) and not P.alpha_eq(b, d)  # g2 free in d, bound in b
 
 
 def test_subst_does_not_capture_binder_named_like_a_field():

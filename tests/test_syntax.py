@@ -1,5 +1,7 @@
 """Terms, state, static semantics, renaming, and substitution."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -242,11 +244,38 @@ def test_fo_evaluation_of_derived_connectives():
         S.eval_fo(S.Diamond(S.Repeat(S.Assign("x", L(1))), S.TRUE), st_)
 
 
-def test_compile_caches_stay_bounded():
-    # each fresh term or formula is a new cache key; the caches clear at the cap
-    state = S.State({"x": 2})
-    for i in range(3 * S._CACHE_CAP):
-        t = S.Plus(S.Var("x"), S.lit(i))
-        assert S.compile_term(t)(state) == i + 2
-        assert S.compile_fo(S.Cmp(t, ">", S.lit(i)))(state)
-        assert len(S._term_fns) <= S._CACHE_CAP and len(S._fo_fns) <= S._CACHE_CAP
+def test_equal_constructions_are_one_node():
+    # built apart, by position or by keyword, the same structure is one
+    # object, so == is `is` and a node hashes as itself
+    rng = random.Random(7)
+    terms = [rand_term(rng, depth=1) for _ in range(200)]
+    same = [(a is b, repr(a) == repr(b)) for a in terms for b in terms]
+    assert all(p == q for p, q in same) and sum(p for p, _ in same) > len(terms)
+    seed = rng.random()
+    assert rand_game(random.Random(seed)) is rand_game(random.Random(seed))
+    assert rand_formula(random.Random(seed)) is rand_formula(random.Random(seed))
+    assert S.Plus(x, L(1)) is S.Plus(left=S.Var("x"), right=S.lit(1))
+    assert S.Cmp(x, "<", y) is S.Cmp(x, rel="<", right=y) is S.Cmp(right=y, left=x, rel="<")
+    assert S.Plus(x, L(1)) != S.Plus(L(1), x) and S.Lit(1) != S.Var("1")
+    assert hash(S.Plus(x, L(1))) == object.__hash__(S.Plus(x, L(1)))
+    with pytest.raises(ValueError):
+        S.Cmp(x, "<>", y)
+    with pytest.raises(TypeError):
+        S.Plus(x, right=y, extra=z)
+
+
+def test_literal_value_is_canonical():
+    two = S.Lit(Fraction(2))
+    assert two is S.Lit(2) is L("4/2") and type(two.value) is int and two.value == 2
+    assert S.Lit(True) is S.Lit(1) and type(S.Lit(True).value) is int
+    half = S.Lit(Fraction(1, 2))
+    assert half is L("1/2") and type(half.value) is Fraction
+
+
+def test_copy_deepcopy_and_pickle_return_the_node():
+    phi = S.Box(S.Seq(S.Assign("x", S.Plus(x, L("1/3"))), S.Dual(S.AssignAny("y"))),
+                S.Cmp(x, ">=", S.Abs(y)))
+    for e in (phi, phi.game, phi.post.right, L("1/3")):
+        assert copy.copy(e) is e and copy.deepcopy(e) is e
+        assert pickle.loads(pickle.dumps(e)) is e
+    assert copy.deepcopy([phi, {"k": phi}])[1]["k"] is phi
