@@ -44,7 +44,6 @@ object (`is`) against an equal goal and context, which is how
 from __future__ import annotations
 
 import itertools
-from dataclasses import fields, replace
 from typing import NamedTuple, Optional
 
 from . import proofterms as P
@@ -193,12 +192,7 @@ def _plug(rz: R.Realizer, var: str, body: R.Realizer) -> R.Realizer:
 def _beta(rz: R.Realizer, fill: R.ProofLam) -> R.Realizer:
     if type(rz) is R.AppRz and rz.fn is fill:
         return R.subst_rvar(fill.body, fill.hyp, rz.arg)
-    kids = {}
-    for f in fields(rz):
-        v = getattr(rz, f.name)
-        if isinstance(v, R.Realizer):
-            kids[f.name] = _beta(v, fill)
-    return replace(rz, **kids) if kids else rz
+    return R.rebuilt(rz, {f: _beta(getattr(rz, f), fill) for f in R.KIDS[type(rz)]})
 
 
 def _split_rz(f: S.Term, g: S.Term) -> R.Realizer:

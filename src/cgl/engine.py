@@ -115,9 +115,6 @@ def _at(state: State, env, x):
     return fn(state if vals is None else State.of(vals))
 
 
-# id(Gen) -> (the loop stream it unrolls to, the Gen); cleared at the cap
-_streams: dict = {}
-_STREAMS_CAP = 4096
 _WHNF = frozenset((R.Unit, R.Pair, R.TermVal, R.NumLamR, R.ProofLam, R.Gen, R.Compose))
 
 
@@ -228,24 +225,24 @@ def pair_view(f: Closure, state: State, budget: Budget):
     if t is R.Gen:
         env = {**f.env, rz.var: Closure(rz.init, f.env)}
         step = Closure(rz.step, env)
-        return Closure(rz.post, env), Closure(_stream(rz), {**f.env, "*s*": step})
+        stream = S.kept(rz, "_stream", _stream)
+        return Closure(rz.post, env), Closure(stream, {**f.env, "*s*": step})
     raise IllStructuredRealizer(f"expected a pair, got {t.__name__}")
 
 
 def _stream(gen: R.Gen) -> R.Compose:
     """What a Gen unrolls to: its step played through the loop body, whose
-    residual is the next invariant evidence of the same loop.  Built once
-    per Gen node; the Gen of the stream is its own next stream's."""
-    hit = _streams.get(id(gen))
-    if hit is not None:
-        return hit[0]
-    again = gen
-    if gen.init != R.RVar(gen.var):
+    residual is the next invariant evidence of the same loop.  One stream
+    per loop: it continues with the Gen whose invariant evidence is its own
+    variable, which every Gen of the loop shares.  That Gen's slot holds
+    the stream and the stream holds that Gen, so the stream is built
+    outside the intern table, whose key would keep the pair alive for good."""
+    if gen.init is not R.RVar(gen.var):
         again = R.Gen(R.RVar(gen.var), gen.var, gen.step, gen.post, gen.game)
-    if len(_streams) >= _STREAMS_CAP:
-        _streams.clear()
-    hit = _streams[id(gen)] = R.Compose(R.RVar("*s*"), gen.var, again, (gen.game,)), gen
-    return hit[0]
+        return S.kept(again, "_stream", _stream)
+    R.Compose._init(stream := object.__new__(R.Compose), R.RVar("*s*"), gen.var, gen,
+                    (gen.game,))
+    return stream
 
 
 def num_of(cl: Closure, state: State, budget: Budget) -> Rational:
@@ -885,52 +882,45 @@ class _Transpositions:
     type, state and residual fingerprint differ; a repeat continues exactly
     like its first occurrence, so it can never be the first losing line.
 
-    Realizers and closures are hash-consed to small integers (syntax is
-    interned already), so a key hashes in constant time.  The id()-keyed
-    table keeps every object it numbers alive, so no id is reused while
-    the table lives.
+    Closures are numbered, and realizers and syntax are interned, so a key
+    hashes in constant time.  The id()-keyed table keeps every closure it
+    numbers alive, so no id is reused while the table lives.
     """
 
     __slots__ = ("entries", "_ids", "_canon")
 
     def __init__(self):
         self.entries = {}  # head key -> [(outcome, outcome key, (path, head path))]
-        self._ids = {}  # id(x) -> (x, number, names x can read)
-        self._canon = {}  # structural key -> number
-
-    def node(self, x: R.Realizer):
-        """(number, names x can read) of a realizer."""
-        hit = self._ids.get(id(x))
-        if hit is not None:
-            return hit[1], hit[2]
-        parts, names = [type(x)], set()
-        for field in x.__slots__:
-            v = getattr(x, field)
-            if type(v) is str:  # a variable or a binder
-                names.add(v)
-            elif isinstance(v, R.Realizer):
-                v, ns = self.node(v)
-                names.update(ns)
-            elif isinstance(v, (S.Term, Formula)):  # games are never evaluated
-                names.update(S.free_vars(v))
-            parts.append(v)
-        num, names = self._canon.setdefault(tuple(parts), len(self._canon)), tuple(sorted(names))
-        self._ids[id(x)] = (x, num, names)
-        return num, names
+        self._ids = {}  # id(closure) -> (closure, number)
+        self._canon = {}  # (realizer, what the closure reads) -> number
 
     def closure(self, cl: Closure) -> int:
         hit = self._ids.get(id(cl))
         if hit is not None:
             return hit[1]
-        num, names = self.node(cl.rz)
         seen = []
-        for n in names:
+        for n in S.kept(cl.rz, "_reads", _reads):
             v = cl.env.get(n)
             if v is not None:
                 seen.append((n, (self.closure(v),)))
             v = cl.env.get((n,))
             if v is not None:
                 seen.append((n, v))
-        fp = self._canon.setdefault((num, tuple(seen)), len(self._canon))
-        self._ids[id(cl)] = (cl, fp, ())
+        fp = self._canon.setdefault((cl.rz, tuple(seen)), len(self._canon))
+        self._ids[id(cl)] = (cl, fp)
         return fp
+
+
+def _reads(x: R.Realizer) -> tuple:
+    """The names a closure of x can read: its variables and binders, and
+    the variables of its terms and formulas (games are never evaluated)."""
+    names = set()
+    for field in x.__match_args__:
+        v = getattr(x, field)
+        if type(v) is str:
+            names.add(v)
+        elif isinstance(v, R.Realizer):
+            names.update(S.kept(v, "_reads", _reads))
+        elif isinstance(v, (S.Term, Formula)):
+            names.update(S.free_vars(v))
+    return tuple(sorted(names))

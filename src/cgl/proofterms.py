@@ -4,10 +4,10 @@ Every binder records its binding occurrence explicitly, including the ghost
 program variables introduced by assignment-style rules, so that checking,
 substitution, and normalization agree on names without a global supply.
 Walks read a plan per class, staged on first use (`_plan`): binder groups,
-proof-term children with the binders scoping them, and field names.
-Substitution rebuilds a node by position only when a child changed, and
-finds the argument's free proof variables at the first binder it meets;
-a closed argument skips every capture check.
+proof-term children with the binders and ghosts scoping them, and field
+names.  Substitution rebuilds a node by position only when a child
+changed, and finds the argument's free proof variables at the first binder
+it meets; a closed argument skips every capture check.
 
 Node inventory (constructor -- introducing rule):
   PVar            hypothesis
@@ -308,14 +308,18 @@ def _child_spec(cls) -> tuple:
     return tuple((f.name, _KINDS[f.type]) for f in fields(cls) if f.type in _KINDS)
 
 
-_GHOST_FIELDS = {
-    NumLam: ("var", "ghost"),
-    TCons: ("var", "ghost"),
-    Unpack: ("var", "ghost"),
-    Asgn: ("var", "ghost"),
-    Ghost: ("var",),
-    For: ("m0",),
+# each binder of program variables: (its fields, the proof-term children it
+# scopes); an unpack's scrutinee and a loop's initial evidence are checked
+# outside it
+_GHOSTS = {
+    NumLam: (("var", "ghost"), ("body",)),
+    TCons: (("var", "ghost"), ("body",)),
+    Unpack: (("var", "ghost"), ("body",)),
+    Asgn: (("var", "ghost"), ("body",)),
+    Ghost: (("var",), ("body",)),
+    For: (("m0",), ("body", "done")),
 }
+_NO_GHOSTS = ((), ())
 
 _PVAR_BINDERS = {
     Lam: (("hyp", ("body",)),),
@@ -339,16 +343,17 @@ _PLANS = {}  # class -> its plan, built by `_plan` on first use
 def _plan(cls) -> tuple:
     """The walks' static view of a proof-term class, staged once: its
     proof-variable binder groups as (position, field, scoped fields); its
-    proof-term children as (position, field, binder fields scoping it);
-    whether it binds a program variable; its field names; and every child
-    and ghost as (position, kind)."""
+    proof-term children as (position, field, binder fields scoping it,
+    whether its ghosts scope it); whether it binds a program variable; its
+    field names; and every child and ghost as (position, kind)."""
     names = tuple(f.name for f in fields(cls))
     groups = _PVAR_BINDERS.get(cls, ())
-    kinds = dict(_child_spec(cls), **dict.fromkeys(_GHOST_FIELDS.get(cls, ()), "ghost"))
+    ghosts, ghosted = _GHOSTS.get(cls, _NO_GHOSTS)
+    kinds = dict(_child_spec(cls), **dict.fromkeys(ghosts, "ghost"))
     _PLANS[cls] = plan = (
         tuple((names.index(h), h, targets) for h, targets in groups),
         tuple(
-            (names.index(f), f, tuple(h for h, targets in groups if f in targets))
+            (names.index(f), f, tuple(h for h, targets in groups if f in targets), f in ghosted)
             for f, kind in kinds.items()
             if kind in ("pt", "pt?")
         ),
@@ -415,7 +420,7 @@ def free_pvars(m: ProofTerm, memo=None) -> frozenset[str]:
         if hit is not None:
             return hit[0]
     out = frozenset()
-    for _, name, scope in (_PLANS.get(type(m)) or _plan(type(m)))[1]:
+    for _, name, scope, _ in (_PLANS.get(type(m)) or _plan(type(m)))[1]:
         v = getattr(m, name)
         if v is not None:
             inner = free_pvars(v, memo)
@@ -439,7 +444,7 @@ def prog_vars(m: ProofTerm) -> frozenset[str]:
             out |= prog_vars(v)
         else:
             out |= _all_vars_expr(v)
-    for g in _GHOST_FIELDS.get(type(m), ()):
+    for g in _GHOSTS.get(type(m), _NO_GHOSTS)[0]:
         out.add(getattr(m, g))
     return frozenset(out)
 
@@ -480,7 +485,7 @@ def all_pvar_names(m: ProofTerm) -> frozenset[str]:
             continue
         groups, kids, *_ = _PLANS.get(type(n)) or _plan(type(n))
         out.update(getattr(n, h) for _, h, _ in groups)
-        stack.extend(v for _, f, _ in kids if (v := getattr(n, f)) is not None)
+        stack.extend(v for _, f, *_ in kids if (v := getattr(n, f)) is not None)
     return frozenset(out)
 
 
@@ -533,10 +538,9 @@ def _subst_pt(m: ProofTerm, p: str, n: ProofTerm, fv_n, memo, moved, copies) -> 
                 renames[h] = (pos, b, fresh_pvar(b, avoid))
 
     # crossing a program-variable binder adjusts the substituted copy
-    if binds:
-        moved = (m.var, m.ghost, moved)
+    inner = (m.var, m.ghost, moved) if binds else moved
     vals = None
-    for pos, name, scope in kids:
+    for pos, name, scope, ghosted in kids:
         old = v = getattr(m, name)
         if v is None:
             continue
@@ -548,7 +552,7 @@ def _subst_pt(m: ProofTerm, p: str, n: ProofTerm, fv_n, memo, moved, copies) -> 
             elif getattr(m, h) == p:
                 shadowed = True
         if not shadowed:
-            v = _subst_pt(v, p, n, fv_n, memo, moved, copies)
+            v = _subst_pt(v, p, n, fv_n, memo, inner if ghosted else moved, copies)
         if v is not old or renames:
             vals = vals or [getattr(m, f) for f in names]
             vals[pos] = v
@@ -567,7 +571,7 @@ def subst_term_pt(m: ProofTerm, x: str, f: Term) -> ProofTerm:
     blocked = {x} | set(S.free_vars(f))
 
     def go(m: ProofTerm) -> ProofTerm:
-        ghosts = {getattr(m, g) for g in _GHOST_FIELDS.get(type(m), ())}
+        ghosts = {getattr(m, g) for g in _GHOSTS.get(type(m), _NO_GHOSTS)[0]}
         hit = ghosts & blocked
         if hit:
             raise S.InadmissibleSubstitution(
@@ -622,7 +626,7 @@ def _expr_eq(e1, e2, vmap: dict) -> bool:
 
 def _alpha(a: ProofTerm, b: ProofTerm, pmap: dict, vmap: dict) -> bool:
     """a and b alike up to bound names: each proof-term child under the
-    binders that scope it and the node's ghosts, each term and formula outside."""
+    binders and ghosts that scope it, each term and formula outside."""
     cls = type(a)
     if cls is not type(b):
         return False
@@ -643,12 +647,12 @@ def _alpha(a: ProofTerm, b: ProofTerm, pmap: dict, vmap: dict) -> bool:
     if "flavor" in names and a.flavor != b.flavor:
         return False
     inner = _bind(vmap, ghosts)
-    for _, name, scope in kids:
+    for _, name, scope, ghosted in kids:
         va, vb = getattr(a, name), getattr(b, name)
         if va is None or vb is None:
             if va is not vb:
                 return False
         elif not _alpha(va, vb, _bind(pmap, [(getattr(a, h), getattr(b, h)) for h in scope]),
-                        inner):
+                        inner if ghosted else vmap):
             return False
     return True

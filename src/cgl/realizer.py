@@ -7,88 +7,89 @@ stream from an invariant value.  `Compose` pipes the residual of one play
 into a continuation (the run-time face of postcondition weakening) and
 `Decide` branches on a forced selector.
 
-Realizer syntax is immutable; the engine pairs it with environments, so
-values can be exported/imported losslessly as tagged JSON trees
-(`cgl.interchange`).
+Realizer syntax is immutable and interned like terms, formulas and games
+(`syntax._Node`): equal realizers are one object, so equality and hashing
+are identity.  The engine pairs realizers with environments, so values can
+be exported/imported losslessly as tagged JSON trees (`cgl.interchange`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import fields
 from itertools import count
 
-from .syntax import Formula, Game, Term
+from .syntax import Formula, Game, Term, _node, _Node
 
 
-class Realizer:
-    __slots__ = ()
+class Realizer(_Node):
+    __slots__ = ("_reads", "_stream")  # the engine's: names a closure can read; a Gen's stream
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Unit(Realizer):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Pair(Realizer):
     fst: Realizer
     snd: Realizer
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Fst(Realizer):
     arg: Realizer
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Snd(Realizer):
     arg: Realizer
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class NumLamR(Realizer):
     var: str
     body: Realizer
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class AppNum(Realizer):
     fn: Realizer
     term: Term
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class ProofLam(Realizer):
     hyp: str
     ann: Formula
     body: Realizer
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class AppRz(Realizer):
     fn: Realizer
     arg: Realizer
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class TermVal(Realizer):
     term: Term
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class IfTerm(Realizer):
     cond: Formula
     then: Realizer
     els: Realizer
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Ind(Realizer):
     var: str
     body: Realizer
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Gen(Realizer):
     """Dormant-loop stream: current invariant evidence `init`, an `step`
     realizer playing one body round, and `post` evidence on stop; `game`
@@ -101,12 +102,12 @@ class Gen(Realizer):
     game: Game
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class RVar(Realizer):
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Compose(Realizer):
     """Play `first` through the recorded game prefix (at least one game),
     then continue with `cont` applied to the residual."""
@@ -117,7 +118,7 @@ class Compose(Realizer):
     games: tuple[Game, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Decide(Realizer):
     scrut: Realizer
     lvar: str
@@ -136,7 +137,7 @@ BINDERS = {
 }
 
 # each constructor's realizer fields
-_KIDS = {
+KIDS = {
     cls: tuple(f.name for f in fields(cls) if f.type == "Realizer")
     for cls in list(globals().values())
     if isinstance(cls, type) and issubclass(cls, Realizer) and cls is not Realizer
@@ -149,7 +150,7 @@ def free_rvars(r: Realizer) -> frozenset:
         return frozenset((r.name,))
     scope = {f: b for b, fs in BINDERS.get(type(r), ()) for f in fs}
     out = frozenset()
-    for f in _KIDS[type(r)]:
+    for f in KIDS[type(r)]:
         inner = free_rvars(getattr(r, f))
         out |= inner - {getattr(r, scope[f])} if f in scope else inner
     return out
@@ -177,9 +178,15 @@ def _subst(r: Realizer, name: str, value: Realizer, free: frozenset) -> Realizer
             for f in scope:
                 moved = _subst(getattr(r, f), old, RVar(new), frozenset((new,)))
                 kids[f] = _subst(moved, name, value, free)
-    for f in _KIDS[t]:
+    for f in KIDS[t]:
         if f not in kids:
             kids[f] = _subst(getattr(r, f), name, value, free)
+    return rebuilt(r, kids)
+
+
+def rebuilt(r: Realizer, kids: dict) -> Realizer:
+    """r with the fields in kids replaced, built by position; r itself
+    when none changed."""
     if all(v is getattr(r, f) for f, v in kids.items()):
         return r
-    return replace(r, **kids)
+    return type(r)(*[kids.get(f, getattr(r, f)) for f in r.__match_args__])

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import cache
+from threading import Lock
 from typing import Union
 from weakref import WeakValueDictionary
 
@@ -26,6 +27,7 @@ from .rational import (
 # Interning
 
 _nodes = WeakValueDictionary()  # (class, *field values) -> the live node
+_storing = Lock()  # a miss stores under it, so two threads never store two nodes of one key
 
 
 class _Node:
@@ -41,7 +43,8 @@ class _Node:
         node = _nodes.get(key)
         if node is None:
             cls._init(node := object.__new__(cls), *key[1:])
-            _nodes[key] = node
+            with _storing:  # a node another thread stored meanwhile wins
+                node = _nodes.setdefault(key, node)
         return node
 
     def __reduce__(self):
@@ -521,7 +524,7 @@ def eval_fo(phi: Formula, state: State) -> bool:
 # ---------------------------------------------------------------------------
 # Compiled evaluators (plays re-evaluate the same small terms constantly)
 
-def kept(node: Expr, slot: str, make):
+def kept(node: _Node, slot: str, make):
     """make(node), kept on the node in `slot` from the first call on."""
     try:
         return getattr(node, slot)

@@ -698,24 +698,17 @@ def test_trace_formats_lines_when_read(monkeypatch):
     assert list(tr.events) == lines and tr.events[1:3] == lines[1:3] and tr.events[-1] == lines[-1]
 
 
-def test_engine_tables_stay_bounded():
-    # each play brings a fresh Gen, a new key of the stream table; the table
-    # clears at the cap and keeps every key it holds alive
-    for i in range(E._STREAMS_CAP + 100):
-        body = S.Assign("x", S.Plus(x, L(i)))
-        pick = R.Pair(R.TermVal(L(i % 2)), R.Unit())
-        game = S.Seq(S.Repeat(body), S.Dual(S.Choice(S.Assign("y", L(0)), S.Assign("y", L(1)))))
-        gen = R.Gen(R.Unit(), "v", R.Unit(), pick, body)
-        out = play(game, DORMANT, close(gen), State(), ScriptedDemon(["continue", "stop"]))
-        assert (out.state.get("x"), out.state.get("y")) == (i, i % 2)
-    assert 0 < len(E._streams) <= E._STREAMS_CAP
-    assert all(key == id(entry[1]) for key, entry in E._streams.items())
+def _collect():
+    # a freed node's key in the intern table releases the node's children,
+    # so a cycle among them is found only by a later collection
+    while gc.collect():
+        pass
 
 
 def test_dropped_node_is_freed_with_its_evaluator_and_instruction():
     # what the engine derives from a node lives on the node, not in a table
     # that keeps it alive
-    gc.collect()
+    _collect()
     before = len(S._nodes)
     term = S.Plus(S.Var("lifetime"), L(7))
     game = S.Seq(S.Assign("lifetime", term), S.Test(S.Cmp(term, ">", L(0))))
@@ -724,10 +717,18 @@ def test_dropped_node_is_freed_with_its_evaluator_and_instruction():
     ins = E._instruction(game, ACTIVE)
     assert ins[2][3] is S.compile_term(term) and E._instruction(game, ACTIVE) is ins
     assert len(S._nodes) > before
-    refs = [weakref.ref(v) for v in (term, game, ins[2][3], ins[3][3])]
-    del term, game, out, ins
-    gc.collect()
-    assert [r() for r in refs] == [None] * 4
+    # a Gen whose invariant evidence is its own variable continues its own
+    # stream, so its slot closes a cycle, which the collector frees
+    body = S.Assign("lifetime", S.Plus(S.Var("lifetime"), L(1)))
+    gen = R.Gen(R.RVar("v"), "v", R.Unit(), R.Unit(), body)
+    loop = S.Repeat(body)
+    cl = E.Closure(gen, {"v": close(R.Unit())})
+    assert verify_exhaustive(loop, DORMANT, cl, [State()], S.TRUE, DemonMenu({}, 2)) is None
+    assert gen._stream.cont is gen and gen._reads == ("v",)
+    refs = [weakref.ref(v) for v in (term, game, ins[2][3], ins[3][3], gen, gen._stream, body)]
+    del term, game, out, ins, gen, loop, body, cl
+    _collect()
+    assert [r() for r in refs] == [None] * 7
     assert len(S._nodes) == before
 
 

@@ -1,8 +1,10 @@
 """Strategy extraction: shapes, witnesses, decided disjuncts, and
 observational agreement with normalization."""
 
+import copy
 import hashlib
 import json
+import pickle
 import random
 import re
 from dataclasses import replace
@@ -132,13 +134,28 @@ def test_disjunct_side_flips_across_states():
     assert o.decide(None, S.Cmp(x, "<", L(1))).status != VALID
 
 
+def test_equal_realizers_are_one_node():
+    # built apart, by position or by keyword, the same realizer is one
+    # object, so == is `is` and a realizer hashes as itself
+    assert R.Pair(R.Unit(), R.Unit()) is R.Pair(R.Unit(), R.Unit())
+    assert R.Pair(R.Unit(), R.Unit()) is R.Pair(snd=R.Unit(), fst=R.Unit())
+    ev = R.IfTerm(S.Cmp(x, "<=", L(1)), R.TermVal(S.Plus(x, L(1))), R.RVar("r"))
+    assert ev is R.IfTerm(S.Cmp(x, "<=", L(1)), R.TermVal(S.Plus(x, L(1))), R.RVar("r"))
+    assert R.Pair(R.Unit(), R.RVar("a")) != R.Pair(R.RVar("a"), R.Unit())
+    assert hash(ev) == object.__hash__(ev)
+
+
 def test_realizer_json_roundtrip(all_theorems):
+    # an elaboration, a copy, a pickle and a JSON round trip each give the node
     for name in ("dCake", "dNim", "aNim", "forCounter"):
         phi, proof = all_theorems[name]
         rz = extract(proof, phi)
-        data = to_json(rz)
+        assert extract(proof, phi) is rz, name
+        assert copy.copy(rz) is rz and copy.deepcopy(rz) is rz, name
+        assert pickle.loads(pickle.dumps(rz)) is rz, name
+        data = json.loads(json.dumps(to_json(rz)))
         back = realizer_from_json(data)
-        assert back == rz, name
+        assert back is rz, name
 
 
 def _outcome_stream(phi, rz, state, script):
@@ -290,7 +307,7 @@ def test_extract_elaborates_what_the_check_did_not_accept(all_theorems, monkeypa
     for args, ctx in (((replace(m), phi), None), ((m, phi), Context({"junk": ONE_POS}))):
         calls.clear()
         rz = extract(*args, ctx=ctx, checked=True)
-        assert calls and rz == built and rz is not built
+        assert calls and rz is built
 
     # a different goal: walked, and rejected
     calls.clear()

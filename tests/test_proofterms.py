@@ -87,6 +87,33 @@ def test_subst_crosses_assignment_binder_with_renaming():
     assert out.body.fn.goal == S.Cmp(S.Var("x9"), ">", L(0))
 
 
+def test_ghosts_scope_only_the_children_under_them():
+    # an unpack's scrutinee and a loop's initial evidence are checked
+    # outside the ghost: substitution does not rename them, and alpha
+    # equivalence compares them unmapped
+    def pos(v):
+        return P.QE(S.Cmp(S.Var(v), ">", L(0)), None)
+
+    out = P.subst_pt(P.Unpack("x", "y", "h", P.PVar("p"), P.PVar("h")), "p", pos("x"))
+    assert out.scrut == pos("x")
+    out = P.subst_pt(P.Unpack("x", "y", "h", P.PVar("q"), P.PVar("p")), "p", pos("x"))
+    assert out.body == pos("y")
+
+    def unpack(ghost, scrut, body):
+        return P.Unpack("x", ghost, "h", scrut, body)
+
+    assert not P.alpha_eq(unpack("y", pos("y"), P.PVar("h")), unpack("z", pos("z"), P.PVar("h")))
+    assert P.alpha_eq(unpack("y", pos("w"), P.PVar("h")), unpack("z", pos("w"), P.PVar("h")))
+    assert P.alpha_eq(unpack("y", pos("w"), pos("y")), unpack("z", pos("w"), pos("z")))
+
+    def loop(m0, init, body):
+        return P.For("i", "j", m0, init, body, P.PVar("i"), x, S.TRUE)
+
+    assert not P.alpha_eq(loop("m", pos("m"), P.PVar("i")), loop("n", pos("n"), P.PVar("i")))
+    assert P.alpha_eq(loop("m", pos("w"), P.PVar("i")), loop("n", pos("w"), P.PVar("i")))
+    assert P.alpha_eq(loop("m", pos("w"), pos("m")), loop("n", pos("w"), pos("n")))
+
+
 def test_subst_avoids_pvar_capture():
     # the Lam binds q; substituting something mentioning q must alpha-vary
     m = P.Lam("q", S.TRUE, P.App(P.PVar("p"), P.PVar("q")))
@@ -202,7 +229,7 @@ def test_subst_pinned():
     # a pin of substitution's results on open arguments whose free proof
     # variables collide with binders, through Asgn/TCons/Unpack/NumLam
     # chains: the digest of the results' reprs and how many results are
-    # the input itself
+    # the input itself; an unpack's scrutinee lies outside its ghost
     rng = random.Random(2024)
     h, same, crossed = hashlib.sha256(), 0, set()
     for _ in range(1500):
@@ -218,4 +245,4 @@ def test_subst_pinned():
             stack.extend(v for v in map(n.__getattribute__, n.__slots__)
                          if isinstance(v, P.ProofTerm))
     assert {P.Asgn, P.TCons, P.Unpack, P.NumLam} <= crossed
-    assert (same, h.hexdigest()[:16]) == (434, "8f59ae53cfe74e60")
+    assert (same, h.hexdigest()[:16]) == (434, "c3ae4ad7afa70303")

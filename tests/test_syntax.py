@@ -3,6 +3,8 @@
 import copy
 import pickle
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -262,6 +264,30 @@ def test_equal_constructions_are_one_node():
         S.Cmp(x, "<>", y)
     with pytest.raises(TypeError):
         S.Plus(x, right=y, extra=z)
+
+
+def test_threads_building_one_structure_get_one_node():
+    # both threads miss on each fresh structure at nearly the same time;
+    # a store between one thread's miss and its store must not be lost
+    built = ([], [])
+
+    def build(out):
+        for i in range(20_000):
+            out.append(S.Plus(S.Var(f"v{i}"), S.Lit(i)))
+
+    threads = [threading.Thread(target=build, args=(out,)) for out in built]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(built[0]) == len(built[1]) == 20_000
+    assert sum(a is not b for a, b in zip(*built)) == 0
 
 
 def test_literal_value_is_canonical():
