@@ -34,11 +34,11 @@ state (ghost and fresh-name counters) lives in one `_Elaboration` per
 call, so a `Checker` holds only its oracle.
 
 Every checking pass, `check_result` included, builds the full realizer,
-witnesses of existential leaves too.  The last proof a gated pass accepted
-and realized in full is kept in a one-entry slot with its goal, context
-and realizer; `accepted` hands that realizer back for the same term
-object (`is`) against an equal goal and context, which is how
-`extraction.extract(..., checked=True)` after a check walks no proof.
+witnesses of existential leaves too.  A proof the pass accepts and
+realizes in full keeps its goal, context and realizer in a slot on the
+term; `accepted` hands that realizer back against an equal goal and
+context, which is how `extraction.extract(..., checked=True)` after a
+check walks no proof.
 """
 
 from __future__ import annotations
@@ -224,58 +224,38 @@ class Checker:
         return None
 
     def synth(self, ctx: Context, m: ProofTerm) -> Formula:
-        return _Elaboration(self.oracle, True)._synth(ctx, m, ())[0]
-
-
-class _Accepted(NamedTuple):
-    m: ProofTerm
-    phi: Formula
-    ctx: tuple  # the context's (name, formula) items, in order
-    rz: R.Realizer
-
-
-# The last proof that a gated elaboration accepted and realized in full,
-# for `accepted`.  The record holds its term, so no other term can take
-# over its id, and all of it is immutable, so it stays true whatever
-# runs later, in any thread.  One entry, not a table: a table keyed by
-# id would keep every checked script's terms alive.
-_accepted: Optional[_Accepted] = None
+        return _Elaboration(self.oracle)._synth(ctx, m, ())[0]
 
 
 def accepted(ctx: Context, m: ProofTerm, phi: Formula) -> Optional[R.Realizer]:
-    """The realizer of m built by the gated elaboration that last accepted
-    a proof, if that proof was this very object (`is`) proving an equal
-    phi in an equal context; else None."""
-    last = _accepted
-    if last is not None and last.m is m and last.phi == phi and last.ctx == tuple(ctx.items()):
-        return last.rz
+    """The realizer an elaboration built when it accepted this very term
+    object and realized every leaf, if it proved an equal phi in an equal
+    context; else None."""
+    rec = getattr(m, "_accepted", None)
+    if rec is not None and rec[0] == phi and rec[1] == tuple(ctx.items()):
+        return rec[2]
     return None
 
 
-def elaborate(ctx: Context, m: ProofTerm, phi: Formula, oracle: ArithOracle,
-              gated: bool = True) -> R.Realizer:
-    """Check m against phi and return its realizer.  With gated=False the
-    caller vouches for the proof: the structural checks still run, but
-    no oracle query decides a leaf or a loop metric.  A gated elaboration
-    that accepts the proof and realizes every leaf is remembered for
-    `accepted`."""
-    global _accepted
-    el = _Elaboration(oracle, gated)
+def elaborate(ctx: Context, m: ProofTerm, phi: Formula, oracle: ArithOracle) -> R.Realizer:
+    """Check m against phi and return its realizer.  A proof accepted with
+    every leaf realized keeps its goal, context and realizer on the term
+    (`_accepted`), for `accepted`; the record is immutable and holds no
+    reference back to the term."""
+    el = _Elaboration(oracle)
     rz = el._check(ctx, m, phi, ())
     if el.unrealized is not None:
         raise UncheckedInput(el.unrealized)
-    if gated:
-        _accepted = _Accepted(m, phi, tuple(ctx.items()), rz)
+    object.__setattr__(m, "_accepted", (phi, tuple(ctx.items()), rz))
     return rz
 
 
 class _Elaboration:
-    """One checking pass: the oracle, whether its gates run, and the
-    counters for ghost and fresh realizer names."""
+    """One checking pass: the oracle and the counters for ghost and fresh
+    realizer names."""
 
-    def __init__(self, oracle: ArithOracle, gated: bool):
+    def __init__(self, oracle: ArithOracle):
         self.oracle = oracle
-        self.gated = gated
         self.ghosts = 0
         self.guessing = False  # inside `_infer_post`: formulas only
         self._guessed = {}  # (id(scrutinee), games, ghosts) -> (context, guess)
@@ -311,8 +291,6 @@ class _Elaboration:
         return out
 
     def _oracle_gate(self, rho: Optional[Formula], goal: Formula, path, who: str):
-        if not self.gated:
-            return
         res = self.oracle.decide(rho, goal)
         if res.status == VALID:
             return
@@ -775,15 +753,14 @@ class _Elaboration:
         zero_or_ge1 = S.Or(
             S.Cmp(metric, "=", S.lit(0)), S.Cmp(metric, ">=", S.lit(1))
         )
-        if self.gated:
-            res = self.oracle.decide(inv, zero_or_ge1)
-            if res.status != VALID:
-                raise CheckError(
-                    METRIC_ILL_FORMED,
-                    path,
-                    f"invariant does not pin the metric to {{0}} or >=1: {_fmt(S.Implies(inv, zero_or_ge1))}",
-                    reason=res.reason,
-                )
+        res = self.oracle.decide(inv, zero_or_ge1)
+        if res.status != VALID:
+            raise CheckError(
+                METRIC_ILL_FORMED,
+                path,
+                f"invariant does not pin the metric to {{0}} or >=1: {_fmt(S.Implies(inv, zero_or_ge1))}",
+                reason=res.reason,
+            )
         init_rz = self._check(ctx, m.init, inv, path + ("init",))
         m0v = S.Var(m0)
         step_hyp = conj(S.Cmp(m0v, "=", metric), S.Cmp(metric, ">=", S.lit(1)))

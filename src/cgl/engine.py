@@ -818,7 +818,7 @@ class DemonMenu:
         opts = self._parsed.get(var)
         if opts is None:
             vals = self.values.get(var)
-            if vals is None:
+            if not vals:
                 raise NoMenuValues(f"no menu values for {var} := *")
             opts = self._parsed[var] = [canon(v) if type(v) in (int, Fraction) else
                                         canon(parse_rational(str(v))) for v in vals]

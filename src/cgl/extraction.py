@@ -2,11 +2,10 @@
 and disjunct extractors built on it.
 
 The checker elaborates each proof into its realizer in the same pass that
-checks it (see `checker`), so `extract` is that pass: by default with the
-oracle deciding every leaf, or, when the caller vouches for the proof,
-with the structural checks only.  A vouched-for proof that the checker
-has just accepted is not walked again: its check already built the
-realizer, and `extract` returns that one.
+checks it (see `checker`), so `extract` is that pass, with the oracle
+deciding every leaf.  A proof the checker has accepted is not walked
+again: its check left the realizer on the term, and `extract` returns
+that one when the caller asks for it.
 """
 
 from __future__ import annotations
@@ -34,19 +33,17 @@ def extract(
     """Compile a proof of phi into a strategy realizer.
 
     The proof is checked and compiled in one pass; a rejected proof raises
-    UncheckedInput with the checker's diagnosis.  With checked=True the
-    caller vouches for the proof, so the oracle decides no leaf and no
-    loop metric; the structural checks still run.  Leaves proving an
-    existential fact query `oracle` for a closed witness either way.
-    With checked=True, when the checker last accepted this very term
-    object against an equal phi and context and realized every leaf, the
+    UncheckedInput with the checker's diagnosis.  Leaves proving an
+    existential fact query `oracle` for a closed witness.  With
+    checked=True, when the checker has accepted this very term object
+    against an equal phi and context and realized every leaf, the
     realizer that check built is returned and no pass runs at all.
     """
     ctx = ctx or Context()
     if checked and (rz := accepted(ctx, m, phi)) is not None:
         return rz
     try:
-        return elaborate(ctx, m, phi, oracle or ArithOracle(), gated=not checked)
+        return elaborate(ctx, m, phi, oracle or ArithOracle())
     except CheckError as e:
         raise UncheckedInput(str(e)) from None
 

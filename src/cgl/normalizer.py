@@ -290,9 +290,6 @@ def _lift_case(node: ProofTerm, plug, case: P.Case) -> P.Case:
 # Head rules: (m, free variables) -> (reduct, rule) or None
 
 
-_witness_oracle = ArithOracle()
-
-
 def _fo_beta(m: P.QE, fv):
     """Decompose an oracle leaf by the shape of its goal."""
     g = m.goal
@@ -306,7 +303,7 @@ def _fo_beta(m: P.QE, fv):
         l, r = halves
         return P.DPair(P.QE(l, m.payload), P.QE(r, m.payload)), FO_AND_BETA
     if isinstance(g, S.Diamond) and isinstance(g.game, S.AssignAny):
-        f = exists_witness(_witness_oracle, g)
+        f = exists_witness(ArithOracle(), g)
         if f is not None:
             x = g.game.var
             inst = S.subst_term(g.post, x, f)

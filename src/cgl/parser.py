@@ -556,35 +556,27 @@ def parse_script(text: str) -> ProofScript:
     return Parser(text).script()
 
 
-def parse_formula_text(text: str) -> S.Formula:
+def _parse_text(text: str, read):
+    """read(Parser(text)), which must consume the whole text."""
     p = Parser(text)
-    phi = p.formula()
-    _expect_eof(p)
-    return phi
-
-
-def parse_term_text(text: str) -> S.Term:
-    p = Parser(text)
-    t = p.term()
-    _expect_eof(p)
-    return t
-
-
-def parse_game_text(text: str) -> S.Game:
-    p = Parser(text)
-    g = p.game()
-    _expect_eof(p)
-    return g
-
-
-def parse_proof_text(text: str) -> P.ProofTerm:
-    p = Parser(text)
-    m = p.proof()
-    _expect_eof(p)
-    return m
-
-
-def _expect_eof(p: Parser):
+    out = read(p)
     t = p.peek()
     if t.kind != "eof":
         raise ParseError(f"trailing input {t.text!r}", t.line, t.col)
+    return out
+
+
+def parse_formula_text(text: str) -> S.Formula:
+    return _parse_text(text, Parser.formula)
+
+
+def parse_term_text(text: str) -> S.Term:
+    return _parse_text(text, Parser.term)
+
+
+def parse_game_text(text: str) -> S.Game:
+    return _parse_text(text, Parser.game)
+
+
+def parse_proof_text(text: str) -> P.ProofTerm:
+    return _parse_text(text, Parser.proof)

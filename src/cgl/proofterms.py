@@ -40,7 +40,9 @@ from .syntax import Formula, Term, rename
 
 
 class ProofTerm:
-    __slots__ = ()
+    # the checker's (goal, context items, realizer) once it accepts the
+    # term; not a field, so equality, `replace`, copies and pickles skip it
+    __slots__ = ("_accepted",)
 
 
 DIA = "d"

@@ -6,7 +6,10 @@ import sys
 
 import pytest
 
+from cgl import extraction, selftest
+from cgl.checker import accepted
 from cgl.cli import corpus_path, main
+from cgl.proofterms import Context
 
 
 def run(capsys, *argv):
@@ -19,6 +22,20 @@ def test_check_corpus_ok(capsys):
     code, out, _ = run(capsys, "check", corpus_path("nim.cgl"))
     assert code == 0
     assert "dNim: ok" in out and "aNim: ok" in out
+
+
+def test_selftest_passes_and_reuses_its_checks(capsys, monkeypatch):
+    # `cgl test` extracts each strategy it verifies long after its check,
+    # and the realizer that check left on the proof is the one it gets
+    reused = []
+
+    def extract(m, phi, **kwargs):
+        reused.append(accepted(Context(), m, phi) is not None)
+        return extraction.extract(m, phi, **kwargs)
+
+    monkeypatch.setattr(selftest, "extract", extract)
+    assert run(capsys, "test", "--quiet") == (0, "all tests passed\n", "")
+    assert reused == [True] * 4
 
 
 def test_check_rejects_corruption(tmp_path, capsys):
@@ -453,10 +470,11 @@ def test_verify_menu_without_values_is_usage_error(tmp_path, capsys):
     f = tmp_path / "stale.cgl"
     f.write_text(STALE)
     menu = tmp_path / "menu.json"
-    menu.write_text(json.dumps({"values": {"y": ["1"]}}))
-    code, out, err = run(capsys, "verify", str(f), "--menu", str(menu))
-    assert code == 2 and out == ""
-    assert err == "cgl verify: no menu values for x := *\n"
+    for values in ({"y": ["1"]}, {"x": []}):  # no entry for x, or an empty one
+        menu.write_text(json.dumps({"values": values}))
+        code, out, err = run(capsys, "verify", str(f), "--menu", str(menu))
+        assert code == 2 and out == ""
+        assert err == "cgl verify: no menu values for x := *\n"
 
 
 MODAL = "theorem modal : [x := 1] <y := 2> y = 2 = asgnb x (x0, h. asgnd y (y0, k. FO[y = 2](k)))\n"

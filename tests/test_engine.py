@@ -268,6 +268,9 @@ def test_verify_counterexample_has_trace():
     assert cex is not None
     assert any("demon-value x -1" in t for t in cex.trace)
     assert len(cex.trace) <= 40
+    # an empty value list offers Demon no move: no line may pass vacuously
+    with pytest.raises(E.NoMenuValues):
+        verify_exhaustive(game, ACTIVE, close(rz), [State()], S.TRUE, DemonMenu({"x": []}, 4))
 
 
 def test_fuel_exhaustion_reported():

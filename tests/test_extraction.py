@@ -282,7 +282,7 @@ def test_extract_after_check_returns_the_checks_realizer(all_theorems):
                     extract(m, phi, checked=True)
                 continue
             assert extract(m, phi, checked=True) is built, name
-            assert built == elaborate(Context(), m, phi, ArithOracle(), gated=False), name
+            assert built == elaborate(Context(), m, phi, ArithOracle()), name
             served += 1
     assert served >= 250  # 22 corpus proofs and most of their mutants
 
@@ -315,15 +315,39 @@ def test_extract_elaborates_what_the_check_did_not_accept(all_theorems, monkeypa
         extract(m, all_theorems["aNim"][0], checked=True)
     assert calls
 
-    # a rejected proof: vouched for, it is walked and realized as before
+    # a rejected proof: vouched for, it is walked and rejected
     false_phi, false_m = parse_script(
         r"theorem falseStep : x > 0 -> x > 1 = \h : x > 0. FO[x > 1](h)"
     ).theorems["falseStep"]
     assert ck.check_result(Context(), false_m, false_phi) is not None
     calls.clear()
-    rz = extract(false_m, false_phi, checked=True)
+    with pytest.raises(UncheckedInput):
+        extract(false_m, false_phi, checked=True)
     assert calls
-    assert rz == elaborate(Context(), false_m, false_phi, ArithOracle(), gated=False)
+
+
+def test_no_realizer_for_a_rejected_proof():
+    false_phi, false_m = parse_script(
+        r"theorem falseStep : x > 0 -> x > 1 = \h : x > 0. FO[x > 1](h)"
+    ).theorems["falseStep"]
+    assert Checker().check_result(Context(), false_m, false_phi) is not None
+    assert accepted(Context(), false_m, false_phi) is None
+    with pytest.raises(UncheckedInput):
+        extract(false_m, false_phi, checked=True)
+
+
+def test_any_accepted_proof_is_reused(all_theorems, monkeypatch):
+    calls = _counted_rules(monkeypatch)
+    ck = Checker()
+    (d_phi, d_m), (a_phi, a_m) = all_theorems["dNim"], all_theorems["aNim"]
+    built = ck.check(Context(), d_m, d_phi)
+    ck.check(Context(), a_m, a_phi)
+    calls.clear()
+    assert extract(d_m, d_phi, checked=True) is built
+    assert calls == []
+    # the record stays on its term: copies and pickles start without one
+    for twin in (replace(d_m), copy.copy(d_m), copy.deepcopy(d_m), pickle.loads(pickle.dumps(d_m))):
+        assert twin == d_m and accepted(Context(), twin, d_phi) is None
 
 
 # -- parity pin: the realizer of every corpus theorem -----------------------
