@@ -14,17 +14,9 @@ accepts one.
 
 The same pass builds the realizer, one per calculus rule as in the
 paper's soundness proof (bidirectional elaboration): each rule returns
-the formula and the realizer of its proof.  A rule takes an optional
-continuation (`_Then`: after the first n games, bind the residual
-evidence and run k) and pushes it into the premise that proves the
-residual, the way the conversion rules push a weakening through proofs.
-A `for` step passes the next round this way; a `mon` passes its scrutinee
-a continuation that leaves a hole at each residual position, and fills
-the holes with its body's realizer (`_plug`).  Only a strategy whose
-residual positions are not known statically (headed by a variable, an
-application, or a rule such as ghost, unpack or rcase that has no premise
-for the residual) and fixed-point recursion keep a run-time composition
-node, tagged with the games it plays (at least one).
+the formula and the realizer of its proof.  A `mon`, like a `for` step
+or `fp`'s recursion, is composition: `realizer.compose` plays the
+scrutinee's strategy and then the body's on its residual.
 Hypothesis evidence consumed only by oracle payloads is erased to units;
 oracle leaves become unit evidence or decision trees over comparisons.
 
@@ -44,7 +36,7 @@ check walks no proof.
 from __future__ import annotations
 
 import itertools
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from . import proofterms as P
 from . import realizer as R
@@ -143,56 +135,6 @@ def realizer_of_formula(phi: Formula, oracle: ArithOracle) -> R.Realizer:
 def _tagged(i: int, rz: R.Realizer) -> R.Realizer:
     """A choice of branch i (0 left / stop, 1 right / go) with its evidence."""
     return R.Pair(R.TermVal(S.lit(i)), rz)
-
-
-class _Then(NamedTuple):
-    """A continuation pushed into a strategy: after the strategy's first
-    `n` games, bind the residual evidence to `var` and run `k`."""
-
-    n: int
-    var: str
-    k: R.Realizer
-
-
-def _after(then: Optional[_Then], games: int) -> Optional[_Then]:
-    """`then` for a premise that has `games` more (or fewer) games to
-    play before the residual."""
-    return then if then is None else then._replace(n=then.n + games)
-
-
-def _finish(rz: R.Realizer, phi: Formula, then: Optional[_Then]) -> R.Realizer:
-    """rz, a strategy for phi, with `then` applied to it when no game is
-    left, else composed with it at run time after phi's first then.n games."""
-    if then is None:
-        return rz
-    if then.n == 0:
-        return R.subst_rvar(then.k, then.var, rz)
-    games = tuple(g for _, g in _modal_spine(phi)[: then.n])
-    return R.Compose(rz, then.var, then.k, games)
-
-
-# A `mon` scrutinee's strategy is built before its body's, with a hole
-# `*mon*(e)` at each residual position for the residual evidence e
-_HOLE = R.RVar("*mon*")
-
-
-def _to_hole(var: str) -> _Then:
-    return _Then(1, var, R.AppRz(_HOLE, R.RVar(var)))
-
-
-def _plug(rz: R.Realizer, var: str, body: R.Realizer) -> R.Realizer:
-    """rz with each hole filled by body, its `var` bound to the hole's e:
-    the hole becomes `\\var. body`, applied where it stands.  Both steps
-    are substitutions, which rename binders apart, so neither rz nor body
-    captures a variable of the other."""
-    fill = R.ProofLam(var, S.TRUE, body)
-    return _beta(R.subst_rvar(rz, _HOLE.name, fill), fill)
-
-
-def _beta(rz: R.Realizer, fill: R.ProofLam) -> R.Realizer:
-    if type(rz) is R.AppRz and rz.fn is fill:
-        return R.subst_rvar(fill.body, fill.hyp, rz.arg)
-    return R.rebuilt(rz, {f: _beta(getattr(rz, f), fill) for f in R.KIDS[type(rz)]})
 
 
 def _split_rz(f: S.Term, g: S.Term) -> R.Realizer:
@@ -324,36 +266,22 @@ class _Elaboration:
 
     # -- the rules -------------------------------------------------------------
 
-    def _check(
-        self, ctx: Context, m: ProofTerm, phi: Formula, path, then: Optional[_Then] = None
-    ) -> R.Realizer:
-        return self._rule(ctx, m, phi, path, then)[1]
+    def _check(self, ctx: Context, m: ProofTerm, phi: Formula, path) -> R.Realizer:
+        return self._rule(ctx, m, phi, path)[1]
 
-    def _synth(self, ctx: Context, m: ProofTerm, path, then: Optional[_Then] = None):
-        return self._rule(ctx, m, None, path, then)
+    def _synth(self, ctx: Context, m: ProofTerm, path):
+        return self._rule(ctx, m, None, path)
 
-    def _rule(
-        self, ctx: Context, m: ProofTerm, phi: Optional[Formula], path,
-        then: Optional[_Then] = None,
-    ):
+    def _rule(self, ctx: Context, m: ProofTerm, phi: Optional[Formula], path):
         """(the formula m proves, its realizer): checked against phi, or
         synthesized when phi is None.  A form that needs the goal matches
         only when phi is given; an elimination form synthesizes and then
-        meets the goal after the match.  With `then`, the realizer plays
-        the formula's first then.n games and runs then.k on the residual
-        evidence: pushed into the premise that proves the residual where
-        the rule has one, composed at run time where it has not.  A `mon`
-        in synthesis position learns its scrutinee's game only from the
-        scrutinee, and pushes its body into the scrutinee's strategy this
-        way.
+        meets the goal after the match.
 
         Premises recurse into `_rule` itself, not through `_check` or
         `_synth`: one frame per proof node.  With a wrapper frame per node
         the oracle queries at the leaves ran a fifth slower on CPython 3.11
         (the same queries, measured on the certify benchmark)."""
-        if then is not None and (then.n == 0 or not isinstance(m, _PUSHES)):
-            got, rz = self._rule(ctx, m, phi, path)
-            return got, _finish(rz, got, then)
         match m:
             case P.PVar(name=p):
                 got = ctx.lookup(p)
@@ -372,9 +300,7 @@ class _Elaboration:
                         )
                     pre, post = imp
                     self._same(ann, pre, path, "lambda annotation")
-                post, rz = self._rule(
-                    ctx.extend(p, ann), body, post, path + ("body",), _after(then, -1)
-                )
+                post, rz = self._rule(ctx.extend(p, ann), body, post, path + ("body",))
                 return S.Implies(ann, post), R.ProofLam(p, ann, rz)
 
             case P.NumLam(var=x, ghost=y, body=body):
@@ -390,9 +316,7 @@ class _Elaboration:
                     )
                     post = phi.post
                 self._ghost_ok(y, ctx, (post,), (), path)
-                post, rz = self._rule(
-                    ctx.rename_vars(x, y), body, post, path + ("body",), _after(then, -1)
-                )
+                post, rz = self._rule(ctx.rename_vars(x, y), body, post, path + ("body",))
                 self._expect(
                     y not in S.free_vars(post), FRESHNESS, path,
                     f"ghost {y} escapes into {_fmt(post)}",
@@ -409,7 +333,7 @@ class _Elaboration:
                         )
                     l, r = both
                 l, a_rz = self._rule(ctx, a, l, path + ("fst",))
-                r, b_rz = self._rule(ctx, b, r, path + ("snd",), _after(then, -1))
+                r, b_rz = self._rule(ctx, b, r, path + ("snd",))
                 return conj(l, r), R.Pair(a_rz, b_rz)
 
             case P.BPair(fst=a, snd=b) if phi is not None:
@@ -419,8 +343,8 @@ class _Elaboration:
                     )
                 g = phi.game
                 return phi, R.Pair(
-                    self._rule(ctx, a, S.Box(g.left, phi.post), path + ("fst",), then)[1],
-                    self._rule(ctx, b, S.Box(g.right, phi.post), path + ("snd",), then)[1],
+                    self._rule(ctx, a, S.Box(g.left, phi.post), path + ("fst",))[1],
+                    self._rule(ctx, b, S.Box(g.right, phi.post), path + ("snd",))[1],
                 )
 
             case P.InjL(arg=a) | P.InjR(arg=a) if phi is not None:
@@ -431,9 +355,8 @@ class _Elaboration:
                         f"{'inr' if right else 'inl'} needs <a++b>, got {_fmt(phi)}",
                     )
                 side = phi.game.right if right else phi.game.left
-                return phi, _tagged(int(right), self._rule(
-                    ctx, a, S.Diamond(side, phi.post), path + ("arg",), then
-                )[1])
+                arg = self._rule(ctx, a, S.Diamond(side, phi.post), path + ("arg",))[1]
+                return phi, _tagged(int(right), arg)
 
             case P.Case(scrut=a, left=l, bleft=bl, right=r, bright=br):
                 sphi, a_rz = self._rule(ctx, a, None, path + ("scrut",))
@@ -444,11 +367,11 @@ class _Elaboration:
                     )
                 lphi, l_rz = self._rule(
                     ctx.extend(l, S.Diamond(sphi.game.left, sphi.post)), bl, phi,
-                    path + ("left",), then,
+                    path + ("left",),
                 )
                 rphi, r_rz = self._rule(
                     ctx.extend(r, S.Diamond(sphi.game.right, sphi.post)), br, phi,
-                    path + ("right",), then,
+                    path + ("right",),
                 )
                 if phi is None:
                     self._same(rphi, lphi, path, "case join")
@@ -479,8 +402,7 @@ class _Elaboration:
                 self._ghost_ok(y, ctx, (phi.post,), (f,), path)
                 hyp = S.Cmp(S.Var(x), "=", S.rename(f, x, y))
                 inner = self._rule(
-                    ctx.rename_vars(x, y).extend(p, hyp), body, phi.post, path + ("body",),
-                    _after(then, -1),
+                    ctx.rename_vars(x, y).extend(p, hyp), body, phi.post, path + ("body",)
                 )[1]
                 return phi, R.Pair(R.TermVal(f), R.subst_rvar(inner, p, R.Unit()))
 
@@ -521,8 +443,7 @@ class _Elaboration:
                 self._ghost_ok(y, ctx, (post, phi), (game.term,), path)
                 hyp = S.Cmp(S.Var(x), "=", S.rename(game.term, x, y))
                 inner = self._rule(
-                    ctx.rename_vars(x, y).extend(p, hyp), body, post, path + ("body",),
-                    _after(then, -1),
+                    ctx.rename_vars(x, y).extend(p, hyp), body, post, path + ("body",)
                 )[1]
                 return phi, R.subst_rvar(inner, p, R.Unit())
 
@@ -534,7 +455,7 @@ class _Elaboration:
                     )
                 inner = _MOD[fl](game.right, post)
                 outer = _MOD[fl](game.left, inner)
-                return phi, self._rule(ctx, body, outer, path + ("body",), _after(then, 1))[1]
+                return phi, self._rule(ctx, body, outer, path + ("body",))[1]
 
             case P.Swap(body=body, flavor=fl) if phi is not None:
                 game, post = self._modality(phi, fl, path, "dualizing")
@@ -543,7 +464,7 @@ class _Elaboration:
                         RULE_MISMATCH, path, f"dual proof against {_fmt(game)}"
                     )
                 inner = (S.Box if fl == P.DIA else S.Diamond)(game.body, post)
-                return phi, self._rule(ctx, body, inner, path + ("body",), then)[1]
+                return phi, self._rule(ctx, body, inner, path + ("body",))[1]
 
             case P.Stop(body=body) | P.Go(body=body) if phi is not None:
                 go = isinstance(m, P.Go)
@@ -553,9 +474,7 @@ class _Elaboration:
                         f"{'go' if go else 'stop'} needs <a*>, got {_fmt(phi)}",
                     )
                 goal = S.Diamond(phi.game.body, phi) if go else phi.post
-                return phi, _tagged(int(go), self._rule(
-                    ctx, body, goal, path + ("body",), _after(then, 1 if go else -1)
-                )[1])
+                return phi, _tagged(int(go), self._rule(ctx, body, goal, path + ("body",))[1])
 
             case P.For() if phi is not None:
                 return phi, self._check_for(ctx, m, phi, path)
@@ -573,7 +492,7 @@ class _Elaboration:
                 g_rz = self._rule(Context({g: gphi}), bg, phi, path + ("go",))[1]
                 # the go branch's evidence for <a>phi runs a step, then recurses
                 w, z = self._fresh("fp"), self._fresh("z")
-                again = R.Compose(R.RVar(g), z, R.AppRz(R.RVar(w), R.RVar(z)), (body_game,))
+                again = R.compose(R.RVar(g), z, R.AppRz(R.RVar(w), R.RVar(z)), (gphi,))
                 loop = R.Ind(w, R.ProofLam(
                     "*fp-arg*", S.TRUE,
                     R.Decide(R.RVar("*fp-arg*"), s, s_rz, g, R.subst_rvar(g_rz, g, again)),
@@ -601,7 +520,7 @@ class _Elaboration:
 
             case P.Mon(scrut=a, hyp=p, body=body):
                 if phi is None:
-                    sphi, a_rz = self._rule(ctx, a, None, path + ("scrut",), _to_hole(p))
+                    sphi, a_rz = self._rule(ctx, a, None, path + ("scrut",))
                     if not isinstance(sphi, (S.Diamond, S.Box)):
                         raise CheckError(
                             RULE_MISMATCH, path + ("scrut",),
@@ -623,13 +542,13 @@ class _Elaboration:
                     )
                     self.ghosts, self.guessing = ghosts, False
                     sphi = type(phi)(phi.game, phi.post if mid is None else mid)
-                    a_rz = self._rule(ctx, a, sphi, path + ("scrut",), _to_hole(p))[1]
+                    a_rz = self._rule(ctx, a, sphi, path + ("scrut",))[1]
                     post = phi.post
                 renamed = self._rename_ctx(ctx, sphi.game)
                 post, n_rz = self._rule(
-                    renamed.extend(p, sphi.post), body, post, path + ("body",), _after(then, -1)
+                    renamed.extend(p, sphi.post), body, post, path + ("body",)
                 )
-                return type(sphi)(sphi.game, post), _plug(a_rz, p, n_rz)
+                return type(sphi)(sphi.game, post), R.compose(a_rz, p, n_rz, (sphi,))
 
             case P.QE(goal=goal, payload=payload):
                 self._same(goal, phi, path, "FO conclusion")
@@ -768,10 +687,11 @@ class _Elaboration:
         # the step plays one round of the loop body, then its residual
         # evidence for the invariant feeds the next round
         w, t = self._fresh("loop"), self._fresh("t")
-        body_rz = self._check(
-            Context({m.hyp: inv, m.mhyp: step_hyp}), m.body, S.Diamond(game, step_post),
-            path + ("step",), _Then(1, t, R.AppRz(R.RVar(w), R.Fst(R.RVar(t)))),
+        step = S.Diamond(game, step_post)
+        step_rz = self._check(
+            Context({m.hyp: inv, m.mhyp: step_hyp}), m.body, step, path + ("step",)
         )
+        body_rz = R.compose(step_rz, t, R.AppRz(R.RVar(w), R.Fst(R.RVar(t))), (step,))
         done_hyp = S.Cmp(metric, "=", S.lit(0))
         done_rz = self._check(
             Context({m.hyp: inv, m.mhyp: done_hyp}), m.done, phi.post, path + ("post",)
@@ -876,7 +796,7 @@ class _Elaboration:
                 return self._infer_post(inner, body, rest, hints, path + ("body",))
             case P.QE() | P.Dec():
                 return _peel(m.goal, stack)
-            case _ if isinstance(m, _PUSHES):
+            case _ if isinstance(m, _INTROS):
                 return None  # an introduction form against the wrong game
         return _peel(self._synth(ctx, m, path)[0], stack)
 
@@ -904,11 +824,10 @@ class _Elaboration:
             raise CheckError(FRESHNESS, path, f"ghost {y} {why}")
 
 
-# rules with a premise that proves the residual, into which `_rule`
-# pushes a continuation
-_PUSHES = (
-    P.Lam, P.NumLam, P.DPair, P.BPair, P.InjL, P.InjR, P.Case, P.TCons, P.Asgn,
-    P.SeqI, P.Swap, P.Stop, P.Go, P.Mon,
+# introduction forms and conversions: each fits one shape of game
+_INTROS = (
+    P.Lam, P.NumLam, P.DPair, P.BPair, P.InjL, P.InjR, P.TCons, P.Asgn, P.SeqI,
+    P.Swap, P.Stop, P.Go,
 )
 
 _NEEDS_GAME = (

@@ -10,7 +10,8 @@ scale.
 Realizers are paired with environments.  A `Compose` wrapper is peeled
 off when the first game of its prefix is played and rides along on the
 continuation until the prefix is done, so a weakened strategy plays
-exactly like the strategy it weakens.
+exactly like the strategy it weakens.  An elimination acts on a
+`Compose`'s `first`, and the residual keeps composing over the rest.
 """
 
 from __future__ import annotations
@@ -175,6 +176,8 @@ def app_num(cl: Closure, v: Optional[Rational], state: State, budget: Budget) ->
         if key in f.env:
             return Closure(f.rz.body, {k: w for k, w in f.env.items() if k != key})
         return Closure(f.rz.body, f.env)
+    if type(f.rz) is R.Compose and type(f.rz.games[0]) is S.AssignAny:
+        return _residual(f, (), app_num(Closure(f.rz.first, f.env), v, state, budget))
     raise IllStructuredRealizer(f"number application to {type(f.rz).__name__}")
 
 
@@ -182,6 +185,8 @@ def app_rz(cl: Closure, arg: Closure, state: State, budget: Budget) -> Closure:
     f = force(cl, state, budget)
     if type(f.rz) is R.ProofLam:
         return Closure(f.rz.body, {**f.env, f.rz.hyp: arg})
+    if type(f.rz) is R.Compose and type(f.rz.games[0]) is S.Test:
+        return _residual(f, (), app_rz(Closure(f.rz.first, f.env), arg, state, budget))
     raise IllStructuredRealizer(f"realizer application to {type(f.rz).__name__}")
 
 
@@ -215,6 +220,11 @@ def apply_ks(ks, cl: Closure) -> Closure:
     return cl
 
 
+def _residual(f: Closure, left: tuple, rest: Closure) -> Closure:
+    """f after its first game: rest plays `left`, f's other games, then cont."""
+    return apply_ks([(f.rz.var, f.rz.cont, f.env, left + f.rz.games[1:])], rest)
+
+
 def pair_view(f: Closure, state: State, budget: Budget):
     """View a forced closure as (first, second); loop streams unroll on
     demand."""
@@ -227,6 +237,13 @@ def pair_view(f: Closure, state: State, budget: Budget):
         step = Closure(rz.step, env)
         stream = S.kept(rz, "_stream", _stream)
         return Closure(rz.post, env), Closure(stream, {**f.env, "*s*": step})
+    if t is R.Compose and type(g := rz.games[0]) in (S.Test, S.AssignAny, S.Choice, S.Repeat):
+        a, b = pair_view(force(Closure(rz.first, f.env), state, budget), state, budget)
+        if type(g) is S.Choice:  # [a ++ b]: a strategy for each side
+            return _residual(f, (g.left,), a), _residual(f, (g.right,), b)
+        if type(g) is S.Repeat:  # [a*]: stop, or play the body and loop
+            return _residual(f, (), a), _residual(f, (g.body, g), b)
+        return a, _residual(f, (), b)  # <?Q>, <x := *>: evidence, then the residual
     raise IllStructuredRealizer(f"expected a pair, got {t.__name__}")
 
 
@@ -254,7 +271,8 @@ def num_of(cl: Closure, state: State, budget: Budget) -> Rational:
 
 def _number_and_rest(cl: Closure, state: State, budget: Budget):
     """cl forced to a pair: the number its first half evaluates to, and its
-    second half.  A literal pair's number spends the one forcing step its
+    second half (for a composition, the residual of the side or round the
+    number picks).  A literal pair's number spends the one forcing step its
     TermVal would, and no closure is made for it."""
     f = force(cl, state, budget)
     rz = f.rz
@@ -263,6 +281,11 @@ def _number_and_rest(cl: Closure, state: State, budget: Budget):
         if budget.left < 0:
             raise BudgetExhausted()
         return _at(state, f.env, rz.fst.term), Closure(rz.snd, f.env)
+    if type(rz) is R.Compose and type(g := rz.games[0]) in (S.Choice, S.Repeat):
+        n, rest = _number_and_rest(Closure(rz.first, f.env), state, budget)
+        if type(g) is S.Choice:  # <a ++ b>: the number picks the side
+            return n, _residual(f, (g.right if n else g.left,), rest)
+        return n, _residual(f, (g.body, g) if n else (), rest)  # <a*>: go or stop
     first, rest = pair_view(f, state, budget)
     return num_of(first, state, budget), rest
 

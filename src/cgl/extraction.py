@@ -17,7 +17,7 @@ from typing import Optional
 from . import realizer as R
 from . import syntax as S
 from .checker import CheckError, UncheckedInput, accepted, elaborate
-from .engine import Budget, close, force, num_of, pair_view
+from .engine import Budget, _number_and_rest, close
 from .oracle import ArithOracle
 from .proofterms import Context, ProofTerm
 from .syntax import Formula, State
@@ -59,12 +59,8 @@ def extract_existential(m: ProofTerm, phi: Formula, oracle=None):
 
 
 def _static_witness(rz: R.Realizer):
-    match rz:
-        case R.Pair(fst=R.TermVal(term=t), snd=rest):
-            return t, rest
-        case R.Compose(first=f, var=v, cont=k, games=gs):
-            t, rest = _static_witness(f)
-            return t, R.Compose(rest, v, k, gs)
+    if type(rz) is R.Pair and type(rz.fst) is R.TermVal:
+        return rz.fst.term, rz.snd
     raise UncheckedInput(f"no syntactic witness in {type(rz).__name__}")
 
 
@@ -90,8 +86,7 @@ def extract_disjunct(m: ProofTerm, phi: Formula, state: State, oracle=None):
         raise UncheckedInput(f"not a disjunction: {phi!r}")
     rz = extract(m, phi, oracle=oracle)
     budget = Budget(100_000)
-    sel_cl, payload = pair_view(force(close(rz), state, budget), state, budget)
-    which = num_of(sel_cl, state, budget)
+    which, payload = _number_and_rest(close(rz), state, budget)
     side = "L" if which == 0 else "R"
     chosen = disj[0] if side == "L" else disj[1]
     try:

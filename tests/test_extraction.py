@@ -19,9 +19,8 @@ from cgl import syntax as S
 from cgl.checker import Checker, _Elaboration, accepted, elaborate
 from cgl.oracle import ArithOracle
 from cgl.engine import (
-    ACTIVE, DORMANT, Budget, DemonMenu, Finished, ScriptedDemon, app_rz, close,
-    force, modal_core, num_of, pair_view, play, strip_assumptions,
-    verify_exhaustive,
+    ACTIVE, DORMANT, Budget, DemonMenu, Finished, RandomDemon, ScriptedDemon, Tracer, app_rz,
+    close, force, modal_core, num_of, pair_view, play, strip_assumptions, verify_exhaustive,
 )
 from cgl.extraction import (
     UncheckedInput, extract, extract_disjunct, extract_existential,
@@ -78,8 +77,8 @@ def test_leaf_without_closed_witness_checks_but_has_no_realizer():
 def test_nested_synthesized_mon_is_walked_once():
     # pi1 mon(<pi1 mon(<... , tt>; p. p), tt>; p. p), 60 deep: each mon is
     # in synthesis position, so its scrutinee's game is known only after
-    # synthesis, yet its strategy must absorb the body statically (the
-    # engine cannot project a run-time composition)
+    # synthesis, yet its strategy absorbs the body statically: the pair
+    # shows `realizer.compose` where the residual is
     tt = S.TRUE
     m = P.DPair(P.QE(tt, None), P.QE(tt, None))
     for _ in range(60):
@@ -94,6 +93,70 @@ def test_nested_synthesized_mon_is_walked_once():
     rz = extract(m, S.And(tt, tt), oracle=Counting())
     assert len(asked) == 62  # each oracle leaf once
     assert "Compose" not in json.dumps(to_json(rz))
+
+
+# Eliminations of a `mon` whose scrutinee is an application: its strategy
+# composes at run time, and the engine applies, projects, instantiates and
+# cases through that composition.
+MON_THROUGH = r"""
+theorem monApp : x > 0 -> <x := *> x > 1 =
+  \q : x > 0. (mon((\f : x > 0 -> <x := *> x > 1. f) (\h : x > 0. wit x := 5 (x0, k. FO[x > 1](k))); p. p)) q
+theorem monProj : x > 0 -> <x := *> x > 1 =
+  \q : x > 0. pi2 (mon((\f : <?x > 0> <x := *> x > 1. f) (<q, wit x := 5 (x0, k. FO[x > 1](k))>); p. p))
+theorem monNumApp : <y := *> y > 1 =
+  (mon((\f : [x := *] <y := *> y > x. f) (\x : Q as x1. wit y := x + 1 (y1, k2. FO[y > x](k2))); p. p)) @ 1
+theorem monCase : <x := 1 ++ x := 2> x > 0 =
+  case mon((\f : <x := 1 ++ x := 2> x > 0. f) (inl asgnd x (x0, k. FO[x > 0](k))); p. p) of l. inl l | r. inr r
+theorem monSplit : x <= 0 | x > 0 = mon((\f : x <= 0 | x > 0. f) (split(x, 0)); p. p)
+"""
+
+
+@pytest.mark.parametrize("name", ["monApp", "monProj", "monNumApp", "monCase"])
+def test_eliminations_go_through_a_composition(name):
+    phi, m = parse_script(MON_THROUGH).theorems[name]
+    rz = Checker().check(Context(), m, phi)
+    assert "Compose" in json.dumps(to_json(rz))
+    st = State({"x": 2})
+    core, cl = strip_assumptions(phi, close(rz), st)
+    game, role, post = modal_core(core)
+    out = play(game, role, cl, st, RandomDemon(1))
+    assert type(out) is Finished and S.eval_fo(post, out.state), out
+
+
+def test_composed_disjunction_sides():
+    phi, m = parse_script(MON_THROUGH).theorems["monSplit"]
+    assert extract_disjunct(m, phi, State({"x": -1}))[0] == "L"
+    assert extract_disjunct(m, phi, State({"x": 3}))[0] == "R"
+
+
+# `fp h of s. stop s | g. go g` plays like h: the go branch's evidence
+# plays a round of h's strategy, then recurses on the residual
+FP_REPLAY = r"""
+theorem fpA : <{c := c + 1}*> c > 3 -> <{c := c + 1}*> c > 3 =
+  \h : <{c := c + 1}*> c > 3. fp h of s. stop s | g. go g
+theorem fpS : <{c := c + 1 ; ?c > 0}*> c > 3 -> <{c := c + 1 ; ?c > 0}*> c > 3 =
+  \h : <{c := c + 1 ; ?c > 0}*> c > 3. fp h of s. stop s | g. go g
+theorem fpC : <{c := c + 1 ++ c := c + 2}*> c > 3 -> <{c := c + 1 ++ c := c + 2}*> c > 3 =
+  \h : <{c := c + 1 ++ c := c + 2}*> c > 3. fp h of s. stop s | g. go g
+"""
+
+
+@pytest.mark.parametrize("name, rounds, end", [("fpA", 4, 4), ("fpS", 4, 4), ("fpC", 2, 4)])
+def test_fp_plays_like_its_scrutinee(name, rounds, end):
+    phi, m = parse_script(FP_REPLAY).theorems[name]
+    game, role, post = modal_core(phi)
+    tag = R.TermVal(L(1))
+    h = R.Pair(R.TermVal(L(0)), R.Unit())  # stop; before it, each round goes
+    for _ in range(rounds):
+        h = {S.Assign: h, S.Seq: R.Pair(R.Unit(), h), S.Choice: R.Pair(tag, h)}[type(game.body)]
+        h = R.Pair(tag, h)
+    st, traces = State({"c": 0}), []
+    for cl in (close(h), app_rz(close(extract(m, phi)), close(h), st, Budget(100))):
+        tracer = Tracer()
+        out = play(game, role, cl, st, ScriptedDemon([]), tracer=tracer)
+        assert out == Finished(State({"c": end}), out.residual)
+        traces.append(list(tracer))
+    assert traces[0] == traces[1]
 
 
 def test_existential_witness_plus(corpus):

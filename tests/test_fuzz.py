@@ -14,8 +14,8 @@ from cgl import realizer as R
 from cgl import syntax as S
 from cgl.checker import CheckError, Checker, elaborate
 from cgl.engine import (
-    DemonMenu, IllStructuredRealizer, close, modal_core, strip_assumptions,
-    verify_exhaustive,
+    DemonMenu, IllStructuredRealizer, RandomDemon, close, modal_core, play,
+    strip_assumptions, verify_exhaustive,
 )
 from cgl.extraction import UncheckedInput, extract
 from cgl.interchange import to_json
@@ -199,15 +199,15 @@ def _verdict(m, phi, oracle):
 
 MUTANT_DIGESTS = {
     "aCake": "a6672a2a6d1d4efc",
-    "aNim": "3ecf1c4aa6c139c7",
+    "aNim": "07aa4dd68d7630a9",
     "absFold": "54ecdeb2a82f5522",
     "applyId": "8bb75454e5fa666f",
     "dCake": "7f3d62ac03ead544",
-    "dNim": "7c5d1c20f008f975",
+    "dNim": "b61110305deda948",
     "decDemo": "cd03cfef299424c4",
     "dualFlip": "b2f5590ac0dfd293",
-    "dualOk": "cb4727e5f9a8b0fd",
-    "forCounter": "a9f95766a557ce87",
+    "dualOk": "79fad533871d9876",
+    "forCounter": "1cd9d09fc132f9a1",
     "fpTrivial": "c42afd0ab66acbec",
     "ghostEscape": "b2f5590ac0dfd293",
     "ghostRemember": "811813a25b1bf203",
@@ -215,14 +215,14 @@ MUTANT_DIGESTS = {
     "monAssign": "f681b05864c6cc1e",
     "pairProj": "3c0bee679fa40a65",
     "projChain": "2b8fc3da1d55cad8",
-    "raceLoop": "a26eeb2003247e14",
+    "raceLoop": "63f0857f3fe581ff",
     "rcaseTrivial": "ae884614532f4d17",
     "restEscape": "b2f5590ac0dfd293",
     "signFlip": "9dadc65fc95731ae",
     "splitDemo": "af7e026af929bf0a",
     "unrollRep": "a72134c051d134c6",
     "witAbs": "9b1f05d3c9f60ee9",
-    "witMax": "88cb3a214605ac74",
+    "witMax": "7ee566e7de45ea5e",
     "witPlus": "7efa8bd31b75a7d2",
 }
 
@@ -274,3 +274,48 @@ def test_every_composition_names_its_games(all_theorems):
                     assert node.games, name
                     composed += 1
     assert composed >= 10, composed
+
+
+def _config_lines(name, phi, rz):
+    """The verify verdict and 20 seeded random plays of a CONFIG theorem's
+    strategy: (counterexample or None, how each play ends)."""
+    st, post, menu, reqfin = CONFIG[name]
+    core, cl = strip_assumptions(phi, close(rz), st)
+    game, role, _ = modal_core(core)
+    cex = verify_exhaustive(game, role, cl, [st], post, menu, require_finished=reqfin)
+    ends = [play(game, role, cl, st, RandomDemon(seed, stop_after=6)) for seed in range(20)]
+    return (cex and (cex.state, cex.trace)), [(type(e), e.state) for e in ends]
+
+
+def test_every_wrapped_config_theorem_wins(all_theorems):
+    # mon((\f : phi. f) M; p. p): the strategy composes at run time, and the
+    # engine applies its hypotheses through the composition
+    for name in CONFIG:
+        phi, proof = all_theorems[name]
+        wrapped = P.Mon(P.App(P.Lam("f", phi, P.PVar("f")), proof), "p", P.PVar("p"))
+        rz = elaborate(Context(), wrapped, phi, ArithOracle())
+        assert any(isinstance(n, R.Compose) for n in _realizer_nodes(rz)), name
+        assert _config_lines(name, phi, rz)[0] is None, name
+
+
+def test_fusion_is_only_an_optimization(all_theorems, monkeypatch):
+    # a strategy whose every composition is left to run time plays like
+    # the fused one: the same verdict, and the same end of each random play
+    oracle = ArithOracle()
+    fused = {}
+    for name in CONFIG:
+        phi, proof = all_theorems[name]
+        fused[name] = elaborate(Context(), proof, phi, oracle)
+    monkeypatch.setattr(
+        R, "compose",
+        lambda first, var, cont, spine: R.Compose(first, var, cont, tuple(f.game for f in spine)),
+    )
+    moved = 0
+    for name, rz in fused.items():
+        phi, proof = all_theorems[name]
+        late = elaborate(Context(), proof, phi, oracle)
+        moved += late is not rz
+        lines = _config_lines(name, phi, rz)
+        assert lines[0] is None, name
+        assert _config_lines(name, phi, late) == lines, name
+    assert moved >= 3, moved
