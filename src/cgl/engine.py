@@ -12,6 +12,16 @@ off when the first game of its prefix is played and rides along on the
 continuation until the prefix is done, so a weakened strategy plays
 exactly like the strategy it weakens.  An elimination acts on a
 `Compose`'s `first`, and the residual keeps composing over the rest.
+
+Closures are safe for space (Shao & Appel, "Space-Efficient Closure
+Representations", LFP 1994): a realizer's capture set holds each name it
+reads, as a realizer variable and as the key of a number bound to a term
+variable, and every value enters an environment through `_bind`.  A body
+that cannot read the name keeps its environment as it is, and a closure
+stored as a value keeps only the entries of its own capture set.  Forcing
+and the transposition table read nothing outside capture sets, so this
+changes what a play keeps alive and nothing that it does: a finished
+play's residual holds no earlier round.
 """
 
 from __future__ import annotations
@@ -149,9 +159,9 @@ def force(cl: Closure, state: State, budget: Budget) -> Closure:
         elif t is R.Decide:
             sel, payload = _number_and_rest(Closure(rz.scrut, cl.env), state, budget)
             if sel == 0:
-                cl = Closure(rz.left, {**cl.env, rz.lvar: payload})
+                cl = Closure(rz.left, _bind(cl.env, rz.left, rz.lvar, payload))
             else:
-                cl = Closure(rz.right, {**cl.env, rz.rvar: payload})
+                cl = Closure(rz.right, _bind(cl.env, rz.right, rz.rvar, payload))
         elif t is R.Fst or t is R.Snd:
             pair = pair_view(force(Closure(rz.arg, cl.env), state, budget), state, budget)
             cl = pair[0] if t is R.Fst else pair[1]
@@ -161,7 +171,33 @@ def force(cl: Closure, state: State, budget: Budget) -> Closure:
         elif t is R.AppRz:
             cl = app_rz(Closure(rz.fn, cl.env), Closure(rz.arg, cl.env), state, budget)
         else:  # Ind
-            cl = Closure(rz.body, {**cl.env, rz.var: cl})
+            cl = Closure(rz.body, _bind(cl.env, rz.body, rz.var, cl))
+
+
+def _bind(env: dict, rz: R.Realizer, key, v) -> dict:
+    """env with v bound to key, for closures of rz: env itself when rz
+    cannot read key, and a closure v trimmed to what its realizer reads."""
+    try:
+        keys = rz._capture
+    except AttributeError:
+        keys = S.kept(rz, "_capture", _capture)
+    if key not in keys:
+        return env
+    if type(v) is Closure and (e := v.env):
+        try:
+            keys = v.rz._capture
+        except AttributeError:
+            keys = S.kept(v.rz, "_capture", _capture)
+        if not e.keys() <= keys:
+            v = Closure(v.rz, {k: e[k] for k in keys if k in e})
+    return {**env, key: v}
+
+
+def _capture(rz: R.Realizer) -> frozenset:
+    """The environment keys a closure of rz can read: each name it reads,
+    as a realizer variable and as the number bound to a term variable."""
+    names = S.kept(rz, "_reads", _reads)
+    return frozenset(names).union([(n,) for n in names])
 
 
 def app_num(cl: Closure, v: Optional[Rational], state: State, budget: Budget) -> Closure:
@@ -172,7 +208,7 @@ def app_num(cl: Closure, v: Optional[Rational], state: State, budget: Budget) ->
     if type(f.rz) is R.NumLamR:
         key = (f.rz.var,)
         if v is not None:
-            return Closure(f.rz.body, {**f.env, key: v})
+            return Closure(f.rz.body, _bind(f.env, f.rz.body, key, v))
         if key in f.env:
             return Closure(f.rz.body, {k: w for k, w in f.env.items() if k != key})
         return Closure(f.rz.body, f.env)
@@ -184,7 +220,7 @@ def app_num(cl: Closure, v: Optional[Rational], state: State, budget: Budget) ->
 def app_rz(cl: Closure, arg: Closure, state: State, budget: Budget) -> Closure:
     f = force(cl, state, budget)
     if type(f.rz) is R.ProofLam:
-        return Closure(f.rz.body, {**f.env, f.rz.hyp: arg})
+        return Closure(f.rz.body, _bind(f.env, f.rz.body, f.rz.hyp, arg))
     if type(f.rz) is R.Compose and type(f.rz.games[0]) is S.Test:
         return _residual(f, (), app_rz(Closure(f.rz.first, f.env), arg, state, budget))
     raise IllStructuredRealizer(f"realizer application to {type(f.rz).__name__}")
@@ -214,9 +250,10 @@ def apply_ks(ks, cl: Closure) -> Closure:
     continuations with games left to play keep riding the residual."""
     for var, cont, env, rest in reversed(ks):
         if rest:
-            cl = Closure(R.Compose(R.RVar("*r*"), var, cont, rest), {**env, "*r*": cl})
+            rz = R.Compose(R.RVar("*r*"), var, cont, rest)
+            cl = Closure(rz, _bind(env, rz, "*r*", cl))
         else:
-            cl = Closure(cont, {**env, var: cl})
+            cl = Closure(cont, _bind(env, cont, var, cl))
     return cl
 
 
@@ -233,10 +270,10 @@ def pair_view(f: Closure, state: State, budget: Budget):
     if t is R.Pair:
         return Closure(rz.fst, f.env), Closure(rz.snd, f.env)
     if t is R.Gen:
-        env = {**f.env, rz.var: Closure(rz.init, f.env)}
+        env = _bind(f.env, rz, rz.var, Closure(rz.init, f.env))
         step = Closure(rz.step, env)
         stream = S.kept(rz, "_stream", _stream)
-        return Closure(rz.post, env), Closure(stream, {**f.env, "*s*": step})
+        return Closure(rz.post, env), Closure(stream, _bind(f.env, stream, "*s*", step))
     if t is R.Compose and type(g := rz.games[0]) in (S.Test, S.AssignAny, S.Choice, S.Repeat):
         a, b = pair_view(force(Closure(rz.first, f.env), state, budget), state, budget)
         if type(g) is S.Choice:  # [a ++ b]: a strategy for each side

@@ -24,7 +24,10 @@ from .syntax import Formula, Game, Term, _node, _Node
 
 
 class Realizer(_Node):
-    __slots__ = ("_reads", "_stream")  # the engine's: names a closure can read; a Gen's stream
+    # the engine's: the names a closure can read; its capture set, those
+    # names as environment keys, all that a bound closure keeps; a Gen's
+    # stream
+    __slots__ = ("_reads", "_capture", "_stream")
 
 
 @_node

@@ -1,10 +1,12 @@
 """Gameplay interpreter: single plays, oracles, exhaustive verification,
 and the trace-level semantic properties."""
 
+import copy
 import gc
 import hashlib
 import json
 import time
+import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -13,6 +15,7 @@ import pytest
 from cgl import engine as E
 from cgl import realizer as R
 from cgl import syntax as S
+from cgl.checker import elaborate
 from cgl.cli import corpus_path
 from cgl.engine import (
     ACTIVE, DORMANT, DemonMenu, Finished, AngelViolation, DemonViolation,
@@ -20,6 +23,8 @@ from cgl.engine import (
     strip_assumptions, verify_exhaustive,
 )
 from cgl.extraction import extract
+from cgl.oracle import ArithOracle
+from cgl.proofterms import Context
 from cgl.rational import parse_rational
 from cgl.syntax import State
 from conftest import rand_game, rand_rational, rand_state
@@ -735,6 +740,67 @@ def test_dropped_node_is_freed_with_its_evaluator_and_instruction():
     assert len(S._nodes) == before
 
 
+def _long_nim(name, phi, rz, n):
+    """The arguments of `play` for an n-round scripted play of dNim from
+    c = 4n+1, or of aNim from c = 4n+4: Demon removes 1 each round, and
+    Angel, playing rz, mirrors."""
+    if name == "dNim":
+        st, script = State({"c": 4 * n + 1}), ["continue", "L", "assert"] * n + ["stop"]
+    else:
+        st, script = State({"c": 4 * n + 4}), ["L", "assert"] * n
+    core, cl = strip_assumptions(phi, close(rz), st)
+    game, role, _ = modal_core(core)
+    return game, role, cl, st, ScriptedDemon(script)
+
+
+def _reachable_closures(cl) -> int:
+    """The closures reachable from cl through environments, cl included."""
+    seen, todo = set(), [cl]
+    while todo:
+        cl = todo.pop()
+        if id(cl) not in seen:
+            seen.add(id(cl))
+            todo.extend(v for v in cl.env.values() if type(v) is E.Closure)
+    return len(seen)
+
+
+@pytest.mark.parametrize("fused", [True, False])
+def test_finished_play_keeps_no_earlier_round(all_theorems, monkeypatch, fused):
+    # a closure keeps only the environment entries its realizer can read,
+    # so the residual of a finished play does not grow with its length,
+    # fused or with every composition left to run time
+    if not fused:
+        monkeypatch.setattr(R, "compose", lambda first, var, cont, spine: R.Compose(
+            first, var, cont, tuple(f.game for f in spine)))
+    for name in ("dNim", "aNim"):
+        phi, proof = all_theorems[name]
+        # a copy, so that the shared proof keeps the fused realizer
+        rz = elaborate(Context(), copy.copy(proof), phi, ArithOracle())
+        counts = []
+        for n in (100, 999):
+            out = play(*_long_nim(name, phi, rz, n), fuel=10**6)
+            assert type(out) is Finished, (name, n, out)
+            counts.append(_reachable_closures(out.residual))
+        assert counts[0] == counts[1] <= 8, (name, counts)
+
+
+def test_long_play_memory_stays_flat(all_theorems):
+    # a warmed 2,000-round play without a tracer allocates little at its
+    # peak; kept rounds would cost about 1 KB each
+    phi, proof = all_theorems["dNim"]
+    rz = extract(proof, phi, checked=True)
+    play(*_long_nim("dNim", phi, rz, 2000), fuel=10**6)
+    args = _long_nim("dNim", phi, rz, 2000)
+    tracemalloc.start()
+    try:
+        out = play(*args, fuel=10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert type(out) is Finished and out.state == State({"c": 1})
+    assert peak < 500_000, peak
+
+
 @pytest.mark.parametrize("word", ["L", "5", "assert"])
 def test_scripted_demon_rejects_a_wrong_word_at_a_loop(word):
     game = S.Repeat(S.Assign("x", S.Plus(x, L(1))))
@@ -892,6 +958,12 @@ def test_pinned_random_plays(rng, fuel, want):
     # every outcome, end state and event of seeded random plays, each game
     # in both roles against a seeded adversary; at fuel 12 many plays run
     # out, so the digest also pins where fuel is spent
+    assert _random_play_records(rng, fuel) == want
+
+
+def _random_play_records(rng, fuel):
+    """(outcome kinds, digest of every outcome and event) of 800 seeded
+    random plays."""
     h, kinds = hashlib.sha256(), {}
     for i in range(400):
         game = S.Repeat(rand_game(rng, 2)) if rng.random() < 0.3 else rand_game(rng, 3)
@@ -907,4 +979,4 @@ def test_pinned_random_plays(rng, fuel, want):
                 rec = ("error", str(e))
             kinds[rec[0]] = kinds.get(rec[0], 0) + 1
             h.update(f"{rec!r} {list(tr.events)!r}\n".encode())
-    assert (kinds, h.hexdigest()[:16]) == want
+    return kinds, h.hexdigest()[:16]

@@ -3,12 +3,14 @@ the checker or its extracted strategy still wins every adversary line.
 A losing strategy extracted from an accepted proof would be a soundness
 hole; this guards the checker/oracle/extractor/engine stack jointly."""
 
+import copy
 import dataclasses
 import hashlib
 import json
 import random
 import re
 
+from cgl import engine as E
 from cgl import proofterms as P
 from cgl import realizer as R
 from cgl import syntax as S
@@ -319,3 +321,31 @@ def test_fusion_is_only_an_optimization(all_theorems, monkeypatch):
         assert lines[0] is None, name
         assert _config_lines(name, phi, late) == lines, name
     assert moved >= 3, moved
+
+
+def test_trimmed_closures_are_only_an_optimization(all_theorems, monkeypatch):
+    # binding into a copy of the whole environment, as the engine did before
+    # closures were trimmed to what their realizers read, plays the same:
+    # the same verdicts, trails and play ends, and the same random plays
+    from test_engine import _random_play_records
+
+    oracle = ArithOracle()
+
+    def observed():
+        lines = {}
+        for name in CONFIG:
+            phi, proof = all_theorems[name]
+            # a copy: an earlier test may have left another realizer on the proof
+            lines[name] = _config_lines(name, phi, elaborate(Context(), copy.copy(proof), phi,
+                                                             oracle))
+        plays = [_random_play_records(random.Random(20240817), fuel) for fuel in (12, 20_000)]
+        return lines, plays
+
+    def whole(env, rz, key, v):
+        bound.append(key)
+        return {**env, key: v}
+
+    trimmed, bound = observed(), []
+    monkeypatch.setattr(E, "_bind", whole)
+    assert observed() == trimmed
+    assert bound
