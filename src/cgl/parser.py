@@ -8,9 +8,11 @@ A script is a sequence of named definitions:
 
 Game and formula names elaborate inline (definitions are acyclic by
 construction: names must be defined before use).  The printer module
-inverts this grammar exactly; `parse(print(ast)) == ast`.  Proof forms
-that a keyword or bracket opens are read from `printer.PROOF_FORMS`, the
-one source of the proof syntax, whose templates the printer fills in.
+inverts this grammar exactly; `parse(print(ast)) == ast`.  The printer's
+two tables are the one source of precedence: binary operators are read
+from `printer.OPERATORS` by precedence climbing, and the proof forms that
+a keyword or bracket opens from `printer.PROOF_FORMS`, whose templates the
+printer fills in.
 
 All errors carry line/column positions and the expected-token set.
 """
@@ -23,7 +25,7 @@ from typing import NamedTuple, Optional
 
 from . import proofterms as P
 from . import syntax as S
-from .printer import ATOM, CASE, FORM_OF, PREFIX
+from .printer import _BARE_ARGS, APP, ATOM, CASE, FORM_OF, OPERATORS, PREFIX
 from .rational import parse_rational
 
 KEYWORDS = {
@@ -213,26 +215,27 @@ class Parser:
             t = self.peek()
             raise ParseError(f"duplicate definition {name}", t.line, t.col)
 
+    # -- operators ----------------------------------------------------------------
+
+    def _binary(self, ops: dict, operand, level: int):
+        """An operand and the operators of `ops` after it whose precedence is
+        at least `level`, read by precedence climbing (`printer.OPERATORS`)."""
+        left = operand(self)
+        while True:
+            t = self.peek()
+            op = ops.get(t.text)
+            if op is None or op[1] < level:
+                return left
+            # a '*' not followed by a term is game repetition, not product
+            if t.text == "*" and self._star_is_postfix():
+                return left
+            self.next()
+            left = op[0](left, self._binary(ops, operand, op[2]))
+
     # -- terms --------------------------------------------------------------------
 
     def term(self) -> S.Term:
-        left = self._term_mul()
-        while self.at("+") or self.at("-"):
-            op = self.next().text
-            right = self._term_mul()
-            left = S.Plus(left, right) if op == "+" else S.Minus(left, right)
-        return left
-
-    def _term_mul(self) -> S.Term:
-        left = self.term_unary()
-        while self.at("*") or self.at("div") or self.at("mod"):
-            # a '*' not followed by a term is game repetition, not product
-            if self.at("*") and self._star_is_postfix():
-                break
-            op = self.next().text
-            right = self.term_unary()
-            left = {"*": S.Times, "div": S.Div, "mod": S.Mod}[op](left, right)
-        return left
+        return self._binary(_OPERATORS["term"], Parser.term_unary, 0)
 
     def _star_is_postfix(self) -> bool:
         nxt = self.peek(1)
@@ -287,33 +290,7 @@ class Parser:
     # -- formulas --------------------------------------------------------------------
 
     def formula(self, level=0) -> S.Formula:
-        # 0: <->   1: ->   2: |   3: &   4: prefix/atom
-        if level == 0:
-            left = self.formula(1)
-            if self.at("<->"):
-                self.next()
-                right = self.formula(0)
-                return S.And(S.Implies(left, right), S.Implies(right, left))
-            return left
-        if level == 1:
-            left = self.formula(2)
-            if self.at("->"):
-                self.next()
-                return S.Implies(left, self.formula(1))
-            return left
-        if level == 2:
-            left = self.formula(3)
-            if self.at("|"):
-                self.next()
-                return S.Or(left, self.formula(2))
-            return left
-        if level == 3:
-            left = self.formula(4)
-            if self.at("&"):
-                self.next()
-                return S.And(left, self.formula(3))
-            return left
-        return self.formula_prefix()
+        return self._binary(_OPERATORS["formula"], Parser.formula_prefix, level)
 
     def formula_prefix(self) -> S.Formula:
         t = self.peek()
@@ -347,7 +324,7 @@ class Parser:
             save = self.pos
             try:
                 self.next()
-                inner = self.formula(0)
+                inner = self.formula()
                 self.eat(")")
                 return inner
             except ParseError as e:
@@ -382,42 +359,23 @@ class Parser:
 
     # -- games --------------------------------------------------------------------------
 
-    def game(self, level=0) -> S.Game:
-        # 0: ++/cap   1: ;   2: postfix   3: atom
-        if level == 0:
-            left = self.game(1)
-            if self.at("++"):
-                self.next()
-                return S.Choice(left, self.game(0))
-            if self.at("cap"):
-                self.next()
-                return S.DormantChoice(left, self.game(0))
-            return left
-        if level == 1:
-            left = self.game(2)
-            if self.at(";"):
-                self.next()
-                return S.Seq(left, self.game(1))
-            return left
+    def game(self) -> S.Game:
+        return self._binary(_OPERATORS["game"], Parser.game_postfix, 0)
+
+    def game_postfix(self) -> S.Game:
         g = self.game_atom()
-        while True:
-            if self.at("*"):
-                self.next()
-                g = S.Repeat(g)
-            elif self.at("^d"):
-                self.next()
-                g = S.Dual(g)
-            else:
-                return g
+        while self.at("*") or self.at("^d"):
+            g = S.Repeat(g) if self.next().text == "*" else S.Dual(g)
+        return g
 
     def game_atom(self) -> S.Game:
         t = self.peek()
         if self.at("?"):
             self.next()
-            return S.Test(self.formula(1))
+            return S.Test(self.formula(2))  # a test's formula ends at `<->`
         if self.at("{"):
             self.next()
-            inner = self.game(0)
+            inner = self.game()
             self.eat("}")
             return inner
         if t.kind == "ident":
@@ -435,8 +393,12 @@ class Parser:
 
     # -- proofs --------------------------------------------------------------------------
 
-    def proof(self) -> P.ProofTerm:
-        if self.at("\\"):
+    def proof(self, level=CASE) -> P.ProofTerm:
+        """A proof at `level`: a lambda (at CASE only), a form of the proof
+        table whose precedence is at least `level`, or a variable or a
+        parenthesized proof, followed up to APP by application arguments."""
+        t = self.peek()
+        if t.text == "\\" and level == CASE:
             self.next()
             x = self.ident("binder")
             self.eat(":")
@@ -452,47 +414,32 @@ class Parser:
             ann = self.formula()
             self.eat(".")
             return P.Lam(x, ann, self.proof())
-        return self.proof_form(CASE) or self.proof_prefix()
-
-    def proof_prefix(self) -> P.ProofTerm:
-        return self.proof_form(PREFIX) or self.proof_app()
-
-    def proof_app(self) -> P.ProofTerm:
-        head = self.proof_atom()
-        while True:
+        form = _FORMS.get(t.text)
+        if form is not None and form[3] >= level:
+            m = self._form(form)
+            if form[3] < APP:  # a case or prefix form extends as far right as it can
+                return m
+        elif t.text == "(":
+            self.next()
+            m = self.proof()
+            self.eat(")")
+        elif t.kind == "ident":
+            m = P.PVar(self.next().text)
+        else:
+            raise ParseError(f"found {t.text!r}", t.line, t.col, ("proof term",))
+        while level <= APP:
             t = self.peek()
             if self.at("@"):
                 self.next()
-                head = P.NumApp(head, self.term_atom())
-            elif t.kind == "ident" or t.text in ("(", "FO", "Dec", "split"):
-                head = P.App(head, self.proof_atom())
+                m = P.NumApp(m, self.term_atom())
+            elif t.kind == "ident" or t.text in _ARG_OPENERS:
+                m = P.App(m, self.proof(ATOM))
             else:
-                return head
-
-    def proof_atom(self) -> P.ProofTerm:
-        t = self.peek()
-        if self.at("("):
-            self.next()
-            inner = self.proof()
-            self.eat(")")
-            return inner
-        if t.kind == "ident":
-            return P.PVar(self.next().text)
-        m = self.proof_form(ATOM)
-        if m is None:
-            raise ParseError(f"found {t.text!r}", t.line, t.col, ("proof term",))
+                break
         return m
 
-    def _form_at(self, prec: int):
-        form = _FORMS.get(self.peek().text)
-        return form if form is not None and form[3] == prec else None
-
-    def proof_form(self, prec: int) -> Optional[P.ProofTerm]:
-        """The table form of precedence `prec` that the next token opens,
-        read field by field; None when the token opens none."""
-        form = self._form_at(prec)
-        if form is None:
-            return None
+    def _form(self, form) -> P.ProofTerm:
+        """The proof table's `form`, read field by field."""
         cls, flavor, pieces, _ = form
         vals = {} if flavor is None else {"flavor": flavor}
         for piece in pieces:
@@ -509,7 +456,9 @@ class Parser:
             elif kind == "str":
                 vals[name] = self.ident(_NAMED.get(name, "binder"))
             elif kind == "ProofTerm":
-                vals[name] = self.proof_prefix() if sub == PREFIX else self.proof()
+                # a case in a left branch is read too; only the printer
+                # puts it in parentheses
+                vals[name] = self.proof(PREFIX if sub == PREFIX else CASE)
             elif kind == "Term":
                 vals[name] = self.term()
             elif kind == "Formula":
@@ -549,6 +498,15 @@ _FORMS = {
     lexed[0]: (cls, flavor, lexed, prec)
     for (cls, flavor), (pieces, prec) in FORM_OF.items()
     if (lexed := _lexed(pieces))
+}
+
+# besides a variable, the tokens that open an application's argument
+_ARG_OPENERS = {"("} | {tok for tok, form in _FORMS.items() if form[0] in _BARE_ARGS}
+
+# sort -> token -> (constructor, precedence, level of the right operand)
+_OPERATORS = {
+    sort: {tok: (build, prec, prec + (assoc == "left")) for tok, build, _, prec, assoc, _, _ in rows}
+    for sort, rows in OPERATORS.items()
 }
 
 

@@ -1,11 +1,9 @@
 """Canonical ASCII pretty-printer; `parser` inverts it exactly.
 
-Precedences (low to high):
-  formulas:  <-> 1, -> 2, | 3, & 4, prefix/modal/quantifier 5, atoms 6
-  games:     ++/cap 1, ; 2, postfix */^d 3, atoms 4
-  terms:     +/- 1, * div mod 2, unary - 3, atoms 4
-  proofs:    case/rcase/fp 0, lambdas 1, prefix keywords 2, application 3,
-             atoms 4 (`PROOF_FORMS`, which the parser reads too)
+Precedence is written once, in two tables that the parser reads too:
+`OPERATORS` for the binary operators of terms, formulas and games, and
+`PROOF_FORMS` for the proof forms.  The forms that a keyword or sign opens
+print at the levels above the operators' (see `OPERATORS`).
 """
 
 from __future__ import annotations
@@ -16,6 +14,77 @@ from dataclasses import fields
 from . import proofterms as P
 from . import syntax as S
 from .rational import format_rational
+
+
+# ---------------------------------------------------------------------------
+# Binary operators
+
+
+def _operands(cls):
+    """The view of a `cls` node: its two operands, or None for another node."""
+    return lambda x: (x.left, x.right) if type(x) is cls else None
+
+
+def _iff(a: S.Formula, b: S.Formula) -> S.Formula:
+    return S.And(S.Implies(a, b), S.Implies(b, a))
+
+
+def _cap_view(g: S.Game):
+    if (
+        isinstance(g, S.Dual)
+        and isinstance(g.body, S.Choice)
+        and isinstance(g.body.left, S.Dual)
+        and isinstance(g.body.right, S.Dual)
+    ):
+        return g.body.left.body, g.body.right.body
+    return None
+
+
+# The one source of operator precedence: the binary operators of terms,
+# formulas and games, each as (token, constructor, view, precedence,
+# associativity, left level, right level).  The parser reads them by
+# precedence climbing: an operator of precedence p where a level of at most
+# p is wanted, its right operand at p when it associates to the right and at
+# p + 1 when to the left.  The printer writes a node by the first row whose
+# view takes it apart, its operands at the row's levels, in parentheses
+# (braces for games) where a level above p is wanted.  `<->` has no view:
+# the printer writes its conjunction of implications.  The forms that a
+# keyword or sign opens are written by hand in both modules, at levels above
+# the table's: unary minus 3 and atoms 4 in terms; `!`, quantifiers,
+# modalities and `succ` 5 and comparisons 6 in formulas; tests, assignments
+# and postfix `*` and `^d` 3 and braces 4 in games.
+OPERATORS = {
+    "term": (
+        ("+", S.Plus, _operands(S.Plus), 1, "left", 1, 2),
+        ("-", S.Minus, _operands(S.Minus), 1, "left", 1, 2),
+        ("*", S.Times, _operands(S.Times), 2, "left", 2, 3),
+        ("div", S.Div, _operands(S.Div), 2, "left", 2, 3),
+        ("mod", S.Mod, _operands(S.Mod), 2, "left", 2, 3),
+    ),
+    "formula": (
+        ("<->", _iff, None, 1, "right", 2, 1),
+        ("->", S.Implies, S.split_implies, 2, "right", 3, 2),
+        ("|", S.Or, S.split_or, 3, "right", 4, 3),
+        ("&", S.And, S.split_and, 4, "right", 5, 4),
+    ),
+    "game": (
+        ("++", S.Choice, _operands(S.Choice), 1, "right", 2, 1),
+        # a choice on the right is braced: `a cap {b ++ c}`
+        ("cap", S.DormantChoice, _cap_view, 1, "right", 2, 2),
+        (";", S.Seq, _operands(S.Seq), 2, "right", 3, 2),
+    ),
+}
+
+
+def _binary(x, sort: str, write):
+    """`x` as (text, precedence) by the first operator row of its sort whose
+    view takes it apart, each operand written by `write` at the row's
+    level; None when no row does."""
+    for token, _, view, prec, _, left, right in OPERATORS[sort]:
+        parts = view and view(x)
+        if parts:
+            return f"{write(parts[0], left)} {token} {write(parts[1], right)}", prec
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -32,16 +101,6 @@ def print_term(t: S.Term, level: int = 0) -> str:
             return par(s, 3 if v < 0 else 4)
         case S.Var(name=x):
             return x
-        case S.Plus(left=a, right=b):
-            return par(f"{print_term(a, 1)} + {print_term(b, 2)}", 1)
-        case S.Minus(left=a, right=b):
-            return par(f"{print_term(a, 1)} - {print_term(b, 2)}", 1)
-        case S.Times(left=a, right=b):
-            return par(f"{print_term(a, 2)} * {print_term(b, 3)}", 2)
-        case S.Div(left=a, right=b):
-            return par(f"{print_term(a, 2)} div {print_term(b, 3)}", 2)
-        case S.Mod(left=a, right=b):
-            return par(f"{print_term(a, 2)} mod {print_term(b, 3)}", 2)
         case S.Neg(arg=a):
             if isinstance(a, S.Lit) and a.value >= 0:
                 return par(f"-({print_term(a)})", 3)
@@ -52,7 +111,10 @@ def print_term(t: S.Term, level: int = 0) -> str:
             return f"min({print_term(a)}, {print_term(b)})"
         case S.Max(left=a, right=b):
             return f"max({print_term(a)}, {print_term(b)})"
-    raise TypeError(f"not a term: {t!r}")
+    op = _binary(t, "term", print_term)
+    if op is None:
+        raise TypeError(f"not a term: {t!r}")
+    return par(*op)
 
 
 # ---------------------------------------------------------------------------
@@ -92,19 +154,11 @@ def print_formula(phi: S.Formula, level: int = 0) -> str:
         a, b = sv
         return par(f"{print_term(a, 1)} succ {print_term(b, 1)}", 5)
     imp = S.split_implies(phi)
-    if imp is not None:
-        a, b = imp
-        if b == S.FALSE:
-            return par(f"!{print_formula(a, 6)}", 5)
-        return par(f"{print_formula(a, 3)} -> {print_formula(b, 2)}", 2)
-    disj = S.split_or(phi)
-    if disj is not None:
-        a, b = disj
-        return par(f"{print_formula(a, 4)} | {print_formula(b, 3)}", 3)
-    both = S.split_and(phi)
-    if both is not None:
-        a, b = both
-        return par(f"{print_formula(a, 5)} & {print_formula(b, 4)}", 4)
+    if imp is not None and imp[1] == S.FALSE:
+        return par(f"!{print_formula(imp[0], 6)}", 5)
+    op = _binary(phi, "formula", print_formula)
+    if op is not None:
+        return par(*op)
     match phi:
         case S.Cmp(left=a, rel=r, right=b):
             return par(f"{print_term(a, 1)} {r} {print_term(b, 1)}", 6)
@@ -123,25 +177,13 @@ def print_formula(phi: S.Formula, level: int = 0) -> str:
 # Games
 
 
-def _cap_view(g: S.Game):
-    if (
-        isinstance(g, S.Dual)
-        and isinstance(g.body, S.Choice)
-        and isinstance(g.body.left, S.Dual)
-        and isinstance(g.body.right, S.Dual)
-    ):
-        return g.body.left.body, g.body.right.body
-    return None
-
-
 def print_game(g: S.Game, level: int = 0) -> str:
     def par(s, mine):
         return f"{{{s}}}" if mine < level else s
 
-    cap = _cap_view(g)
-    if cap is not None:
-        a, b = cap
-        return par(f"{print_game(a, 2)} cap {print_game(b, 2)}", 1)
+    op = _binary(g, "game", print_game)  # before `Dual`: a cap is a dual
+    if op is not None:
+        return par(*op)
     match g:
         case S.Test(cond=c):
             return par(f"?{print_formula(c)}", 3)
@@ -149,10 +191,6 @@ def print_game(g: S.Game, level: int = 0) -> str:
             return par(f"{x} := {print_term(t)}", 3)
         case S.AssignAny(var=x):
             return par(f"{x} := *", 3)
-        case S.Choice(left=a, right=b):
-            return par(f"{print_game(a, 2)} ++ {print_game(b, 1)}", 1)
-        case S.Seq(left=a, right=b):
-            return par(f"{print_game(a, 3)} ; {print_game(b, 2)}", 2)
         case S.Repeat(body=a):
             return par(f"{print_game(a, 4)}*", 3)
         case S.Dual(body=a):

@@ -226,6 +226,25 @@ def test_misfit_mon_scrutinee_diagnostic(scrut):
     assert str(ck().check_result(Context(), m, phi)) == MISFIT_SCRUTINEES[scrut]
 
 
+# false theorems that one guard of the checker alone rejects: without it,
+# each passes `cgl check`
+@pytest.mark.parametrize("goal, proof, message", [
+    # the lambda's annotation is not the implication's hypothesis
+    ("x > 0 -> x > 1", r"\h : x > 1. FO[x > 1](h)",
+     "root: RuleMismatch: expected lambda annotation x > 0, got x > 1"),
+    # the number lambda binds another variable than the quantifier
+    ("y = 1 -> [y := *] y = 1", r"\h : y = 1. \x : Q as x0. FO[y = 1](h)",
+     "body: RuleMismatch: binds x but goal binds y"),
+    # Dec decides another disjunction than the goal's
+    ("x > 0 | x < 0", "Dec[tt | tt]()",
+     "root: RuleMismatch: expected Dec conclusion x > 0 | x < 0, got tt | tt"),
+])
+def test_guard_alone_rejects_false_theorem(goal, proof, message):
+    phi, m = parse_script(f"theorem t : {goal} = {proof}").theorems["t"]
+    err = ck().check_result(Context(), m, phi)
+    assert (err.kind, str(err)) == (C.RULE_MISMATCH, message)
+
+
 def test_dual_flip_diagnostic_names_the_goal():
     phi, m = parse_script(MON_SCRUTINEES).theorems["dualFlip"]
     err = ck().check_result(Context(), m, phi)

@@ -368,7 +368,7 @@ def test_bad_json_inputs_are_usage_errors(tmp_path, capsys):
 
 def test_deep_nesting_is_usage_error(tmp_path, capsys):
     f = tmp_path / "deep.cgl"
-    f.write_text("theorem t : " + "(" * 200 + "x > 0" + ")" * 200 + " = FO[x > 0]()\n")
+    f.write_text("theorem t : " + "(" * 1000 + "x > 0" + ")" * 1000 + " = FO[x > 0]()\n")
     code, _out, err = run(capsys, "check", str(f))
     assert code == 2
     _one_line_usage_error(err, "check")
@@ -569,6 +569,17 @@ def _sweep_input(shape, nodes):
         return f"theorem t : <{chain('x := x + 1', 5, '; ')}> tt = {proof}\n"
     deep = chain(_nested_sum(150), 302, " + ")  # parentheses nested 150 deep
     return f"theorem t : <x := {deep}> x = x = asgnd x (x0, h. FO[x = x]())\n"
+
+
+def test_200_step_proof_checks_and_plays(tmp_path, capsys):
+    # 200 assignments in sequence and their natural proof, `seqd asgnd`
+    # nested 200 deep, at the interpreter's own recursion limit
+    f = tmp_path / "steps.cgl"
+    f.write_text(_sweep_input("seq", 1_000))
+    assert run(capsys, "check", str(f)) == (0, "t: ok\n", "")
+    code, out, err = run(capsys, "play", str(f))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "finished State(x=200); goal tt holds"
 
 
 @pytest.mark.parametrize("cmd", ["check", "normalize", "extract", "play", "verify"])

@@ -315,12 +315,16 @@ def test_fusion_is_only_an_optimization(all_theorems, monkeypatch):
     moved = 0
     for name, rz in fused.items():
         phi, proof = all_theorems[name]
-        late = elaborate(Context(), proof, phi, oracle)
+        # a copy: the shared proof keeps the fused realizer its check left
+        late = elaborate(Context(), copy.copy(proof), phi, oracle)
         moved += late is not rz
         lines = _config_lines(name, phi, rz)
         assert lines[0] is None, name
         assert _config_lines(name, phi, late) == lines, name
     assert moved >= 3, moved
+    for name, rz in fused.items():
+        phi, proof = all_theorems[name]
+        assert extract(proof, phi, checked=True) is rz, name
 
 
 def test_trimmed_closures_are_only_an_optimization(all_theorems, monkeypatch):
