@@ -22,6 +22,14 @@ stored as a value keeps only the entries of its own capture set.  Forcing
 and the transposition table read nothing outside capture sets, so this
 changes what a play keeps alive and nothing that it does: a finished
 play's residual holds no earlier round.
+
+The closure register is unboxed: forcing, application and the game
+machine hold the closure they work on as two values, a realizer and its
+environment, and build a `Closure` object only where a closure is stored.
+That is where `_bind` binds one in an environment, already trimmed to its
+capture set (a closure that reads nothing shares one empty environment),
+and where one is handed out, as a finished play's residual or by
+`app_rz`.  The transposition table numbers a closure by what it holds.
 """
 
 from __future__ import annotations
@@ -82,11 +90,16 @@ class FuelOut:
 
 
 class Closure:
+    """A realizer and its environment, boxed.  The machine keeps the closure
+    it runs in two registers, the realizer and the environment, and boxes
+    one only where it is stored: bound in an environment (`_bind`) or
+    handed out, as a finished play's residual or by `app_rz`."""
+
     __slots__ = ("rz", "env")
 
-    def __init__(self, rz: R.Realizer, env=None):
+    def __init__(self, rz: R.Realizer, env: dict):
         self.rz = rz
-        self.env = env or {}
+        self.env = env
 
     def __repr__(self):
         return f"Closure({self.rz!r})"
@@ -104,7 +117,8 @@ class Budget:
 
 
 # ---------------------------------------------------------------------------
-# Forcing
+# Forcing.  A closure in hand is two registers, (rz, env): these functions
+# take it as two arguments and return it as two values.
 
 
 def _at(state: State, env, x):
@@ -134,62 +148,69 @@ def _stage(x):  # (evaluator, env keys of its variables) of a term or formula
     return fn, tuple((v,) for v in S.free_vars(x))
 
 
-def force(cl: Closure, state: State, budget: Budget) -> Closure:
-    """Weak head normal form: Unit, Pair, TermVal, NumLamR, ProofLam, Gen,
-    or Compose.  Each step spends one unit of fuel."""
+def force(rz: R.Realizer, env: dict, state: State, budget: Budget):
+    """(rz, env) in weak head normal form: Unit, Pair, TermVal, NumLamR,
+    ProofLam, Gen, or Compose.  Each step spends one unit of fuel."""
     while True:
         budget.left -= 1
         if budget.left < 0:
             raise BudgetExhausted()
-        rz = cl.rz
         t = type(rz)
         if t in _WHNF:
-            return cl
+            return rz, env
         if t is R.RVar:
-            v = cl.env.get(rz.name)
+            v = env.get(rz.name)
             if v is None:
                 raise IllStructuredRealizer(f"unbound realizer variable {rz.name}")
-            cl = v
+            rz, env = v.rz, v.env
         elif t is R.IfTerm:
             try:
-                b = _at(state, cl.env, rz.cond)
+                b = _at(state, env, rz.cond)
             except (TypeError, ArithmeticError) as e:
                 raise IllStructuredRealizer(f"unevaluable decision {rz.cond!r}: {e}")
-            cl = Closure(rz.then if b else rz.els, cl.env)
+            rz = rz.then if b else rz.els
         elif t is R.Decide:
-            sel, payload = _number_and_rest(Closure(rz.scrut, cl.env), state, budget)
+            sel, prz, penv = _number_and_rest(rz.scrut, env, state, budget)
             if sel == 0:
-                cl = Closure(rz.left, _bind(cl.env, rz.left, rz.lvar, payload))
+                rz, env = rz.left, _bind(env, rz.left, rz.lvar, prz, penv)
             else:
-                cl = Closure(rz.right, _bind(cl.env, rz.right, rz.rvar, payload))
+                rz, env = rz.right, _bind(env, rz.right, rz.rvar, prz, penv)
         elif t is R.Fst or t is R.Snd:
-            pair = pair_view(force(Closure(rz.arg, cl.env), state, budget), state, budget)
-            cl = pair[0] if t is R.Fst else pair[1]
+            a, aenv, b, benv = pair_view(*force(rz.arg, env, state, budget), state, budget)
+            rz, env = (a, aenv) if t is R.Fst else (b, benv)
         elif t is R.AppNum:
-            v = _at(state, cl.env, rz.term)
-            cl = app_num(Closure(rz.fn, cl.env), v, state, budget)
+            v = _at(state, env, rz.term)
+            rz, env = app_num(rz.fn, env, v, state, budget)
         elif t is R.AppRz:
-            cl = app_rz(Closure(rz.fn, cl.env), Closure(rz.arg, cl.env), state, budget)
+            rz, env = _app_rz(rz.fn, env, rz.arg, env, state, budget)
         else:  # Ind
-            cl = Closure(rz.body, _bind(cl.env, rz.body, rz.var, cl))
+            rz, env = rz.body, _bind(env, rz.body, rz.var, rz, env)
 
 
-def _bind(env: dict, rz: R.Realizer, key, v) -> dict:
-    """env with v bound to key, for closures of rz: env itself when rz
-    cannot read key, and a closure v trimmed to what its realizer reads."""
+_EMPTY = {}  # the environment of every bound closure that can read none of its own; never written
+
+
+def _bind(env: dict, rz: R.Realizer, key, v, venv=None) -> dict:
+    """env with key bound, for closures of rz: env itself when rz cannot
+    read key.  The value is the number v or, given venv, the closure of v
+    in venv, boxed here with only the entries its realizer can read."""
     try:
         keys = rz._capture
     except AttributeError:
         keys = S.kept(rz, "_capture", _capture)
     if key not in keys:
         return env
-    if type(v) is Closure and (e := v.env):
+    if venv is not None:
         try:
-            keys = v.rz._capture
+            keys = v._capture
         except AttributeError:
-            keys = S.kept(v.rz, "_capture", _capture)
-        if not e.keys() <= keys:
-            v = Closure(v.rz, {k: e[k] for k in keys if k in e})
+            keys = S.kept(v, "_capture", _capture)
+        if venv:
+            if keys.isdisjoint(venv):
+                venv = _EMPTY
+            elif not venv.keys() <= keys:
+                venv = {k: w for k, w in venv.items() if k in keys}
+        v = Closure(v, venv)
     return {**env, key: v}
 
 
@@ -200,87 +221,95 @@ def _capture(rz: R.Realizer) -> frozenset:
     return frozenset(names).union([(n,) for n in names])
 
 
-def app_num(cl: Closure, v: Optional[Rational], state: State, budget: Budget) -> Closure:
-    """cl, a number lambda, applied to v; to None at a demon's `x := *`,
-    whose value the state already holds, so a number bound to x earlier is
-    dropped rather than left to shadow it."""
-    f = force(cl, state, budget)
-    if type(f.rz) is R.NumLamR:
-        key = (f.rz.var,)
+def app_num(rz: R.Realizer, env: dict, v: Optional[Rational], state: State, budget: Budget):
+    """(rz, env), a number lambda, applied to v; to None at a demon's
+    `x := *`, whose value the state already holds, so a number bound to x
+    earlier is dropped rather than left to shadow it."""
+    rz, env = force(rz, env, state, budget)
+    if type(rz) is R.NumLamR:
+        key = (rz.var,)
         if v is not None:
-            return Closure(f.rz.body, _bind(f.env, f.rz.body, key, v))
-        if key in f.env:
-            return Closure(f.rz.body, {k: w for k, w in f.env.items() if k != key})
-        return Closure(f.rz.body, f.env)
-    if type(f.rz) is R.Compose and type(f.rz.games[0]) is S.AssignAny:
-        return _residual(f, (), app_num(Closure(f.rz.first, f.env), v, state, budget))
-    raise IllStructuredRealizer(f"number application to {type(f.rz).__name__}")
+            return rz.body, _bind(env, rz.body, key, v)
+        if key in env:
+            return rz.body, {k: w for k, w in env.items() if k != key}
+        return rz.body, env
+    if type(rz) is R.Compose and type(rz.games[0]) is S.AssignAny:
+        return _residual(rz, env, (), *app_num(rz.first, env, v, state, budget))
+    raise IllStructuredRealizer(f"number application to {type(rz).__name__}")
 
 
 def app_rz(cl: Closure, arg: Closure, state: State, budget: Budget) -> Closure:
-    f = force(cl, state, budget)
-    if type(f.rz) is R.ProofLam:
-        return Closure(f.rz.body, _bind(f.env, f.rz.body, f.rz.hyp, arg))
-    if type(f.rz) is R.Compose and type(f.rz.games[0]) is S.Test:
-        return _residual(f, (), app_rz(Closure(f.rz.first, f.env), arg, state, budget))
-    raise IllStructuredRealizer(f"realizer application to {type(f.rz).__name__}")
+    """cl, a proof lambda, applied to the evidence arg."""
+    return Closure(*_app_rz(cl.rz, cl.env, arg.rz, arg.env, state, budget))
 
 
-def peel_for(cl: Closure, game):
+def _app_rz(rz: R.Realizer, env: dict, arg: R.Realizer, aenv: dict, state: State,
+            budget: Budget):
+    rz, env = force(rz, env, state, budget)
+    if type(rz) is R.ProofLam:
+        return rz.body, _bind(env, rz.body, rz.hyp, arg, aenv)
+    if type(rz) is R.Compose and type(rz.games[0]) is S.Test:
+        return _residual(rz, env, (), *_app_rz(rz.first, env, arg, aenv, state, budget))
+    raise IllStructuredRealizer(f"realizer application to {type(rz).__name__}")
+
+
+def peel_for(rz: R.Realizer, env: dict, game):
     """Collect composition wrappers whose recorded prefix starts with the
-    game about to be played.  Purely structural (realizer variables are
-    chased, nothing is evaluated), so safe at any position; the
-    continuations apply when this game's play returns."""
+    game about to be played, and what is left of (rz, env).  Purely
+    structural (realizer variables are chased, nothing is evaluated), so
+    safe at any position; the continuations apply when this game's play
+    returns."""
     ks = []
     while True:
-        while type(cl.rz) is R.RVar:
-            v = cl.env.get(cl.rz.name)
+        while type(rz) is R.RVar:
+            v = env.get(rz.name)
             if type(v) is not Closure:
-                raise IllStructuredRealizer(f"unbound realizer variable {cl.rz.name}")
-            cl = v
-        rz = cl.rz
+                raise IllStructuredRealizer(f"unbound realizer variable {rz.name}")
+            rz, env = v.rz, v.env
         if type(rz) is not R.Compose or rz.games[0] != game:
-            return ks, cl
-        ks.append((rz.var, rz.cont, cl.env, rz.games[1:]))
-        cl = Closure(rz.first, cl.env)
+            return ks, rz, env
+        ks.append((rz.var, rz.cont, env, rz.games[1:]))
+        rz = rz.first
 
 
-def apply_ks(ks, cl: Closure) -> Closure:
+def apply_ks(ks, rz: R.Realizer, env: dict):
     """The residual of a completed prefix feeds each pending continuation;
     continuations with games left to play keep riding the residual."""
-    for var, cont, env, rest in reversed(ks):
+    for var, cont, kenv, rest in reversed(ks):
         if rest:
-            rz = R.Compose(R.RVar("*r*"), var, cont, rest)
-            cl = Closure(rz, _bind(env, rz, "*r*", cl))
+            c = R.Compose(R.RVar("*r*"), var, cont, rest)
+            rz, env = c, _bind(kenv, c, "*r*", rz, env)
         else:
-            cl = Closure(cont, _bind(env, cont, var, cl))
-    return cl
+            rz, env = cont, _bind(kenv, cont, var, rz, env)
+    return rz, env
 
 
-def _residual(f: Closure, left: tuple, rest: Closure) -> Closure:
-    """f after its first game: rest plays `left`, f's other games, then cont."""
-    return apply_ks([(f.rz.var, f.rz.cont, f.env, left + f.rz.games[1:])], rest)
+def _residual(f: R.Compose, fenv: dict, left: tuple, rz: R.Realizer, env: dict):
+    """(f, fenv) after its first game: (rz, env) plays `left`, f's other
+    games, then f's continuation."""
+    return apply_ks([(f.var, f.cont, fenv, left + f.games[1:])], rz, env)
 
 
-def pair_view(f: Closure, state: State, budget: Budget):
-    """View a forced closure as (first, second); loop streams unroll on
-    demand."""
-    rz = f.rz
+def pair_view(rz: R.Realizer, env: dict, state: State, budget: Budget):
+    """View a forced closure as a pair: (first, its env, second, its env);
+    loop streams unroll on demand."""
     t = type(rz)
     if t is R.Pair:
-        return Closure(rz.fst, f.env), Closure(rz.snd, f.env)
+        return rz.fst, env, rz.snd, env
     if t is R.Gen:
-        env = _bind(f.env, rz, rz.var, Closure(rz.init, f.env))
-        step = Closure(rz.step, env)
+        genv = _bind(env, rz, rz.var, rz.init, env)
         stream = S.kept(rz, "_stream", _stream)
-        return Closure(rz.post, env), Closure(stream, _bind(f.env, stream, "*s*", step))
+        return rz.post, genv, stream, _bind(env, stream, "*s*", rz.step, genv)
     if t is R.Compose and type(g := rz.games[0]) in (S.Test, S.AssignAny, S.Choice, S.Repeat):
-        a, b = pair_view(force(Closure(rz.first, f.env), state, budget), state, budget)
+        a, aenv, b, benv = pair_view(*force(rz.first, env, state, budget), state, budget)
         if type(g) is S.Choice:  # [a ++ b]: a strategy for each side
-            return _residual(f, (g.left,), a), _residual(f, (g.right,), b)
+            return (*_residual(rz, env, (g.left,), a, aenv),
+                    *_residual(rz, env, (g.right,), b, benv))
         if type(g) is S.Repeat:  # [a*]: stop, or play the body and loop
-            return _residual(f, (), a), _residual(f, (g.body, g), b)
-        return a, _residual(f, (), b)  # <?Q>, <x := *>: evidence, then the residual
+            return (*_residual(rz, env, (), a, aenv),
+                    *_residual(rz, env, (g.body, g), b, benv))
+        # <?Q>, <x := *>: evidence, then the residual
+        return (a, aenv, *_residual(rz, env, (), b, benv))
     raise IllStructuredRealizer(f"expected a pair, got {t.__name__}")
 
 
@@ -299,32 +328,27 @@ def _stream(gen: R.Gen) -> R.Compose:
     return stream
 
 
-def num_of(cl: Closure, state: State, budget: Budget) -> Rational:
-    f = force(cl, state, budget)
-    if type(f.rz) is R.TermVal:
-        return _at(state, f.env, f.rz.term)
-    raise IllStructuredRealizer(f"expected a number, got {type(f.rz).__name__}")
-
-
-def _number_and_rest(cl: Closure, state: State, budget: Budget):
-    """cl forced to a pair: the number its first half evaluates to, and its
-    second half (for a composition, the residual of the side or round the
-    number picks).  A literal pair's number spends the one forcing step its
-    TermVal would, and no closure is made for it."""
-    f = force(cl, state, budget)
-    rz = f.rz
+def _number_and_rest(rz: R.Realizer, env: dict, state: State, budget: Budget):
+    """(rz, env) forced to a pair: the number its first half evaluates to,
+    and its second half, (rest, its env) (for a composition, the residual
+    of the side or round the number picks).  A literal pair's number spends
+    the one forcing step its TermVal would."""
+    rz, env = force(rz, env, state, budget)
     if type(rz) is R.Pair and type(rz.fst) is R.TermVal:
         budget.left -= 1
         if budget.left < 0:
             raise BudgetExhausted()
-        return _at(state, f.env, rz.fst.term), Closure(rz.snd, f.env)
+        return _at(state, env, rz.fst.term), rz.snd, env
     if type(rz) is R.Compose and type(g := rz.games[0]) in (S.Choice, S.Repeat):
-        n, rest = _number_and_rest(Closure(rz.first, f.env), state, budget)
+        n, rest, renv = _number_and_rest(rz.first, env, state, budget)
         if type(g) is S.Choice:  # <a ++ b>: the number picks the side
-            return n, _residual(f, (g.right if n else g.left,), rest)
-        return n, _residual(f, (g.body, g) if n else (), rest)  # <a*>: go or stop
-    first, rest = pair_view(f, state, budget)
-    return num_of(first, state, budget), rest
+            return (n, *_residual(rz, env, (g.right if n else g.left,), rest, renv))
+        return (n, *_residual(rz, env, (g.body, g) if n else (), rest, renv))  # <a*>: go or stop
+    a, aenv, rest, renv = pair_view(rz, env, state, budget)
+    a, aenv = force(a, aenv, state, budget)
+    if type(a) is R.TermVal:
+        return _at(state, aenv, a.term), rest, renv
+    raise IllStructuredRealizer(f"expected a number, got {type(a).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +513,7 @@ _TEST, _VALUE, _BRANCH, _REPEAT, _REPLAY, _DONE = range(6)  # kinds of option
 (_I_SEQ, _I_ASSIGN, _I_ANGEL_TEST, _I_ANGEL_VALUE, _I_ANGEL_BRANCH, _I_DUAL, _I_DEMON_TEST,
  _I_DEMON_VALUE, _I_DEMON_BRANCH, _I_ANGEL_LOOP, _I_DEMON_LOOP) = range(11)
 
-_UNIT = close(R.Unit())  # evidence for an asserted test
+_UNIT = R.Unit()  # evidence for an asserted test
 _HONEST = "honest"  # a test option: assert exactly when the test holds
 _CANDID = "candid"  # the same, but concede a test that is not ground first-order
 
@@ -585,6 +609,7 @@ def _lines(game, role, cl, state, demon, budget, tracer=None, memo=None):
     (read them with `_trail`), and a fuel-out carries the path it reached."""
     ev = tracer.raw.append if tracer is not None else None
     todo = []  # options not yet taken: (kind, option, context, k, path)
+    crz, cenv = cl.rz, cl.env  # the closure register
     k, ins, st, bad, it, path, mode = None, _instruction(game, role), state, None, 0, None, _EVAL
     out = okey = None  # the outcome in hand and its table key, once made
     try:
@@ -593,9 +618,9 @@ def _lines(game, role, cl, state, demon, budget, tracer=None, memo=None):
                 budget.left -= 1
                 if budget.left < 0:
                     raise BudgetExhausted()
-                t = type(cl.rz)
+                t = type(crz)
                 if t is R.RVar or t is R.Compose:
-                    ks, cl = peel_for(cl, ins[1]())
+                    ks, crz, cenv = peel_for(crz, cenv, ins[1]())
                     if ks:
                         k = (_KS, ks, None, k)
                 op = ins[0]
@@ -617,11 +642,9 @@ def _lines(game, role, cl, state, demon, budget, tracer=None, memo=None):
                                 path = (path, "angel-test fail")
                             bad, mode = AngelViolation(st), _RET
                             continue
-                        f = force(cl, st, budget)  # only the second half is kept
-                        cl = Closure(f.rz.snd, f.env) if type(f.rz) is R.Pair else pair_view(
-                            f, st, budget)[1]
+                        crz, cenv = pair_view(*force(crz, cenv, st, budget), st, budget)[2:]
                     else:
-                        v, cl = _number_and_rest(cl, st, budget)
+                        v, crz, cenv = _number_and_rest(crz, cenv, st, budget)
                         if ev is not None:
                             ev(("angel-value", ins[2], v))
                         st = _put(st, ins[2], v)
@@ -631,7 +654,7 @@ def _lines(game, role, cl, state, demon, budget, tracer=None, memo=None):
                         mode = _RET
                     continue
                 if op == _I_ANGEL_BRANCH:
-                    sel, cl = _select(cl, st, budget, "branch")
+                    sel, crz, cenv = _select(crz, cenv, st, budget, "branch")
                     if ev is not None:
                         ev("angel-branch L" if sel == 0 else "angel-branch R")
                     ins = ins[2] if sel == 0 else ins[3]
@@ -645,17 +668,18 @@ def _lines(game, role, cl, state, demon, budget, tracer=None, memo=None):
                     it, mode = 0, _HEAD
                     continue
                 if op == _I_DEMON_TEST:
-                    kind, opts, ctx = _TEST, demon.test_options(ins[2], st), (ins, cl, st)
-                elif op == _I_DEMON_VALUE:  # ctx[3]: the fuel forcing cl took, once known
-                    kind, opts, ctx = _VALUE, demon.value_options(ins[2], st), [ins[2], cl, st, 0]
+                    kind, opts, ctx = _TEST, demon.test_options(ins[2], st), (ins, crz, cenv, st)
+                elif op == _I_DEMON_VALUE:  # ctx[4]: the fuel forcing the closure took, once known
+                    kind, opts = _VALUE, demon.value_options(ins[2], st)
+                    ctx = [ins[2], crz, cenv, st, 0]
                 else:
-                    fst, snd = pair_view(force(cl, st, budget), st, budget)
+                    halves = pair_view(*force(crz, cenv, st, budget), st, budget)
                     kind, opts = _BRANCH, demon.branch_options(ins[1](), st)
-                    ctx = ins, fst, snd, st
+                    ctx = ins, halves, st
             elif mode == _HEAD:  # the head of loop ins at iteration it
                 outs = None
                 if memo is not None:
-                    key = (ins[1](), ins[0], it, _state_key(st), memo.closure(cl))
+                    key = (ins[1](), ins[0], it, _state_key(st), memo.closure(crz, cenv))
                     outs = memo.entries.get(key)
                     if outs is None:
                         rec = []
@@ -670,9 +694,10 @@ def _lines(game, role, cl, state, demon, budget, tracer=None, memo=None):
                     if budget.left < 0:
                         raise BudgetExhausted()
                     if ins[0] == _I_DEMON_LOOP:
-                        kind, opts, ctx = _REPEAT, demon.repeat_options(st, it), (ins, cl, st, it)
+                        kind, opts = _REPEAT, demon.repeat_options(st, it)
+                        ctx = ins, crz, cenv, st, it
                     else:
-                        sel, cl = _select(cl, st, budget, "loop")
+                        sel, crz, cenv = _select(crz, cenv, st, budget, "loop")
                         if ev is not None:
                             ev("angel-loop stop" if sel == 0 else "angel-loop continue")
                         if sel == 1:
@@ -680,13 +705,13 @@ def _lines(game, role, cl, state, demon, budget, tracer=None, memo=None):
                         else:
                             mode = _RET
                         continue
-            elif mode == _RET:  # hand the outcome, (st, cl) or bad, to k
+            elif mode == _RET:  # hand the outcome, (st, closure) or bad, to k
                 while k is not None:
                     tag = k[0]
                     if tag == _MEMO:
                         if okey is None:
-                            out = Finished(st, cl) if bad is None else bad
-                            fp = memo.closure(cl) if bad is None else None
+                            out = Finished(st, Closure(crz, cenv)) if bad is None else bad
+                            fp = memo.closure(crz, cenv) if bad is None else None
                             okey = (type(out), _state_key(out.state), fp)
                         if okey in k[2]:  # continues exactly like its first occurrence
                             break
@@ -697,13 +722,13 @@ def _lines(game, role, cl, state, demon, budget, tracer=None, memo=None):
                             ins, k, mode = k[1], k[3], _EVAL
                             break
                         if tag == _KS:
-                            cl, out, okey = apply_ks(k[1], cl), None, None
+                            (crz, cenv), out, okey = apply_ks(k[1], crz, cenv), None, None
                         else:
                             ins, it, k, mode = k[1], k[2], k[3], _HEAD
                             break
                     k = k[3]
                 else:
-                    yield (out or (Finished(st, cl) if bad is None else bad)), path
+                    yield (out or (Finished(st, Closure(crz, cenv)) if bad is None else bad)), path
                 out = okey = None
                 if mode != _RET:
                     continue
@@ -727,29 +752,29 @@ def _lines(game, role, cl, state, demon, budget, tracer=None, memo=None):
                 if segment[0] is not segment[1]:
                     path = (path, segment)
                 if type(out) is Finished:
-                    st, cl = out.state, out.residual
+                    st, crz, cenv = out.state, out.residual.rz, out.residual.env
                 else:
                     bad = out
                 mode = _RET
             elif kind == _BRANCH:
                 path = _move(ev, memo, path, f"demon-branch {opt}")
-                ins, fst, snd, st = ctx
-                ins, cl = (ins[2], fst) if opt == "L" else (ins[3], snd)
+                ins, halves, st = ctx
+                ins, crz, cenv = (ins[2], *halves[:2]) if opt == "L" else (ins[3], *halves[2:])
                 mode = _EVAL
             elif kind == _VALUE:
-                x, cl, st0, spent = ctx
+                x, crz, cenv, st0, spent = ctx
                 path = _move(ev, memo, path, ("demon-value", x, opt))
                 if not spent:  # the first value forces what all values continue with
                     left = budget.left
-                    ctx[1] = cl = app_num(cl, None, st0, budget)
-                    ctx[3] = left - budget.left
+                    ctx[1:3] = crz, cenv = app_num(crz, cenv, None, st0, budget)
+                    ctx[4] = left - budget.left
                 else:  # a later one is charged the fuel that forcing spent
                     budget.left -= spent
                     if budget.left < 0:
                         raise BudgetExhausted()
                 st, mode = _put(st0, x, opt), _RET
             elif kind == _TEST:
-                ins, cl, st = ctx
+                ins, crz, cenv, st = ctx
                 if opt is _HONEST or opt is _CANDID:
                     try:
                         opt = "assert" if _holds(ins, st) else "concede"
@@ -762,34 +787,34 @@ def _lines(game, role, cl, state, demon, budget, tracer=None, memo=None):
                 if ev is not None:
                     ev(("demon-test", ins[2], opt))
                 if opt == "assert":
-                    cl = app_rz(cl, _UNIT, st, budget)
+                    crz, cenv = _app_rz(crz, cenv, _UNIT, _EMPTY, st, budget)
                 else:
                     if memo is not None:
                         path = (path, f"demon-test {opt}")
                     bad = DemonViolation(st)
                 mode = _RET
             else:  # _REPEAT
-                ins, cl, st, it = ctx
+                ins, crz, cenv, st, it = ctx
                 if ev is not None:
                     ev("demon-loop continue" if opt else "demon-loop stop")
                 if memo is not None:
                     path = (path, f"demon-loop {'continue' if opt else 'stop'}@{it}")
-                post, stream = pair_view(force(cl, st, budget), st, budget)
+                post, penv, stream, senv = pair_view(*force(crz, cenv, st, budget), st, budget)
                 if opt:
-                    k, ins, cl, mode = (_LOOP, ins, it + 1, k), ins[2], stream, _EVAL
+                    k, ins, crz, cenv, mode = (_LOOP, ins, it + 1, k), ins[2], stream, senv, _EVAL
                 else:
-                    cl, mode = post, _RET
+                    crz, cenv, mode = post, penv, _RET
     except BudgetExhausted as e:
         e.path = path
         raise
 
 
-def _select(cl: Closure, state: State, budget: Budget, what: str):
+def _select(rz: R.Realizer, env: dict, state: State, budget: Budget, what: str):
     """Angel's 0/1 selector and the continuation paired with it."""
-    sel, cont = _number_and_rest(cl, state, budget)
+    sel, rz, env = _number_and_rest(rz, env, state, budget)
     if sel != 0 and sel != 1:
         raise IllStructuredRealizer(f"{what} selector {sel} not in {{0,1}}")
-    return sel, cont
+    return sel, rz, env
 
 
 def _move(ev, memo, path, move):
@@ -943,8 +968,9 @@ class _Transpositions:
     like its first occurrence, so it can never be the first losing line.
 
     Closures are numbered, and realizers and syntax are interned, so a key
-    hashes in constant time.  The id()-keyed table keeps every closure it
-    numbers alive, so no id is reused while the table lives.
+    hashes in constant time.  A boxed closure, an environment's value, is
+    numbered once and then looked up by id(); that table keeps every boxed
+    closure it numbers alive, so no id is reused while the table lives.
     """
 
     __slots__ = ("entries", "_ids", "_canon")
@@ -954,21 +980,19 @@ class _Transpositions:
         self._ids = {}  # id(closure) -> (closure, number)
         self._canon = {}  # (realizer, what the closure reads) -> number
 
-    def closure(self, cl: Closure) -> int:
-        hit = self._ids.get(id(cl))
-        if hit is not None:
-            return hit[1]
+    def closure(self, rz: R.Realizer, env: dict) -> int:
         seen = []
-        for n in S.kept(cl.rz, "_reads", _reads):
-            v = cl.env.get(n)
+        for n in S.kept(rz, "_reads", _reads):
+            v = env.get(n)
             if v is not None:
-                seen.append((n, (self.closure(v),)))
-            v = cl.env.get((n,))
+                hit = self._ids.get(id(v))
+                if hit is None:
+                    hit = self._ids[id(v)] = (v, self.closure(v.rz, v.env))
+                seen.append((n, (hit[1],)))
+            v = env.get((n,))
             if v is not None:
                 seen.append((n, v))
-        fp = self._canon.setdefault((cl.rz, tuple(seen)), len(self._canon))
-        self._ids[id(cl)] = (cl, fp)
-        return fp
+        return self._canon.setdefault((rz, tuple(seen)), len(self._canon))
 
 
 def _reads(x: R.Realizer) -> tuple:

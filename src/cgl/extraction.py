@@ -17,7 +17,7 @@ from typing import Optional
 from . import realizer as R
 from . import syntax as S
 from .checker import CheckError, UncheckedInput, accepted, elaborate
-from .engine import Budget, _number_and_rest, close
+from .engine import Budget, Closure, _number_and_rest
 from .oracle import ArithOracle
 from .proofterms import Context, ProofTerm
 from .syntax import Formula, State
@@ -86,7 +86,7 @@ def extract_disjunct(m: ProofTerm, phi: Formula, state: State, oracle=None):
         raise UncheckedInput(f"not a disjunction: {phi!r}")
     rz = extract(m, phi, oracle=oracle)
     budget = Budget(100_000)
-    which, payload = _number_and_rest(close(rz), state, budget)
+    which, prz, penv = _number_and_rest(rz, {}, state, budget)
     side = "L" if which == 0 else "R"
     chosen = disj[0] if side == "L" else disj[1]
     try:
@@ -95,4 +95,4 @@ def extract_disjunct(m: ProofTerm, phi: Formula, state: State, oracle=None):
         ok = True  # non-ground disjuncts are not play-time checkable
     if not ok:
         raise UncheckedInput(f"extracted side {side} fails at {state!r}")
-    return side, payload
+    return side, Closure(prz, penv)

@@ -20,7 +20,7 @@ from cgl.checker import Checker, _Elaboration, accepted, elaborate
 from cgl.oracle import ArithOracle
 from cgl.engine import (
     ACTIVE, DORMANT, Budget, DemonMenu, Finished, RandomDemon, ScriptedDemon, Tracer, app_rz,
-    close, force, modal_core, num_of, pair_view, play, strip_assumptions, verify_exhaustive,
+    close, modal_core, play, strip_assumptions, verify_exhaustive,
 )
 from cgl.extraction import (
     UncheckedInput, extract, extract_disjunct, extract_existential,

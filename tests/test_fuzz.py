@@ -345,9 +345,9 @@ def test_trimmed_closures_are_only_an_optimization(all_theorems, monkeypatch):
         plays = [_random_play_records(random.Random(20240817), fuel) for fuel in (12, 20_000)]
         return lines, plays
 
-    def whole(env, rz, key, v):
+    def whole(env, rz, key, v, venv=None):
         bound.append(key)
-        return {**env, key: v}
+        return {**env, key: v if venv is None else E.Closure(v, venv)}
 
     trimmed, bound = observed(), []
     monkeypatch.setattr(E, "_bind", whole)
