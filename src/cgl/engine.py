@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import random as _random
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 from weakref import ref
@@ -46,7 +45,7 @@ from . import syntax as S
 from .checker import realizer_of_formula
 from .printer import print_formula, print_game
 from .rational import Rational, canon, format_rational, parse_rational
-from .syntax import Formula, Game, State
+from .syntax import Formula, Game, State, frozen
 
 ACTIVE = "active"
 DORMANT = "dormant"
@@ -68,23 +67,23 @@ class BudgetExhausted(Exception):
     pass
 
 
-@dataclass(frozen=True)
+@frozen
 class Finished:
     state: State
     residual: "Closure"
 
 
-@dataclass(frozen=True)
+@frozen
 class AngelViolation:
     state: State
 
 
-@dataclass(frozen=True)
+@frozen
 class DemonViolation:
     state: State
 
 
-@dataclass(frozen=True)
+@frozen
 class FuelOut:
     state: State
 
@@ -884,7 +883,6 @@ def modal_core(phi: Formula):
     raise ValueError(f"theorem has no game modality: {phi!r}")
 
 
-@dataclass(frozen=True)
 class DemonMenu:
     """Finite adversary menus: values per nondeterministic assignment and a
     cap on Demon-controlled repetition depth.  As a demon it offers every
@@ -892,12 +890,17 @@ class DemonMenu:
     assertion and a conceded true test both lose for Demon on the spot; the
     machine finds it when it evaluates the test, once."""
 
-    values: dict
-    repeat_depth: int = 8
-    # var -> its canonical values, read at the first decision on var (an int
-    # or Fraction as it is, the rest from its text); a verify fills the cache
-    # of its own copy, which it drops when it returns
-    _parsed: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    def __init__(self, values: dict, repeat_depth: int = 8):
+        self.values, self.repeat_depth = values, repeat_depth
+        # var -> its canonical values, read at the first decision on var (an
+        # int or Fraction as it is, the rest from its text); a verify fills
+        # the cache of its own copy, which it drops when it returns
+        self._parsed = {}
+
+    def __eq__(self, other):  # the cache is not compared
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.values, self.repeat_depth) == (other.values, other.repeat_depth)
 
     def value_options(self, var: str, state: State):
         opts = self._parsed.get(var)
@@ -919,7 +922,7 @@ class DemonMenu:
         return (False, True) if iteration < self.repeat_depth else (False,)
 
 
-@dataclass(frozen=True)
+@frozen
 class CounterExample:
     state: State
     outcome: object
@@ -936,7 +939,8 @@ def verify_exhaustive(game: Game, role: str, cl: Closure, init_states, post: For
     fuel, so fuel bounds the work of the unmemoized search from above.
     The menu's values are parsed once per call too, into a copy of the
     menu, so the caller's menu holds no parsed values after the call."""
-    memo, menu, holds = _Transpositions(), replace(menu), _condition(post)
+    memo, holds = _Transpositions(), _condition(post)
+    menu = DemonMenu(menu.values, menu.repeat_depth)
     for st in init_states:
         try:
             for out, path in _lines(game, role, cl, st, menu, Budget(fuel), None, memo):

@@ -8,23 +8,18 @@ is encoded and decoded by its annotation, read once per class.
 
 from __future__ import annotations
 
-from dataclasses import fields
 from functools import cache
 
 from . import proofterms as P
 from . import realizer as R
 from .parser import parse_formula_text, parse_game_text, parse_term_text
 from .printer import print_formula, print_game, print_term
+from .syntax import FIELDS
 
-# base class name -> its constructors by name, read from the module:
-# `dataclass(slots=True)` replaces each class it decorates, and
-# `__subclasses__()` lists the replaced ones too until they are collected
+# base class name -> its constructors by name
 _NODES = {
-    base.__name__: {
-        name: cls for name, cls in vars(module).items()
-        if isinstance(cls, type) and issubclass(cls, base) and cls is not base
-    }
-    for module, base in ((P, P.ProofTerm), (R, R.Realizer))
+    base.__name__: {cls.__name__: cls for cls in FIELDS if issubclass(cls, base)}
+    for base in (P.ProofTerm, R.Realizer)
 }
 _LEAVES = {  # annotation -> (encode, decode)
     "str": (str, str),
@@ -51,7 +46,7 @@ def _codec(ann: str):
 @cache
 def _fields(cls) -> tuple:
     """((name, encode, decode), ...) for each field of a node class."""
-    return tuple((f.name, *_codec(f.type)) for f in fields(cls))
+    return tuple((f, *_codec(ann)) for f, ann in FIELDS[cls])
 
 
 def to_json(node):

@@ -164,7 +164,7 @@ class FuelExhausted(Exception):
 
 def _plugger(cls, field: str):
     """child -> a copy of node with `field` set to child, by position."""
-    names = P.field_names(cls)
+    names = cls.__match_args__
     if len(names) == 1:
         return lambda node, child: cls(child)
     pos, get = names.index(field), attrgetter(*names)
@@ -587,7 +587,7 @@ def redex_path(old: ProofTerm, new: ProofTerm) -> str:
     reduct; stable across runs, used by the step trace."""
     parts = []
     while type(old) is type(new):
-        changed = [f for f in P.field_names(type(old)) if getattr(old, f) != getattr(new, f)]
+        changed = [f for f in type(old).__match_args__ if getattr(old, f) != getattr(new, f)]
         if len(changed) != 1:
             break
         a, b = getattr(old, changed[0]), getattr(new, changed[0])

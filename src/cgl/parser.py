@@ -20,7 +20,6 @@ All errors carry line/column positions and the expected-token set.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from . import proofterms as P
@@ -109,7 +108,7 @@ def tokenize(text: str) -> list:
     return toks
 
 
-@dataclass
+@S.frozen
 class ProofScript:
     """Named games, formula abbreviations, and theorems, in file order."""
 
@@ -219,7 +218,9 @@ class Parser:
 
     def _binary(self, ops: dict, operand, level: int):
         """An operand and the operators of `ops` after it whose precedence is
-        at least `level`, read by precedence climbing (`printer.OPERATORS`)."""
+        at least `level`, read by precedence climbing (`printer.OPERATORS`).
+        A run of right-associative operators of one precedence is collected
+        and folded from the right, so its length costs no frames."""
         left = operand(self)
         while True:
             t = self.peek()
@@ -230,7 +231,18 @@ class Parser:
             if t.text == "*" and self._star_is_postfix():
                 return left
             self.next()
-            left = op[0](left, self._binary(ops, operand, op[2]))
+            build, prec, right = op
+            if right > prec:  # left-associative
+                left = build(left, self._binary(ops, operand, right))
+                continue
+            run = [(left, build)]
+            left = self._binary(ops, operand, prec + 1)
+            while (op := ops.get(self.peek().text)) is not None and op[1] == prec:
+                self.next()
+                run.append((left, op[0]))
+                left = self._binary(ops, operand, prec + 1)
+            for a, build in reversed(run):
+                left = build(a, left)
 
     # -- terms --------------------------------------------------------------------
 
@@ -465,7 +477,7 @@ class Parser:
                 vals[name] = self.formula()
             else:
                 vals[name] = self._payload()
-        return cls(**vals)
+        return cls(*[vals[f] for f in cls.__match_args__])
 
     def _payload(self) -> Optional[P.ProofTerm]:
         if self.at(")"):

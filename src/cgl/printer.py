@@ -9,7 +9,6 @@ print at the levels above the operators' (see `OPERATORS`).
 from __future__ import annotations
 
 import re
-from dataclasses import fields
 
 from . import proofterms as P
 from . import syntax as S
@@ -249,7 +248,7 @@ PROOF_FORMS = (
 def _template_pieces(cls, template: str) -> tuple:
     """The template as literal texts and (field, annotation, level,
     optional) slots, in order."""
-    kinds = {f.name: f.type for f in fields(cls)}
+    kinds = dict(S.FIELDS[cls])
     out = []
     for i, part in enumerate(re.split(r"\{([^}]*)\}", template)):
         if i % 2:

@@ -31,12 +31,11 @@ Node inventory (constructor -- introducing rule):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from functools import cache
 from typing import Optional
 
 from . import syntax as S
-from .syntax import Formula, Term, rename
+from .syntax import FIELDS, Formula, Term, frozen, rename
 
 
 class ProofTerm:
@@ -49,70 +48,70 @@ DIA = "d"
 BOX = "b"
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class PVar(ProofTerm):
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Lam(ProofTerm):
     hyp: str
     ann: Formula
     body: ProofTerm
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class App(ProofTerm):
     fn: ProofTerm
     arg: ProofTerm
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class NumLam(ProofTerm):
     var: str
     ghost: str
     body: ProofTerm
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class NumApp(ProofTerm):
     fn: ProofTerm
     term: Term
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class DPair(ProofTerm):
     fst: ProofTerm
     snd: ProofTerm
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class BPair(ProofTerm):
     fst: ProofTerm
     snd: ProofTerm
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Proj1(ProofTerm):
     arg: ProofTerm
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Proj2(ProofTerm):
     arg: ProofTerm
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class InjL(ProofTerm):
     arg: ProofTerm
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class InjR(ProofTerm):
     arg: ProofTerm
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Case(ProofTerm):
     scrut: ProofTerm
     left: str
@@ -121,7 +120,7 @@ class Case(ProofTerm):
     bright: ProofTerm
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class TCons(ProofTerm):
     var: str
     ghost: str
@@ -130,7 +129,7 @@ class TCons(ProofTerm):
     body: ProofTerm
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Unpack(ProofTerm):
     var: str
     ghost: str
@@ -139,7 +138,7 @@ class Unpack(ProofTerm):
     body: ProofTerm
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Asgn(ProofTerm):
     var: str
     ghost: str
@@ -148,29 +147,29 @@ class Asgn(ProofTerm):
     flavor: str  # DIA or BOX
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class SeqI(ProofTerm):
     body: ProofTerm
     flavor: str
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Swap(ProofTerm):
     body: ProofTerm
     flavor: str  # flavor of the conclusion modality
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Stop(ProofTerm):
     body: ProofTerm
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Go(ProofTerm):
     body: ProofTerm
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class RCase(ProofTerm):
     scrut: ProofTerm
     svar: str
@@ -179,7 +178,7 @@ class RCase(ProofTerm):
     gbody: ProofTerm
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class For(ProofTerm):
     hyp: str  # invariant hypothesis in body/done
     mhyp: str  # metric hypothesis in body/done
@@ -191,7 +190,7 @@ class For(ProofTerm):
     inv: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class FP(ProofTerm):
     scrut: ProofTerm
     svar: str
@@ -200,7 +199,7 @@ class FP(ProofTerm):
     gbody: ProofTerm
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Rep(ProofTerm):
     hyp: str
     init: ProofTerm
@@ -209,42 +208,42 @@ class Rep(ProofTerm):
     inv: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Roll(ProofTerm):
     body: ProofTerm
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Unroll(ProofTerm):
     body: ProofTerm
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Mon(ProofTerm):
     scrut: ProofTerm
     hyp: str
     body: ProofTerm
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class QE(ProofTerm):
     goal: Formula
     payload: Optional[ProofTerm]
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Dec(ProofTerm):
     goal: Formula
     payload: Optional[ProofTerm]
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Split(ProofTerm):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Ghost(ProofTerm):
     var: str
     term: Term
@@ -307,7 +306,7 @@ _KINDS = {"ProofTerm": "pt", "Optional[ProofTerm]": "pt?", "Term": "term", "Form
 @cache
 def _child_spec(cls) -> tuple:
     """(field, kind) for each child of a proof-term class, in field order."""
-    return tuple((f.name, _KINDS[f.type]) for f in fields(cls) if f.type in _KINDS)
+    return tuple((f, _KINDS[ann]) for f, ann in FIELDS[cls] if ann in _KINDS)
 
 
 # each binder of program variables: (its fields, the proof-term children it
@@ -348,7 +347,7 @@ def _plan(cls) -> tuple:
     proof-term children as (position, field, binder fields scoping it,
     whether its ghosts scope it); whether it binds a program variable; its
     field names; and every child and ghost as (position, kind)."""
-    names = tuple(f.name for f in fields(cls))
+    names = cls.__match_args__
     groups = _PVAR_BINDERS.get(cls, ())
     ghosts, ghosted = _GHOSTS.get(cls, _NO_GHOSTS)
     kinds = dict(_child_spec(cls), **dict.fromkeys(ghosts, "ghost"))
@@ -364,10 +363,6 @@ def _plan(cls) -> tuple:
         tuple((names.index(f), kind) for f, kind in kinds.items()),
     )
     return plan
-
-
-def field_names(cls) -> tuple:
-    return (_PLANS.get(cls) or _plan(cls))[3]
 
 
 def map_children(m: ProofTerm, on_pt, on_term, on_formula, on_ghost=None) -> ProofTerm:

@@ -16,11 +16,10 @@ be exported/imported losslessly as tagged JSON trees (`cgl.interchange`).
 
 from __future__ import annotations
 
-from dataclasses import fields
 from itertools import count
 
 from . import syntax as S
-from .syntax import Formula, Game, Term, _node, _Node
+from .syntax import FIELDS, Formula, Game, Term, _Node, frozen
 
 
 class Realizer(_Node):
@@ -30,71 +29,71 @@ class Realizer(_Node):
     __slots__ = ("_reads", "_capture", "_stream")
 
 
-@_node
+@frozen
 class Unit(Realizer):
     pass
 
 
-@_node
+@frozen
 class Pair(Realizer):
     fst: Realizer
     snd: Realizer
 
 
-@_node
+@frozen
 class Fst(Realizer):
     arg: Realizer
 
 
-@_node
+@frozen
 class Snd(Realizer):
     arg: Realizer
 
 
-@_node
+@frozen
 class NumLamR(Realizer):
     var: str
     body: Realizer
 
 
-@_node
+@frozen
 class AppNum(Realizer):
     fn: Realizer
     term: Term
 
 
-@_node
+@frozen
 class ProofLam(Realizer):
     hyp: str
     ann: Formula
     body: Realizer
 
 
-@_node
+@frozen
 class AppRz(Realizer):
     fn: Realizer
     arg: Realizer
 
 
-@_node
+@frozen
 class TermVal(Realizer):
     term: Term
 
 
-@_node
+@frozen
 class IfTerm(Realizer):
     cond: Formula
     then: Realizer
     els: Realizer
 
 
-@_node
+@frozen
 class Ind(Realizer):
     var: str
     body: Realizer
 
 
-@_node
+@frozen
 class Gen(Realizer):
     """Dormant-loop stream: current invariant evidence `init`, an `step`
     realizer playing one body round, and `post` evidence on stop; `game`
@@ -107,12 +106,12 @@ class Gen(Realizer):
     game: Game
 
 
-@_node
+@frozen
 class RVar(Realizer):
     name: str
 
 
-@_node
+@frozen
 class Compose(Realizer):
     """Play `first` through the recorded game prefix (at least one game),
     then continue with `cont` applied to the residual."""
@@ -123,7 +122,7 @@ class Compose(Realizer):
     games: tuple[Game, ...]
 
 
-@_node
+@frozen
 class Decide(Realizer):
     scrut: Realizer
     lvar: str
@@ -143,9 +142,8 @@ BINDERS = {
 
 # each constructor's realizer fields
 KIDS = {
-    cls: tuple(f.name for f in fields(cls) if f.type == "Realizer")
-    for cls in list(globals().values())
-    if isinstance(cls, type) and issubclass(cls, Realizer) and cls is not Realizer
+    cls: tuple(f for f, ann in FIELDS[cls] if ann == "Realizer")
+    for cls in FIELDS if issubclass(cls, Realizer)
 }
 
 

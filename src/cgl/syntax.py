@@ -8,12 +8,22 @@ elaborate into this core.
 All nodes are immutable and hash-consed (Filliâtre & Conchon, 2006): a
 constructor returns the one live node of its structure, so equality and
 hashing are identity, and what is derived from a node is kept on it.
+
+One class builder, `frozen`, makes the syntax nodes, the realizers, the
+proof terms and the engine's records.  Its one `dataclass` pass reads the
+annotations (into `FIELDS`) and makes the class slotted, so that
+`dataclasses.fields` works, which `cglbench.layers.count_nodes` reads.
+Every method comes from closures shared by all classes, none from
+generated source: an `__init__` with a positional parameter per field, a
+repr, a frozen `__setattr__`, and on a class that is not interned,
+equality, hashing and pickling by its field tuple.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import FrozenInstanceError, dataclass, fields
 from functools import cache
+from operator import attrgetter
 from threading import Lock
 from typing import Union
 from weakref import WeakValueDictionary
@@ -24,7 +34,104 @@ from .rational import (
 )
 
 # ---------------------------------------------------------------------------
-# Interning
+# The class builder, and interning
+
+FIELDS = {}  # class -> ((field name, annotation), ...) in constructor order
+_NO = object()  # an argument the caller left out
+
+
+def frozen(cls):
+    """cls as a frozen slotted class with a field per annotation (see the
+    module docstring)."""
+    if not cls.__doc__:  # so that `dataclass` reads no signature for one
+        anns = cls.__dict__.get("__annotations__", {})
+        cls.__doc__ = f"{cls.__name__}({', '.join(f'{f}: {a}' for f, a in anns.items())})"
+    cls = dataclass(cls, init=False, repr=False, eq=False, slots=True)
+    FIELDS[cls] = tuple((f.name, f.type) for f in fields(cls))
+    names, init = cls.__match_args__, _init_of(cls)
+    if "__repr__" not in cls.__dict__:
+        cls.__repr__ = _repr
+    cls.__setattr__ = cls.__delattr__ = _frozen
+    if issubclass(cls, _Node):
+        cls._init = init
+        return cls
+    get = attrgetter(*names)
+    key = get if len(names) > 1 else lambda self: (get(self),)
+    cls.__init__ = init
+    cls.__eq__ = lambda self, other: (key(self) == key(other) if other.__class__ is self.__class__
+                                      else NotImplemented)
+    cls.__hash__ = lambda self: hash(key(self))
+    cls.__reduce__ = lambda self: (type(self), key(self))
+    return cls
+
+
+def _init_of(cls):
+    """An `__init__` with a positional parameter per field, each stored
+    through its slot, then `__post_init__` where the class has one.
+    Keywords, and a field left out, are put in order by `_positional`."""
+    sets = [getattr(cls, f).__set__ for f in cls.__match_args__]
+    if post := getattr(cls, "__post_init__", None):  # it runs after the last field
+        last = sets[-1]
+        sets[-1] = lambda self, v: last(self, v) or post(self)
+    n = len(sets)
+    s1, s2, s3, s4, s5, s6, s7, s8 = sets + [None] * (8 - n)
+    # one closure per field count, each storing its fields on one line
+    if n == 0:
+        def init(self):
+            pass
+    elif n == 1:
+        def init(self, a=_NO, **kw):
+            if kw or a is _NO:
+                return init(self, *_positional(cls, (a,), kw))
+            s1(self, a)
+    elif n == 2:
+        def init(self, a=_NO, b=_NO, **kw):
+            if kw or b is _NO:
+                return init(self, *_positional(cls, (a, b), kw))
+            s1(self, a); s2(self, b)
+    elif n == 3:
+        def init(self, a=_NO, b=_NO, c=_NO, **kw):
+            if kw or c is _NO:
+                return init(self, *_positional(cls, (a, b, c), kw))
+            s1(self, a); s2(self, b); s3(self, c)
+    elif n == 4:
+        def init(self, a=_NO, b=_NO, c=_NO, d=_NO, **kw):
+            if kw or d is _NO:
+                return init(self, *_positional(cls, (a, b, c, d), kw))
+            s1(self, a); s2(self, b); s3(self, c); s4(self, d)
+    elif n == 5:
+        def init(self, a=_NO, b=_NO, c=_NO, d=_NO, e=_NO, **kw):
+            if kw or e is _NO:
+                return init(self, *_positional(cls, (a, b, c, d, e), kw))
+            s1(self, a); s2(self, b); s3(self, c); s4(self, d); s5(self, e)
+    else:  # eight, `proofterms.For`
+        def init(self, a=_NO, b=_NO, c=_NO, d=_NO, e=_NO, f=_NO, g=_NO, h=_NO, **kw):
+            if kw or h is _NO:
+                return init(self, *_positional(cls, (a, b, c, d, e, f, g, h), kw))
+            s1(self, a); s2(self, b); s3(self, c); s4(self, d)
+            s5(self, e); s6(self, f); s7(self, g); s8(self, h)
+    return init
+
+
+def _positional(cls, args, kw: dict) -> list:
+    """The arguments given, then the keywords kw, in field order;
+    TypeError unless they give every field once."""
+    names = cls.__match_args__
+    args = [a for a in args if a is not _NO]
+    args += [kw.pop(f) for f in names[len(args):] if f in kw]
+    if kw or len(args) != len(names):
+        raise TypeError(f"{cls.__name__} takes each of its fields {names} once")
+    return args
+
+
+def _repr(self):
+    inner = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
+    return f"{type(self).__qualname__}({inner})"
+
+
+def _frozen(self, name, value=None):  # __setattr__ and __delattr__
+    raise FrozenInstanceError(f"cannot assign to or delete field {name!r}")
+
 
 _nodes = WeakValueDictionary()  # (class, *field values) -> the live node
 _storing = Lock()  # a miss stores under it, so two threads never store two nodes of one key
@@ -36,9 +143,8 @@ class _Node:
     __slots__ = ("__weakref__",)
 
     def __new__(cls, *args, **kwargs):
-        if kwargs:  # the generated __init__ checks the arguments and orders them
-            cls._init(node := object.__new__(cls), *args, **kwargs)
-            args = tuple(getattr(node, f) for f in cls.__match_args__)
+        if kwargs:
+            args = _positional(cls, args, kwargs)
         key = (cls, canon(*args)) if cls is Lit else (cls, *args)
         node = _nodes.get(key)
         if node is None:
@@ -54,15 +160,6 @@ class _Node:
         return self
 
 
-def _node(cls):
-    """A frozen slotted dataclass whose generated __init__ runs only on a
-    node `_Node.__new__` makes; eq=False: a node equals and hashes as itself."""
-    cls = dataclass(cls, frozen=True, slots=True, eq=False)
-    cls._init = cls.__init__
-    del cls.__init__
-    return cls
-
-
 # ---------------------------------------------------------------------------
 # Terms
 
@@ -71,7 +168,7 @@ class Term(_Node):
     __slots__ = ("_fn", "_staged")  # evaluator; the engine's (evaluator, env keys)
 
 
-@_node
+@frozen
 class Lit(Term):
     value: Rational
 
@@ -79,7 +176,7 @@ class Lit(Term):
         return f"Lit({format_rational(self.value)})"
 
 
-@_node
+@frozen
 class Var(Term):
     name: str
 
@@ -87,30 +184,30 @@ class Var(Term):
         return f"Var({self.name})"
 
 
-@_node
+@frozen
 class Plus(Term):
     left: Term
     right: Term
 
 
-@_node
+@frozen
 class Times(Term):
     left: Term
     right: Term
 
 
-@_node
+@frozen
 class Minus(Term):
     left: Term
     right: Term
 
 
-@_node
+@frozen
 class Neg(Term):
     arg: Term
 
 
-@_node
+@frozen
 class Div(Term):
     """Integer quotient; the divisor is assumed nonzero."""
 
@@ -118,7 +215,7 @@ class Div(Term):
     right: Term
 
 
-@_node
+@frozen
 class Mod(Term):
     """Rational remainder paired with Div; divisor assumed nonzero."""
 
@@ -126,18 +223,18 @@ class Mod(Term):
     right: Term
 
 
-@_node
+@frozen
 class Abs(Term):
     arg: Term
 
 
-@_node
+@frozen
 class Min(Term):
     left: Term
     right: Term
 
 
-@_node
+@frozen
 class Max(Term):
     left: Term
     right: Term
@@ -158,40 +255,40 @@ class Formula(_Node):
     __slots__ = ("_fo", "_staged")  # first-order evaluator; the engine's staging
 
 
-@_node
+@frozen
 class Test(Game):
     cond: Formula
 
 
-@_node
+@frozen
 class Assign(Game):
     var: str
     term: Term
 
 
-@_node
+@frozen
 class AssignAny(Game):
     var: str
 
 
-@_node
+@frozen
 class Choice(Game):
     left: Game
     right: Game
 
 
-@_node
+@frozen
 class Seq(Game):
     left: Game
     right: Game
 
 
-@_node
+@frozen
 class Repeat(Game):
     body: Game
 
 
-@_node
+@frozen
 class Dual(Game):
     body: Game
 
@@ -199,7 +296,7 @@ class Dual(Game):
 REL_OPS = ("<=", "<", "=", "!=", ">", ">=")
 
 
-@_node
+@frozen
 class Cmp(Formula):
     left: Term
     rel: str
@@ -210,13 +307,13 @@ class Cmp(Formula):
             raise ValueError(f"bad relation {self.rel!r}")
 
 
-@_node
+@frozen
 class Diamond(Formula):
     game: Game
     post: Formula
 
 
-@_node
+@frozen
 class Box(Formula):
     game: Game
     post: Formula
@@ -437,8 +534,8 @@ def assigned_vars(e: Expr) -> frozenset[str]:
 @cache
 def field_table(cls) -> tuple:
     """(name, holds a Term/Game/Formula) for each field of a syntax class,
-    in constructor order, read once from its annotations."""
-    return tuple((f.name, f.type in ("Term", "Game", "Formula")) for f in fields(cls))
+    in constructor order, read from `FIELDS`."""
+    return tuple((f, ann in ("Term", "Game", "Formula")) for f, ann in FIELDS[cls])
 
 
 def _map_children(e: Expr, fn) -> Expr:
