@@ -30,6 +30,9 @@ That is where `_bind` binds one in an environment, already trimmed to its
 capture set (a closure that reads nothing shares one empty environment),
 and where one is handed out, as a finished play's residual or by
 `app_rz`.  The transposition table numbers a closure by what it holds.
+At a dormant loop's head the demon picks stop or one more round, and the
+machine builds only that half of the loop's stream (`_gen_half`, through
+which `pair_view` builds both).
 """
 
 from __future__ import annotations
@@ -296,9 +299,7 @@ def pair_view(rz: R.Realizer, env: dict, state: State, budget: Budget):
     if t is R.Pair:
         return rz.fst, env, rz.snd, env
     if t is R.Gen:
-        genv = _bind(env, rz, rz.var, rz.init, env)
-        stream = S.kept(rz, "_stream", _stream)
-        return rz.post, genv, stream, _bind(env, stream, "*s*", rz.step, genv)
+        return (*_gen_half(rz, env, False), *_gen_half(rz, env, True))
     if t is R.Compose and type(g := rz.games[0]) in (S.Test, S.AssignAny, S.Choice, S.Repeat):
         a, aenv, b, benv = pair_view(*force(rz.first, env, state, budget), state, budget)
         if type(g) is S.Choice:  # [a ++ b]: a strategy for each side
@@ -310,6 +311,17 @@ def pair_view(rz: R.Realizer, env: dict, state: State, budget: Budget):
         # <?Q>, <x := *>: evidence, then the residual
         return (a, aenv, *_residual(rz, env, (), b, benv))
     raise IllStructuredRealizer(f"expected a pair, got {t.__name__}")
+
+
+def _gen_half(rz: R.Gen, env: dict, go: bool):
+    """One half of the Gen (rz, env) as a pair: (post, its env) for stop or,
+    when go, (stream, its env) for one more round.  A half binds the
+    invariant evidence only when it can read it; building one spends no
+    fuel."""
+    if not go:
+        return rz.post, _bind(env, rz.post, rz.var, rz.init, env)
+    stream = S.kept(rz, "_stream", _stream)
+    return stream, _bind(env, stream, "*s*", rz.step, _bind(env, rz.step, rz.var, rz.init, env))
 
 
 def _stream(gen: R.Gen) -> R.Compose:
@@ -337,7 +349,8 @@ def _number_and_rest(rz: R.Realizer, env: dict, state: State, budget: Budget):
         budget.left -= 1
         if budget.left < 0:
             raise BudgetExhausted()
-        return _at(state, env, rz.fst.term), rz.snd, env
+        n = rz.fst.term
+        return n.value if type(n) is S.Lit else _at(state, env, n), rz.snd, env
     if type(rz) is R.Compose and type(g := rz.games[0]) in (S.Choice, S.Repeat):
         n, rest, renv = _number_and_rest(rz.first, env, state, budget)
         if type(g) is S.Choice:  # <a ++ b>: the number picks the side
@@ -798,11 +811,16 @@ def _lines(game, role, cl, state, demon, budget, tracer=None, memo=None):
                     ev("demon-loop continue" if opt else "demon-loop stop")
                 if memo is not None:
                     path = (path, f"demon-loop {'continue' if opt else 'stop'}@{it}")
-                post, penv, stream, senv = pair_view(*force(crz, cenv, st, budget), st, budget)
-                if opt:
-                    k, ins, crz, cenv, mode = (_LOOP, ins, it + 1, k), ins[2], stream, senv, _EVAL
+                crz, cenv = force(crz, cenv, st, budget)
+                if type(crz) is R.Gen:  # only the half the demon picks
+                    crz, cenv = _gen_half(crz, cenv, opt)
                 else:
-                    crz, cenv, mode = post, penv, _RET
+                    halves = pair_view(crz, cenv, st, budget)
+                    crz, cenv = halves[2:] if opt else halves[:2]
+                if opt:
+                    k, ins, mode = (_LOOP, ins, it + 1, k), ins[2], _EVAL
+                else:
+                    mode = _RET
     except BudgetExhausted as e:
         e.path = path
         raise

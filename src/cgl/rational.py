@@ -14,8 +14,9 @@ result's one gcd (Knuth, TAOCP vol. 2, 4.5.1); `RELATIONS` compare by
 cross-multiplication, which keeps the order since denominators are
 positive.  They agree with `Fraction` on ints and `Fraction`s of either
 form, and the arithmetic returns canonical values.  The compiled
-evaluators (`syntax.compile_term`) keep an int pair on the int operator,
-without a call.
+evaluators (`syntax.compile_term`) keep an int pair on Python's int
+operators, and an int's quotient and remainder by a nonzero int literal
+too, without a call into this kernel.
 
 The only non-stdlib operations are the generalized quotient and remainder:
 the quotient of two rationals is an integer, leaving a rational remainder

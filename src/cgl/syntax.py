@@ -21,6 +21,7 @@ equality, hashing and pickling by its field tuple.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import FrozenInstanceError, dataclass, fields
 from functools import cache
 from operator import attrgetter
@@ -635,6 +636,12 @@ def compile_term(t: Term):
 
 
 _le, _ge = RELATIONS["<="], RELATIONS[">="]
+# term class -> (operator on two ints, the kernel's on any two rationals)
+_ARITH = {Plus: (operator.add, add), Times: (operator.mul, mul), Minus: (operator.sub, sub)}
+
+
+def _int_lit(t: Term) -> bool:
+    return type(t) is Lit and type(t.value) is int
 
 
 def _compile_term(t: Term):
@@ -643,55 +650,59 @@ def _compile_term(t: Term):
             return lambda s: v
         case Var(name=x):
             return lambda s: s._vals.get(x, 0)
-        # an int pair stays on the int operator, inline; any other pair
-        # goes to the kernel
-        case Plus(left=a, right=b):
+        # an int pair stays on the int operator; any other pair goes to the
+        # kernel.  A variable beside an int literal is read inline.
+        case Plus(left=a, right=b) | Times(left=a, right=b) | Minus(left=a, right=b):
+            iop, kop = _ARITH[type(t)]
+            if type(a) is Var and _int_lit(b):  # x op k
+                x, k = a.name, b.value
+
+                def var_lit(s):
+                    u = s._vals.get(x, 0)
+                    return iop(u, k) if type(u) is int else kop(u, k)
+
+                return var_lit
+            if _int_lit(a) and type(b) is Var:  # k op x
+                k, x = a.value, b.name
+
+                def lit_var(s):
+                    v = s._vals.get(x, 0)
+                    return iop(k, v) if type(v) is int else kop(k, v)
+
+                return lit_var
             fa, fb = compile_term(a), compile_term(b)
 
-            def plus(s):
+            def arith(s):
                 u, v = fa(s), fb(s)
-                return u + v if type(u) is int and type(v) is int else add(u, v)
+                return iop(u, v) if type(u) is int and type(v) is int else kop(u, v)
 
-            return plus
-        case Times(left=a, right=b):
-            fa, fb = compile_term(a), compile_term(b)
-
-            def times(s):
-                u, v = fa(s), fb(s)
-                return u * v if type(u) is int and type(v) is int else mul(u, v)
-
-            return times
-        case Minus(left=a, right=b):
-            fa, fb = compile_term(a), compile_term(b)
-
-            def minus(s):
-                u, v = fa(s), fb(s)
-                return u - v if type(u) is int and type(v) is int else sub(u, v)
-
-            return minus
+            return arith
         case Neg(arg=a):
             fa = compile_term(a)
             return lambda s: -fa(s)
-        case Div(left=a, right=b):
-            fa, fb = compile_term(a), compile_term(b)
+        case Div(left=a, right=b) | Mod(left=a, right=b):
+            iop, kop = (operator.floordiv, rat_quot) if type(t) is Div else (operator.mod, rat_rem)
+            fa, x = compile_term(a), a.name if type(a) is Var else None
+            if _int_lit(b) and b.value:
+                # an int by a nonzero int literal, Euclidean on the int
+                # operators: -(u // |g|) is u's quotient by a negative g
+                g = b.value
+                m, sg = abs(g), -1 if g < 0 and type(t) is Div else 1
 
-            def quot(s, fa=fa, fb=fb, b=b):
+                def by_int(s):
+                    u = fa(s) if x is None else s._vals.get(x, 0)
+                    return sg * iop(u, m) if type(u) is int else kop(u, g)
+
+                return by_int
+            fb = compile_term(b)
+
+            def euclid(s):
                 g = fb(s)
                 if g == 0:
                     raise DivisionByZero(f"divisor {b!r} evaluates to 0")
-                return rat_quot(fa(s), g)
+                return kop(fa(s), g)
 
-            return quot
-        case Mod(left=a, right=b):
-            fa, fb = compile_term(a), compile_term(b)
-
-            def rem(s, fa=fa, fb=fb, b=b):
-                g = fb(s)
-                if g == 0:
-                    raise DivisionByZero(f"divisor {b!r} evaluates to 0")
-                return rat_rem(fa(s), g)
-
-            return rem
+            return euclid
         case Abs(arg=a):
             fa = compile_term(a)
             return lambda s: abs(fa(s))
@@ -721,16 +732,18 @@ def compile_fo(phi: Formula):
 def _compile_fo(phi: Formula):
     if isinstance(phi, Cmp):
         # int pairs compare as they are, others by cross-multiplication; a
-        # literal goes to the right, split into numerator and denominator
+        # literal goes to the right, split into numerator and denominator,
+        # and a variable against it is read inline
         a, rel, b = phi.left, phi.rel, phi.right
         if type(a) is Lit and type(b) is not Lit:
             a, rel, b = b, CONVERSE[rel], a
         fa, op = compile_term(a), INT_RELATIONS[rel]
         if type(b) is Lit:
             n, d = b.value.numerator, b.value.denominator
+            x = a.name if type(a) is Var else None
 
             def against_literal(s):
-                v = fa(s)
+                v = fa(s) if x is None else s._vals.get(x, 0)
                 if type(v) is int:
                     return op(v * d, n)
                 return op(v.numerator * d, n * v.denominator)

@@ -119,6 +119,43 @@ def test_compiled_evaluators_agree_with_python(rnd):
         assert S.eval_fo(S.Cmp(x, rel, y), st_) is holds(u, v)
 
 
+def _canonical(q: Fraction):
+    return q.numerator if q.denominator == 1 else q
+
+
+_DIVISORS = st.one_of(st.integers(1, 9), st.integers(-9, -1), st.just(0),
+                      st.fractions(max_denominator=6).filter(lambda q: q.denominator > 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.integers(-40, 40), st.fractions(max_denominator=6)), st.integers(-9, 9),
+       _DIVISORS, st.booleans())
+def test_specialized_evaluators_agree_with_the_kernel(u, v, k, as_fractions):
+    # the shapes an evaluator reads a variable or a literal operand of
+    # inline, and quotients and remainders by a literal, of a variable and
+    # of a compound term: the value and canonical type that Fraction
+    # arithmetic, `rat_quot` and `rat_rem` give, on a state of canonical
+    # values or of Fractions; a 0 literal divisor raises when evaluated
+    U, V, K = Fraction(u), Fraction(v), Fraction(k)
+    state = S.State.of({"x": U, "y": V} if as_fractions else {"x": _canonical(U), "y": v})
+    lit = S.Lit(k)
+    cases = [(S.Minus(x, lit), U - K), (S.Minus(lit, x), K - U), (S.Plus(x, lit), U + K),
+             (S.Plus(lit, x), K + U), (S.Times(x, lit), U * K), (S.Times(lit, x), K * U)]
+    for t, tv in ((x, U), (S.Minus(x, y), U - V)):
+        for term, kernel in ((S.Div(t, lit), rat_quot), (S.Mod(t, lit), rat_rem)):
+            cases.append((term, DivisionByZero if k == 0 else kernel(tv, K)))
+    for term, want in cases:
+        if want is DivisionByZero:
+            with pytest.raises(DivisionByZero):
+                S.compile_term(term)(state)
+            continue
+        got, want = S.compile_term(term)(state), _canonical(Fraction(want))
+        assert got == want and type(got) is type(want), (term, got)
+    for rel, holds in _PYTHON_RELATIONS.items():
+        assert S.compile_fo(S.Cmp(x, rel, lit))(state) is holds(U, K)
+        assert S.compile_fo(S.Cmp(lit, rel, x))(state) is holds(K, U)
+
+
 # -- static semantics ---------------------------------------------------------
 
 
