@@ -118,8 +118,11 @@ def _dnf(phi: Formula, neg: bool, names: dict, fresh, quantified: list):
         return _dnf(phi.post, neg, inner, fresh, quantified)
     left = _dnf(parts[0], lneg, names, fresh, quantified)
     right = _dnf(parts[1], neg, names, fresh, quantified)
-    if not product:
-        return left + right
+    return _product(left, right) if product else left + right
+
+
+def _product(left: list, right: list) -> list:
+    """Each branch of left joined with each of right, left's order first."""
     out = []
     for l in left:
         for r in right:
@@ -501,9 +504,10 @@ class ArithOracle:
         if rho is not None and not _first_order(rho):
             return OracleResult(UNKNOWN, reason="hypothesis is not first-order")
         counter, quantified = itertools.count(), []
-        try:  # the negated sequent: satisfiable iff the sequent fails
-            branches = _dnf(phi if rho is None else S.Implies(rho, phi), True, {},
-                            lambda x: f"{x}?{next(counter)}", quantified)
+        try:  # the negated sequent, rho & !phi: satisfiable iff the sequent fails
+            args = ({}, lambda x: f"{x}?{next(counter)}", quantified)
+            branches = (_dnf(phi, True, *args) if rho is None
+                        else _product(_dnf(rho, False, *args), _dnf(phi, True, *args)))
         except _TooBig:
             return OracleResult(UNKNOWN, reason="formula too large")
         refutable = not quantified

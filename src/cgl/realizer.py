@@ -19,14 +19,14 @@ from __future__ import annotations
 from itertools import count
 
 from . import syntax as S
-from .syntax import FIELDS, Formula, Game, Term, _Node, frozen
+from .syntax import FIELDS, Formula, Game, Term, _Node, _union, frozen
 
 
 class Realizer(_Node):
     # the engine's: the names a closure can read; its capture set, those
     # names as environment keys, all that a bound closure keeps; a Gen's
-    # stream
-    __slots__ = ("_reads", "_capture", "_stream")
+    # stream; its free realizer variables
+    __slots__ = ("_reads", "_capture", "_stream", "_free")
 
 
 @frozen
@@ -148,14 +148,18 @@ KIDS = {
 
 
 def free_rvars(r: Realizer) -> frozenset:
-    """The realizer variables free in r."""
-    if type(r) is RVar:
-        return frozenset((r.name,))
-    scope = {f: b for b, fs in BINDERS.get(type(r), ()) for f in fs}
-    out = frozenset()
-    for f in KIDS[type(r)]:
-        inner = free_rvars(getattr(r, f))
-        out |= inner - {getattr(r, scope[f])} if f in scope else inner
+    """The realizer variables free in r, kept on r."""
+    out = getattr(r, "_free", None)
+    if out is None:
+        if type(r) is RVar:
+            out = frozenset((r.name,))
+        else:
+            scope = {f: b for b, fs in BINDERS.get(type(r), ()) for f in fs}
+            out = frozenset()
+            for f in KIDS[type(r)]:
+                inner = free_rvars(getattr(r, f))
+                out = _union(out, inner - {getattr(r, scope[f])} if f in scope else inner)
+        object.__setattr__(r, "_free", out)
     return out
 
 
@@ -167,9 +171,11 @@ def subst_rvar(r: Realizer, name: str, value: Realizer) -> Realizer:
 
 
 def _subst(r: Realizer, name: str, value: Realizer, free: frozenset) -> Realizer:
+    if name not in free_rvars(r):
+        return r
     t = type(r)
     if t is RVar:
-        return value if r.name == name else r
+        return value
     kids = {}
     for b, scope in BINDERS.get(t, ()):
         old = getattr(r, b)

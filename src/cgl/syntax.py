@@ -8,6 +8,16 @@ elaborate into this core.
 All nodes are immutable and hash-consed (Filliâtre & Conchon, 2006): a
 constructor returns the one live node of its structure, so equality and
 hashing are identity, and what is derived from a node is kept on it.
+The intern table `_nodes` maps a node's key, (class, *field values), to
+an `_Entry`, a weak reference to the node: a hit is one dict read and one
+dereference, a miss stores under a reentrant lock, and neither raises.  A
+node's death drops its entry only while that entry is still the one under
+its key.  Kept in slots: a term's evaluator (`_fn`) and free variables
+(`_free`); a formula's evaluator (`_fo`), free variables and the names it
+mentions (`_names`); a game's free variables and names; the engine's
+staged evaluators (`_staged`) and instructions (`_active`, `_dormant`);
+and a realizer's free realizer variables (`_free`), readable names
+(`_reads`), capture set (`_capture`) and a Gen's stream (`_stream`).
 
 One class builder, `frozen`, makes the syntax nodes, the realizers, the
 proof terms and the engine's records.  Its one `dataclass` pass reads the
@@ -25,9 +35,9 @@ import operator
 from dataclasses import FrozenInstanceError, dataclass, fields
 from functools import cache
 from operator import attrgetter
-from threading import Lock
+from threading import RLock
 from typing import Union
-from weakref import WeakValueDictionary
+from weakref import ref
 
 from .rational import (
     CONVERSE, INT_RELATIONS, RELATIONS, DivisionByZero, Rational, add, canon, format_rational,
@@ -134,8 +144,21 @@ def _frozen(self, name, value=None):  # __setattr__ and __delattr__
     raise FrozenInstanceError(f"cannot assign to or delete field {name!r}")
 
 
-_nodes = WeakValueDictionary()  # (class, *field values) -> the live node
-_storing = Lock()  # a miss stores under it, so two threads never store two nodes of one key
+_nodes = {}  # (class, *field values) -> the `_Entry` of the live node
+# a miss stores under it, so two threads never store two nodes of one key;
+# reentrant, as a collection inside the locked region runs `_drop`
+_storing = RLock()
+
+
+class _Entry(ref):
+    __slots__ = ("key",)  # the node's key in `_nodes`
+
+
+def _drop(entry, nodes=_nodes, storing=_storing):  # defaults: it also runs at exit
+    """A node died: its entry goes, unless a new node's entry replaced it."""
+    with storing:
+        if nodes.get(entry.key) is entry:
+            del nodes[entry.key]
 
 
 class _Node:
@@ -147,11 +170,16 @@ class _Node:
         if kwargs:
             args = _positional(cls, args, kwargs)
         key = (cls, canon(*args)) if cls is Lit else (cls, *args)
-        node = _nodes.get(key)
-        if node is None:
-            cls._init(node := object.__new__(cls), *key[1:])
-            with _storing:  # a node another thread stored meanwhile wins
-                node = _nodes.setdefault(key, node)
+        entry = _nodes.get(key)
+        if entry is not None and (node := entry()) is not None:
+            return node
+        cls._init(node := object.__new__(cls), *key[1:])
+        with _storing:  # a node another thread stored meanwhile wins
+            entry = _nodes.get(key)
+            if entry is not None and (old := entry()) is not None:
+                return old
+            (entry := _Entry(node, _drop)).key = key
+            _nodes[key] = entry
         return node
 
     def __reduce__(self):
@@ -166,7 +194,7 @@ class _Node:
 
 
 class Term(_Node):
-    __slots__ = ("_fn", "_staged")  # evaluator; the engine's (evaluator, env keys)
+    __slots__ = ("_fn", "_staged", "_free")  # evaluator; the engine's (evaluator, env keys)
 
 
 @frozen
@@ -249,11 +277,11 @@ lit = Lit  # any value `Fraction` accepts, canonicalized
 
 
 class Game(_Node):
-    __slots__ = ("_active", "_dormant")  # the engine's instruction in each role
+    __slots__ = ("_active", "_dormant", "_free", "_names")  # the engine's instruction in each role
 
 
 class Formula(_Node):
-    __slots__ = ("_fo", "_staged")  # first-order evaluator; the engine's staging
+    __slots__ = ("_fo", "_staged", "_free", "_names")  # first-order evaluator; the engine's staging
 
 
 @frozen
@@ -454,32 +482,49 @@ def eval_term(t: Term, state: State) -> Rational:
 
 
 def free_vars(e: Expr) -> frozenset[str]:
+    """The variables free in e, kept on e.  Like `names` and
+    `realizer.free_rvars` it reads and writes its slot itself, not through
+    `kept`, so that a first walk takes one frame per tree level."""
+    out = getattr(e, "_free", None)
+    if out is not None:
+        return out
     match e:
-        case Lit():
-            return frozenset()
+        case Lit() | AssignAny():
+            out = frozenset()
         case Var(name=x):
-            return frozenset((x,))
-        case Plus() | Times() | Minus() | Div() | Mod() | Min() | Max():
-            return free_vars(e.left) | free_vars(e.right)
-        case Neg(arg=a) | Abs(arg=a):
-            return free_vars(a)
-        case Cmp(left=a, right=b):
-            return free_vars(a) | free_vars(b)
-        case Diamond(game=g, post=p) | Box(game=g, post=p):
-            return free_vars(g) | (free_vars(p) - must_bound_vars(g))
-        case Test(cond=c):
-            return free_vars(c)
-        case Assign(term=f):
-            return free_vars(f)
-        case AssignAny():
-            return frozenset()
-        case Seq(left=a, right=b):
-            return free_vars(a) | (free_vars(b) - must_bound_vars(a))
-        case Choice(left=a, right=b):
-            return free_vars(a) | free_vars(b)
-        case Repeat(body=a) | Dual(body=a):
-            return free_vars(a)
-    raise TypeError(f"no free variables for {e!r}")
+            out = frozenset((x,))
+        case Plus(left=a, right=b) | Times(left=a, right=b) | Minus(left=a, right=b) \
+                | Div(left=a, right=b) | Mod(left=a, right=b) | Min(left=a, right=b) \
+                | Max(left=a, right=b) | Cmp(left=a, right=b) | Choice(left=a, right=b):
+            out = _union(free_vars(a), free_vars(b))
+        case Neg(arg=a) | Abs(arg=a) | Test(cond=a) | Assign(term=a) | Repeat(body=a) | Dual(body=a):
+            out = free_vars(a)
+        case Diamond(game=a, post=b) | Box(game=a, post=b) | Seq(left=a, right=b):
+            out = _union(free_vars(a), free_vars(b) - must_bound_vars(a))
+        case _:
+            raise TypeError(f"no free variables for {e!r}")
+    object.__setattr__(e, "_free", out)
+    return out
+
+
+def names(e: Expr) -> frozenset[str]:
+    """Every variable e mentions, free or bound, kept on e."""
+    if isinstance(e, Term):
+        return free_vars(e)
+    out = getattr(e, "_names", None)
+    if out is None:
+        t = type(e)
+        out = frozenset((e.var,)) if t is Assign or t is AssignAny else frozenset()
+        for f, sub in field_table(t):
+            if sub:
+                out = _union(out, names(getattr(e, f)))
+        object.__setattr__(e, "_names", out)
+    return out
+
+
+def _union(a: frozenset, b: frozenset) -> frozenset:
+    """a | b, and a side itself where it holds the other, so sets are shared."""
+    return a if b <= a else b if a <= b else a | b
 
 
 def bound_vars(g: Game) -> frozenset[str]:
@@ -565,9 +610,12 @@ def rename(e: Expr, x: str, y: str) -> Expr:
         return y if v == x else x if v == y else v
 
     def go(n: Expr) -> Expr:
+        ns = names(n)
+        if x not in ns and y not in ns:
+            return n
         t = type(n)
         if t is Var:
-            return Var(rn(n.name)) if n.name in (x, y) else n
+            return Var(rn(n.name))
         if t is Assign:
             return Assign(rn(n.var), go(n.term))
         if t is AssignAny:

@@ -1,10 +1,13 @@
 """Terms, state, static semantics, renaming, and substitution."""
 
 import copy
+import gc
 import pickle
 import random
+import subprocess
 import sys
 import threading
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -325,6 +328,95 @@ def test_threads_building_one_structure_get_one_node():
     assert not any(t.is_alive() for t in threads)
     assert len(built[0]) == len(built[1]) == 20_000
     assert sum(a is not b for a, b in zip(*built)) == 0
+
+
+def _exceptions_in_new(build) -> list:
+    """The exceptions raised in `_Node.__new__`, or in a call it makes,
+    while build() runs."""
+    new, seen = S._Node.__new__.__code__, []
+
+    def local(frame, event, arg):
+        if event == "exception":
+            f = frame
+            while f is not None and f.f_code is not new:
+                f = f.f_back
+            if f is not None:
+                seen.append((frame.f_code.co_name, arg[0].__name__))
+        return local
+
+    sys.settrace(lambda frame, event, arg: local)
+    try:
+        build()
+    finally:
+        sys.settrace(None)
+    return seen
+
+
+def test_interning_raises_no_exception():
+    # a miss and a hit are plain dictionary reads, never a caught KeyError
+    def build():
+        for i in range(50):
+            S.Plus(S.Var(f"untraced{i}"), S.Lit(Fraction(i, 7)))
+            S.Plus(x, L(1))
+            S.Cmp(x, rel="<", right=S.Var(f"untraced{i}"))
+
+    assert _exceptions_in_new(build) == []
+
+
+def test_a_dead_node_s_key_is_stored_again_and_its_entry_goes():
+    while gc.collect():
+        pass
+    before, key = len(S._nodes), (S.Var, "mortal")
+    node = S.Var("mortal")
+    first = S._nodes[key]
+    assert first() is node and len(S._nodes) == before + 1
+    dead = weakref.ref(node)
+    del node
+    assert dead() is None and key not in S._nodes and len(S._nodes) == before
+    again = S.Var("mortal")
+    assert S._nodes[key]() is again and S.Var("mortal") is again and len(S._nodes) == before + 1
+    # the first node's removal, come late, leaves the entry that replaced it
+    S._drop(first)
+    assert S._nodes[key]() is again
+    del again
+    assert len(S._nodes) == before
+
+
+_COLLECT_IN_STORE = """
+import gc
+from cgl import engine as E, realizer as R, syntax as S
+
+class Collecting(S._Entry):  # a store's entry, made under the table's lock
+    __slots__ = ()
+    armed = False
+
+    def __init__(self, node, callback):
+        if Collecting.armed:
+            gc.collect(0)
+
+S._Entry, built = Collecting, []
+for i in range(300):
+    gc.disable()  # the garbage stays young until a store collects it
+    # a Gen and its stream hold each other: garbage only a collection frees
+    body = S.Assign("g", S.Plus(S.Var("g"), S.Lit(i)))
+    S.kept(R.Gen(R.RVar("v"), "v", R.Unit(), R.Unit(), body), "_stream", E._stream)
+    del body
+    Collecting.armed = True
+    built.append(S.Times(S.Var(f"k{i}"), S.Lit(i)))
+    Collecting.armed = False
+    gc.enable()
+assert all(S.Times(S.Var(f"k{i}"), S.Lit(i)) is n for i, n in enumerate(built))
+assert all(S._nodes[(S.Times, n.left, n.right)]() is n for n in built)
+print(len(built), len(S._nodes) < 1000)  # the Gens and their children went
+"""
+
+
+def test_a_collection_inside_a_store_neither_deadlocks_nor_loses_it():
+    # each fresh Times stores its Var's entry under the table's lock, and a
+    # collection there frees a Gen, whose node's and children's entries go
+    proc = subprocess.run([sys.executable, "-c", _COLLECT_IN_STORE],
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "300 True\n", "")
 
 
 def test_literal_value_is_canonical():
