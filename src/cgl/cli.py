@@ -124,12 +124,11 @@ def _make_menu(path: str) -> DemonMenu:
     data = _load_json(path, "menu")
     if not isinstance(data, dict) or not isinstance(data.get("values", {}), dict):
         raise _Usage(f"menu {path} is not a JSON object with a \"values\" object")
-    values = data.get("values", {})
-    for var, vals in values.items():
+    values = {}  # var -> its values, parsed here once for every --state
+    for var, vals in data.get("values", {}).items():
         if not isinstance(vals, list):
             raise _Usage(f"menu values for {var} in {path} are not a JSON list")
-        for v in vals:
-            _number(v, f"menu {path}, {var}")
+        values[var] = [_number(v, f"menu {path}, {var}") for v in vals]
     depth = data.get("repeat_depth", 8)
     if type(depth) is not int or depth < 0:  # JSON's true is a bool, not an int
         raise _Usage(f"bad repeat_depth {depth!r} in menu {path}: not a non-negative integer")

@@ -33,6 +33,11 @@ and where one is handed out, as a finished play's residual or by
 At a dormant loop's head the demon picks stop or one more round, and the
 machine builds only that half of the loop's stream (`_gen_half`, through
 which `pair_view` builds both).
+
+A verify hands the machine its judge, so only losing lines leave it; a
+winning one ends at the root unboxed.  Evidence for a Demon test applied
+to a ProofLam reads no state, so a register keeps the last such
+application for the same closure (`_assertion`); fuel is charged as before.
 """
 
 from __future__ import annotations
@@ -607,21 +612,18 @@ def _holds(ins: tuple, state: State) -> bool:  # ins: a test instruction
         raise IllStructuredRealizer(f"test {print_formula(ins[2])} is not ground first-order")
 
 
-def _put(state: State, x: str, v: Rational) -> State:
-    """state with x bound to v, which is canonical and stored as it is."""
-    vals = state._vals.copy()
-    vals[x] = v
-    return State.of(vals)
-
-
-def _lines(game, role, cl, state, demon, budget, tracer=None, memo=None):
+def _lines(game, role, cl, state, demon, budget, tracer=None, memo=None, judge=None):
     """(outcome, path) for every line the demon's options allow, depth
     first.  `tracer` receives play events.  `memo`, a `_Transpositions`,
     wraps every loop head; with it, `path` holds the line's Demon moves
-    (read them with `_trail`), and a fuel-out carries the path it reached."""
+    (read them with `_trail`), and a fuel-out carries the path it reached.
+    With `judge`, verify's (post evaluator, require_finished), only losing
+    lines are yielded."""
     ev = tracer.raw.append if tracer is not None else None
+    holds, strict = judge or (None, False)
     todo = []  # options not yet taken: (kind, option, context, k, path)
     crz, cenv = cl.rz, cl.env  # the closure register
+    areg = [None, None, None]  # the assertion register (`_assertion`)
     k, ins, st, bad, it, path, mode = None, _instruction(game, role), state, None, 0, None, _EVAL
     out = okey = None  # the outcome in hand and its table key, once made
     try:
@@ -641,8 +643,9 @@ def _lines(game, role, cl, state, demon, budget, tracer=None, memo=None):
                     continue
                 if op <= _I_ANGEL_VALUE:  # a leaf of Angel's or of the state's
                     if op == _I_ASSIGN:
-                        v = ins[3](st)
-                        st = _put(st, ins[2], v)
+                        v, vals = ins[3](st), st._vals.copy()
+                        vals[ins[2]] = v
+                        st = State.of(vals)
                         if ev is not None:
                             ev(("assign", ins[2], v))
                     elif op == _I_ANGEL_TEST:
@@ -659,7 +662,9 @@ def _lines(game, role, cl, state, demon, budget, tracer=None, memo=None):
                         v, crz, cenv = _number_and_rest(crz, cenv, st, budget)
                         if ev is not None:
                             ev(("angel-value", ins[2], v))
-                        st = _put(st, ins[2], v)
+                        vals = st._vals.copy()
+                        vals[ins[2]] = v
+                        st = State.of(vals)
                     if k is not None and k[0] == _SEQ:  # straight on to the next game
                         ins, k = k[1], k[3]
                     else:
@@ -739,8 +744,10 @@ def _lines(game, role, cl, state, demon, budget, tracer=None, memo=None):
                             ins, it, k, mode = k[1], k[2], k[3], _HEAD
                             break
                     k = k[3]
-                else:
-                    yield (out or (Finished(st, Closure(crz, cenv)) if bad is None else bad)), path
+                else:  # the root: the line ends here
+                    if holds is None or (not holds(st) if bad is None
+                                         else strict or type(bad) is not DemonViolation):
+                        yield (out or bad or Finished(st, Closure(crz, cenv))), path
                 out = okey = None
                 if mode != _RET:
                     continue
@@ -769,13 +776,20 @@ def _lines(game, role, cl, state, demon, budget, tracer=None, memo=None):
                     bad = out
                 mode = _RET
             elif kind == _BRANCH:
-                path = _move(ev, memo, path, f"demon-branch {opt}")
+                if ev is not None:
+                    ev(f"demon-branch {opt}")
+                if memo is not None:
+                    path = (path, f"demon-branch {opt}")
                 ins, halves, st = ctx
                 ins, crz, cenv = (ins[2], *halves[:2]) if opt == "L" else (ins[3], *halves[2:])
                 mode = _EVAL
             elif kind == _VALUE:
                 x, crz, cenv, st0, spent = ctx
-                path = _move(ev, memo, path, ("demon-value", x, opt))
+                move = ("demon-value", x, opt)
+                if ev is not None:
+                    ev(move)
+                if memo is not None:
+                    path = (path, move)
                 if not spent:  # the first value forces what all values continue with
                     left = budget.left
                     ctx[1:3] = crz, cenv = app_num(crz, cenv, None, st0, budget)
@@ -784,7 +798,9 @@ def _lines(game, role, cl, state, demon, budget, tracer=None, memo=None):
                     budget.left -= spent
                     if budget.left < 0:
                         raise BudgetExhausted()
-                st, mode = _put(st0, x, opt), _RET
+                vals = st0._vals.copy()
+                vals[x] = opt
+                st, mode = State.of(vals), _RET
             elif kind == _TEST:
                 ins, crz, cenv, st = ctx
                 if opt is _HONEST or opt is _CANDID:
@@ -799,7 +815,7 @@ def _lines(game, role, cl, state, demon, budget, tracer=None, memo=None):
                 if ev is not None:
                     ev(("demon-test", ins[2], opt))
                 if opt == "assert":
-                    crz, cenv = _app_rz(crz, cenv, _UNIT, _EMPTY, st, budget)
+                    crz, cenv = _assertion(areg, crz, cenv, st, budget)
                 else:
                     if memo is not None:
                         path = (path, f"demon-test {opt}")
@@ -834,10 +850,20 @@ def _select(rz: R.Realizer, env: dict, state: State, budget: Budget, what: str):
     return sel, rz, env
 
 
-def _move(ev, memo, path, move):
-    if ev is not None:
-        ev(move)
-    return path if memo is None else (path, move)
+def _assertion(reg: list, rz: R.Realizer, env: dict, state: State, budget: Budget):
+    """(rz, env) at a Demon test applied to the asserted test's evidence.
+    For a ProofLam that reads no state, so reg, [rz, env, result] of the
+    last such application, serves the same realizer and environment again,
+    charged the one forcing step it took; any other closure is forced."""
+    if rz is reg[0] and env is reg[1]:
+        budget.left -= 1
+        if budget.left < 0:
+            raise BudgetExhausted()
+        return reg[2]
+    out = _app_rz(rz, env, _UNIT, _EMPTY, state, budget)
+    if type(rz) is R.ProofLam:
+        reg[:] = rz, env, out
+    return out
 
 
 def _trail(path) -> tuple:
@@ -950,21 +976,20 @@ class CounterExample:
 def verify_exhaustive(game: Game, role: str, cl: Closure, init_states, post: Formula,
                       menu: DemonMenu, fuel: int = 2_000_000, require_finished: bool = False):
     """AllWin check: every Demon line ends in DemonViolation or a Finished
-    state satisfying post.  Returns None, or a CounterExample.
+    state satisfying post.  Returns None, or a CounterExample.  The machine
+    judges each line where it ends and hands out only a losing one.
 
     Each distinct loop-head position is explored once per call and
     replayed from a transposition table after that; a replay spends no
     fuel, so fuel bounds the work of the unmemoized search from above.
     The menu's values are parsed once per call too, into a copy of the
     menu, so the caller's menu holds no parsed values after the call."""
-    memo, holds = _Transpositions(), _condition(post)
+    memo, judge = _Transpositions(), (_condition(post), require_finished)
     menu = DemonMenu(menu.values, menu.repeat_depth)
     for st in init_states:
         try:
-            for out, path in _lines(game, role, cl, st, menu, Budget(fuel), None, memo):
-                if (not holds(out.state) if type(out) is Finished
-                        else require_finished or type(out) is not DemonViolation):
-                    return CounterExample(st, out, _trail(path))
+            for out, path in _lines(game, role, cl, st, menu, Budget(fuel), None, memo, judge):
+                return CounterExample(st, out, _trail(path))
         except BudgetExhausted as e:
             return CounterExample(st, FuelOut(st), _trail(e.path))
     return None

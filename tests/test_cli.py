@@ -138,6 +138,32 @@ def test_verify_cake(capsys):
     assert code == 0
 
 
+def test_verify_parses_its_menu_once(capsys, monkeypatch):
+    # each menu value is parsed where the menu is read, not again by the
+    # verify of each --state
+    from cgl import cli, engine
+    from cgl.rational import parse_rational
+
+    parsed = []
+
+    def counted(text):
+        parsed.append(text)
+        return parse_rational(text)
+
+    monkeypatch.setattr(cli, "parse_rational", counted)
+    monkeypatch.setattr(engine, "parse_rational", counted)
+    code, out, err = run(
+        capsys, "verify", corpus_path("cake.cgl"), "--theorem", "dCake",
+        "--menu", corpus_path("cake_menu.json"), "--state", "c=5", "--state", "c=7",
+    )
+    assert (code, err) == (0, "")
+    assert out == ("state State(c=5): all demon lines win\n"
+                   "state State(c=7): all demon lines win\n")
+    with open(corpus_path("cake_menu.json"), encoding="utf-8") as fh:
+        values = json.load(fh)["values"]["x"]
+    assert sorted(parsed) == sorted([*values, "5", "7"])
+
+
 def test_extract_emit(tmp_path, capsys):
     out_file = tmp_path / "strategy.json"
     code, out, _ = run(

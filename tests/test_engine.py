@@ -692,6 +692,39 @@ def test_passing_verify_formats_nothing(all_theorems, monkeypatch):
     assert verify_exhaustive(game, role, cl, [st], MOD4_IS_1, DemonMenu({}, 12)) is None
 
 
+def test_winning_lines_leave_nothing_behind(all_theorems, monkeypatch):
+    # a verify of dCake builds no Finished for the lines that win, and as
+    # many Closures over 2,000 cuts as over the bundled menu's 13; a losing
+    # line still comes out as the same counterexample
+    game, role, cl, post = _dcake(all_theorems)
+    with open(corpus_path("cake_menu.json"), encoding="utf-8") as fh:
+        bundled = json.load(fh)["values"]["x"]
+    built = {E.Finished: 0, E.Closure: 0}
+
+    def counted(cls):
+        init = cls.__init__
+
+        def counting(self, *args):
+            built[cls] += 1
+            init(self, *args)
+        monkeypatch.setattr(cls, "__init__", counting)
+
+    counted(E.Finished)
+    counted(E.Closure)
+    closures = []
+    for cuts in (bundled, [f"{k}/1999" for k in range(2000)]):
+        built.update(dict.fromkeys(built, 0))
+        assert verify_exhaustive(game, role, cl, [State()], post, DemonMenu({"x": cuts}, 4)) is None
+        assert built[E.Finished] == 0
+        closures.append(built[E.Closure])
+    assert closures[0] == closures[1]
+
+    post = S.Cmp(S.Var("d"), ">=", S.Plus(L("1/2"), L("1/100")))  # as in the bench's control
+    cex = verify_exhaustive(game, role, cl, [State()], post, DemonMenu({"x": bundled}, 4))
+    assert _cex_record(cex) == ("State()", "Finished", "State(a=1/2, d=1/2, x=1/2, y=1/2)",
+                                ("demon-value x 1/2",))
+
+
 def test_trace_formats_lines_when_read(monkeypatch):
     # a traced play and the length of its trace format nothing
     tr = Tracer()

@@ -22,7 +22,7 @@ from cgl.engine import (
 from cgl.extraction import UncheckedInput, extract
 from cgl.interchange import to_json
 from cgl.oracle import ArithOracle
-from cgl.parser import parse_script
+from cgl.parser import parse_formula_text, parse_game_text, parse_script
 from cgl.proofterms import Context
 from cgl.syntax import State
 
@@ -327,29 +327,83 @@ def test_fusion_is_only_an_optimization(all_theorems, monkeypatch):
         assert extract(proof, phi, checked=True) is rz, name
 
 
+def _observed(all_theorems, oracle):
+    """Each CONFIG theorem's verdict, trail and random plays, and the
+    records of seeded random plays of the corpus at two fuels."""
+    from test_engine import _random_play_records
+
+    lines = {}
+    for name in CONFIG:
+        phi, proof = all_theorems[name]
+        # a copy: an earlier test may have left another realizer on the proof
+        lines[name] = _config_lines(name, phi, elaborate(Context(), copy.copy(proof), phi, oracle))
+    plays = [_random_play_records(random.Random(20240817), fuel) for fuel in (12, 20_000)]
+    return lines, plays
+
+
 def test_trimmed_closures_are_only_an_optimization(all_theorems, monkeypatch):
     # binding into a copy of the whole environment, as the engine did before
     # closures were trimmed to what their realizers read, plays the same:
     # the same verdicts, trails and play ends, and the same random plays
-    from test_engine import _random_play_records
-
     oracle = ArithOracle()
-
-    def observed():
-        lines = {}
-        for name in CONFIG:
-            phi, proof = all_theorems[name]
-            # a copy: an earlier test may have left another realizer on the proof
-            lines[name] = _config_lines(name, phi, elaborate(Context(), copy.copy(proof), phi,
-                                                             oracle))
-        plays = [_random_play_records(random.Random(20240817), fuel) for fuel in (12, 20_000)]
-        return lines, plays
 
     def whole(env, rz, key, v, venv=None):
         bound.append(key)
         return {**env, key: v if venv is None else E.Closure(v, venv)}
 
-    trimmed, bound = observed(), []
+    trimmed, bound = _observed(all_theorems, oracle), []
     monkeypatch.setattr(E, "_bind", whole)
-    assert observed() == trimmed
+    assert _observed(all_theorems, oracle) == trimmed
     assert bound
+
+
+def _register_lines(strategy, post):
+    """Every line of `strategy` for [x := * ; ?x >= 0 ; {y := *}^d], and
+    verify's counterexample for post, with menu x in {2, 0, 1, -1}."""
+    game = parse_game_text("x := * ; ?x >= 0 ; {y := *}^d")
+    menu = DemonMenu({"x": ["2", "0", "1", "-1"]}, 2)
+    lines = E._lines(game, E.DORMANT, close(strategy), State(), menu, E.Budget(1_000), None,
+                     E._Transpositions())
+    lines = [(type(o).__name__, o.state, E._trail(path)) for o, path in lines]
+    cex = verify_exhaustive(game, E.DORMANT, close(strategy), [State()], post, menu)
+    return lines, cex and (type(cex.outcome).__name__, cex.outcome.state, cex.trace)
+
+
+def _angel_picks(term):  # at the test: evidence in, then y := term
+    return R.ProofLam("h", parse_formula_text("x >= 0"), R.Pair(R.TermVal(term), R.Unit()))
+
+
+def test_the_assertion_register_is_only_an_optimization(all_theorems, monkeypatch):
+    # applying every asserted test's evidence through `_app_rz`, as the
+    # engine did before it kept the last application to a ProofLam, plays
+    # the same; so do hand-built strategies whose closure at a Demon test
+    # is one ProofLam for every x, or an IfTerm on x between two ProofLams
+    # that continue differently, which the register must never serve
+    oracle = ArithOracle()
+    at_test = R.IfTerm(parse_formula_text("x >= 1"), _angel_picks(S.lit(1)), _angel_picks(S.lit(0)))
+    strategies = [R.NumLamR("x", at_test), R.NumLamR("x", _angel_picks(S.Var("x")))]
+    post = parse_formula_text("y = 1")
+    concede = ("DemonViolation", State({"x": -1}), ("demon-value x -1", "demon-test concede"))
+    expected = [  # (each line, verify's counterexample), as before the register
+        ([*(("Finished", State({"x": x, "y": int(x >= 1)}), (f"demon-value x {x}",))
+            for x in (2, 0, 1)), concede],
+         ("Finished", State({"x": 0, "y": 0}), ("demon-value x 0",))),
+        ([*(("Finished", State({"x": x, "y": x}), (f"demon-value x {x}",)) for x in (2, 0, 1)),
+          concede],
+         ("Finished", State({"x": 2, "y": 2}), ("demon-value x 2",))),
+    ]
+
+    def observed():
+        return _observed(all_theorems, oracle), [_register_lines(s, post) for s in strategies]
+
+    kept = observed()
+    assert kept[1] == expected
+
+    def every(reg, rz, env, state, budget):
+        applied.append(rz)
+        return E._app_rz(rz, env, E._UNIT, E._EMPTY, state, budget)
+
+    applied = []
+    monkeypatch.setattr(E, "_assertion", every)
+    assert observed() == kept
+    assert applied
