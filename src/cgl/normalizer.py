@@ -12,9 +12,13 @@ Both run one resumable reduction machine, after Danvy and Nielsen,
 proof-term type, the children searched for a redex, in order, each with
 the S-rule that names a step inside it and the C-rule that fires when it
 is a stuck case; `_HEAD` holds the rule that may fire at a node once its
-searched children are stuck.  The machine keeps the ancestors of its
-focus as a linked list of frames, a zipper after Huet, "The Zipper"
-(1997), so no search recurses.  When a rule fires at the focus, the
+searched children are stuck; the machine reads both inline at every
+node it visits.  How an oracle leaf decomposes depends on its goal alone,
+so it is judged once per goal and kept on the goal (`_goal_fact`): a
+stuck leaf that the search passes again costs one read, and a stuck
+existential one witness search in all.  The machine keeps the ancestors
+of its focus as a linked list of frames, a zipper after Huet, "The
+Zipper" (1997), so no search recurses.  When a rule fires at the focus, the
 reduct replaces the focus and no ancestor is touched: an ancestor is
 rebuilt with its new child only when the search returns to it, so a step
 costs the same under any number of ancestors.  The next search starts at
@@ -36,7 +40,7 @@ from typing import Optional
 from . import proofterms as P
 from . import syntax as S
 from .oracle import ArithOracle, exists_witness
-from .proofterms import ProofTerm, subst_term_pt
+from .proofterms import ProofTerm, free_pvars, subst_pt, subst_term_pt
 
 # beta rules
 LAM_PHI_BETA = "lam-phi-beta"
@@ -203,19 +207,16 @@ _SEARCH = {
     P.For: _search(P.For, ("init", FOR_S, FOR_C)),
     P.FP: _search(P.FP, ("scrut", FP_S, FP_C)),
     P.Mon: _search(P.Mon, ("scrut", MON_S, MON_C)),
-    # keyed by (type, flavor is DIA): the rule names follow the flavor
-    (P.SeqI, True): _search(P.SeqI, ("body", DSEQ_S, DSEQ_C)),
-    (P.SeqI, False): _search(P.SeqI, ("body", BSEQ_S, BSEQ_C)),
-    (P.Swap, True): _search(P.Swap, ("body", DSWAP_S, DSWAP_C)),
-    (P.Swap, False): _search(P.Swap, ("body", BSWAP_S, BSWAP_C)),
+    # named for the diamond flavor; `_named` renames for the box flavor
+    P.SeqI: _search(P.SeqI, ("body", DSEQ_S, DSEQ_C)),
+    P.Swap: _search(P.Swap, ("body", DSWAP_S, DSWAP_C)),
 }
+_BOX_RULES = {DSEQ_S: BSEQ_S, DSEQ_C: BSEQ_C, DSWAP_S: BSWAP_S, DSWAP_C: BSWAP_C}
 
 
-def _children(m) -> tuple:
-    cls = type(m)
-    if cls is P.SeqI or cls is P.Swap:
-        return _SEARCH[cls, m.flavor == P.DIA]
-    return _SEARCH.get(cls, ())
+def _named(node, rule: str) -> str:
+    """The S- or C-rule of a child of node, as node's flavor names it."""
+    return _BOX_RULES.get(rule, rule) if getattr(node, "flavor", None) == P.BOX else rule
 
 
 _ELIMS = (P.App, P.NumApp, P.Proj1, P.Proj2, P.Case, P.RCase, P.Unpack, P.Unroll, P.FP, P.Mon)
@@ -228,9 +229,9 @@ def is_simple(m: ProofTerm) -> bool:
         n = stack.pop()
         if isinstance(n, _ELIMS):
             return False
-        if isinstance(n, P.QE) and _fo_beta(n, _FreeVars()) is not None:
+        if isinstance(n, P.QE) and S.kept(n.goal, "_qe", _goal_fact) is not None:
             return False
-        stack.extend(getattr(n, f) for _, f, _, _ in _children(n))
+        stack.extend(getattr(n, f) for _, f, _, _ in _SEARCH.get(type(n), ()))
     return True
 
 
@@ -250,23 +251,10 @@ def normal_kind(m: ProofTerm) -> str:
     return SIMPLE if is_simple(m) else TOP_LEVEL_CASE
 
 
-class _FreeVars(dict):
-    """Free proof variables of the terms one normalization meets and of
-    their subterms, each computed once: keyed by identity, the term kept
-    alive beside its set.  A beta rule's substitution asks it for the
-    argument's set only at the first binder it crosses."""
-
-    def __call__(self, m: ProofTerm) -> frozenset:
-        return P.free_pvars(m, self)
-
-    def subst(self, body: ProofTerm, p: str, arg: ProofTerm) -> ProofTerm:
-        return P.subst_pt(body, p, arg, self)
-
-
 def _fresh_pvar(base, fv, *terms):
     avoid = set()
     for t in terms:
-        avoid |= fv(t)
+        avoid |= free_pvars(t, fv)
     return P.fresh_pvar(base, avoid)
 
 
@@ -290,31 +278,45 @@ def _lift_case(node: ProofTerm, plug, case: P.Case) -> P.Case:
 # Head rules: (m, free variables) -> (reduct, rule) or None
 
 
-def _fo_beta(m: P.QE, fv):
-    """Decompose an oracle leaf by the shape of its goal."""
-    g = m.goal
+def _goal_fact(g: S.Formula):
+    """How an oracle leaf with goal g decomposes, kept on g: None when it
+    does not, else (rule, a, b): the bound variable and the body of a
+    universal, the halves of a conjunction, a pool witness of an
+    existential and the body it instantiates, or nothing for a disjunction."""
     if isinstance(g, S.Box) and isinstance(g.game, S.AssignAny):
-        x = g.game.var
-        return P.NumLam(x, _fresh_ghost(x, m), P.QE(g.post, m.payload)), FO_ALL_BETA
+        return FO_ALL_BETA, g.game.var, g.post
     if S.split_or(g) is not None:
-        return P.Dec(g, m.payload), FO_OR_BETA
+        return FO_OR_BETA, None, None
     halves = S.split_and(g)
     if halves is not None:
-        l, r = halves
-        return P.DPair(P.QE(l, m.payload), P.QE(r, m.payload)), FO_AND_BETA
+        return FO_AND_BETA, *halves
     if isinstance(g, S.Diamond) and isinstance(g.game, S.AssignAny):
         f = exists_witness(ArithOracle(), g)
         if f is not None:
-            x = g.game.var
-            inst = S.subst_term(g.post, x, f)
-            hyp = _fresh_pvar(x, fv, m.payload or P.PVar("_"))
-            return P.TCons(x, _fresh_ghost(x, m), hyp, f, P.QE(inst, m.payload)), FO_EX_BETA
+            return FO_EX_BETA, f, S.subst_term(g.post, g.game.var, f)
     return None
+
+
+def _fo_beta(m: P.QE, fv):
+    """Decompose an oracle leaf by the shape of its goal, judged once per goal."""
+    fact = S.kept(m.goal, "_qe", _goal_fact)
+    if fact is None:
+        return None
+    rule, a, b = fact
+    if rule == FO_ALL_BETA:
+        return P.NumLam(a, _fresh_ghost(a, m), P.QE(b, m.payload)), rule
+    if rule == FO_OR_BETA:
+        return P.Dec(m.goal, m.payload), rule
+    if rule == FO_AND_BETA:
+        return P.DPair(P.QE(a, m.payload), P.QE(b, m.payload)), rule
+    x = m.goal.game.var
+    hyp = _fresh_pvar(x, fv, m.payload or P.PVar("_"))
+    return P.TCons(x, _fresh_ghost(x, m), hyp, a, P.QE(b, m.payload)), rule
 
 
 def _app_beta(m: P.App, fv):
     if isinstance(m.fn, P.Lam):
-        return fv.subst(m.fn.body, m.fn.hyp, m.arg), LAM_PHI_BETA
+        return subst_pt(m.fn.body, m.fn.hyp, m.arg, fv), LAM_PHI_BETA
     return None
 
 
@@ -331,18 +333,18 @@ def _numapp_beta(m: P.NumApp, fv):
 def _case_beta(m: P.Case, fv):
     a = m.scrut
     if isinstance(a, P.InjL):
-        return fv.subst(m.bleft, m.left, a.arg), CASE_BETA_L
+        return subst_pt(m.bleft, m.left, a.arg, fv), CASE_BETA_L
     if isinstance(a, P.InjR):
-        return fv.subst(m.bright, m.right, a.arg), CASE_BETA_R
+        return subst_pt(m.bright, m.right, a.arg, fv), CASE_BETA_R
     return None
 
 
 def _rcase_beta(m: P.RCase, fv):
     a = m.scrut
     if isinstance(a, P.Stop):
-        return fv.subst(m.sbody, m.svar, a.body), CASE_BETA_L
+        return subst_pt(m.sbody, m.svar, a.body, fv), CASE_BETA_L
     if isinstance(a, P.Go):
-        return fv.subst(m.gbody, m.gvar, a.body), CASE_BETA_R
+        return subst_pt(m.gbody, m.gvar, a.body, fv), CASE_BETA_R
     return None
 
 
@@ -351,7 +353,7 @@ def _unpack_beta(m: P.Unpack, fv):
     if isinstance(a, P.TCons):
         yt = a.ghost
         n1 = P.rename_pt(m.body, m.ghost, yt) if m.ghost != yt else m.body
-        body = P.rename_pt(fv.subst(n1, m.hyp, a.body), m.var, yt)
+        body = P.rename_pt(subst_pt(n1, m.hyp, a.body, fv), m.var, yt)
         return P.Ghost(yt, a.witness, a.hyp, body), UNPACK_BETA
     return None
 
@@ -363,7 +365,8 @@ def _tcons_lift(m: P.TCons, fv):
     """wit-C: the body is shielded, so it lifts a case only when the case
     scrutinee mentions neither the binder's hypothesis nor its ghost."""
     a = m.body
-    if isinstance(a, P.Case) and m.hyp not in fv(a.scrut) and m.ghost not in P.prog_vars(a.scrut):
+    if (isinstance(a, P.Case) and m.hyp not in free_pvars(a.scrut, fv)
+            and m.ghost not in P.prog_vars(a.scrut)):
         return _lift_case(m, _TCONS_BODY, a), TCONS_C
     return None
 
@@ -373,8 +376,8 @@ def _rep_beta(m: P.Rep, fv):
     q = _fresh_pvar("q", fv, n, o)
     reduct = P.Roll(
         P.DPair(
-            fv.subst(o, p, a),
-            P.Mon(fv.subst(n, p, a), q, P.Rep(p, P.PVar(q), n, o, m.inv)),
+            subst_pt(o, p, a, fv),
+            P.Mon(subst_pt(n, p, a, fv), q, P.Rep(p, P.PVar(q), n, o, m.inv)),
         )
     )
     return reduct, REP_BETA
@@ -391,12 +394,13 @@ def _for_beta(m: P.For, fv):
     t = _fresh_pvar("t", fv, m.body, m.done, m.init)
 
     stop_branch = P.Stop(
-        fv.subst(fv.subst(m.done, m.hyp, m.init), m.mhyp, P.Proj1(P.PVar(l)))
+        subst_pt(subst_pt(m.done, m.hyp, m.init, fv), m.mhyp, P.Proj1(P.PVar(l)), fv)
     )
-    step_inst = fv.subst(
-        fv.subst(m.body, m.hyp, m.init),
+    step_inst = subst_pt(
+        subst_pt(m.body, m.hyp, m.init, fv),
         m.mhyp,
         P.DPair(P.PVar(rr), P.Proj1(P.PVar(r))),
+        fv,
     )
     go_branch = P.Ghost(
         m.m0,
@@ -418,7 +422,7 @@ def _fp_beta(m: P.FP, fv):
     # every use of the hypothesis g becomes a recursive application;
     # the Mon scrutinee stays free so the rcase binder recaptures it
     w = _fresh_pvar("w", fv, b, c)
-    unrolled = fv.subst(c, g, P.Mon(P.PVar(g), w, P.FP(P.PVar(w), s_, b, g, c)))
+    unrolled = subst_pt(c, g, P.Mon(P.PVar(g), w, P.FP(P.PVar(w), s_, b, g, c)), fv)
     return P.RCase(a, s_, b, g, unrolled), FP_BETA
 
 
@@ -426,13 +430,13 @@ def _mon_conv(m: P.Mon, fv):
     a, p, n = m.scrut, m.hyp, m.body
     match a:
         case P.Lam(hyp=h, ann=ann, body=b):
-            return P.Lam(h, ann, fv.subst(n, p, b)), LAM_MON
+            return P.Lam(h, ann, subst_pt(n, p, b, fv)), LAM_MON
         case P.NumLam(var=x, ghost=y, body=b):
-            return P.NumLam(x, y, fv.subst(n, p, b)), RLAM_MON
+            return P.NumLam(x, y, subst_pt(n, p, b, fv)), RLAM_MON
         case P.BPair(fst=f, snd=s):
             return P.BPair(P.Mon(f, p, n), P.Mon(s, p, n)), BCONS_MON
         case P.DPair(fst=f, snd=s):
-            return P.DPair(f, fv.subst(n, p, s)), DCONS_MON
+            return P.DPair(f, subst_pt(n, p, s, fv)), DCONS_MON
         case P.InjL(arg=b):
             return P.InjL(P.Mon(b, p, n)), INJL_MON
         case P.InjR(arg=b):
@@ -446,11 +450,11 @@ def _mon_conv(m: P.Mon, fv):
             return P.SeqI(P.Mon(b, q, P.Mon(P.PVar(q), p, n)), fl), rule
         case P.Asgn(var=x, ghost=y, hyp=h, body=b, flavor=fl):
             rule = DASGN_MON if fl == P.DIA else BASGN_MON
-            return P.Asgn(x, y, h, fv.subst(n, p, b), fl), rule
+            return P.Asgn(x, y, h, subst_pt(n, p, b, fv), fl), rule
         case P.TCons(var=x, ghost=y, hyp=h, witness=f, body=b):
-            return P.TCons(x, y, h, f, fv.subst(n, p, b)), TCONS_MON
+            return P.TCons(x, y, h, f, subst_pt(n, p, b, fv)), TCONS_MON
         case P.Stop(body=b):
-            return P.Stop(fv.subst(n, p, b)), STOP_MON
+            return P.Stop(subst_pt(n, p, b, fv)), STOP_MON
         case P.Go(body=b):
             q = _fresh_pvar("q", fv, n)
             return P.Go(P.Mon(b, q, P.Mon(P.PVar(q), p, n))), GO_MON
@@ -490,11 +494,6 @@ _HEAD = {
 }
 
 
-def _head(m: ProofTerm, fv):
-    rule = _HEAD.get(type(m))
-    return rule(m, fv) if rule is not None else None
-
-
 # ---------------------------------------------------------------------------
 # The machine
 
@@ -514,14 +513,17 @@ class _Machine:
     the root.  A frame's node may hold an older copy of its child at k;
     it is rebuilt with the new one when the search returns to it.  `top`
     is the S-rule of the root frame's child k, which names every step
-    under the root.
+    under the root.  `fv` holds the free proof variables of the terms one
+    normalization meets, each computed once (a `free_pvars` memo); a beta
+    rule's substitution asks it for the argument's set only at the first
+    binder it crosses.
     """
 
     def __init__(self, m: ProofTerm):
         self.focus = m
         self.path = None
         self.top = None
-        self.fv = _FreeVars()
+        self.fv = {}
 
     def root(self) -> ProofTerm:
         return _root(self.focus, self.path)
@@ -529,39 +531,39 @@ class _Machine:
     def step(self) -> Optional[str]:
         """Fire the next rule and return its root-level name, or None once
         the term is normal; the search resumes at the reduct."""
-        path, fv = self.path, self.fv
+        path, fv, search, head = self.path, self.fv, _SEARCH, _HEAD
         m = self.focus
         while True:
-            kids = _children(m)
-            if kids:  # search the first child
+            kids = search.get(type(m))
+            if kids is not None:  # search the first child
                 if path is None:
-                    self.top = kids[0][2]
+                    self.top = _named(m, kids[0][2])
                 path = (m, kids, 0, path)
                 m = getattr(m, kids[0][1])
                 continue
-            fired = _head(m, fv)
-            if fired is not None:
+            rule = head.get(type(m))
+            if rule is not None and (fired := rule(m, fv)) is not None:
                 return self._fire(path, *fired)
             while True:  # m is stuck: go on at its parent
                 if path is None:
                     self.focus = m
                     return None
                 node, kids, k, up = path
-                plug = kids[k][0]
+                plug, field, _, case_rule = kids[k]
                 if type(m) is P.Case:
-                    return self._fire(up, _lift_case(node, plug, m), kids[k][3])
-                if getattr(node, kids[k][1]) is not m:
+                    return self._fire(up, _lift_case(node, plug, m), _named(node, case_rule))
+                if getattr(node, field) is not m:
                     node = plug(node, m)
                 k += 1
                 if k < len(kids):  # search the next child
                     if up is None:
-                        self.top = kids[k][2]
+                        self.top = _named(node, kids[k][2])
                     path = (node, kids, k, up)
                     m = getattr(node, kids[k][1])
                     break
                 path = up
-                fired = _head(node, fv)
-                if fired is not None:
+                rule = head.get(type(node))
+                if rule is not None and (fired := rule(node, fv)) is not None:
                     return self._fire(path, *fired)
                 m = node
 

@@ -4,9 +4,10 @@ Every binder records its binding occurrence explicitly, including the ghost
 program variables introduced by assignment-style rules, so that checking,
 substitution, and normalization agree on names without a global supply.
 Walks read a plan per class, staged on first use (`_plan`): binder groups,
-proof-term children with the binders and ghosts scoping them, and field
-names.  Substitution rebuilds a node by position only when a child
-changed, and finds the argument's free proof variables at the first binder
+proof-term children with the binders and ghosts scoping them, a getter
+of the field values, and field names.  Substitution rebuilds a node by
+position only when a child changed, replaces a proof-variable child in
+place, and finds the argument's free proof variables at the first binder
 it meets; a closed argument skips every capture check.
 
 Node inventory (constructor -- introducing rule):
@@ -32,6 +33,7 @@ Node inventory (constructor -- introducing rule):
 from __future__ import annotations
 
 from functools import cache
+from operator import attrgetter
 from typing import Optional
 
 from . import syntax as S
@@ -345,8 +347,9 @@ def _plan(cls) -> tuple:
     """The walks' static view of a proof-term class, staged once: its
     proof-variable binder groups as (position, field, scoped fields); its
     proof-term children as (position, field, binder fields scoping it,
-    whether its ghosts scope it); whether it binds a program variable; its
-    field names; and every child and ghost as (position, kind)."""
+    whether its ghosts scope it); whether it binds a program variable; a
+    getter of its field values, None for a class of one field; its field
+    names; and every child and ghost as (position, kind)."""
     names = cls.__match_args__
     groups = _PVAR_BINDERS.get(cls, ())
     ghosts, ghosted = _GHOSTS.get(cls, _NO_GHOSTS)
@@ -359,6 +362,7 @@ def _plan(cls) -> tuple:
             if kind in ("pt", "pt?")
         ),
         cls in (Asgn, TCons, Unpack, NumLam),
+        attrgetter(*names) if len(names) > 1 else None,
         names,
         tuple((names.index(f), kind) for f, kind in kinds.items()),
     )
@@ -496,28 +500,28 @@ def subst_pt(m: ProofTerm, p: str, n: ProofTerm, memo=None) -> ProofTerm:
     `free_pvars(n)` is computed once, through `memo` (a `free_pvars`
     memo), at the first proof-variable binder the walk meets, and a closed
     n skips every capture check.  Subterms the substitution leaves
-    unchanged are shared with m, not copied.
+    unchanged are shared with m, not copied, and a proof variable is
+    replaced where its parent is walked, with no call of its own.
     """
-    return _subst_pt(m, p, n, None, {} if memo is None else memo, None, {})
+    if type(m) is PVar:
+        return n if m.name == p else m
+    return _subst_pt(m, p, n, None, {} if memo is None else memo, None)
 
 
-def _renamed(n: ProofTerm, moved, copies) -> ProofTerm:
-    """n renamed through the binders `moved`, a linked list (x, ghost,
-    outer binders); `copies` holds each chain's copy for one substitution."""
+def _renamed(n: ProofTerm, moved) -> ProofTerm:
+    """n renamed through the binders `moved`, a linked list [x, ghost,
+    outer binders, the copy]: the copy is made once per chain."""
     if moved is None:
         return n
-    hit = copies.get(id(moved))
-    if hit is None:
-        x, y, outer = moved
-        hit = copies[id(moved)] = (rename_pt(_renamed(n, outer, copies), x, y), moved)
-    return hit[0]
+    if moved[3] is None:
+        moved[3] = rename_pt(_renamed(n, moved[2]), moved[0], moved[1])
+    return moved[3]
 
 
-def _subst_pt(m: ProofTerm, p: str, n: ProofTerm, fv_n, memo, moved, copies) -> ProofTerm:
+def _subst_pt(m: ProofTerm, p: str, n: ProofTerm, fv_n, memo, moved) -> ProofTerm:
+    """subst_pt below the root; m is not a proof variable."""
     cls = type(m)
-    if cls is PVar:
-        return _renamed(n, moved, copies) if m.name == p else m
-    groups, kids, binds, names, _ = _PLANS.get(cls) or _plan(cls)
+    groups, kids, binds, fields, *_ = _PLANS.get(cls) or _plan(cls)
 
     renames = {}
     if groups:
@@ -535,7 +539,7 @@ def _subst_pt(m: ProofTerm, p: str, n: ProofTerm, fv_n, memo, moved, copies) -> 
                 renames[h] = (pos, b, fresh_pvar(b, avoid))
 
     # crossing a program-variable binder adjusts the substituted copy
-    inner = (m.var, m.ghost, moved) if binds else moved
+    inner = [m.var, m.ghost, moved, None] if binds else moved
     vals = None
     for pos, name, scope, ghosted in kids:
         old = v = getattr(m, name)
@@ -545,16 +549,21 @@ def _subst_pt(m: ProofTerm, p: str, n: ProofTerm, fv_n, memo, moved, copies) -> 
         for h in scope:
             if h in renames:
                 _, b, new = renames[h]
-                v = _subst_pt(v, b, PVar(new), frozenset((new,)), memo, None, {})
+                v = subst_pt(v, b, PVar(new), memo)
             elif getattr(m, h) == p:
                 shadowed = True
         if not shadowed:
-            v = _subst_pt(v, p, n, fv_n, memo, inner if ghosted else moved, copies)
+            if type(v) is not PVar:
+                v = _subst_pt(v, p, n, fv_n, memo, inner if ghosted else moved)
+            elif v.name == p:  # replaced here, with no call of its own
+                v = _renamed(n, inner if ghosted else moved)
         if v is not old or renames:
-            vals = vals or [getattr(m, f) for f in names]
+            if vals is None:
+                vals = list(fields(m)) if fields else [v]
             vals[pos] = v
-    for pos, _, new in renames.values():
-        vals[pos] = new
+    if renames:
+        for pos, _, new in renames.values():
+            vals[pos] = new
     return m if vals is None else cls(*vals)
 
 
@@ -629,7 +638,7 @@ def _alpha(a: ProofTerm, b: ProofTerm, pmap: dict, vmap: dict) -> bool:
         return False
     if cls is PVar:
         return _same(pmap, a.name, b.name)
-    _, kids, binds, names, spec = _PLANS.get(cls) or _plan(cls)
+    _, kids, binds, _, names, spec = _PLANS.get(cls) or _plan(cls)
     ghosts = []
     for pos, kind in spec:
         va, vb = getattr(a, names[pos]), getattr(b, names[pos])

@@ -13,8 +13,9 @@ an `_Entry`, a weak reference to the node: a hit is one dict read and one
 dereference, a miss stores under a reentrant lock, and neither raises.  A
 node's death drops its entry only while that entry is still the one under
 its key.  Kept in slots: a term's evaluator (`_fn`) and free variables
-(`_free`); a formula's evaluator (`_fo`), free variables and the names it
-mentions (`_names`); a game's free variables and names; the engine's
+(`_free`); a formula's evaluator (`_fo`), free variables, the names it
+mentions (`_names`) and how the normalizer decomposes an oracle leaf with
+it as goal (`_qe`); a game's free variables and names; the engine's
 staged evaluators (`_staged`) and instructions (`_active`, `_dormant`);
 and a realizer's free realizer variables (`_free`), readable names
 (`_reads`), capture set (`_capture`) and a Gen's stream (`_stream`).
@@ -281,7 +282,7 @@ class Game(_Node):
 
 
 class Formula(_Node):
-    __slots__ = ("_fo", "_staged", "_free", "_names")  # first-order evaluator; the engine's staging
+    __slots__ = ("_fo", "_staged", "_free", "_names", "_qe")  # see the module docstring
 
 
 @frozen

@@ -9,8 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cgl import extract
+from cgl import normalizer as N
+from cgl import proofterms as P
 from cgl import realizer as R
 from cgl import syntax as S
+from cgl.oracle import _WITNESS_POOL, ArithOracle
 from conftest import VARS, rand_formula, rand_game, rand_term
 
 NAMES = VARS + ["w"]  # "w" occurs in no random node
@@ -74,6 +77,28 @@ def fresh_subst(r, name, value):
     return type(r)(*[kids.get(f, getattr(r, f)) for f in r.__match_args__])
 
 
+def fresh_goal_fact(g):
+    """How an oracle leaf with goal g decomposes: the FO rule that fires on
+    it and its parts, the first pool value that a fresh oracle finds to
+    witness an existential, or None when no rule fires."""
+    if type(g) is S.Box and type(g.game) is S.AssignAny:
+        return N.FO_ALL_BETA, g.game.var, g.post
+    if S.split_or(g) is not None:
+        return N.FO_OR_BETA, None, None
+    if S.split_and(g) is not None:
+        return (N.FO_AND_BETA, *S.split_and(g))
+    if type(g) is S.Diamond and type(g.game) is S.AssignAny:
+        oracle = ArithOracle()
+        for f in _WITNESS_POOL:
+            try:
+                inst = S.subst_term(g.post, g.game.var, f)
+            except S.InadmissibleSubstitution:
+                return None
+            if oracle.holds_valid(None, inst):
+                return N.FO_EX_BETA, f, inst
+    return None
+
+
 def children(e):
     """The Term, Game and Formula children of a syntax node."""
     return [getattr(e, f) for f, sub in S.field_table(type(e)) if sub]
@@ -130,6 +155,39 @@ def test_fixed_examples_rename_and_keep_facts():
     assert S.free_vars(g) == {"y", "z"} and S.names(g) == {"x", "y", "z"}
     assert S.rename(g, "c", "w") is g and S.rename(g.right, "x", "y").cond.right is S.Var("y")
     assert S.rename(g, "y", "w").left.term.left is S.Var("w")
+
+
+# -- the normalizer's fact on an oracle leaf's goal ---------------------------
+
+
+def _judged_goal_fact(g):
+    """The fact kept on g once `is_simple` and `step` have read it; both
+    agree with it on whether a leaf with goal g is stuck."""
+    leaf = P.QE(g, None)
+    stuck, fired = N.is_simple(leaf), N.step(leaf)
+    assert stuck == (fired is None) == (g._qe is None)
+    assert fired is None or fired[1] == g._qe[0]
+    return g._qe
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_goal_facts_equal_fresh_computations(rnd):
+    phi, x = rand_formula(rnd), rnd.choice(VARS)
+    value = S.Cmp(S.Var(x), "=", rand_term(rnd, 1))  # a pool value witnesses some
+    for g in (phi, S.Exists(x, phi), S.Forall(x, phi), S.Exists(x, value)):
+        assert _judged_goal_fact(g) == fresh_goal_fact(g)
+
+
+def test_fixed_existential_goals_keep_their_witness():
+    x = S.Var("x")
+    with_witness = S.Exists("x", S.Cmp(S.Times(x, S.lit(2)), "=", S.lit(1)))
+    without = S.Exists("x", S.Cmp(S.Times(x, x), "=", S.lit(2)))
+    half = S.lit("1/2")
+    instance = S.Cmp(S.Times(half, S.lit(2)), "=", S.lit(1))
+    assert _judged_goal_fact(with_witness) == fresh_goal_fact(with_witness) == (
+        N.FO_EX_BETA, half, instance)
+    assert _judged_goal_fact(without) is None is fresh_goal_fact(without)
 
 
 # -- every corpus realizer ------------------------------------------------------

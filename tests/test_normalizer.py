@@ -1,8 +1,11 @@
 """Operational semantics: normal forms, single steps, and full coverage of
 the named conversion rules."""
 
+import collections
+import contextlib
 import hashlib
 import random
+import sys
 
 import pytest
 
@@ -10,6 +13,7 @@ from cgl import normalizer as N
 from cgl import proofterms as P
 from cgl import syntax as S
 from cgl.checker import Checker
+from cgl.oracle import _WITNESS_POOL, ArithOracle
 from cgl.proofterms import Context
 
 L = S.lit
@@ -305,9 +309,9 @@ def wrap(kind, phi, m, tag):
 KINDS = ("beta", "proj", "case", "unroll", "mon")
 
 
-def wrapped(name, phi, m):
-    """m inside two wrappers of every kind, in an order seeded by name."""
-    kinds = list(KINDS) * 2
+def wrapped(name, phi, m, per_kind=2):
+    """m inside `per_kind` wrappers of every kind, in an order seeded by name."""
+    kinds = list(KINDS) * per_kind
     random.Random(f"golden-{name}").shuffle(kinds)
     for i, k in enumerate(kinds):
         m = wrap(k, phi, m, str(i))
@@ -370,6 +374,63 @@ def test_golden_wrapped_corpus_traces(all_theorems):
         assert (steps, trace_digest(w, trace)) == GOLDEN[name], name
         if name == "unrollRep":
             assert [r for r, _ in trace] == UNROLL_REP_RULES
+
+
+def test_stuck_existential_leaf_is_judged_once(monkeypatch):
+    # no pool value squares to 2, so the leaf stays stuck while the 30
+    # wrappers above it reduce and the search passes it again and again
+    goal = S.Exists("x", S.Cmp(S.Times(x, x), "=", L(2)))
+    inner = P.DPair(P.QE(goal, None), _tt())
+    w = wrapped("stuck", S.And(goal, S.TRUE), inner, per_kind=6)
+    decide, calls = ArithOracle._decide, []
+
+    def counting_decide(self, rho, phi):
+        calls.append(phi)
+        return decide(self, rho, phi)
+
+    monkeypatch.setattr(ArithOracle, "_decide", counting_decide)
+    nf, steps, _trace = N.normalize(w)
+    assert nf == inner and steps == 84
+    assert len(calls) <= len(_WITNESS_POOL)  # one search over the pool at most
+
+
+def _forget_goal_facts(m):
+    """Drop the decomposition kept on the goal of each oracle leaf of m."""
+
+    def go(n):
+        if type(n) is P.QE:
+            with contextlib.suppress(AttributeError):
+                object.__delattr__(n.goal, "_qe")
+        return P.map_children(n, go, lambda t: t, lambda phi: phi)
+
+    go(m)
+
+
+def test_a_step_pays_only_for_its_redex(all_theorems, monkeypatch):
+    # over the wrapped corpus: the normalizer judges each oracle leaf's goal
+    # once, however often the search passes the leaf, and a substitution
+    # replaces a proof variable where its parent is walked
+    judged, pvar_calls = collections.Counter(), []
+    split_or, subst = S.split_or, P._subst_pt
+
+    def counting_split_or(phi):
+        if sys._getframe(1).f_globals["__name__"] == N.__name__:
+            judged[phi] += 1
+        return split_or(phi)
+
+    def counting_subst(m, *args):
+        if type(m) is P.PVar:
+            pvar_calls.append(m)
+        return subst(m, *args)
+
+    monkeypatch.setattr(S, "split_or", counting_split_or)
+    monkeypatch.setattr(P, "_subst_pt", counting_subst)
+    for _phi, m in all_theorems.values():
+        _forget_goal_facts(m)
+    for name, (phi, m) in all_theorems.items():
+        N.normalize(wrapped(name, phi, m))
+    assert judged and max(judged.values()) == 1
+    assert pvar_calls == []
 
 
 def test_wrapper_steps():
