@@ -88,16 +88,12 @@ def _fmt(x) -> str:
     return repr(x)
 
 
-def conj(a: Formula, b: Formula) -> Formula:
-    return S.And(a, b)
-
-
 def succ_formula(bigger: S.Term, smaller: S.Term) -> Formula:
     """bigger strictly dominates smaller in the well-founded metric order:
     bigger >= smaller + 1 and smaller >= 0."""
     ge1 = S.Cmp(bigger, ">=", S.Plus(smaller, S.lit(1)))
     ge0 = S.Cmp(smaller, ">=", S.lit(0))
-    return conj(ge1, ge0)
+    return S.And(ge1, ge0)
 
 
 def realizer_of_formula(phi: Formula, oracle: ArithOracle) -> R.Realizer:
@@ -227,9 +223,8 @@ class _Elaboration:
         """Materialize the context with every variable bound by `game`
         transposed to a fresh internal ghost."""
         out = ctx
-        for v in sorted(S.bound_vars(game)):
-            if v in out.free_vars():
-                out = out.rename_vars(v, self._fresh_ghost(v))
+        for v in sorted(S.bound_vars(game) & ctx.free_vars()):
+            out = out.rename_vars(v, self._fresh_ghost(v))
         return out
 
     def _oracle_gate(self, rho: Optional[Formula], goal: Formula, path, who: str):
@@ -334,7 +329,7 @@ class _Elaboration:
                     l, r = both
                 l, a_rz = self._rule(ctx, a, l, path + ("fst",))
                 r, b_rz = self._rule(ctx, b, r, path + ("snd",))
-                return conj(l, r), R.Pair(a_rz, b_rz)
+                return S.And(l, r), R.Pair(a_rz, b_rz)
 
             case P.BPair(fst=a, snd=b) if phi is not None:
                 if not (isinstance(phi, S.Box) and isinstance(phi.game, S.Choice)):
@@ -515,7 +510,7 @@ class _Elaboration:
                     raise CheckError(
                         RULE_MISMATCH, path, f"roll needs [a*], got {_fmt(phi)}"
                     )
-                unrolled = conj(phi.post, S.Box(phi.game.body, phi))
+                unrolled = S.And(phi.post, S.Box(phi.game.body, phi))
                 return phi, self._rule(ctx, body, unrolled, path + ("body",))[1]
 
             case P.Mon(scrut=a, hyp=p, body=body):
@@ -533,8 +528,9 @@ class _Elaboration:
                             RULE_MISMATCH, path, f"mon needs a modal goal, got {_fmt(phi)}"
                         )
                     # guess the scrutinee's postcondition (the goal's own if the
-                    # guess fails), check the scrutinee against it, then the body;
-                    # the check numbers its ghosts as if no guess had been made
+                    # guess fails or gives up), check the scrutinee against it,
+                    # then the body; the check numbers its ghosts as if no guess
+                    # had been made
                     fl = P.DIA if isinstance(phi, S.Diamond) else P.BOX
                     ghosts, self.guessing = self.ghosts, True
                     mid = self._guess(
@@ -601,7 +597,7 @@ class _Elaboration:
                     raise CheckError(
                         RULE_MISMATCH, path, f"unroll from non-loop {_fmt(sphi)}"
                     )
-                got = conj(sphi.post, S.Box(sphi.game.body, sphi))
+                got = S.And(sphi.post, S.Box(sphi.game.body, sphi))
 
             case P.App(fn=fn, arg=arg):
                 fphi, f_rz = self._rule(ctx, fn, None, path + ("fn",))
@@ -682,8 +678,8 @@ class _Elaboration:
             )
         init_rz = self._check(ctx, m.init, inv, path + ("init",))
         m0v = S.Var(m0)
-        step_hyp = conj(S.Cmp(m0v, "=", metric), S.Cmp(metric, ">=", S.lit(1)))
-        step_post = conj(inv, succ_formula(m0v, metric))
+        step_hyp = S.And(S.Cmp(m0v, "=", metric), S.Cmp(metric, ">=", S.lit(1)))
+        step_post = S.And(inv, succ_formula(m0v, metric))
         # the step plays one round of the loop body, then its residual
         # evidence for the invariant feeds the next round
         w, t = self._fresh("loop"), self._fresh("t")
@@ -713,19 +709,24 @@ class _Elaboration:
     # -- guessing a `mon` scrutinee's postcondition ----------------------------
 
     def _guess(self, ctx: Context, m: ProofTerm, stack, hints, path):
-        """`_infer_post`, remembered: a scrutinee nested in another `mon`
-        scrutinee is guessed once, not again at every enclosing level."""
+        """`_infer_post`, remembered, or None where it fails: a scrutinee
+        nested in another `mon` scrutinee is guessed once, not again at
+        every enclosing level."""
         key = (id(m), stack, hints, self.ghosts)
         hit = self._guessed.get(key)
         if hit is None or hit[0] is not ctx:
-            hit = self._guessed[key] = ctx, self._infer_post(ctx, m, stack, hints, path)
+            try:
+                post = self._infer_post(ctx, m, stack, hints, path)
+            except CheckError:
+                post = None
+            hit = self._guessed[key] = ctx, post
         return hit[1]
 
     def _infer_post(self, ctx: Context, m: ProofTerm, stack, hints, path):
         """A guess at psi with  ctx |- m : M0(g0, M1(g1, ... psi))  for a
         stack [(f0, g0), (f1, g1), ...] of (flavor, game) pairs, or None
-        where m does not fit its games.  Nothing here is trusted: `_rule`
-        then checks m against the guess and names any fault.
+        where m does not fit its games.  Nothing here is trusted:
+        `_rule` then checks m against the guess and names any fault.
 
         The guess follows m along the games, reads an oracle leaf's goal,
         and synthesizes the rest; while guessing, synthesis asks no oracle

@@ -439,31 +439,11 @@ def prog_vars(m: ProofTerm) -> frozenset[str]:
     out = set()
     for name, kind in _child_spec(type(m)):
         v = getattr(m, name)
-        if v is None:
-            continue
-        if kind in ("pt", "pt?"):
-            out |= prog_vars(v)
-        else:
-            out |= _all_vars_expr(v)
+        if v is not None:
+            out |= prog_vars(v) if kind in ("pt", "pt?") else S.names(v)
     for g in _GHOSTS.get(type(m), _NO_GHOSTS)[0]:
         out.add(getattr(m, g))
     return frozenset(out)
-
-
-def _all_vars_expr(e) -> set[str]:
-    out = set()
-    stack = [e]
-    while stack:
-        n = stack.pop()
-        t = type(n)
-        if t is S.Var:
-            out.add(n.name)
-        elif t is S.Assign or t is S.AssignAny:
-            out.add(n.var)
-        for f, sub in S.field_table(t):
-            if sub:
-                stack.append(getattr(n, f))
-    return out
 
 
 def fresh_pvar(base: str, avoid) -> str:

@@ -529,6 +529,7 @@ def _union(a: frozenset, b: frozenset) -> frozenset:
 
 
 def bound_vars(g: Game) -> frozenset[str]:
+    """What a play of g may change; a test changes nothing."""
     match g:
         case Test():
             return frozenset()
@@ -556,22 +557,6 @@ def must_bound_vars(g: Game) -> frozenset[str]:
         case Dual(body=a):
             return must_bound_vars(a)
     raise TypeError(f"not a game: {g!r}")
-
-
-def assigned_vars(e: Expr) -> frozenset[str]:
-    """Every variable an assignment binds anywhere in e, tests included."""
-    out = set()
-    stack = [e]
-    while stack:
-        n = stack.pop()
-        t = type(n)
-        if t is Assign or t is AssignAny:
-            out.add(n.var)
-        elif not isinstance(n, Term):  # terms bind nothing
-            for f, sub in field_table(t):
-                if sub:
-                    stack.append(getattr(n, f))
-    return frozenset(out)
 
 
 # ---------------------------------------------------------------------------
@@ -640,7 +625,19 @@ class InadmissibleSubstitution(Exception):
 
 
 def check_admissible(e: Expr, x: str, f: Term) -> None:
-    hit = assigned_vars(e) & ({x} | free_vars(f))
+    """Raises when an assignment anywhere in e, a test's formula included,
+    binds x or a free variable of f (`bound_vars` of a play skips tests)."""
+    binds, stack = set(), [e]
+    while stack:
+        n = stack.pop()
+        t = type(n)
+        if t is Assign or t is AssignAny:
+            binds.add(n.var)
+        elif not isinstance(n, Term):  # terms bind nothing
+            for name, sub in field_table(t):
+                if sub:
+                    stack.append(getattr(n, name))
+    hit = binds & ({x} | free_vars(f))
     if hit:
         raise InadmissibleSubstitution(
             f"substitution [{x} -> {f!r}] crosses binder of {sorted(hit)}"
@@ -648,13 +645,14 @@ def check_admissible(e: Expr, x: str, f: Term) -> None:
 
 
 def subst_term(e: Expr, x: str, f: Term) -> Expr:
-    """Replace free occurrences of x by f; raises when inadmissible."""
+    """Replace free occurrences of x by f; raises when inadmissible.  Once
+    admissible, e binds no x, so a subtree without a free x has none."""
     check_admissible(e, x, f)
 
     def go(n: Expr) -> Expr:
-        if type(n) is Var:
-            return f if n.name == x else n
-        return _map_children(n, go)
+        if x not in free_vars(n):
+            return n
+        return f if type(n) is Var else _map_children(n, go)
 
     return go(e)
 

@@ -226,6 +226,67 @@ def test_misfit_mon_scrutinee_diagnostic(scrut):
     assert str(ck().check_result(Context(), m, phi)) == MISFIT_SCRUTINEES[scrut]
 
 
+# a scrutinee that the guess cannot synthesize (an assignment proof under a
+# ghost) is checked against the goal's own postcondition too, so a correct
+# proof is accepted and a wrong one is named by the trusted check
+GHOST_MON = "theorem gm : <x := 1> x > 0 = mon(ghost(y := x; g. asgnd x (x0, h. FO[x > {}](h))); p. FO[x > 0](p))"
+
+
+@pytest.mark.parametrize("bound, message", [
+    (0, None),
+    (1, "scrut.body.body: RuleMismatch: expected FO conclusion x > 0, got x > 1"),
+])
+def test_unsynthesizable_mon_scrutinee_falls_back_to_the_goal(bound, message):
+    phi, m = parse_script(GHOST_MON.format(bound)).theorems["gm"]
+    err = ck().check_result(Context(), m, phi)
+    assert (err and str(err)) == message
+
+
+# a play never performs an assignment inside a test's formula, so the
+# checker neither renames nor reserves such a variable
+TEST_ASSIGNS = {
+    "t": """theorem t : x > 0 -> <?(<x := 1> x > 0)> x > 0 =
+  \\h : x > 0. mon(<asgnd x (x0, k. FO[x > 0](k)), FO[tt]()>; p. FO[x > 0](h))""",
+    "counter": """theorem counter : c = 5 -> <{?(<M0 := 1> M0 > 0); c := c - 1}*> c = 0 =
+  \\h : c = 5. for(FO[c >= 0 & c mod 1 = 0](h); p : c >= 0 & c mod 1 = 0; q; M0 := c;
+     seqd <asgnd M0 (m1, mh. FO[M0 > 0](mh)),
+           asgnd c (cc, ch. FO[(c >= 0 & c mod 1 = 0) & M0 succ c](p, q, ch))>;
+     FO[c = 0](p, q))""",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TEST_ASSIGNS))
+def test_assignment_inside_a_test_binds_nothing_for_the_play(name):
+    phi, m = parse_script(TEST_ASSIGNS[name]).theorems[name]
+    assert ck().check_result(Context(), m, phi) is None
+
+
+# elimination forms whose synthesized formula meets the goal: a projection
+# of a box-choice, and an unrolled box loop in checking and synthesis
+CHOICE = "[x := 1 ++ x := 2] x > 0"
+LOOP = "[{x := x + 1}*] x > 0"
+
+
+@pytest.mark.parametrize("goal, proof, kind", [
+    (f"{CHOICE} -> [x := 1] x > 0", rf"\h : {CHOICE}. pi1 h", None),
+    (f"{CHOICE} -> [x := 2] x > 0", rf"\h : {CHOICE}. pi2 h", None),
+    (f"{CHOICE} -> [x := 1] x > 0", rf"\h : {CHOICE}. pi2 h", C.RULE_MISMATCH),
+    (f"{LOOP} -> x > 0 & [x := x + 1]{LOOP}", rf"\h : {LOOP}. unroll h", None),
+    (f"{LOOP} -> x > 1 & [x := x + 1]{LOOP}", rf"\h : {LOOP}. unroll h", C.RULE_MISMATCH),
+    (f"{LOOP} -> x > 0", rf"\h : {LOOP}. FO[x > 0](pi1 unroll h)", None),
+])
+def test_box_choice_projections_and_unroll(goal, proof, kind):
+    phi, m = parse_script(f"theorem t : {goal} = {proof}").theorems["t"]
+    err = ck().check_result(Context(), m, phi)
+    assert (err and err.kind) == kind, err
+
+
+def test_unroll_synthesizes_the_unfolded_loop():
+    loop = parse_script(f"formula F = {LOOP}").formulas["F"]
+    unfolded = S.And(loop.post, S.Box(loop.game.body, loop))
+    assert ck().synth(Context({"h": loop}), P.Unroll(P.PVar("h"))) == unfolded
+
+
 # false theorems that one guard of the checker alone rejects: without it,
 # each passes `cgl check`
 @pytest.mark.parametrize("goal, proof, message", [

@@ -209,8 +209,8 @@ MUTANT_DIGESTS = {
     "decDemo": "cd03cfef299424c4",
     "dualFlip": "b2f5590ac0dfd293",
     "dualOk": "79fad533871d9876",
-    "forCounter": "1cd9d09fc132f9a1",
-    "fpTrivial": "c42afd0ab66acbec",
+    "forCounter": "e46510d2e82d3dde",
+    "fpTrivial": "587ad0ac5be432bf",
     "ghostEscape": "b2f5590ac0dfd293",
     "ghostRemember": "811813a25b1bf203",
     "instForall": "04df4455451ba45f",
@@ -222,7 +222,7 @@ MUTANT_DIGESTS = {
     "restEscape": "b2f5590ac0dfd293",
     "signFlip": "9dadc65fc95731ae",
     "splitDemo": "af7e026af929bf0a",
-    "unrollRep": "a72134c051d134c6",
+    "unrollRep": "d98874541f172f9a",
     "witAbs": "9b1f05d3c9f60ee9",
     "witMax": "7ee566e7de45ea5e",
     "witPlus": "7efa8bd31b75a7d2",

@@ -55,6 +55,70 @@ def fresh_rename(e, x, y):
     return t(*args)
 
 
+def fresh_subst_term(e, x, f):
+    if type(e) is S.Var:
+        return f if e.name == x else e
+    t = type(e)
+    return t(*[fresh_subst_term(v, x, f) if sub else v
+               for v, (_, sub) in zip((getattr(e, n) for n in e.__match_args__), S.field_table(t))])
+
+
+# references: the walker that `S.check_admissible` inlines, the game
+# `match` that `S.bound_vars` is, and the walker that `S.names` replaced
+
+
+def assigned_vars(e):
+    """Every variable an assignment binds anywhere in e, tests included."""
+    out, stack = set(), [e]
+    while stack:
+        n = stack.pop()
+        if type(n) in (S.Assign, S.AssignAny):
+            out.add(n.var)
+        elif not isinstance(n, S.Term):
+            stack.extend(children(n))
+    return frozenset(out)
+
+
+def game_bound_vars(g):
+    """The variables a play of g may change: a test changes none."""
+    match g:
+        case S.Test():
+            return frozenset()
+        case S.Assign(var=x) | S.AssignAny(var=x):
+            return frozenset((x,))
+        case S.Choice(left=a, right=b) | S.Seq(left=a, right=b):
+            return game_bound_vars(a) | game_bound_vars(b)
+        case S.Repeat(body=a) | S.Dual(body=a):
+            return game_bound_vars(a)
+    raise TypeError(g)
+
+
+def all_vars_expr(e):
+    """Every variable e mentions: each `Var` and each assigned variable."""
+    out, stack = set(), [e]
+    while stack:
+        n = stack.pop()
+        if type(n) is S.Var:
+            out.add(n.name)
+        elif type(n) in (S.Assign, S.AssignAny):
+            out.add(n.var)
+        stack.extend(children(n))
+    return out
+
+
+def fresh_prog_vars(m):
+    out = set()
+    for f, ann in S.FIELDS[type(m)]:
+        v = getattr(m, f)
+        if ann in ("ProofTerm", "Optional[ProofTerm]"):
+            out |= fresh_prog_vars(v) if v is not None else set()
+        elif ann in ("Term", "Formula"):
+            out |= all_vars_expr(v)
+        elif f in ("var", "ghost", "m0"):  # the program-variable binders
+            out.add(v)
+    return frozenset(out)
+
+
 def _scope(r):
     return {f: getattr(r, b) for b, fs in R.BINDERS.get(type(r), ()) for f in fs}
 
@@ -155,6 +219,91 @@ def test_fixed_examples_rename_and_keep_facts():
     assert S.free_vars(g) == {"y", "z"} and S.names(g) == {"x", "y", "z"}
     assert S.rename(g, "c", "w") is g and S.rename(g.right, "x", "y").cond.right is S.Var("y")
     assert S.rename(g, "y", "w").left.term.left is S.Var("w")
+
+
+# -- one definition per variable fact ----------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_variable_facts_equal_their_reference_walkers(rnd):
+    _, (first, _) = _rand_node(rnd)
+    for n in subnodes(first):
+        assert S.names(n) == all_vars_expr(n)
+        if isinstance(n, S.Game):
+            assert S.bound_vars(n) == game_bound_vars(n)
+
+
+def test_a_tests_assignment_blocks_substitution_not_the_play():
+    test = S.Test(S.Diamond(S.Assign("x", S.lit(1)), S.TRUE))
+    g = S.Seq(S.AssignAny("y"), test)
+    assert S.bound_vars(g) == {"y"} and assigned_vars(g) == {"x", "y"}
+    with pytest.raises(S.InadmissibleSubstitution):
+        S.subst_term(S.Box(test, S.Cmp(S.Var("x"), ">", S.lit(0))), "x", S.lit(2))
+
+
+def _inadmissible(e, x, f):
+    return assigned_vars(e) & ({x} | fresh_free(f))
+
+
+def _subst_case(rnd):
+    """e, x and f, with f a literal where a random term is not admissible."""
+    e, _ = _rand_node(rnd)
+    x = rnd.choice(NAMES)
+    f = rand_term(rnd, 1)
+    return e, x, S.lit(rnd.randint(-3, 3)) if _inadmissible(e, x, f) else f
+
+
+def _unchanged_subtrees_shared(n, out, x):
+    if x not in fresh_free(n):
+        return out is n
+    return all(_unchanged_subtrees_shared(a, b, x) for a, b in zip(children(n), children(out)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_subst_term_returns_subtrees_without_free_x_as_they_are(rnd):
+    e, x, f = _subst_case(rnd)
+    if _inadmissible(e, x, f):
+        with pytest.raises(S.InadmissibleSubstitution):
+            S.subst_term(e, x, f)
+        return
+    out = S.subst_term(e, x, f)
+    assert out is fresh_subst_term(e, x, f)
+    assert _unchanged_subtrees_shared(e, out, x)
+    for n in subnodes(e):
+        if x not in fresh_free(n):
+            assert S.subst_term(n, x, f) is n
+
+
+def test_subst_term_visits_only_subtrees_with_free_x(monkeypatch):
+    # it reads the kept free-variable fact and rebuilds only where x is free
+    visited, map_children = [], S._map_children
+    monkeypatch.setattr(S, "_map_children", lambda n, fn: visited.append(n) or map_children(n, fn))
+    rnd, rebuilt = random.Random(11), 0
+    for _ in range(300):
+        e, x, f = _subst_case(rnd)
+        if not _inadmissible(e, x, f):
+            visited.clear()
+            S.subst_term(e, x, f)
+            assert all(x in fresh_free(n) for n in visited)
+            rebuilt += len(visited)
+    assert rebuilt > 100
+    # a node first built here keeps the free-variable fact, not the names fact
+    e = S.Box(S.Assign("y", S.Var("unseen")), S.Cmp(S.Var("y"), ">", S.Var("x")))
+    assert S.subst_term(e, "x", S.lit(1)) is S.Box(e.game, S.Cmp(S.Var("y"), ">", S.lit(1)))
+    assert getattr(e, "_names", None) is None and e._free == {"unseen", "x"}
+
+
+def test_prog_vars_equal_the_walker_they_replace(all_theorems):
+    from test_fuzz import _subterms
+
+    m = P.Asgn("x", "x0", "h", P.Ghost("g", S.Var("y"), "k", P.DPair(
+        P.QE(S.Box(S.AssignAny("z"), S.TRUE), P.PVar("k")), P.Split(S.Var("c"), S.lit(0)))), P.DIA)
+    assert P.prog_vars(m) == fresh_prog_vars(m) == {"x", "x0", "g", "y", "z", "c"}
+    for _, proof in all_theorems.values():
+        for _, n in _subterms(proof):
+            assert P.prog_vars(n) == fresh_prog_vars(n)
 
 
 # -- the normalizer's fact on an oracle leaf's goal ---------------------------

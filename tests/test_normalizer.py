@@ -14,6 +14,7 @@ from cgl import proofterms as P
 from cgl import syntax as S
 from cgl.checker import Checker
 from cgl.oracle import _WITNESS_POOL, ArithOracle
+from cgl.parser import parse_script
 from cgl.proofterms import Context
 
 L = S.lit
@@ -155,6 +156,19 @@ def test_fo_exists_without_witness_is_normal():
     m = P.QE(S.Exists("x", S.Cmp(x, "=", S.Plus(y, L("1/7")))), None)
     assert N.step(m) is None
     assert N.is_normal(m)
+
+
+def test_ghost_mon_reduct_checks_at_the_same_formula():
+    from test_checker import GHOST_MON
+
+    phi, m = parse_script(GHOST_MON.format(0)).theorems["gm"]
+    red, rule = N.step(m)
+    assert rule == N.GHOST_MON
+    assert red == P.Ghost("y", x, "g", P.Mon(m.scrut.body, m.hyp, m.body))
+    ck = Checker()
+    assert ck.check_result(Context(), m, phi) is None
+    assert ck.check_result(Context(), red, phi) is None
+    assert rules_of(m) == [N.GHOST_MON] and N.is_normal(red)
 
 
 # -- full rule coverage ------------------------------------------------------------

@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 
 from cgl import proofterms as P
 from cgl import syntax as S
+from cgl.checker import Checker
 from cgl.parser import (
     _PUNCT, _UNICODE_ALIASES, KEYWORDS, ParseError, parse_formula_text,
     parse_game_text, parse_proof_text, parse_script, parse_term_text, tokenize,
 )
 from cgl.printer import print_formula, print_game, print_proof, print_script
+from cgl.proofterms import Context
 from conftest import corpus_text, rand_formula, rand_game, rand_term
 
 L = S.lit
@@ -210,6 +212,24 @@ def test_every_proof_form_round_trips():
 def test_application_to_a_pair_round_trips():
     m = P.App(P.PVar("f"), P.DPair(P.PVar("p"), P.PVar("q")))
     assert parse_proof_text(print_proof(m)) == m
+
+
+OMITTED_GHOSTS = r"""
+theorem stepped : x1 = 0 -> <x := 1> x > 0 = \h1 : x1 = 0. asgnd x (h. FO[x > 0](h))
+theorem every : [x := *] x + 1 > x = \x : Q. FO[x + 1 > x]()
+theorem some : <x := *> x > 5 = wit x := 6 (k. FO[x > 5](k))
+"""
+
+
+def test_omitted_ghosts_skip_the_scripts_names():
+    # the script-wide counter skips x1, which the script uses
+    script = parse_script(OMITTED_GHOSTS)
+    th = script.theorems
+    assert [th["stepped"][1].body.ghost, th["every"][1].ghost, th["some"][1].ghost] == [
+        "x2", "x3", "x4"]
+    for phi, m in th.values():
+        assert Checker().check_result(Context(), m, phi) is None
+    assert parse_script(print_script(script)).theorems == th
 
 
 def test_duplicate_definition_rejected():

@@ -344,11 +344,12 @@ def _exceptions_in_new(build) -> list:
                 seen.append((frame.f_code.co_name, arg[0].__name__))
         return local
 
+    outer = sys.gettrace()
     sys.settrace(lambda frame, event, arg: local)
     try:
         build()
     finally:
-        sys.settrace(None)
+        sys.settrace(outer)
     return seen
 
 
