@@ -15,8 +15,8 @@ from . import engine, normalizer
 from . import syntax as S
 from .checker import Checker
 from .engine import (
-    DemonMenu, InteractiveDemon, NoMenuValues, RandomDemon, ScriptedDemon, Tracer, close,
-    modal_core, play, strip_assumptions, verify_exhaustive,
+    DemonMenu, InteractiveDemon, NoMenuValues, RandomDemon, ScriptedDemon, ScriptMismatch, Tracer,
+    close, modal_core, play, strip_assumptions, verify_exhaustive,
 )
 from .extraction import UncheckedInput, extract
 from .interchange import to_json
@@ -276,10 +276,7 @@ def cmd_verify(args) -> int:
             continue
         usable.append((st, stripped[1]))
     for st, cl in usable:
-        try:
-            cex = verify_exhaustive(game, role, cl, [st], post, menu, fuel=args.fuel)
-        except NoMenuValues as e:
-            raise _Usage(str(e)) from None
+        cex = verify_exhaustive(game, role, cl, [st], post, menu, fuel=args.fuel)
         if cex is not None:
             print(f"counterexample from {st!r}:")
             for line in cex.trace[:40]:
@@ -355,7 +352,8 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.fn(args)
-    except _Usage as e:
+    except (_Usage, NoMenuValues, ScriptMismatch) as e:
+        # bad input: a menu or a demon script that does not fit the game
         print(f"cgl {args.cmd}: {e}", file=sys.stderr)
         return 2
     except DivisionByZero as e:

@@ -71,6 +71,10 @@ class NoMenuValues(IllStructuredRealizer):
     """A demon menu lists no values for a nondeterministic assignment."""
 
 
+class ScriptMismatch(IllStructuredRealizer):
+    """A demon script runs out, or gives a word its position does not take."""
+
+
 class BudgetExhausted(Exception):
     pass
 
@@ -415,11 +419,11 @@ class ScriptedDemon(DemonOracle):
 
     def _next(self, kind, words=None):
         if self.pos >= len(self.script):
-            raise IllStructuredRealizer(f"demon script exhausted wanting {kind}")
+            raise ScriptMismatch(f"demon script exhausted wanting {kind}")
         v = self.script[self.pos]
         self.pos += 1
         if words is not None and v not in words:
-            raise IllStructuredRealizer(f"demon script wanted {'/'.join(words)}, got {v!r}")
+            raise ScriptMismatch(f"demon script wanted {'/'.join(words)}, got {v!r}")
         return v
 
     def choose_branch(self, game, state):
@@ -430,7 +434,7 @@ class ScriptedDemon(DemonOracle):
         try:
             return parse_rational(str(v))
         except (ValueError, ZeroDivisionError):
-            raise IllStructuredRealizer(f"demon script wanted a number, got {v!r}") from None
+            raise ScriptMismatch(f"demon script wanted a number, got {v!r}") from None
 
     def assert_test(self, phi, state):
         return self._next("test", ("assert", "concede"))

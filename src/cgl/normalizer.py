@@ -16,16 +16,17 @@ searched children are stuck; the machine reads both inline at every
 node it visits.  How an oracle leaf decomposes depends on its goal alone,
 so it is judged once per goal and kept on the goal (`_goal_fact`): a
 stuck leaf that the search passes again costs one read, and a stuck
-existential one witness search in all.  The machine keeps the ancestors
-of its focus as a linked list of frames, a zipper after Huet, "The
-Zipper" (1997), so no search recurses.  When a rule fires at the focus, the
-reduct replaces the focus and no ancestor is touched: an ancestor is
-rebuilt with its new child only when the search returns to it, so a step
-costs the same under any number of ancestors.  The next search starts at
-the reduct: every child left of the path is unchanged, stuck and not a
-case.  A step's root term, which `step` returns and `normalize`'s trace
-holds, is the reduct plugged into the frames above it, built when asked
-for.
+existential one witness search in all.  A substitution reads each proof
+term's free proof variables, kept on the term (`proofterms.free_pvars`).
+The machine keeps the ancestors of its focus as a linked list of frames,
+a zipper after Huet, "The Zipper" (1997), so no search recurses.  When a
+rule fires at the focus, the reduct replaces the focus and no ancestor
+is touched: an ancestor is rebuilt with its new child only when the
+search returns to it, so a step costs the same under any number of
+ancestors.  The next search starts at the reduct: every child left of
+the path is unchanged, stuck and not a case.  A step's root term, which
+`step` returns and `normalize`'s trace holds, is the reduct plugged into
+the frames above it, built when asked for.
 
 Rule names follow the calculus; `APPENDIX_RULES` is the registry the
 coverage report checks off.
@@ -251,10 +252,10 @@ def normal_kind(m: ProofTerm) -> str:
     return SIMPLE if is_simple(m) else TOP_LEVEL_CASE
 
 
-def _fresh_pvar(base, fv, *terms):
+def _fresh_pvar(base, *terms):
     avoid = set()
     for t in terms:
-        avoid |= free_pvars(t, fv)
+        avoid |= free_pvars(t)
     return P.fresh_pvar(base, avoid)
 
 
@@ -275,7 +276,7 @@ def _lift_case(node: ProofTerm, plug, case: P.Case) -> P.Case:
 
 
 # ---------------------------------------------------------------------------
-# Head rules: (m, free variables) -> (reduct, rule) or None
+# Head rules: m -> (reduct, rule) or None
 
 
 def _goal_fact(g: S.Formula):
@@ -297,7 +298,7 @@ def _goal_fact(g: S.Formula):
     return None
 
 
-def _fo_beta(m: P.QE, fv):
+def _fo_beta(m: P.QE):
     """Decompose an oracle leaf by the shape of its goal, judged once per goal."""
     fact = S.kept(m.goal, "_qe", _goal_fact)
     if fact is None:
@@ -310,17 +311,17 @@ def _fo_beta(m: P.QE, fv):
     if rule == FO_AND_BETA:
         return P.DPair(P.QE(a, m.payload), P.QE(b, m.payload)), rule
     x = m.goal.game.var
-    hyp = _fresh_pvar(x, fv, m.payload or P.PVar("_"))
+    hyp = _fresh_pvar(x, m.payload or P.PVar("_"))
     return P.TCons(x, _fresh_ghost(x, m), hyp, a, P.QE(b, m.payload)), rule
 
 
-def _app_beta(m: P.App, fv):
+def _app_beta(m: P.App):
     if isinstance(m.fn, P.Lam):
-        return subst_pt(m.fn.body, m.fn.hyp, m.arg, fv), LAM_PHI_BETA
+        return subst_pt(m.fn.body, m.fn.hyp, m.arg), LAM_PHI_BETA
     return None
 
 
-def _numapp_beta(m: P.NumApp, fv):
+def _numapp_beta(m: P.NumApp):
     f = m.fn
     if isinstance(f, P.NumLam):
         try:
@@ -330,30 +331,30 @@ def _numapp_beta(m: P.NumApp, fv):
     return None
 
 
-def _case_beta(m: P.Case, fv):
+def _case_beta(m: P.Case):
     a = m.scrut
     if isinstance(a, P.InjL):
-        return subst_pt(m.bleft, m.left, a.arg, fv), CASE_BETA_L
+        return subst_pt(m.bleft, m.left, a.arg), CASE_BETA_L
     if isinstance(a, P.InjR):
-        return subst_pt(m.bright, m.right, a.arg, fv), CASE_BETA_R
+        return subst_pt(m.bright, m.right, a.arg), CASE_BETA_R
     return None
 
 
-def _rcase_beta(m: P.RCase, fv):
+def _rcase_beta(m: P.RCase):
     a = m.scrut
     if isinstance(a, P.Stop):
-        return subst_pt(m.sbody, m.svar, a.body, fv), CASE_BETA_L
+        return subst_pt(m.sbody, m.svar, a.body), CASE_BETA_L
     if isinstance(a, P.Go):
-        return subst_pt(m.gbody, m.gvar, a.body, fv), CASE_BETA_R
+        return subst_pt(m.gbody, m.gvar, a.body), CASE_BETA_R
     return None
 
 
-def _unpack_beta(m: P.Unpack, fv):
+def _unpack_beta(m: P.Unpack):
     a = m.scrut
     if isinstance(a, P.TCons):
         yt = a.ghost
         n1 = P.rename_pt(m.body, m.ghost, yt) if m.ghost != yt else m.body
-        body = P.rename_pt(subst_pt(n1, m.hyp, a.body, fv), m.var, yt)
+        body = P.rename_pt(subst_pt(n1, m.hyp, a.body), m.var, yt)
         return P.Ghost(yt, a.witness, a.hyp, body), UNPACK_BETA
     return None
 
@@ -361,46 +362,45 @@ def _unpack_beta(m: P.Unpack, fv):
 _TCONS_BODY = _plugger(P.TCons, "body")
 
 
-def _tcons_lift(m: P.TCons, fv):
+def _tcons_lift(m: P.TCons):
     """wit-C: the body is shielded, so it lifts a case only when the case
     scrutinee mentions neither the binder's hypothesis nor its ghost."""
     a = m.body
-    if (isinstance(a, P.Case) and m.hyp not in free_pvars(a.scrut, fv)
+    if (isinstance(a, P.Case) and m.hyp not in free_pvars(a.scrut)
             and m.ghost not in P.prog_vars(a.scrut)):
         return _lift_case(m, _TCONS_BODY, a), TCONS_C
     return None
 
 
-def _rep_beta(m: P.Rep, fv):
+def _rep_beta(m: P.Rep):
     p, a, n, o = m.hyp, m.init, m.body, m.done
-    q = _fresh_pvar("q", fv, n, o)
+    q = _fresh_pvar("q", n, o)
     reduct = P.Roll(
         P.DPair(
-            subst_pt(o, p, a, fv),
-            P.Mon(subst_pt(n, p, a, fv), q, P.Rep(p, P.PVar(q), n, o, m.inv)),
+            subst_pt(o, p, a),
+            P.Mon(subst_pt(n, p, a), q, P.Rep(p, P.PVar(q), n, o, m.inv)),
         )
     )
     return reduct, REP_BETA
 
 
-def _for_beta(m: P.For, fv):
+def _for_beta(m: P.For):
     mt, inv = m.metric, m.inv
     zero = S.lit(0)
     decision = S.Or(S.Cmp(mt, "=", zero), S.Cmp(mt, ">=", S.lit(1)))
     scrut = P.Dec(decision, m.init)
-    l = _fresh_pvar("l", fv, m.body, m.done, m.init)
-    r = _fresh_pvar("r", fv, m.body, m.done, m.init, P.PVar(l))
-    rr = _fresh_pvar("rr", fv, m.body, m.done, m.init, P.PVar(l), P.PVar(r))
-    t = _fresh_pvar("t", fv, m.body, m.done, m.init)
+    l = _fresh_pvar("l", m.body, m.done, m.init)
+    r = _fresh_pvar("r", m.body, m.done, m.init, P.PVar(l))
+    rr = _fresh_pvar("rr", m.body, m.done, m.init, P.PVar(l), P.PVar(r))
+    t = _fresh_pvar("t", m.body, m.done, m.init)
 
     stop_branch = P.Stop(
-        subst_pt(subst_pt(m.done, m.hyp, m.init, fv), m.mhyp, P.Proj1(P.PVar(l)), fv)
+        subst_pt(subst_pt(m.done, m.hyp, m.init), m.mhyp, P.Proj1(P.PVar(l)))
     )
     step_inst = subst_pt(
-        subst_pt(m.body, m.hyp, m.init, fv),
+        subst_pt(m.body, m.hyp, m.init),
         m.mhyp,
         P.DPair(P.PVar(rr), P.Proj1(P.PVar(r))),
-        fv,
     )
     go_branch = P.Ghost(
         m.m0,
@@ -417,26 +417,26 @@ def _for_beta(m: P.For, fv):
     return P.Case(scrut, l, stop_branch, r, go_branch), FOR_BETA
 
 
-def _fp_beta(m: P.FP, fv):
+def _fp_beta(m: P.FP):
     a, s_, b, g, c = m.scrut, m.svar, m.sbody, m.gvar, m.gbody
     # every use of the hypothesis g becomes a recursive application;
     # the Mon scrutinee stays free so the rcase binder recaptures it
-    w = _fresh_pvar("w", fv, b, c)
-    unrolled = subst_pt(c, g, P.Mon(P.PVar(g), w, P.FP(P.PVar(w), s_, b, g, c)), fv)
+    w = _fresh_pvar("w", b, c)
+    unrolled = subst_pt(c, g, P.Mon(P.PVar(g), w, P.FP(P.PVar(w), s_, b, g, c)))
     return P.RCase(a, s_, b, g, unrolled), FP_BETA
 
 
-def _mon_conv(m: P.Mon, fv):
+def _mon_conv(m: P.Mon):
     a, p, n = m.scrut, m.hyp, m.body
     match a:
         case P.Lam(hyp=h, ann=ann, body=b):
-            return P.Lam(h, ann, subst_pt(n, p, b, fv)), LAM_MON
+            return P.Lam(h, ann, subst_pt(n, p, b)), LAM_MON
         case P.NumLam(var=x, ghost=y, body=b):
-            return P.NumLam(x, y, subst_pt(n, p, b, fv)), RLAM_MON
+            return P.NumLam(x, y, subst_pt(n, p, b)), RLAM_MON
         case P.BPair(fst=f, snd=s):
             return P.BPair(P.Mon(f, p, n), P.Mon(s, p, n)), BCONS_MON
         case P.DPair(fst=f, snd=s):
-            return P.DPair(f, subst_pt(n, p, s, fv)), DCONS_MON
+            return P.DPair(f, subst_pt(n, p, s)), DCONS_MON
         case P.InjL(arg=b):
             return P.InjL(P.Mon(b, p, n)), INJL_MON
         case P.InjR(arg=b):
@@ -445,21 +445,21 @@ def _mon_conv(m: P.Mon, fv):
             rule = DSWAP_MON if fl == P.DIA else BSWAP_MON
             return P.Swap(P.Mon(b, p, n), fl), rule
         case P.SeqI(body=b, flavor=fl):
-            q = _fresh_pvar("q", fv, n)
+            q = _fresh_pvar("q", n)
             rule = DSEQ_MON if fl == P.DIA else BSEQ_MON
             return P.SeqI(P.Mon(b, q, P.Mon(P.PVar(q), p, n)), fl), rule
         case P.Asgn(var=x, ghost=y, hyp=h, body=b, flavor=fl):
             rule = DASGN_MON if fl == P.DIA else BASGN_MON
-            return P.Asgn(x, y, h, subst_pt(n, p, b, fv), fl), rule
+            return P.Asgn(x, y, h, subst_pt(n, p, b), fl), rule
         case P.TCons(var=x, ghost=y, hyp=h, witness=f, body=b):
-            return P.TCons(x, y, h, f, subst_pt(n, p, b, fv)), TCONS_MON
+            return P.TCons(x, y, h, f, subst_pt(n, p, b)), TCONS_MON
         case P.Stop(body=b):
-            return P.Stop(subst_pt(n, p, b, fv)), STOP_MON
+            return P.Stop(subst_pt(n, p, b)), STOP_MON
         case P.Go(body=b):
-            q = _fresh_pvar("q", fv, n)
+            q = _fresh_pvar("q", n)
             return P.Go(P.Mon(b, q, P.Mon(P.PVar(q), p, n))), GO_MON
         case P.Roll(body=b):
-            t = _fresh_pvar("t", fv, n)
+            t = _fresh_pvar("t", n)
             return (
                 P.Roll(
                     P.DPair(
@@ -480,9 +480,9 @@ _HEAD = {
     P.QE: _fo_beta,
     P.App: _app_beta,
     P.NumApp: _numapp_beta,
-    P.Proj1: lambda m, fv: (m.arg.fst, PROJ1_BETA) if isinstance(m.arg, _PAIRS) else None,
-    P.Proj2: lambda m, fv: (m.arg.snd, PROJ2_BETA) if isinstance(m.arg, _PAIRS) else None,
-    P.Unroll: lambda m, fv: (m.body.body, UNROLL_BETA) if isinstance(m.body, P.Roll) else None,
+    P.Proj1: lambda m: (m.arg.fst, PROJ1_BETA) if isinstance(m.arg, _PAIRS) else None,
+    P.Proj2: lambda m: (m.arg.snd, PROJ2_BETA) if isinstance(m.arg, _PAIRS) else None,
+    P.Unroll: lambda m: (m.body.body, UNROLL_BETA) if isinstance(m.body, P.Roll) else None,
     P.Case: _case_beta,
     P.RCase: _rcase_beta,
     P.Unpack: _unpack_beta,
@@ -513,17 +513,13 @@ class _Machine:
     the root.  A frame's node may hold an older copy of its child at k;
     it is rebuilt with the new one when the search returns to it.  `top`
     is the S-rule of the root frame's child k, which names every step
-    under the root.  `fv` holds the free proof variables of the terms one
-    normalization meets, each computed once (a `free_pvars` memo); a beta
-    rule's substitution asks it for the argument's set only at the first
-    binder it crosses.
+    under the root.
     """
 
     def __init__(self, m: ProofTerm):
         self.focus = m
         self.path = None
         self.top = None
-        self.fv = {}
 
     def root(self) -> ProofTerm:
         return _root(self.focus, self.path)
@@ -531,7 +527,7 @@ class _Machine:
     def step(self) -> Optional[str]:
         """Fire the next rule and return its root-level name, or None once
         the term is normal; the search resumes at the reduct."""
-        path, fv, search, head = self.path, self.fv, _SEARCH, _HEAD
+        path, search, head = self.path, _SEARCH, _HEAD
         m = self.focus
         while True:
             kids = search.get(type(m))
@@ -542,7 +538,7 @@ class _Machine:
                 m = getattr(m, kids[0][1])
                 continue
             rule = head.get(type(m))
-            if rule is not None and (fired := rule(m, fv)) is not None:
+            if rule is not None and (fired := rule(m)) is not None:
                 return self._fire(path, *fired)
             while True:  # m is stuck: go on at its parent
                 if path is None:
@@ -563,7 +559,7 @@ class _Machine:
                     break
                 path = up
                 rule = head.get(type(node))
-                if rule is not None and (fired := rule(node, fv)) is not None:
+                if rule is not None and (fired := rule(node)) is not None:
                     return self._fire(path, *fired)
                 m = node
 

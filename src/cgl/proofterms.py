@@ -7,8 +7,9 @@ Walks read a plan per class, staged on first use (`_plan`): binder groups,
 proof-term children with the binders and ghosts scoping them, a getter
 of the field values, and field names.  Substitution rebuilds a node by
 position only when a child changed, replaces a proof-variable child in
-place, and finds the argument's free proof variables at the first binder
-it meets; a closed argument skips every capture check.
+place, and reads the argument's free proof variables at each binder it
+meets; a closed argument skips every capture check.  A proof term keeps
+its free proof variables in a slot (`_free`), as syntax and realizers do.
 
 Node inventory (constructor -- introducing rule):
   PVar            hypothesis
@@ -42,8 +43,9 @@ from .syntax import FIELDS, Formula, Term, frozen, rename
 
 class ProofTerm:
     # the checker's (goal, context items, realizer) once it accepts the
-    # term; not a field, so equality, `replace`, copies and pickles skip it
-    __slots__ = ("_accepted",)
+    # term, and its free proof variables; not fields, so equality,
+    # `replace`, copies and pickles skip them
+    __slots__ = ("_accepted", "_free")
 
 
 DIA = "d"
@@ -411,25 +413,19 @@ def rename_pt(m: ProofTerm, x: str, y: str) -> ProofTerm:
     )
 
 
-def free_pvars(m: ProofTerm, memo=None) -> frozenset[str]:
-    """Free proof variables of m.  `memo`, when given, maps id(term) to
-    (its set, the term) for every subterm visited, and is filled."""
-    if isinstance(m, PVar):
+def free_pvars(m: ProofTerm) -> frozenset[str]:
+    """Free proof variables of m, kept on m; a proof variable's is its name."""
+    if type(m) is PVar:
         return frozenset((m.name,))
-    if memo is not None:
-        hit = memo.get(id(m))
-        if hit is not None:
-            return hit[0]
-    out = frozenset()
-    for _, name, scope, _ in (_PLANS.get(type(m)) or _plan(type(m)))[1]:
-        v = getattr(m, name)
-        if v is not None:
-            inner = free_pvars(v, memo)
-            if scope:
-                inner = inner - {getattr(m, h) for h in scope}
-            out |= inner
-    if memo is not None:
-        memo[id(m)] = (out, m)
+    out = getattr(m, "_free", None)
+    if out is None:
+        out = frozenset()
+        for _, name, scope, _ in (_PLANS.get(type(m)) or _plan(type(m)))[1]:
+            v = getattr(m, name)
+            if v is not None:
+                inner = free_pvars(v)
+                out |= inner - {getattr(m, h) for h in scope} if scope else inner
+        object.__setattr__(m, "_free", out)
     return out
 
 
@@ -470,22 +466,21 @@ def all_pvar_names(m: ProofTerm) -> frozenset[str]:
     return frozenset(out)
 
 
-def subst_pt(m: ProofTerm, p: str, n: ProofTerm, memo=None) -> ProofTerm:
+def subst_pt(m: ProofTerm, p: str, n: ProofTerm) -> ProofTerm:
     """Capture-avoiding substitution of proof term n for proof variable p.
 
     Crossing a binder that re-binds a program variable x with recorded ghost
     y renames x and y inside the substituted copy, so hypotheses formed
     before the binding keep referring to the old value.  The copy is
-    renamed only where p occurs, once per chain of binders crossed.
-    `free_pvars(n)` is computed once, through `memo` (a `free_pvars`
-    memo), at the first proof-variable binder the walk meets, and a closed
-    n skips every capture check.  Subterms the substitution leaves
+    renamed only where p occurs, once per chain of binders crossed.  The
+    walk reads `free_pvars(n)` at each proof-variable binder it meets, and a
+    closed n skips every capture check.  Subterms the substitution leaves
     unchanged are shared with m, not copied, and a proof variable is
     replaced where its parent is walked, with no call of its own.
     """
     if type(m) is PVar:
         return n if m.name == p else m
-    return _subst_pt(m, p, n, None, {} if memo is None else memo, None)
+    return _subst_pt(m, p, n, None)
 
 
 def _renamed(n: ProofTerm, moved) -> ProofTerm:
@@ -498,25 +493,21 @@ def _renamed(n: ProofTerm, moved) -> ProofTerm:
     return moved[3]
 
 
-def _subst_pt(m: ProofTerm, p: str, n: ProofTerm, fv_n, memo, moved) -> ProofTerm:
+def _subst_pt(m: ProofTerm, p: str, n: ProofTerm, moved) -> ProofTerm:
     """subst_pt below the root; m is not a proof variable."""
     cls = type(m)
     groups, kids, binds, fields, *_ = _PLANS.get(cls) or _plan(cls)
 
     renames = {}
-    if groups:
-        if fv_n is None:
-            fv_n = free_pvars(n, memo)
-        # alpha-vary binders that would capture free proof variables of n
-        for pos, h, targets in groups if fv_n else ():
-            b = getattr(m, h)
-            if b in fv_n and b != p and any(
-                p in free_pvars(getattr(m, t), memo) for t in targets
-            ):
-                avoid = set(fv_n) | {b}
-                for t in targets:
-                    avoid |= all_pvar_names(getattr(m, t))
-                renames[h] = (pos, b, fresh_pvar(b, avoid))
+    fv_n = free_pvars(n) if groups else None
+    # alpha-vary binders that would capture free proof variables of n
+    for pos, h, targets in groups if fv_n else ():
+        b = getattr(m, h)
+        if b in fv_n and b != p and any(p in free_pvars(getattr(m, t)) for t in targets):
+            avoid = set(fv_n) | {b}
+            for t in targets:
+                avoid |= all_pvar_names(getattr(m, t))
+            renames[h] = (pos, b, fresh_pvar(b, avoid))
 
     # crossing a program-variable binder adjusts the substituted copy
     inner = [m.var, m.ghost, moved, None] if binds else moved
@@ -529,12 +520,12 @@ def _subst_pt(m: ProofTerm, p: str, n: ProofTerm, fv_n, memo, moved) -> ProofTer
         for h in scope:
             if h in renames:
                 _, b, new = renames[h]
-                v = subst_pt(v, b, PVar(new), memo)
+                v = subst_pt(v, b, PVar(new))
             elif getattr(m, h) == p:
                 shadowed = True
         if not shadowed:
             if type(v) is not PVar:
-                v = _subst_pt(v, p, n, fv_n, memo, inner if ghosted else moved)
+                v = _subst_pt(v, p, n, inner if ghosted else moved)
             elif v.name == p:  # replaced here, with no call of its own
                 v = _renamed(n, inner if ghosted else moved)
         if v is not old or renames:

@@ -17,8 +17,9 @@ its key.  Kept in slots: a term's evaluator (`_fn`) and free variables
 mentions (`_names`) and how the normalizer decomposes an oracle leaf with
 it as goal (`_qe`); a game's free variables and names; the engine's
 staged evaluators (`_staged`) and instructions (`_active`, `_dormant`);
-and a realizer's free realizer variables (`_free`), readable names
-(`_reads`), capture set (`_capture`) and a Gen's stream (`_stream`).
+a realizer's free realizer variables (`_free`), readable names
+(`_reads`), capture set (`_capture`) and a Gen's stream (`_stream`); and,
+on a proof term, which is not interned, its free proof variables (`_free`).
 
 One class builder, `frozen`, makes the syntax nodes, the realizers, the
 proof terms and the engine's records.  Its one `dataclass` pass reads the

@@ -299,9 +299,36 @@ def test_unroll_synthesizes_the_unfolded_loop():
     # Dec decides another disjunction than the goal's
     ("x > 0 | x < 0", "Dec[tt | tt]()",
      "root: RuleMismatch: expected Dec conclusion x > 0 | x < 0, got tt | tt"),
+    # the case's branches prove different formulas
+    ("(x > 0 | x <= 0) -> x > 0",
+     r"\h : x > 0 | x <= 0. pi1 (case h of l. <FO[x > 0](l), FO[tt]()>"
+     r" | r. <FO[x = x](), FO[tt]()>)",
+     "body.arg: RuleMismatch: expected case join x > 0 & tt, got x = x & tt"),
+    # stop proves a goal that is not a diamond loop
+    ("x > 0 -> <x := 0> x > 0", r"\h : x > 0. stop h",
+     "body: RuleMismatch: stop needs <a*>, got <x := 0>x > 0"),
+    # unroll opens a box whose game is not a loop
+    ("[{x := 1}^d] x > 0 -> x > 0", r"\h : [{x := 1}^d] x > 0. FO[x > 0](pi1 unroll h)",
+     "body.payload.arg: RuleMismatch: unroll from non-loop [{x := 1}^d]x > 0"),
 ])
 def test_guard_alone_rejects_false_theorem(goal, proof, message):
     phi, m = parse_script(f"theorem t : {goal} = {proof}").theorems["t"]
+    err = ck().check_result(Context(), m, phi)
+    assert (err.kind, str(err)) == (C.RULE_MISMATCH, message)
+
+
+# proofs of x > 0 -> x > 0 whose loop or existential form meets a formula
+# of another shape: without its guard, the checker crashes on each
+@pytest.mark.parametrize("body, message", [
+    ("rcase h of s. s | g. g",
+     "body.scrut: RuleMismatch: rcase scrutinee must prove <a*>, got x > 0"),
+    ("unpack(h; y, y0, p. p)",
+     "body.scrut: RuleMismatch: unpack scrutinee must prove <x:=*>, got x > 0"),
+    ("go h", "body: RuleMismatch: go needs <a*>, got x > 0"),
+    ("roll h", "body: RuleMismatch: roll needs [a*], got x > 0"),
+])
+def test_guard_reports_a_form_of_the_wrong_shape(body, message):
+    phi, m = parse_script(rf"theorem t : x > 0 -> x > 0 = \h : x > 0. {body}").theorems["t"]
     err = ck().check_result(Context(), m, phi)
     assert (err.kind, str(err)) == (C.RULE_MISMATCH, message)
 

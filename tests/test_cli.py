@@ -201,6 +201,25 @@ def test_play_script_demon(tmp_path, capsys):
     assert "assign c 8" in out and "assign c 5" in out
 
 
+# demon scripts that do not fit the game: (corpus file, theorem, state,
+# the script, the message)
+MISFIT_SCRIPTS = {
+    "word": ("nim.cgl", "dNim", "c=5", ["L"], "demon script wanted continue/stop, got 'L'"),
+    "exhausted": ("basics.cgl", "signFlip", "", [], "demon script exhausted wanting value"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISFIT_SCRIPTS))
+def test_misfit_demon_script_is_usage_error(case, tmp_path, capsys):
+    # the script is bad input; the strategy is not at fault
+    file, theorem, state, words, msg = MISFIT_SCRIPTS[case]
+    script = tmp_path / "demon.json"
+    script.write_text(json.dumps(words))
+    argv = ("play", corpus_path(file), "--theorem", theorem, "--state", state,
+            "--demon", f"script:{script}")
+    assert run(capsys, *argv) == (2, "", f"cgl play: {msg}\n")
+
+
 def test_outputs_byte_stable(capsys):
     runs = []
     for _ in range(2):

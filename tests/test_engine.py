@@ -24,6 +24,7 @@ from cgl.engine import (
 )
 from cgl.extraction import extract
 from cgl.oracle import ArithOracle
+from cgl.parser import parse_script
 from cgl.proofterms import Context
 from cgl.rational import parse_rational
 from cgl.syntax import State
@@ -864,6 +865,61 @@ def test_scripted_demon_rejects_a_wrong_word_at_a_loop(word):
     game = S.Repeat(S.Assign("x", S.Plus(x, L(1))))
     with pytest.raises(E.IllStructuredRealizer, match="wanted continue/stop, got"):
         play(game, DORMANT, close(R.Unit()), State(), ScriptedDemon([word]))
+
+
+# compositions the machine meets at run time: built directly, so that
+# static fusion cannot place them, and behind an application, so that
+# `peel_for` cannot see them; the machine views each as a pair or a number
+T0, T1 = R.TermVal(L(0)), R.TermVal(L(1))
+BUMP = S.Assign("x", S.Plus(x, L(1)))
+SIDES = S.Choice(S.Assign("x", L(1)), S.Assign("x", L(2)))
+POSITIVE = S.Cmp(x, ">", L(0))
+RUNTIME_COMPOSED = {  # name: (game, role, the composed strategy, demon script, state)
+    "box-choice-L": (SIDES, DORMANT, R.Pair(R.Unit(), R.Unit()), ["L"], {}),
+    "box-choice-R": (SIDES, DORMANT, R.Pair(R.Unit(), R.Unit()), ["R"], {}),
+    "box-loop-gen": (S.Repeat(BUMP), DORMANT, R.Gen(R.Unit(), "v", R.RVar("v"), R.Unit(), BUMP),
+                     ["continue", "continue", "stop"], {}),
+    "box-loop-pair": (S.Repeat(BUMP), DORMANT, R.Pair(R.Unit(), R.Pair(R.Unit(), R.Unit())),
+                      ["continue", "stop"], {}),
+    "diamond-loop-stop": (S.Repeat(BUMP), ACTIVE, R.Pair(T0, R.Unit()), [], {}),
+    "diamond-loop-round": (S.Repeat(BUMP), ACTIVE, R.Pair(T1, R.Pair(T0, R.Unit())), [], {}),
+    # selectors that are not literals
+    "diamond-choice-if-true": (SIDES, ACTIVE, R.Pair(R.IfTerm(POSITIVE, T1, T0), R.Unit()), [],
+                               {"x": 1}),
+    "diamond-choice-if-false": (SIDES, ACTIVE, R.Pair(R.IfTerm(POSITIVE, T1, T0), R.Unit()), [],
+                                {"x": -1}),
+    "diamond-loop-if": (S.Repeat(BUMP), ACTIVE,
+                        R.Pair(R.IfTerm(POSITIVE, T0, T1), R.Pair(T0, R.Unit())), [], {"x": 0}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RUNTIME_COMPOSED))
+def test_runtime_composition_plays_like_what_it_composes(case):
+    game, role, first, script, st = RUNTIME_COMPOSED[case]
+    composed = R.Compose(first, "r", R.RVar("r"), (game,))
+    plays = []
+    for rz in (first, R.AppRz(R.ProofLam("h", S.TRUE, R.RVar("h")), composed)):
+        tr = Tracer()
+        out = play(game, role, close(rz), State(st), ScriptedDemon(script), tracer=tr)
+        plays.append((type(out), out.state, list(tr.events)))
+    assert plays[0] == plays[1] and plays[0][0] is Finished, plays
+
+
+def test_mon_over_go_places_into_the_round():
+    # static fusion places the weakening into the tagged pair of the go round
+    phi, m = parse_script(
+        r"theorem monGo : x = 0 -> <{x := x + 1}*> x >= 0 ="
+        r" \h : x = 0. mon(go asgnd x (x0, k. stop FO[x = 1](h, k)); p. FO[x >= 0](p))"
+    ).theorems["monGo"]
+    rz = extract(m, phi)
+    assert rz == R.ProofLam("h", S.Cmp(x, "=", L(0)), R.Pair(T1, R.Pair(T0, R.Unit())))
+    st = State({"x": 0})
+    core, cl = strip_assumptions(phi, close(rz), st)
+    game, role, post = modal_core(core)
+    tr = Tracer()
+    out = play(game, role, cl, st, ScriptedDemon([]), tracer=tr)
+    assert type(out) is Finished and S.eval_fo(post, out.state)
+    assert list(tr.events) == ["angel-loop continue", "assign x 1", "angel-loop stop"]
 
 
 # -- traces and counterexamples pinned on the two-interpreter engine -----------

@@ -1,6 +1,7 @@
-"""Facts kept on interned nodes (free variables, the names a node mentions,
-free realizer variables) against fresh computations, and the renaming and
-substitution that skip what those facts show they cannot change."""
+"""Facts kept on nodes (free variables, the names a node mentions, free
+realizer variables, free proof variables) against fresh computations, and
+the renaming and substitution that skip what those facts show they cannot
+change."""
 
 import random
 
@@ -14,6 +15,7 @@ from cgl import proofterms as P
 from cgl import realizer as R
 from cgl import syntax as S
 from cgl.oracle import _WITNESS_POOL, ArithOracle
+from cgl.parser import parse_script
 from conftest import VARS, rand_formula, rand_game, rand_term
 
 NAMES = VARS + ["w"]  # "w" occurs in no random node
@@ -400,3 +402,73 @@ def test_realizer_facts_hold_for_random_shares():
         other = R.Decide(inner, "a", leaf, "b", inner)
         for r in _rsubnodes(other) + _rsubnodes(outer):
             assert R.free_rvars(r) == fresh_free_rvars(r)
+
+
+# -- the free proof variables kept on a proof term ------------------------------
+
+
+def fresh_free_pvars(m):
+    """The walker that `P.free_pvars` was before it kept its sets: each
+    proof-term child's free proof variables less the binders scoping it."""
+    if isinstance(m, P.PVar):
+        return frozenset((m.name,))
+    out = frozenset()
+    for _, name, scope, _ in (P._PLANS.get(type(m)) or P._plan(type(m)))[1]:
+        v = getattr(m, name)
+        if v is not None:
+            inner = fresh_free_pvars(v)
+            if scope:
+                inner = inner - {getattr(m, h) for h in scope}
+            out |= inner
+    return out
+
+
+def _assert_free_pvars_kept(m):
+    from test_fuzz import _subterms
+
+    P.free_pvars(m)  # keeps a set on m and on every subterm that is not a PVar
+    for _, n in _subterms(m):
+        ref = fresh_free_pvars(n)
+        assert P.free_pvars(n) == ref, n
+        if type(n) is P.PVar:  # a proof variable's set is its name, kept nowhere
+            assert getattr(n, "_free", None) is None
+        else:
+            assert n._free == ref and P.free_pvars(n) is n._free
+
+
+# loop eliminations whose branches use what they bind, which no corpus proof's do
+REPLAYS = r"""
+theorem rcaseReplay : <{c := c + 1}*> c > 3 -> <{c := c + 1}*> c > 3 =
+  \h : <{c := c + 1}*> c > 3. rcase h of s. stop s | g. go g
+theorem fpReplay : <{c := c + 1}*> c > 3 -> <{c := c + 1}*> c > 3 =
+  \h : <{c := c + 1}*> c > 3. fp h of s. stop s | g. go g
+"""
+
+
+def test_corpus_proofs_keep_their_free_proof_variables(all_theorems):
+    replays = parse_script(REPLAYS).theorems
+    for _, m in list(all_theorems.values()) + list(replays.values()):
+        _assert_free_pvars_kept(m)
+
+
+def test_reducts_keep_their_free_proof_variables(all_theorems):
+    # each corpus proof, and inside the identity redexes of every kind
+    # that the normalizer's golden traces wrap it in
+    from test_normalizer import wrapped
+
+    reducts = 0
+    for name, (phi, m) in all_theorems.items():
+        for start in (m, wrapped(name, phi, m)):
+            for _, reduct in N.normalize(start)[2]:
+                _assert_free_pvars_kept(reduct)
+                reducts += 1
+    assert reducts > 600
+
+
+def test_random_proofs_keep_their_free_proof_variables():
+    from test_proofterms import _open_arg, _rand_proof, _wrap_unpack
+
+    rng = random.Random(2024)
+    for _ in range(300):
+        _assert_free_pvars_kept(_wrap_unpack(rng, _rand_proof(rng, rng.randint(2, 5))))
+        _assert_free_pvars_kept(_open_arg(rng))
