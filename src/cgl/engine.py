@@ -484,6 +484,8 @@ class InteractiveDemon(DemonOracle):
             self.write(prompt)
             try:
                 return parse(self.read().strip())
+            except EOFError:  # "demon <kind> ..." with nothing left to read
+                raise ScriptMismatch(f"demon input ended wanting {prompt.split()[1]}") from None
             except Exception as e:  # malformed input: re-prompt
                 self.write(f"  ? {e}\n")
 

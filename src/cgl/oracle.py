@@ -13,10 +13,12 @@ Quotient/remainder terms with literal divisors are compiled away with
 auxiliary integer quotient variables.  Each literal of a query is
 linearized once, into sums that are plain `({var: coeff}, const)` pairs,
 and kept as integer rows `sum + k op 0`, scaled to integers and divided
-by their gcd (as in Pugh's Omega test); elimination is integer-row
-Fourier-Motzkin, with floor tightening on all-integer rows, which
-certifies the modular-arithmetic facts the proof corpus needs; each round
-keeps only the tightest row of each coefficient vector.
+by their gcd.  Elimination follows Pugh's Omega test: each round first
+tightens, flooring all-integer rows (which certifies the modular-arithmetic
+facts the proof corpus needs) and keeping the tightest row of each
+coefficient vector; it then substitutes every rational variable that an
+equality defines, and a round with none eliminates one variable by
+integer-row Fourier-Motzkin.  Elimination gives up after 200 rounds.
 Each DNF literal of a query gets one bit, and every row carries the mask
 of the literals it was derived from; a contradiction's mask is an unsat
 core, a set of literals that no point satisfies together (Dutertre & de
@@ -288,93 +290,108 @@ def _is_int(v) -> bool:
     return v[0] == "q"  # quotient variables; state and remainder ones are rational
 
 
+def _false(op, k) -> bool:  # of the constant row  k op 0
+    return k > 0 if op == "<=" else k >= 0 if op == "<" else k != 0
+
+
+def _tighten(rows):
+    """The rows less true constant ones, all-integer rows rounded, and the
+    tightest row of each coefficient vector; or a core, if a row is false."""
+    nxt = {}
+    for op, co, k, m in rows:
+        if not co:
+            if _false(op, k):
+                return m
+            continue
+        for v in co:
+            if v[0] != "q":  # not all quotient variables: no rounding
+                break
+        else:
+            # divide by the coefficients' gcd g: sum <= -k/g rounds down
+            g = math.gcd(*co.values())
+            if op == "=":
+                if k % g:
+                    return m
+                k //= g
+            else:
+                k = -(-k // g) if op == "<=" else k // g + 1
+                op = "<="
+            if g > 1:
+                co = {v: c // g for v, c in co.items()}
+        key = (op == "=", frozenset(co.items()))
+        old = nxt.get(key)
+        if old is None or op != "=" and (k > old[2] or k == old[2] and op == "<"):
+            nxt[key] = (op, co, k, m)
+        elif op == "=" and k != old[2]:
+            return m | old[3]
+    return list(nxt.values())
+
+
 def _unsat(rows):
     """The core of the integer rows `(op, {var: int}, k, mask)`, each
     reading `sum + k op 0`, when they are certified unsatisfiable over the
     rationals with the quotient variables integer-valued: the OR of the
     masks of the rows the contradiction was derived from, an int > 0.
     Otherwise a model {var: rational} of the rows, back-substituted
-    through the eliminations, or None when none is found."""
-    work, eliminated = rows, []  # per round: the variable and its rows
+    through the eliminations, or None when none is found in 200 rounds.
+    As in Pugh's Omega test, each round tightens, then substitutes every
+    rational variable an equality defines, in row order; only a round with
+    no such equality eliminates a variable by Fourier-Motzkin."""
+    work, eliminated = rows, []  # per elimination: the variable and its rows
     for _round in range(200):
-        # constant and tightening pass, which keeps the tightest row of each
-        # coefficient vector: the larger constant, strict on a tie
-        nxt = {}
-        for op, co, k, m in work:
-            if not co:
-                if k > 0 if op == "<=" else k >= 0 if op == "<" else k != 0:
-                    return m
-                continue
-            for v in co:
-                if v[0] != "q":  # not all quotient variables: no rounding
-                    break
-            else:
-                # divide by the coefficients' gcd g: sum <= -k/g rounds down
-                g = math.gcd(*co.values())
-                if op == "=":
-                    if k % g:
-                        return m
-                    k //= g
-                else:
-                    k = -(-k // g) if op == "<=" else k // g + 1
-                    op = "<="
-                if g > 1:
-                    co = {v: c // g for v, c in co.items()}
-            key = (op == "=", frozenset(co.items()))
-            old = nxt.get(key)
-            if old is None or op != "=" and (k > old[2] or k == old[2] and op == "<"):
-                nxt[key] = (op, co, k, m)
-            elif op == "=" and k != old[2]:
-                return m | old[3]
-        work = list(nxt.values())
+        work = _tighten(work)
+        if type(work) is int:
+            return work
         if not work:
             return _back_substitute(eliminated)
 
-        # substitute a rational variable defined by an equality
-        for i, (op, co, k, m) in enumerate(work):
+        # substitute each rational variable an equality defines (no row
+        # before the scan defines one); a row made false is a core at once
+        i, before = 0, len(eliminated)
+        while i < len(work):
+            op, co, k, m = work[i]
             v = next((u for u in co if not _is_int(u)), None) if op == "=" else None
             if v is None:
+                i += 1
                 continue
             c = co[v]
-            eliminated.append((v, [work[i]]))
-            new_work = []
+            eliminated.append((v, [work.pop(i)]))
             for j, (op2, co2, k2, m2) in enumerate(work):
-                if j == i:
-                    continue
                 cv = co2.get(v)
                 if cv is not None:  # |c| * row2 - sign(c) * cv * row
                     co2, k2 = _comb(co2, k2, abs(c), co, k, -cv if c > 0 else cv, v)
-                    m2 |= m
-                new_work.append((op2, co2, k2, m2))
-            work = new_work
-            break
-        else:
-            # eliminate one variable by Fourier-Motzkin (rationals first)
-            v = min({u for _, co, _, _ in work for u in co}, key=lambda u: (_is_int(u), str(u)))
-            uppers, lowers, new_work, eqs = [], [], [], []
-            for row in work:
-                c = row[1].get(v)
-                if c is None:
-                    new_work.append(row)
-                elif row[0] == "=":
-                    eqs.append(row)
-                else:
-                    (uppers if c > 0 else lowers).append(row)
-            eliminated.append((v, eqs + uppers + lowers))
-            for _, co, k, m in eqs:  # split equalities over v into two inequalities
-                pos, neg = ("<=", co, k, m), ("<=", {u: -w for u, w in co.items()}, -k, m)
-                uppers.append(pos if co[v] > 0 else neg)
-                lowers.append(neg if co[v] > 0 else pos)
-            if len(new_work) + len(uppers) * len(lowers) > _BRANCH_CAP:
-                raise _TooBig()
-            for opu, cou, ku, mu in uppers:
-                cu = cou[v]
-                for opl, col, kl, ml in lowers:
-                    cl = -col[v]
-                    g = math.gcd(cu, cl)
-                    co, k = _comb(col, kl, cu // g, cou, ku, cl // g, v)
-                    new_work.append(("<" if "<" in (opu, opl) else "<=", co, k, mu | ml))
-            work = new_work
+                    if not co2 and _false(op2, k2):
+                        return m2 | m
+                    work[j] = (op2, co2, k2, m2 | m)
+        if len(eliminated) > before:
+            continue
+
+        # eliminate one variable by Fourier-Motzkin (rationals first)
+        v = min({u for _, co, _, _ in work for u in co}, key=lambda u: (_is_int(u), str(u)))
+        uppers, lowers, new_work, eqs = [], [], [], []
+        for row in work:
+            c = row[1].get(v)
+            if c is None:
+                new_work.append(row)
+            elif row[0] == "=":
+                eqs.append(row)
+            else:
+                (uppers if c > 0 else lowers).append(row)
+        eliminated.append((v, eqs + uppers + lowers))
+        for _, co, k, m in eqs:  # split equalities over v into two inequalities
+            pos, neg = ("<=", co, k, m), ("<=", {u: -w for u, w in co.items()}, -k, m)
+            uppers.append(pos if co[v] > 0 else neg)
+            lowers.append(neg if co[v] > 0 else pos)
+        if len(new_work) + len(uppers) * len(lowers) > _BRANCH_CAP:
+            raise _TooBig()
+        for opu, cou, ku, mu in uppers:
+            cu = cou[v]
+            for opl, col, kl, ml in lowers:
+                cl = -col[v]
+                g = math.gcd(cu, cl)
+                co, k = _comb(col, kl, cu // g, cou, ku, cl // g, v)
+                new_work.append(("<" if "<" in (opu, opl) else "<=", co, k, mu | ml))
+        work = new_work
     return None
 
 

@@ -277,6 +277,21 @@ def test_interactive_play_subprocess():
     assert "goal c mod 4 = 1 holds" in proc.stdout
 
 
+def test_interactive_play_ends_with_its_input():
+    # input that runs out is bad input: exit 2 and one line on stderr,
+    # after a prompt or two, where the demon once prompted for ever
+    import subprocess
+    import sys
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "cgl.cli", "play", corpus_path("nim.cgl"),
+         "--theorem", "dNim", "--demon", "interactive", "--state", "c=5"],
+        input="X\n", capture_output=True, text=True, timeout=10,
+    )
+    assert (proc.returncode, proc.stderr) == (2, "cgl play: demon input ended wanting repeat\n")
+    assert proc.stdout.count("demon repeat") == 2 and len(proc.stdout) < 200
+
+
 def test_undefined_division_is_a_diagnostic(tmp_path, capsys):
     # the checker accepts the quotient; at y = 0 it has no value
     f = tmp_path / "divy.cgl"

@@ -681,6 +681,30 @@ def test_values_stay_canonical():
     assert all(type(o) is Finished and _canonical(o.state) for o in outs)
 
 
+@pytest.mark.parametrize("kind", ["branch", "value", "test", "repeat"])
+def test_interactive_demon_ends_with_its_input(kind):
+    # a reader at the end of its input is a script that ran out: one
+    # prompt, then `ScriptMismatch`, not the same prompt for ever
+    prompts = []
+
+    def read():
+        if prompts[1:]:
+            pytest.fail("the demon asked again after its input ended")
+        raise EOFError("EOF when reading a line")
+
+    demon = E.InteractiveDemon(write=prompts.append, read=read)
+    ask = {
+        "branch": lambda: demon.choose_branch(S.Choice(S.Assign("x", x), S.Assign("x", y)), State()),
+        "value": lambda: play(S.Dual(S.AssignAny("x")), ACTIVE, close(R.NumLamR("n", R.Unit())),
+                              State(), demon),
+        "test": lambda: demon.assert_test(S.Cmp(x, ">", L(0)), State()),
+        "repeat": lambda: demon.continue_repeat(State(), 0),
+    }[kind]
+    with pytest.raises(E.ScriptMismatch, match=f"^demon input ended wanting {kind}$"):
+        ask()
+    assert len(prompts) == 1 and prompts[0].startswith(f"demon {kind} ")
+
+
 def test_passing_verify_formats_nothing(all_theorems, monkeypatch):
     def refuse(*_args):
         raise AssertionError("formatted a move of a verify that passes")

@@ -3,6 +3,7 @@ modular/integer reasoning the proof corpus leans on."""
 
 import hashlib
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -483,15 +484,19 @@ def test_cores_have_no_grid_point(monkeypatch, corpus):
         for phi, m in script.theorems.values():
             assert ck.check_result(Context(), m, phi) is None
     assert family > 500 and len(cores) - family > 100
-    grid = range(-4, 5)
     for core in {repr(c): c for c in cores}.values():
-        conj = S.TRUE
-        for rel, a, b in core:
-            conj = S.And(conj, S.Cmp(a, rel, b))
-        names = sorted(S.free_vars(conj))
-        holds = S.compile_fo(conj)
-        for point in itertools.product(grid, repeat=len(names)):
-            assert not holds(S.State.of(dict(zip(names, point)))), (core, point)
+        _assert_no_grid_point(core)
+
+
+def _assert_no_grid_point(core):
+    """No point of the grid -4..4 satisfies all the literals of the core."""
+    conj = S.TRUE
+    for rel, a, b in core:
+        conj = S.And(conj, S.Cmp(a, rel, b))
+    names = sorted(S.free_vars(conj))
+    holds = S.compile_fo(conj)
+    for point in itertools.product(range(-4, 5), repeat=len(names)):
+        assert not holds(S.State.of(dict(zip(names, point)))), (core, point)
 
 
 # -- expansion pin: the rows each literal becomes ----------------------------
@@ -627,3 +632,143 @@ def test_dnf_branches_pinned(monkeypatch, corpus, source, count, digest):
         "random": lambda: _decide_all(_rand_pairs(300)),
     }[source]()
     assert (len(seen), hashlib.sha256(repr(seen).encode()).hexdigest()[:16]) == (count, digest)
+
+
+# -- equalities first: a round substitutes every equality it can -------------
+
+
+def _unsat_one_per_round(rows):
+    """The elimination loop `_unsat` replaced, kept as a reference: each
+    round runs the whole tightening pass, then substitutes one equality or
+    eliminates one variable by Fourier-Motzkin."""
+    work, eliminated = rows, []
+    for _round in range(200):
+        nxt = {}
+        for op, co, k, m in work:
+            if not co:
+                if k > 0 if op == "<=" else k >= 0 if op == "<" else k != 0:
+                    return m
+                continue
+            for v in co:
+                if v[0] != "q":
+                    break
+            else:
+                g = math.gcd(*co.values())
+                if op == "=":
+                    if k % g:
+                        return m
+                    k //= g
+                else:
+                    k = -(-k // g) if op == "<=" else k // g + 1
+                    op = "<="
+                if g > 1:
+                    co = {v: c // g for v, c in co.items()}
+            key = (op == "=", frozenset(co.items()))
+            old = nxt.get(key)
+            if old is None or op != "=" and (k > old[2] or k == old[2] and op == "<"):
+                nxt[key] = (op, co, k, m)
+            elif op == "=" and k != old[2]:
+                return m | old[3]
+        work = list(nxt.values())
+        if not work:
+            return O._back_substitute(eliminated)
+        for i, (op, co, k, m) in enumerate(work):
+            v = next((u for u in co if not O._is_int(u)), None) if op == "=" else None
+            if v is None:
+                continue
+            c = co[v]
+            eliminated.append((v, [work[i]]))
+            new_work = []
+            for j, (op2, co2, k2, m2) in enumerate(work):
+                if j == i:
+                    continue
+                cv = co2.get(v)
+                if cv is not None:
+                    co2, k2 = O._comb(co2, k2, abs(c), co, k, -cv if c > 0 else cv, v)
+                    m2 |= m
+                new_work.append((op2, co2, k2, m2))
+            work = new_work
+            break
+        else:
+            v = min({u for _, co, _, _ in work for u in co}, key=lambda u: (O._is_int(u), str(u)))
+            uppers, lowers, new_work, eqs = [], [], [], []
+            for row in work:
+                c = row[1].get(v)
+                if c is None:
+                    new_work.append(row)
+                elif row[0] == "=":
+                    eqs.append(row)
+                else:
+                    (uppers if c > 0 else lowers).append(row)
+            eliminated.append((v, eqs + uppers + lowers))
+            for _, co, k, m in eqs:
+                pos, neg = ("<=", co, k, m), ("<=", {u: -w for u, w in co.items()}, -k, m)
+                uppers.append(pos if co[v] > 0 else neg)
+                lowers.append(neg if co[v] > 0 else pos)
+            if len(new_work) + len(uppers) * len(lowers) > O._BRANCH_CAP:
+                raise O._TooBig()
+            for opu, cou, ku, mu in uppers:
+                cu = cou[v]
+                for opl, col, kl, ml in lowers:
+                    cl = -col[v]
+                    g = math.gcd(cu, cl)
+                    co, k = O._comb(col, kl, cu // g, cou, ku, cl // g, v)
+                    new_work.append(("<" if "<" in (opu, opl) else "<=", co, k, mu | ml))
+            work = new_work
+    return None
+
+
+def _verdict(unsat, rows):
+    """("core", mask), ("model", its items in key order), ("none", None)
+    or ("too large", None)."""
+    try:
+        res = unsat(rows)
+    except O._TooBig:
+        return "too large", None
+    if type(res) is int:
+        return "core", res
+    return ("none", None) if res is None else ("model", list(res.items()))
+
+
+def test_batched_substitution_matches_one_per_round(monkeypatch, corpus):
+    # every system the certify sequents, two families and the corpus
+    # checks send to `_unsat`, with the branch it came from
+    branches, unsat, branch_unsat = [], O._unsat, O._branch_unsat
+
+    def recording(literals, lin, bits, expanded):
+        branches.append((literals, bits, []))
+        return branch_unsat(literals, lin, bits, expanded)
+
+    monkeypatch.setattr(O, "_branch_unsat", recording)
+    monkeypatch.setattr(O, "_unsat", lambda rows: branches[-1][2].append(rows) or unsat(rows))
+    _decide_all(_certify_sequents(random.Random(301)))
+    for seed in (1, 2):
+        _decide_all(_rand_family(random.Random(seed), 400))
+    _corpus_checks(corpus)
+
+    kinds, systems, differ = {}, 0, 0
+    for literals, bits, rows_list in branches:
+        new_core = old_core = 0
+        for rows in rows_list:
+            new, old = _verdict(unsat, rows), _verdict(_unsat_one_per_round, rows)
+            assert new[0] == old[0] and (new[0] == "core" or new == old), (rows, new, old)
+            kinds[new[0]] = kinds.get(new[0], 0) + 1
+            systems += 1
+            if new[0] == "core":
+                new_core, old_core = new_core | new[1], old_core | old[1]
+        if new_core != old_core:
+            # a batch may meet another contradiction first: still a core
+            differ += 1
+            _assert_no_grid_point([lit for lit in literals if bits[id(lit)] & new_core])
+    assert systems > 1000 and all(kinds.get(k) for k in ("core", "model", "none", "too large"))
+
+
+# how many tightening passes a decision runs: one per round, and a round
+# substitutes all of its equalities before the next pass
+@pytest.mark.parametrize("sequent, passes", [(_NIM_STEP, 20), (_SPLIT_EQUALITY, 6)])
+def test_substitutions_share_a_tightening_pass(monkeypatch, sequent, passes):
+    seen = []
+    tighten = O._tighten
+    monkeypatch.setattr(O, "_tighten", lambda rows: seen.append(1) or tighten(rows))
+    assert oracle().decide(*sequent).status == VALID
+    assert len(seen) == passes
